@@ -14,6 +14,7 @@ from .laurent import (
     det_cofactor,
     det_fraction_free,
     geometric_sum,
+    q_ratio,
     vandermonde,
 )
 from .partitions import (
@@ -44,7 +45,6 @@ from .planepartitions import (
     enumerate_box,
     gradient_bijection,
     gradient_bijection_inverse,
-    macmahon_product,
     pp_from_dict,
     pp_to_dict,
     zq,
@@ -98,12 +98,12 @@ __all__ = [
     "h_determinant",
     "is_ssyt",
     "limit_vanishing_vars",
-    "macmahon_product",
     "make_watermelon",
     "parse_partition",
     "pp_from_dict",
     "pp_to_dict",
     "principal_product",
+    "q_ratio",
     "qbinomial",
     "qfactorial",
     "qint",

@@ -19,7 +19,6 @@ import sys
 from typing import Sequence
 
 from .identities import GOLDEN_POINTS, report_json_line, run_cases
-from .laurent import LaurentPoly
 from .partitions import enumerate_in_box, parse_partition, strip
 from .paths import (
     Watermelon,
@@ -41,7 +40,14 @@ from .schur import (
 _SUITES = ("all", "binet", "qbinet", "devbinet", "kuperberg", "qbinom",
            "melon", "gv", "zq")
 
-_SCHUR_ALGS = ("bialternant", "tableaux", "product", "hdet", "gvdet")
+# Each route evaluates the Schur polynomial at (1, q, ..., q**(m-1)).
+_SCHUR_ROUTES = {
+    "bialternant": lambda lam, m: bialternant(lam, tuple(range(m))),
+    "tableaux": lambda lam, m: tableau_sum(lam, tuple(range(m))),
+    "product": lambda lam, m: principal_product(lam, m),
+    "hdet": lambda lam, m: h_determinant(lam, m),
+    "gvdet": lambda lam, m: gv_determinant(lam, m),
+}
 
 
 def _fail_usage(message: str) -> int:
@@ -50,17 +56,6 @@ def _fail_usage(message: str) -> int:
 
 
 # ---------------------------------------------------------------- schur
-
-def _schur_values(lam, m: int) -> dict[str, LaurentPoly]:
-    exps = tuple(range(m))
-    return {
-        "bialternant": bialternant(lam, exps),
-        "tableaux": tableau_sum(lam, exps),
-        "product": principal_product(lam, m),
-        "hdet": h_determinant(lam, m),
-        "gvdet": gv_determinant(lam, m),
-    }
-
 
 def cmd_schur(args) -> int:
     try:
@@ -71,11 +66,9 @@ def cmd_schur(args) -> int:
     m = args.vars if args.vars is not None else max(1, len(lam))
     if m < len(lam):
         return _fail_usage(f"shape has {len(lam)} parts but only {m} variables")
+    algs = list(_SCHUR_ROUTES) if args.alg == "all" else [args.alg]
     try:
-        if args.alg == "all":
-            values = _schur_values(lam, m)
-        else:
-            values = {args.alg: _schur_values(lam, m)[args.alg]}
+        values = {name: _SCHUR_ROUTES[name](lam, m) for name in algs}
     except ValueError as exc:
         return _fail_usage(str(exc))
     agree = len({tuple(map(tuple, p.to_pairs())) for p in values.values()}) == 1
@@ -91,8 +84,8 @@ def cmd_schur(args) -> int:
         if len(values) == 1:
             print(str(next(iter(values.values()))))
         else:
-            for name in _SCHUR_ALGS:
-                print(f"{name}: {values[name]}")
+            for name, value in values.items():
+                print(f"{name}: {value}")
             print(f"verdict: {'OK' if agree else 'DISAGREE'}")
     return 0 if agree else 1
 
@@ -395,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur", help="evaluate a principally specialized Schur polynomial")
     p.add_argument("--shape", required=True, help="partition, e.g. [2,1] or []")
     p.add_argument("--vars", type=int, default=None, help="number of variables")
-    p.add_argument("--alg", choices=_SCHUR_ALGS + ("all",), default="bialternant")
+    p.add_argument("--alg", choices=(*_SCHUR_ROUTES, "all"), default="bialternant")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_schur)
 

@@ -25,10 +25,9 @@ from .laurent import (
 from .partitions import enumerate_in_box, strip, weight
 from .paths import (
     closed_genfunc,
-    enumerate_watermelons,
     genfunc_det_forms,
     gv_count,
-    horizontal_reading,
+    volume_offset,
     watermelon_genfunc,
 )
 from .qanalogs import qbinomial
@@ -125,8 +124,9 @@ def verify_kuperberg(n: int, m: int) -> IdentityReport:
     """Normalized geometric determinant against the box product.
 
     LHS is det(sum_{t<m+n} q^{t(j+k-1)}) divided by the Vandermondes of
-    the exponent points (1..n) and (0..n-1); RHS is the literal double
-    product over j, k <= n of (1 - q^{m+j+k-1}) / (1 - q^{j+k-1}).
+    the exponent points (1..n) and (0..n-1); RHS is the double product
+    over j, k <= n of (1 - q^{m+j+k-1}) / (1 - q^{j+k-1}), which is the
+    box product closed_genfunc(n, m, n).
     """
     start = time.perf_counter()
     entries = [[geometric_sum(j + k - 1, m + n) for k in range(1, n + 1)]
@@ -134,14 +134,7 @@ def verify_kuperberg(n: int, m: int) -> IdentityReport:
     det = det_fraction_free(PolyMatrix(entries))
     norm = vandermonde(tuple(range(1, n + 1))) * vandermonde(tuple(range(n)))
     lhs = det.exact_div(norm)
-    one = LaurentPoly.one()
-    num = LaurentPoly.one()
-    den = LaurentPoly.one()
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            num = num * (one - LaurentPoly.q_power(m + j + k - 1))
-            den = den * (one - LaurentPoly.q_power(j + k - 1))
-    rhs = num.exact_div(den)
+    rhs = closed_genfunc(n, m, n)
     return _report("kuperberg", {"N": n, "M": m}, lhs, rhs, start)
 
 
@@ -202,11 +195,18 @@ def verify_watermelon_suite(n: int, m: int, k: int) -> list[IdentityReport]:
 
     Direct enumeration against the interface Schur sum and the closed
     product; the closed product against both determinant forms and the
-    rectangle-shape specialization.  The specialization report measures
-    the level-reading offset on every enumerated watermelon, requires it
-    constant, and records it in the params.
+    rectangle-shape specialization.  The enumeration and the closed
+    product are each computed once and shared by the reports that use
+    them.
+
+    The specialization is shifted down by the level-reading offset,
+    recorded in the params.  Cell (i, c) of the rectangle tableau of the
+    matching plane partition pi sits on level (n - i) + pi[c][i], so the
+    level statistic is l * n(n-1)/2 + |pi| = volume_offset(n, l) + volume
+    on every watermelon; the tests check this through the bijection.
     """
     lines = n - k
+    params = {"N": n, "M": m, "k": k}
     reports = []
 
     start = time.perf_counter()
@@ -218,43 +218,28 @@ def verify_watermelon_suite(n: int, m: int, k: int) -> list[IdentityReport]:
         term = bialternant(lam, c_point) * bialternant(lam, b_point)
         schur_sum = schur_sum + term.shift(weight(lam))
     reports.append(_report(
-        "watermelon-enum-vs-schur-sum", {"N": n, "M": m, "k": k},
-        enum, schur_sum, start))
-
-    start = time.perf_counter()
-    enum = watermelon_genfunc(n, m, k)
-    product = closed_genfunc(n, lines, m)
-    reports.append(_report(
-        "watermelon-enum-vs-product", {"N": n, "M": m, "k": k},
-        enum, product, start))
+        "watermelon-enum-vs-schur-sum", params, enum, schur_sum, start))
 
     start = time.perf_counter()
     product = closed_genfunc(n, lines, m)
     reports.append(_report(
-        "watermelon-product-vs-qbinom-det", {"N": n, "M": m, "k": k},
+        "watermelon-enum-vs-product", params, enum, product, start))
+
+    start = time.perf_counter()
+    reports.append(_report(
+        "watermelon-product-vs-qbinom-det", params,
         product, genfunc_det_forms(n, lines, m, form=1), start))
 
     start = time.perf_counter()
-    product = closed_genfunc(n, lines, m)
     reports.append(_report(
-        "watermelon-product-vs-h-det", {"N": n, "M": m, "k": k},
+        "watermelon-product-vs-h-det", params,
         product, genfunc_det_forms(n, lines, m, form=2), start))
 
     start = time.perf_counter()
-    offsets = set()
-    for w in enumerate_watermelons(n, m, k):
-        steps = horizontal_reading(w)
-        offsets.add(sum(j * s for j, s in enumerate(steps)) - w.volume)
-    if len(offsets) != 1:
-        raise RuntimeError(
-            f"level-reading offset is not constant on ({n}, {m}, {k}): {sorted(offsets)}")
-    offset = offsets.pop()
-    product = closed_genfunc(n, lines, m)
-    rect = (lines,) * n
-    spec = principal_product(rect, n + m).shift(-offset)
+    offset = volume_offset(n, lines)
+    spec = principal_product((lines,) * n, n + m).shift(-offset)
     reports.append(_report(
-        "watermelon-product-vs-specialization",
-        {"N": n, "M": m, "k": k, "offset": offset},
+        "watermelon-product-vs-specialization", dict(params, offset=offset),
         product, spec, start))
 
     return reports

@@ -272,6 +272,21 @@ def geometric_sum(step: int, count: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> LaurentPoly:
+    """prod (1 - q**a) over num_exponents divided by prod (1 - q**b) over den_exponents.
+
+    Both products are formed in full and divided with exact_div, so a
+    ratio that is not a Laurent polynomial raises NotDivisible.
+    """
+    num = _ONE
+    for a in num_exponents:
+        num = num * (_ONE - LaurentPoly.q_power(a))
+    den = _ONE
+    for b in den_exponents:
+        den = den * (_ONE - LaurentPoly.q_power(b))
+    return num.exact_div(den)
+
+
 class PolyMatrix:
     """Immutable rectangular matrix of LaurentPoly entries.
 
@@ -340,6 +355,11 @@ def det_cofactor(m: PolyMatrix) -> LaurentPoly:
 
 def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     """Determinant by single-step fraction-free (Bareiss) elimination.
+
+    This is the one elimination routine of the package.  Integer matrices
+    go through it too: PolyMatrix embeds ints as constants, so
+    ``det_fraction_free(PolyMatrix(rows)).coeff(0)`` is the integer
+    determinant of ``rows``.
 
     Every division performed is exact in the Laurent ring; a division
     failure would mean corrupted arithmetic, so it is converted into a

@@ -50,60 +50,11 @@ def strip(lam: Sequence[int]) -> Partition:
     return tuple(out)
 
 
-def fits_in_box(lam: Sequence[int], n: int, m: int) -> bool:
-    """True iff lam has at most n nonzero parts, each at most m."""
-    s = strip(lam)
-    return len(s) <= n and (not s or s[0] <= m)
-
-
 def conjugate(lam: Sequence[int]) -> Partition:
     s = strip(lam)
     if not s:
         return ()
     return tuple(sum(1 for x in s if x >= c) for c in range(1, s[0] + 1))
-
-
-def to_strict(lam: Sequence[int], n: int) -> tuple[int, ...]:
-    """Strictly decreasing parts mu_j = lam_j + n - j, j = 1..n."""
-    full = pad(lam, n)
-    return tuple(full[j] + n - 1 - j for j in range(n))
-
-
-def from_strict(mu: Sequence[int]) -> Partition:
-    """Inverse of to_strict: lam_j = mu_j - (n - j)."""
-    n = len(mu)
-    for a, b in zip(mu, mu[1:]):
-        if a <= b:
-            raise ValueError(f"parts must be strictly decreasing: {tuple(mu)}")
-    lam = tuple(mu[j] - (n - 1 - j) for j in range(n))
-    if any(x < 0 for x in lam):
-        raise ValueError(f"not in the image of to_strict: {tuple(mu)}")
-    return check_partition(lam)
-
-
-def from_occupation(counts: Sequence[int]) -> Partition:
-    """Partition from site occupation numbers.
-
-    ``counts[s]`` is the multiplicity of the part value s, for s = 0..M.
-    """
-    lam: list[int] = []
-    for s in range(len(counts) - 1, -1, -1):
-        c = counts[s]
-        if c < 0:
-            raise ValueError("occupation numbers must be nonnegative")
-        lam.extend([s] * c)
-    return tuple(lam)
-
-
-def to_occupation(lam: Sequence[int], m: int) -> tuple[int, ...]:
-    """Occupation numbers (index = part value, 0..m) of a partition."""
-    lam = check_partition(lam)
-    if lam and lam[0] > m:
-        raise ValueError(f"part {lam[0]} exceeds the site bound {m}")
-    counts = [0] * (m + 1)
-    for x in lam:
-        counts[x] += 1
-    return tuple(counts)
 
 
 def enumerate_in_box(n: int, m: int) -> Iterator[Partition]:

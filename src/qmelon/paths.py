@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
 
-from .laurent import LaurentPoly, PolyMatrix, det_fraction_free
+from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
 from .partitions import (
     Partition,
     check_partition,
@@ -122,11 +122,6 @@ class BNest:
         """Squares below the east steps: sum (j - 1) * (M - l_j)."""
         m = self.height
         return sum((j - 1) * (m - l) for j, l in enumerate(self.step_counts, start=1))
-
-
-def nest_from_tableau(t: Tableau, n: int) -> CNest:
-    """C-nest of a tableau with entries at most n, drawn against n lines."""
-    return CNest(lines=n, tableau=t)
 
 
 def complement_shape(lam: Sequence[int], n: int, m: int) -> Partition:
@@ -226,14 +221,8 @@ def closed_genfunc(n: int, l: int, m: int) -> LaurentPoly:
     """Box product form: prod over i<=n, j<=m of (1 - q^(l+i+j-1)) / (1 - q^(i+j-1))."""
     if n < 0 or l < 0 or m < 0:
         raise ValueError("dimensions must be nonnegative")
-    num = LaurentPoly.one()
-    den = LaurentPoly.one()
-    one = LaurentPoly.one()
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            num = num * (one - LaurentPoly.q_power(l + i + j - 1))
-            den = den * (one - LaurentPoly.q_power(i + j - 1))
-    return num.exact_div(den)
+    hooks = [i + j - 1 for i in range(1, n + 1) for j in range(1, m + 1)]
+    return q_ratio((l + h for h in hooks), hooks)
 
 
 def count_deviation(n: int, l: int, m: int) -> int:
@@ -245,29 +234,6 @@ def count_deviation(n: int, l: int, m: int) -> int:
     if value.denominator != 1:
         raise NonIntegral(f"count for ({n}, {l}, {m}) is not an integer")
     return int(value)
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Fraction-free integer determinant (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _binom(n: int, k: int) -> int:
@@ -290,7 +256,7 @@ def count_deviation_det(n: int, l: int, m: int, form: int = 1) -> int:
                 for i in range(1, n + 1)]
     else:
         raise ValueError("form must be 1 or 2")
-    return _int_det(rows)
+    return det_fraction_free(PolyMatrix(rows)).coeff(0)
 
 
 def volume_offset(n: int, l: int) -> int:
@@ -338,7 +304,7 @@ def gv_count(lam: Sequence[int], n: int) -> int:
     full = pad(check_partition(lam), n)
     rows = [[_binom(full[i - 1] + n - i, n - j) for j in range(1, n + 1)]
             for i in range(1, n + 1)]
-    return _int_det(rows)
+    return det_fraction_free(PolyMatrix(rows)).coeff(0)
 
 
 # ---- geometric reconstruction (for rendering and the test-only validator) ----
@@ -449,10 +415,3 @@ def watermelon_from_dict(data: dict) -> Watermelon:
         raise ValueError(
             f"stored volume {data['volume']} does not match computed {w.volume}")
     return w
-
-
-def horizontal_reading(w: Watermelon) -> tuple[int, ...]:
-    """East steps per horizontal level, m_1..m_{n+m}, via the box projection."""
-    from .planepartitions import horizontal_steps
-
-    return horizontal_steps(w)

@@ -22,7 +22,7 @@ from .laurent import LaurentPoly
 from .partitions import Partition, strip
 from .paths import (
     Watermelon,
-    closed_genfunc,
+    closed_genfunc,  # noqa: F401  re-exported: MacMahon's product for the box
     make_watermelon,
 )
 from .tableaux import (
@@ -110,17 +110,15 @@ def enumerate_box(n: int, l: int, m: int) -> Iterator[PlanePartition]:
 
 
 def zq(n: int, l: int, m: int) -> LaurentPoly:
-    """Volume generating function of the box, summed over the enumeration."""
+    """Volume generating function of the box, summed over the enumeration.
+
+    Equals MacMahon's product ``closed_genfunc(n, l, m)`` exactly.
+    """
     acc: dict[int, int] = {}
     for pp in enumerate_box(n, l, m):
         v = volume(pp)
         acc[v] = acc.get(v, 0) + 1
     return LaurentPoly(acc)
-
-
-def macmahon_product(n: int, l: int, m: int) -> LaurentPoly:
-    """Closed product for the box generating function; equals zq exactly."""
-    return closed_genfunc(n, l, m)
 
 
 def _upper_slices(pp: PlanePartition, n: int) -> list[Partition]:

@@ -51,15 +51,6 @@ def qbinomial(big: int, small: int) -> LaurentPoly:
     return result
 
 
-def pascal_check(big: int, small: int) -> bool:
-    """True iff [big,small] = [big-1,small-1] + q**small * [big-1,small]."""
-    if big < 1:
-        raise ValueError("Pascal recurrence needs upper index >= 1")
-    lhs = qbinomial(big, small)
-    rhs = qbinomial(big - 1, small - 1) + LaurentPoly.q_power(small) * qbinomial(big - 1, small)
-    return lhs == rhs
-
-
 def h_complete(r: int, m: int) -> LaurentPoly:
     """Complete homogeneous sum of degree r in the variables 1, q, ..., q**(m-1).
 

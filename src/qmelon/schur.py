@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .laurent import LaurentPoly, PolyMatrix, det_fraction_free
-from .partitions import Partition, check_partition, n_statistic, pad, strip, weight
+from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
+from .partitions import Partition, check_partition, n_statistic, pad, strip
 from .qanalogs import h_complete, qbinomial
 from .tableaux import enumerate_ssyt
 
@@ -80,14 +80,9 @@ def principal_product(lam: Sequence[int], m: int) -> LaurentPoly:
     with lam padded to m parts.  Exact division of the two full products.
     """
     lam = pad(check_partition(lam), m)
-    num = LaurentPoly.one()
-    den = LaurentPoly.one()
-    one = LaurentPoly.one()
-    for i in range(m):
-        for j in range(i + 1, m):
-            num = num * (one - LaurentPoly.q_power(lam[i] - lam[j] + j - i))
-            den = den * (one - LaurentPoly.q_power(j - i))
-    return num.exact_div(den).shift(n_statistic(lam))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    ratio = q_ratio((lam[i] - lam[j] + j - i for i, j in pairs), (j - i for i, j in pairs))
+    return ratio.shift(n_statistic(lam))
 
 
 def h_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
@@ -122,13 +117,6 @@ def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
             row.append(tw * qbinomial(lam[i - 1] + m - i, m - j))
         rows.append(row)
     return det_fraction_free(PolyMatrix(rows))
-
-
-def weight_shift_check(lam: Sequence[int], n: int) -> bool:
-    """True iff the value at (q, ..., q**n) is q**|lam| times the value at (1, ..., q**(n-1))."""
-    shifted = bialternant(lam, tuple(range(1, n + 1)))
-    base = bialternant(lam, tuple(range(n)))
-    return shifted == base.shift(weight(lam))
 
 
 def limit_vanishing_vars(lam: Sequence[int], n: int, k: int) -> Partition:

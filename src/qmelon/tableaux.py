@@ -24,10 +24,6 @@ def shape_of(t: Tableau) -> Partition:
     return tuple(len(row) for row in t)
 
 
-def entry_sum(t: Tableau) -> int:
-    return sum(sum(row) for row in t)
-
-
 def letter_counts(t: Tableau, max_entry: int) -> tuple[int, ...]:
     """Occurrences of each letter 1..max_entry, as a tuple indexed by letter-1."""
     counts = [0] * max_entry

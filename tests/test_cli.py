@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from qmelon import cli
 from qmelon.cli import main
 
 MELON_JSON = json.dumps({
@@ -27,10 +29,28 @@ plane partition N=2 L=2 M=2 volume=4
 """
 
 
+# sha256 of the timing-free output of `qmelon verify --suite all` (see
+# timing_free), frozen from a run of the reference grid.
+VERIFY_ALL_SHA256 = "a0d169f079b8843df451a59afc62568ed1a1ac2a526e9fd1822a77a0846ff1d8"
+
+
 def run_main(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def timing_free(text):
+    """verify output with elapsed_ms dropped from every report line."""
+    rows = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            rows.append(line)
+        else:
+            d = json.loads(line)
+            d.pop("elapsed_ms")
+            rows.append(json.dumps(d, sort_keys=True))
+    return rows
 
 
 def test_schur_all_agrees(capsys):
@@ -67,6 +87,17 @@ def test_schur_parse_error(capsys):
 def test_schur_not_enough_vars(capsys):
     code, _, err = run_main(capsys, "schur", "--shape", "[2,1,1]", "--vars", "2")
     assert code == 2
+
+
+def test_schur_single_alg_runs_only_that_route(capsys, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("tableau_sum must not run for --alg bialternant")
+
+    monkeypatch.setattr(cli, "tableau_sum", refuse)
+    code, out, _ = run_main(capsys, "schur", "--shape", "[2,1]", "--vars", "3",
+                            "--alg", "bialternant")
+    assert code == 0
+    assert out == "q + 2*q^2 + 2*q^3 + 2*q^4 + q^5\n"
 
 
 def test_count_number(capsys):
@@ -140,19 +171,14 @@ def test_verify_deterministic_modulo_timing(capsys):
     argv = ("verify", "--suite", "melon", "--max-n", "2", "--max-m", "1")
     _, out1, _ = run_main(capsys, *argv)
     _, out2, _ = run_main(capsys, *argv)
+    assert timing_free(out1) == timing_free(out2)
 
-    def stable(text):
-        rows = []
-        for line in text.splitlines():
-            if line.startswith("#"):
-                rows.append(line)
-            else:
-                d = json.loads(line)
-                d.pop("elapsed_ms")
-                rows.append(json.dumps(d, sort_keys=True))
-        return rows
 
-    assert stable(out1) == stable(out2)
+def test_verify_all_output_frozen(capsys):
+    code, out, _ = run_main(capsys, "verify", "--suite", "all")
+    assert code == 0
+    text = "\n".join(timing_free(out)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_workers_match_serial(capsys):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box_oracle import box_terms
+from qmelon import identities
 from qmelon.laurent import LaurentPoly
 from qmelon.identities import (
     GOLDEN_POINTS,
@@ -20,7 +22,6 @@ from qmelon.identities import (
     verify_watermelon_suite,
     verify_zq_equals_w,
 )
-from qmelon.planepartitions import macmahon_product
 from qmelon.schur import DegeneratePoint
 
 
@@ -62,7 +63,7 @@ def test_kuperberg_small_and_macmahon():
         for m in (1, 2):
             r = verify_kuperberg(n, m)
             assert r.equal
-            assert r.rhs == macmahon_product(n, n, m)
+            assert dict(r.rhs.terms()) == box_terms(n, n, m)
 
 
 def test_qbinomial_det_small():
@@ -111,6 +112,24 @@ def test_watermelon_suite(n, m, k):
         "watermelon-product-vs-h-det",
         "watermelon-product-vs-specialization",
     ]
+
+
+def test_watermelon_suite_computes_each_side_once(monkeypatch):
+    calls = {"watermelon_genfunc": 0, "closed_genfunc": 0}
+
+    def counted(name):
+        original = getattr(identities, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(identities, name, counted(name))
+    assert all(r.equal for r in verify_watermelon_suite(3, 2, 1))
+    assert calls == {"watermelon_genfunc": 1, "closed_genfunc": 1}
 
 
 def test_watermelon_suite_values():

@@ -11,6 +11,7 @@ from qmelon.laurent import (
     det_cofactor,
     det_fraction_free,
     geometric_sum,
+    q_ratio,
     vandermonde,
 )
 
@@ -151,6 +152,16 @@ def test_geometric_sum_telescopes(step, count):
     s = geometric_sum(step, count)
     q = LaurentPoly.q_power(step)
     assert s * (1 - q) == 1 - LaurentPoly.q_power(step * count)
+
+
+def test_q_ratio():
+    q = LaurentPoly.q_power
+    assert q_ratio((), ()) == LaurentPoly.one()
+    assert q_ratio((3,), (1,)) == 1 + q(1) + q(2)
+    assert q_ratio((2, 3), (1, 2)) == q_ratio((3,), (1,))
+    assert q_ratio((1, 1), ()) == 1 - 2 * q(1) + q(2)
+    with pytest.raises(NotDivisible):
+        q_ratio((1,), (2,))
 
 
 matrix_st = st.integers(min_value=1, max_value=4).flatmap(

@@ -8,16 +8,11 @@ from qmelon.partitions import (
     check_partition,
     conjugate,
     enumerate_in_box,
-    fits_in_box,
     format_partition,
-    from_occupation,
-    from_strict,
     n_statistic,
     pad,
     parse_partition,
     strip,
-    to_occupation,
-    to_strict,
     weight,
 )
 
@@ -62,13 +57,6 @@ def test_conjugate_values():
     assert conjugate(()) == ()
 
 
-def test_fits_in_box():
-    assert fits_in_box((2, 2), 2, 2)
-    assert not fits_in_box((3,), 2, 2)
-    assert not fits_in_box((1, 1, 1), 2, 2)
-    assert fits_in_box((), 0, 0)
-
-
 @pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (2, 0), (1, 4), (2, 2), (3, 3), (4, 2)])
 def test_enumerate_in_box_count_and_order(n, m):
     out = list(enumerate_in_box(n, m))
@@ -76,34 +64,8 @@ def test_enumerate_in_box_count_and_order(n, m):
     assert len(set(out)) == len(out)
     assert out == sorted(out)
     assert all(len(lam) == n for lam in out)
-    assert all(fits_in_box(strip(lam), n, m) for lam in out)
-
-
-def test_strict_round_trip():
-    # mu_j = lam_j + N - j on a padded shape
-    lam = (5, 5, 3, 2, 2, 0)
-    mu = to_strict(lam, 6)
-    assert mu == (10, 9, 6, 4, 3, 0)
-    assert from_strict(mu) == lam
-
-
-def test_occupation_round_trip():
-    # (5,5,3,2,2,0): two parts 5, one 3, two 2s, one 0
-    counts = [0] * 6
-    counts[5] = 2
-    counts[3] = 1
-    counts[2] = 2
-    counts[0] = 1
-    assert from_occupation(counts) == (5, 5, 3, 2, 2, 0)
-    assert to_occupation((5, 5, 3, 2, 2, 0), 5) == (1, 0, 2, 1, 0, 2)
-
-
-@given(partition_st)
-def test_occupation_inverse(lam):
-    lam = strip(lam)
-    m = max(lam, default=0)
-    counts = to_occupation(lam, m)
-    assert strip(from_occupation(counts)) == lam
+    for lam in out:
+        assert check_partition(lam) == lam and max(lam, default=0) <= m
 
 
 def test_parse_format():

@@ -20,15 +20,14 @@ from qmelon.paths import (
     enumerate_watermelons,
     genfunc_det_forms,
     gv_count,
-    horizontal_reading,
     make_watermelon,
-    nest_from_tableau,
     volume_offset,
     wall_heights,
     watermelon_from_dict,
     watermelon_genfunc,
     watermelon_paths,
 )
+from qmelon.planepartitions import horizontal_steps
 from qmelon.tableaux import count_ssyt
 
 SMALL_GRID = [(n, m, k) for n in range(1, 4) for m in range(1, 3)
@@ -72,7 +71,7 @@ def test_bnest_example():
 def test_nest_from_large_shape():
     # (5,5,3,2,2,0) drawn against 6 lines; row r filled with the letter r
     t = tuple(tuple(1 + r for _ in range(width)) for r, width in enumerate((5, 5, 3, 2, 2)))
-    nest = nest_from_tableau(t, 6)
+    nest = CNest(lines=6, tableau=t)
     assert nest.shape == (5, 5, 3, 2, 2)
     assert nest.weighted_volume == weight((5, 5, 3, 2, 2)) + nest.path_volume
 
@@ -277,7 +276,7 @@ def test_horizontal_reading_offset_constant(n, m, k):
     l = n - k
     expect = volume_offset(n, l)
     for w in enumerate_watermelons(n, m, k):
-        steps = horizontal_reading(w)
+        steps = horizontal_steps(w)
         assert len(steps) == n + m
         assert sum(steps) == l * n  # total east steps across levels
         stat = sum(j * s for j, s in enumerate(steps))
