@@ -1,12 +1,12 @@
 """Exact arithmetic for Laurent polynomials in one variable q.
 
 Coefficients are Python ints, so they are arbitrary precision by
-construction; exponents are ints and may be negative.  A polynomial is
-stored as a sparse mapping from exponent to nonzero coefficient.  The
-stored form is canonical (no zero coefficients), which makes structural
-equality coincide with mathematical equality and lets values be hashed
-and shared freely.  Instances are immutable by convention: no method
-mutates ``self``.
+construction; exponents are ints and may be negative.  ``bool`` is not
+accepted for either.  A polynomial is stored as a sparse mapping from
+exponent to nonzero coefficient.  The stored form is canonical (no zero
+coefficients), which makes structural equality coincide with mathematical
+equality and lets values be hashed and shared freely.  Instances are
+immutable by convention: no method mutates ``self``.
 
 The wire format used by the CLI and by identity reports is an ordered
 list of ``[exponent, coefficient-as-decimal-string]`` pairs with strictly
@@ -16,15 +16,151 @@ Division is exact or it is an error: :meth:`LaurentPoly.exact_div` raises
 :class:`NotDivisible` whenever the quotient would leave a remainder.
 Nothing in this module ever falls back to floating point or to rational
 coefficients.
+
+Large operands go through Kronecker substitution (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 2009, in its plain single-point form).  A polynomial
+with dense coefficients c_0 .. c_(n-1) is packed into the one integer
+sum c_i * X**i with X = 2**(8*width): every coefficient becomes a
+``width``-byte two's-complement digit, and the digits are joined and read
+back with ``int.to_bytes``/``int.from_bytes``, so packing and unpacking are
+linear.  A product is then one big-integer multiplication, and an exact
+quotient one big-integer ``divmod`` whose result is accepted only once it
+is proven; see :meth:`LaurentPoly.exact_div`.  The width is chosen so that
+every coefficient of the result lies in [-X/2, X/2), where signed base-X
+digits, and so the polynomial, are unique.  The packed kernels run only
+when the schoolbook's term pairs are at least ``_KRONECKER_CUTOFF`` times
+the dense span to pack; small or sparse operands keep the schoolbook
+multiplication and the long division.  :func:`q_ratio` does not
+multiply polynomials at all: it decides exactness from cyclotomic factor
+counts and evaluates the ratio as a truncated power series.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+from itertools import accumulate
+from math import gcd
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class NotDivisible(ArithmeticError):
     """Exact polynomial division left a remainder."""
+
+
+# The Kronecker kernels run when the schoolbook's term pairs are at least
+# this many times the dense span they pack: the span of the product for a
+# multiplication, of the dividend for a division.  With CPython 3.11 on
+# dense operands of 20 to 100-bit coefficients, a term pair of the
+# schoolbook loop costs about 0.15 us and a packed coefficient about 1 us,
+# so square operands break even near 16 x 16 terms and win 4x at 70 x 70.
+_KRONECKER_CUTOFF = 8
+
+# The decimal form str(int) emits, in ASCII digits only.
+_WIRE_COEFF = re.compile(r"-?[0-9]+")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _canonical(terms: dict[int, int]) -> "LaurentPoly":
+    """Wrap a dict that already has int keys and nonzero int values."""
+    poly = object.__new__(LaurentPoly)
+    poly._terms = terms
+    return poly
+
+
+def _span(terms: Mapping[int, int]) -> int:
+    """Number of exponents from the valuation to the degree."""
+    return max(terms) - min(terms) + 1
+
+
+def _dense(terms: Mapping[int, int]) -> tuple[int, list[int]]:
+    """Valuation and the dense coefficient list from it up to the degree."""
+    low = min(terms)
+    coeffs = [0] * (max(terms) - low + 1)
+    for e, c in terms.items():
+        coeffs[e - low] = c
+    return low, coeffs
+
+
+def _halves(digits: int, width: int) -> int:
+    """The integer whose every base-2**(8*width) digit is 2**(8*width-1)."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * digits, "little")
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum c_i * X**i with X = 2**(8*width); needs |c_i| < X/2."""
+    raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+    h = _halves(len(coeffs), width)
+    return (int.from_bytes(raw, "little") ^ h) - h
+
+
+def _unpack(value: int, digits: int, width: int) -> list[int]:
+    """Signed base-X digits of value, lowest first, inverse of _pack.
+
+    Raises OverflowError unless every digit lies in [-X/2, X/2).
+    """
+    h = _halves(digits, width)
+    raw = memoryview(((value + h) ^ h).to_bytes(digits * width, "little"))
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, digits * width, width)]
+
+
+def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly":
+    """Product of two nonzero term dicts by one big-integer multiplication."""
+    low_a, ca = _dense(a)
+    low_b, cb = _dense(b)
+    # |c_k| <= min(#terms) * max|a_i| * max|b_j| < 2**bits <= X/2
+    bits = (max(map(abs, ca)).bit_length() + max(map(abs, cb)).bit_length()
+            + min(len(a), len(b)).bit_length())
+    width = bits // 8 + 1
+    digits = len(ca) + len(cb) - 1
+    coeffs = _unpack(_pack(ca, width) * _pack(cb, width), digits, width)
+    low = low_a + low_b
+    return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
+
+
+def _kronecker_div(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly | None":
+    """Quotient a / b of nonzero term dicts, or None when none is proven.
+
+    A candidate Q comes from one big-integer divmod of the packed operands
+    at X = 2**(8*width); then A(X) = B(X) * Q(X) exactly.  P = A - B*Q
+    vanishes at X, and when every coefficient of P is below X in absolute
+    value that forces P = 0, so B*Q = A holds as polynomials.  The width
+    guesses that the quotient's coefficients are no larger than the
+    dividend's and grows when the proof needs more.  None means not
+    divisible or not proven; the caller then runs long division.
+    """
+    digits = _span(a) - _span(b) + 1
+    if digits < 1:
+        return None
+    low_a, ca = _dense(a)
+    low_b, cb = _dense(b)
+    max_a = max(map(abs, ca))
+    max_b = max(map(abs, cb))
+    overlap = min(len(b), digits)  # products summed into one coefficient of B*Q
+    bits = max_a.bit_length() + overlap.bit_length() + 2
+    for _ in range(3):
+        width = bits // 8 + 1
+        quot, rem = divmod(_pack(ca, width), _pack(cb, width))
+        if rem:
+            return None
+        try:
+            coeffs = _unpack(quot, digits, width)
+        except OverflowError:
+            bits *= 2
+            continue
+        # bound on every coefficient of A - B*Q
+        bound = max_a + overlap * max_b * max(map(abs, coeffs))
+        if bound.bit_length() <= 8 * width:
+            low = low_a - low_b
+            return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
+        bits = max(bound.bit_length(), 2 * bits)
+    return None
 
 
 class LaurentPoly:
@@ -36,8 +172,10 @@ class LaurentPoly:
         clean: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(e, int) or not isinstance(c, int):
-                    raise TypeError("exponents and coefficients must be ints")
+                # the exact type test is the fast path; it lets no bool through
+                if type(e) is not int or type(c) is not int:
+                    if not (_is_int(e) and _is_int(c)):
+                        raise TypeError("exponents and coefficients must be ints, not bool")
                 if c != 0:
                     clean[e] = c
         self._terms = clean
@@ -67,12 +205,21 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence]) -> "LaurentPoly":
-        """Parse the wire format: iterable of (exponent, coeff-as-string) pairs."""
+        """Parse the wire format: iterable of (exponent, coeff-as-string) pairs.
+
+        An exponent must be an int (not bool), and exponents must increase
+        strictly.  A coefficient must be a string of the form ``str(int)``
+        emits: an optional ``-`` followed by ASCII digits.  Anything else
+        raises ValueError.
+        """
         terms: dict[int, int] = {}
         last = None
         for pair in pairs:
             e, c = pair
-            e = int(e)
+            if not _is_int(e):
+                raise ValueError(f"wire-format exponent {e!r} is not an int")
+            if not isinstance(c, str) or not _WIRE_COEFF.fullmatch(c):
+                raise ValueError(f"wire-format coefficient {c!r} is not a decimal string")
             if last is not None and e <= last:
                 raise ValueError("wire-format exponents must be strictly increasing")
             last = e
@@ -153,11 +300,16 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._terms or not o._terms:
+        a, b = self._terms, o._terms
+        if not a or not b:
             return _ZERO
+        pairs = len(a) * len(b)
+        if (pairs >= _KRONECKER_CUTOFF * (len(a) + len(b))
+                and pairs >= _KRONECKER_CUTOFF * (_span(a) + _span(b))):
+            return _kronecker_mul(a, b)
         terms: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in o._terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
         return LaurentPoly(terms)
@@ -184,8 +336,17 @@ class LaurentPoly:
         """Exact quotient self / other; raises NotDivisible on any remainder.
 
         Works over the Laurent ring: both operands are shifted to ordinary
-        polynomials, divided by long division over the integers, and the
-        quotient is shifted back.  Coefficient divisions must also be exact.
+        polynomials, divided over the integers, and the quotient is shifted
+        back.  Coefficient divisions must also be exact.
+
+        When the long division's term pairs (divisor terms times the
+        expected quotient terms) reach ``_KRONECKER_CUTOFF`` times the
+        dividend's span, a candidate quotient comes from one big-integer
+        ``divmod`` of the packed operands, and it is returned only with a
+        proof that divisor * quotient equals self (see ``_kronecker_div``).
+        Every other case, including every case that is not divisible, runs
+        the long division, which decides and raises NotDivisible exactly as
+        it always has.
         """
         if isinstance(other, int):
             other = LaurentPoly({0: other})
@@ -193,9 +354,15 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
+        a, b = self._terms, other._terms
+        pairs = len(b) * (len(a) - len(b) + 1)
+        if pairs >= _KRONECKER_CUTOFF * len(a) and pairs >= _KRONECKER_CUTOFF * _span(a):
+            quot = _kronecker_div(a, b)
+            if quot is not None:
+                return quot
         av, bv = self.valuation(), other.valuation()
-        rem = {e - av: c for e, c in self._terms.items()}
-        div = {e - bv: c for e, c in other._terms.items()}
+        rem = {e - av: c for e, c in a.items()}
+        div = {e - bv: c for e, c in b.items()}
         bdeg = max(div)
         blead = div[bdeg]
         quot: dict[int, int] = {}
@@ -275,16 +442,68 @@ def geometric_sum(step: int, count: int) -> LaurentPoly:
 def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> LaurentPoly:
     """prod (1 - q**a) over num_exponents divided by prod (1 - q**b) over den_exponents.
 
-    Both products are formed in full and divided with exact_div, so a
-    ratio that is not a Laurent polynomial raises NotDivisible.
+    Raises NotDivisible when the ratio is not a Laurent polynomial and
+    ZeroDivisionError when a denominator exponent is 0; otherwise a
+    numerator exponent 0 makes the ratio 0.
+
+    Exactness is decided before any arithmetic.  1 - q**a is
+    -prod Phi_d(q) over the divisors d of a, and the cyclotomic
+    polynomials Phi_d are distinct irreducibles, so the ratio is a
+    polynomial iff every d divides at least as many numerator exponents as
+    denominator exponents.  It is enough to test each d that is the gcd of
+    some denominator exponents: for any other d, the gcd of the
+    denominator exponents it divides is a multiple of d that divides the
+    same denominator exponents and no more numerator exponents.
+
+    The ratio is then evaluated as a power series.  A negative exponent is
+    turned positive by 1 - q**(-a) = -q**(-a) * (1 - q**a), equal factors
+    cancel, and the remaining exponents share a gcd g, so the ratio is a
+    polynomial of degree D = (sum a - sum b) / g in t = q**g.  Working
+    modulo t**(D + 1) is therefore exact: multiply by each (1 - t**a) in
+    place and divide by each (1 - t**b) as a strided prefix sum.
     """
-    num = _ONE
-    for a in num_exponents:
-        num = num * (_ONE - LaurentPoly.q_power(a))
-    den = _ONE
-    for b in den_exponents:
-        den = den * (_ONE - LaurentPoly.q_power(b))
-    return num.exact_div(den)
+    num, den = list(num_exponents), list(den_exponents)
+    if not all(_is_int(e) for e in num + den):
+        raise TypeError("exponents must be ints, not bool")
+    if 0 in den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if 0 in num:
+        return _ZERO
+    sign, shift = 1, 0
+    for e in num:
+        if e < 0:
+            sign, shift = -sign, shift + e
+    for e in den:
+        if e < 0:
+            sign, shift = -sign, shift - e
+    # net multiplicity of each factor (1 - q**e): numerator minus denominator
+    net = Counter(map(abs, num))
+    net.subtract(map(abs, den))
+    gcds: set[int] = set()
+    for b in (e for e, k in net.items() if k < 0):
+        gcds |= {gcd(d, b) for d in gcds}
+        gcds.add(b)
+    for d in gcds:
+        if sum(k for e, k in net.items() if e % d == 0) < 0:
+            raise NotDivisible("ratio of q-products is not a Laurent polynomial")
+    g = 0
+    for e, k in net.items():
+        if k:
+            g = gcd(g, e)
+    if not g:
+        return _canonical({shift: sign})
+    deg = sum(e * k for e, k in net.items()) // g
+    s = [1] + [0] * deg
+    for e, k in net.items():
+        e //= g
+        if e > deg:
+            continue
+        for _ in range(k):
+            s[e:] = list(map(sub, s[e:], s))
+        for _ in range(-k):
+            for r in range(e):
+                s[r::e] = accumulate(s[r::e])
+    return _canonical({shift + g * k: sign * c for k, c in enumerate(s) if c})
 
 
 class PolyMatrix:

@@ -1,13 +1,16 @@
 import itertools
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmelon.laurent import (
     LaurentPoly,
     NotDivisible,
     PolyMatrix,
+    _kronecker_div,
+    _kronecker_mul,
     det_cofactor,
     det_fraction_free,
     geometric_sum,
@@ -23,6 +26,45 @@ def naive_mul(a: dict, b: dict) -> dict:
         for e2, c2 in b.items():
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def naive_div(a: dict, b: dict) -> dict:
+    """Long-division oracle over the Laurent ring; raises NotDivisible."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return {}
+    av, bv = min(a), min(b)
+    rem = {e - av: c for e, c in a.items()}
+    div = {e - bv: c for e, c in b.items()}
+    bdeg = max(div)
+    quot = {}
+    while rem:
+        rdeg = max(rem)
+        if rdeg < bdeg:
+            raise NotDivisible("remainder after division")
+        if rem[rdeg] % div[bdeg] != 0:
+            raise NotDivisible("leading coefficient not divisible")
+        t = rem[rdeg] // div[bdeg]
+        quot[rdeg - bdeg] = t
+        for e, c in div.items():
+            k = e + rdeg - bdeg
+            rem[k] = rem.get(k, 0) - t * c
+            if not rem[k]:
+                del rem[k]
+    return {e + av - bv: c for e, c in quot.items()}
+
+
+def ratio_oracle(num, den) -> dict:
+    """prod (1 - q**a) / prod (1 - q**b) as two products and a long division."""
+    def product(exps):
+        out = {0: 1}
+        for e in exps:
+            factor = {0: 1}
+            factor[e] = factor.get(e, 0) - 1
+            out = naive_mul(out, {k: c for k, c in factor.items() if c})
+        return out
+    return naive_div(product(num), product(den))
 
 
 def perm_det(rows):
@@ -50,6 +92,16 @@ terms_st = st.dictionaries(
 poly_st = terms_st.map(LaurentPoly)
 
 
+# Operands large enough for the packed kernels: coefficients past 10**100
+# next to small ones, negative exponents, and gaps in the support.
+big_terms_st = st.dictionaries(
+    st.integers(min_value=-20, max_value=40),
+    st.one_of(st.integers(min_value=-9, max_value=9),
+              st.integers(min_value=-10**120, max_value=10**120)),
+    min_size=1, max_size=30,
+).map(lambda d: {e: c for e, c in d.items() if c}).filter(bool)
+
+
 def test_zero_and_one():
     assert LaurentPoly.zero().is_zero()
     assert not LaurentPoly.one().is_zero()
@@ -68,6 +120,83 @@ def test_mul_matches_naive(a, b):
     got = LaurentPoly(a) * LaurentPoly(b)
     assert dict(got.terms()) == naive_mul(
         {e: c for e, c in a.items() if c}, {e: c for e, c in b.items() if c})
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_terms_st, big_terms_st)
+def test_kronecker_mul_matches_schoolbook(a, b):
+    got = _kronecker_mul(a, b)
+    assert got._terms == naive_mul(a, b)
+    assert LaurentPoly(a) * LaurentPoly(b) == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_terms_st, big_terms_st)
+def test_kronecker_div_matches_long_division(p, r):
+    a = naive_mul(p, r)
+    got = _kronecker_div(a, r)
+    assert got is not None
+    assert got._terms == naive_div(a, r) == p
+    assert LaurentPoly(a).exact_div(LaurentPoly(r)) == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_terms_st, big_terms_st, big_terms_st)
+def test_kronecker_div_never_accepts_a_remainder(p, r, extra):
+    a = naive_mul(p, r)
+    for e, c in extra.items():
+        a[e] = a.get(e, 0) + c
+    a = {e: c for e, c in a.items() if c}
+    assume(a)
+    try:
+        expected = naive_div(a, r)
+    except NotDivisible as exc:
+        assert _kronecker_div(a, r) is None
+        with pytest.raises(NotDivisible, match=re.escape(str(exc))):
+            LaurentPoly(a).exact_div(LaurentPoly(r))
+    else:
+        assert _kronecker_div(a, r)._terms == expected
+
+
+def test_kronecker_div_widens_for_a_large_quotient():
+    # (1 + q) times an alternating tent of height 2000 C has every coefficient
+    # in {-C, 0, C}: the quotient needs 11 more bits than the dividend
+    n, big = 4000, 10**40
+    quotient = {i: (-1) ** i * min(i + 1, n - i) * big for i in range(n)}
+    for divisor in ({0: 1, 1: 1}, {-3: 1, -2: 1}):
+        dividend = naive_mul(quotient, divisor)
+        assert max(map(abs, dividend.values())) == big
+        assert _kronecker_div(dividend, divisor)._terms == quotient
+
+
+def test_large_non_divisible_dividend_raises():
+    divisor = {e - 10: (-3) ** e * 10**30 + e for e in range(60)}
+    dividend = naive_mul({e: 7**e - 5 for e in range(80)}, divisor)
+    dividend[17] += 1
+    assert _kronecker_div(dividend, divisor) is None
+    with pytest.raises(NotDivisible) as oracle:
+        naive_div(dividend, divisor)
+    with pytest.raises(NotDivisible, match=re.escape(str(oracle.value))):
+        LaurentPoly(dividend).exact_div(LaurentPoly(divisor))
+    dividend[17] -= 1
+    assert LaurentPoly(dividend).exact_div(LaurentPoly(divisor)) == LaurentPoly(
+        {e: 7**e - 5 for e in range(80)})
+
+
+@pytest.mark.parametrize("terms", [{0: True}, {True: 3}, {2: False}, {False: 0}])
+def test_rejects_bool(terms):
+    with pytest.raises(TypeError):
+        LaurentPoly(terms)
+
+
+@pytest.mark.parametrize("pair", [
+    [0, "1_0"], [0, " 5 "], [0, "5 "], [0, "+5"], [0, "5\n"], [0, "\u0663"],
+    [0, ""], [0, "-"], [0, "5.0"], [0, "0x5"], [0, 5], [True, "1"], ["3", "1"],
+    [2.0, "1"],
+])
+def test_from_pairs_rejects_malformed(pair):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_pairs([[-1, "2"], pair])
 
 
 @given(poly_st, poly_st, poly_st)
@@ -162,6 +291,49 @@ def test_q_ratio():
     assert q_ratio((1, 1), ()) == 1 - 2 * q(1) + q(2)
     with pytest.raises(NotDivisible):
         q_ratio((1,), (2,))
+    # non-polynomial ratios whose degree and value at q = 1 look fine
+    with pytest.raises(NotDivisible):
+        q_ratio((1, 1), (2,))
+    with pytest.raises(NotDivisible):
+        q_ratio((1, 3), (2, 2))
+    assert q_ratio((0,), (5,)) == LaurentPoly.zero()
+    with pytest.raises(ZeroDivisionError):
+        q_ratio((0,), (0,))
+    with pytest.raises(ZeroDivisionError):
+        q_ratio((2,), (0,))
+    assert q_ratio((-3,), (1,)) == -q(-3) * (1 + q(1) + q(2))
+    assert q_ratio((3,), (-1,)) == -q(1) * (1 + q(1) + q(2))
+    assert q_ratio((4, 6), (2,)) == (1 + q(2)) * (1 - q(6))
+    with pytest.raises(TypeError):
+        q_ratio((True,), ())
+
+
+exps_st = st.lists(st.integers(min_value=-8, max_value=12), max_size=5)
+
+
+def assert_ratio_agrees(num, den):
+    try:
+        expected = ratio_oracle(num, den)
+    except (NotDivisible, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            q_ratio(num, den)
+    else:
+        assert dict(q_ratio(num, den).terms()) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(exps_st, exps_st)
+def test_q_ratio_matches_oracle(num, den):
+    assert_ratio_agrees(num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=9), max_size=5),
+       st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=5, max_size=5),
+       exps_st)
+def test_q_ratio_matches_oracle_on_multiples(den, ks, extra):
+    # each (1 - q**(k*b)) is divisible by (1 - q**b), so most cases are polynomials
+    assert_ratio_agrees([b * k for b, k in zip(den, ks)] + extra, den)
 
 
 matrix_st = st.integers(min_value=1, max_value=4).flatmap(

@@ -139,6 +139,17 @@ def test_frozen_counts():
     assert count_deviation(2, 0, 3) == 1
 
 
+# OEIS A008793 (https://oeis.org/A008793): plane partitions in an n x n x n box.
+A008793 = (1, 2, 20, 980, 232848, 267227532, 1478619421136, 39405996318420160)
+
+
+@pytest.mark.parametrize("n", range(len(A008793)))
+def test_cube_genfuncs_match_oeis_a008793(n):
+    assert closed_genfunc(n, n, n).eval_at_one() == A008793[n]
+    assert genfunc_det_forms(n, n, n, form=1).eval_at_one() == A008793[n]
+    assert genfunc_det_forms(n, n, n, form=2).eval_at_one() == A008793[n]
+
+
 @pytest.mark.parametrize("n", range(0, 4))
 @pytest.mark.parametrize("l", range(0, 4))
 @pytest.mark.parametrize("m", range(0, 4))
