@@ -31,9 +31,10 @@ every coefficient of the result lies in [-X/2, X/2), where signed base-X
 digits, and so the polynomial, are unique.  The packed kernels run only
 when the schoolbook's term pairs are at least ``_KRONECKER_CUTOFF`` times
 the dense span to pack; small or sparse operands keep the schoolbook
-multiplication and the long division.  :func:`q_ratio` does not
-multiply polynomials at all: it decides exactness from cyclotomic factor
-counts and evaluates the ratio as a truncated power series.
+multiplication and the long division.  :func:`q_ratio` decides
+exactness from cyclotomic factor counts before any arithmetic, then
+evaluates the ratio on sparse dicts while the partial results stay
+sparse, and otherwise as a truncated dense power series.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class NotDivisible(ArithmeticError):
 # so square operands break even near 16 x 16 terms and win 4x at 70 x 70.
 _KRONECKER_CUTOFF = 8
 
-# The decimal form str(int) emits, in ASCII digits only.
-_WIRE_COEFF = re.compile(r"-?[0-9]+")
+# The decimal form str(int) emits for a nonzero int, in ASCII digits only.
+_WIRE_COEFF = re.compile(r"-?[1-9][0-9]*")
 
 
 def _is_int(x) -> bool:
@@ -131,9 +132,9 @@ def _kronecker_div(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly |
     at X = 2**(8*width); then A(X) = B(X) * Q(X) exactly.  P = A - B*Q
     vanishes at X, and when every coefficient of P is below X in absolute
     value that forces P = 0, so B*Q = A holds as polynomials.  The width
-    guesses that the quotient's coefficients are no larger than the
-    dividend's and grows when the proof needs more.  None means not
-    divisible or not proven; the caller then runs long division.
+    fits both operands, guesses that the quotient's coefficients are no
+    larger than the dividend's and grows when the proof needs more.  None
+    means not divisible or not proven; the caller then runs long division.
     """
     digits = _span(a) - _span(b) + 1
     if digits < 1:
@@ -143,7 +144,8 @@ def _kronecker_div(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly |
     max_a = max(map(abs, ca))
     max_b = max(map(abs, cb))
     overlap = min(len(b), digits)  # products summed into one coefficient of B*Q
-    bits = max_a.bit_length() + overlap.bit_length() + 2
+    # both operands must pack: |c| < X/2 for every coefficient of A and of B
+    bits = max(max_a, max_b).bit_length() + overlap.bit_length() + 2
     for _ in range(3):
         width = bits // 8 + 1
         quot, rem = divmod(_pack(ca, width), _pack(cb, width))
@@ -209,8 +211,9 @@ class LaurentPoly:
 
         An exponent must be an int (not bool), and exponents must increase
         strictly.  A coefficient must be a string of the form ``str(int)``
-        emits: an optional ``-`` followed by ASCII digits.  Anything else
-        raises ValueError.
+        emits for a nonzero int, as :meth:`to_pairs` writes it: an optional
+        ``-`` and ASCII digits without a leading zero.  Anything else,
+        ``"0"`` and ``"-0"`` included, raises ValueError.
         """
         terms: dict[int, int] = {}
         last = None
@@ -219,7 +222,8 @@ class LaurentPoly:
             if not _is_int(e):
                 raise ValueError(f"wire-format exponent {e!r} is not an int")
             if not isinstance(c, str) or not _WIRE_COEFF.fullmatch(c):
-                raise ValueError(f"wire-format coefficient {c!r} is not a decimal string")
+                raise ValueError(
+                    f"wire-format coefficient {c!r} is not the decimal string of a nonzero int")
             if last is not None and e <= last:
                 raise ValueError("wire-format exponents must be strictly increasing")
             last = e
@@ -455,12 +459,17 @@ def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> Laure
     denominator exponents it divides is a multiple of d that divides the
     same denominator exponents and no more numerator exponents.
 
-    The ratio is then evaluated as a power series.  A negative exponent is
-    turned positive by 1 - q**(-a) = -q**(-a) * (1 - q**a), equal factors
-    cancel, and the remaining exponents share a gcd g, so the ratio is a
-    polynomial of degree D = (sum a - sum b) / g in t = q**g.  Working
-    modulo t**(D + 1) is therefore exact: multiply by each (1 - t**a) in
-    place and divide by each (1 - t**b) as a strided prefix sum.
+    The ratio is then evaluated in t = q**g, where g is the gcd of the
+    exponents left once a negative exponent is turned positive by
+    1 - q**(-a) = -q**(-a) * (1 - q**a) and equal factors cancel.  It is
+    a polynomial of degree D = (sum a - sum b) / g in t.  The sparse
+    route multiplies the numerator factors as dicts and divides by each
+    (1 - t**b) as a prefix sum along each residue class mod b, so its
+    cost follows the number of terms, not D; it gives up once a partial
+    result passes (D + 1) / ``_SPARSE_SHARE`` terms.  The dense route
+    works modulo t**(D + 1), which is exact: it multiplies a list of
+    D + 1 coefficients by each (1 - t**a) in place and divides by each
+    (1 - t**b) as a strided prefix sum.
     """
     num, den = list(num_exponents), list(den_exponents)
     if not all(_is_int(e) for e in num + den):
@@ -492,10 +501,55 @@ def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> Laure
             g = gcd(g, e)
     if not g:
         return _canonical({shift: sign})
-    deg = sum(e * k for e, k in net.items()) // g
+    net = {e // g: k for e, k in net.items() if k}
+    deg = sum(e * k for e, k in net.items())
+    terms = _sparse_series(net, (deg + 1) // _SPARSE_SHARE)
+    if terms is None:
+        terms = enumerate(_dense_series(net, deg))
+    return _canonical({shift + g * k: sign * c for k, c in terms if c})
+
+
+# The sparse route of q_ratio stops once a partial result holds more than
+# this share of the dense route's D + 1 coefficients.  A dict entry costs
+# several times a list slot, and the cap bounds the work lost to a switch.
+_SPARSE_SHARE = 16
+
+
+def _sparse_series(net: Mapping[int, int], cap: int) -> "Iterable[tuple[int, int]] | None":
+    """Terms of prod (1 - t**e)**k over net, or None past cap terms.
+
+    The product must be a polynomial.  Every numerator factor is multiplied
+    in before the first division, so each partial quotient is a polynomial.
+    """
+    prod = _ONE
+    for e, k in net.items():
+        for _ in range(k):
+            prod = prod * (_ONE - LaurentPoly.q_power(e))
+            if len(prod._terms) > cap:
+                return None
+    terms = prod._terms
+    for b, k in net.items():
+        for _ in range(-k):
+            # q_k = p_k + q_(k-b): the running sum along each class is
+            # constant between two of its exponents and 0 after the last
+            keys = sorted(terms, key=lambda e: (e % b, e))
+            runs, total = [], 0
+            for e, nxt in zip(keys, keys[1:]):
+                total += terms[e]
+                if total:
+                    runs.append((e, nxt, total))
+            if sum((nxt - e) // b for e, nxt, _ in runs) > cap:
+                return None
+            terms = {}
+            for e, nxt, c in runs:
+                terms.update(dict.fromkeys(range(e, nxt, b), c))
+    return terms.items()
+
+
+def _dense_series(net: Mapping[int, int], deg: int) -> list[int]:
+    """Coefficients of prod (1 - t**e)**k over net, a polynomial of degree deg."""
     s = [1] + [0] * deg
     for e, k in net.items():
-        e //= g
         if e > deg:
             continue
         for _ in range(k):
@@ -503,7 +557,7 @@ def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> Laure
         for _ in range(-k):
             for r in range(e):
                 s[r::e] = accumulate(s[r::e])
-    return _canonical({shift + g * k: sign * c for k, c in enumerate(s) if c})
+    return s
 
 
 class PolyMatrix:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,8 +11,10 @@ from qmelon.laurent import (
     LaurentPoly,
     NotDivisible,
     PolyMatrix,
+    _dense_series,
     _kronecker_div,
     _kronecker_mul,
+    _sparse_series,
     det_cofactor,
     det_fraction_free,
     geometric_sum,
@@ -183,6 +187,27 @@ def test_large_non_divisible_dividend_raises():
         {e: 7**e - 5 for e in range(80)})
 
 
+def test_kronecker_div_packs_a_divisor_wider_than_the_dividend():
+    # the pack width has to fit the divisor's coefficients, not only the dividend's
+    dividend = {e: 1 for e in range(200)}
+    divisor = {e: 10**30 for e in range(20)}
+    assert _kronecker_div(dividend, divisor) is None
+    with pytest.raises(NotDivisible) as oracle:
+        naive_div(dividend, divisor)
+    with pytest.raises(NotDivisible, match=re.escape(str(oracle.value))):
+        LaurentPoly(dividend).exact_div(LaurentPoly(divisor))
+    # prod (1 + q**a) divides prod (1 - q**(2a)), and its coefficients, near
+    # 2**40 / 40**1.5, are over 10**6 times those of the dividend
+    divisor, quotient = {0: 1}, {e: 1 for e in range(1500)}
+    for a in range(1, 41):
+        divisor = naive_mul(divisor, {0: 1, a: 1})
+        quotient = naive_mul(quotient, {0: 1, a: -1})
+    dividend = naive_mul(divisor, quotient)
+    assert max(map(abs, divisor.values())) > 10**6 * max(map(abs, dividend.values()))
+    assert _kronecker_div(dividend, divisor)._terms == quotient
+    assert LaurentPoly(dividend).exact_div(LaurentPoly(divisor))._terms == quotient
+
+
 @pytest.mark.parametrize("terms", [{0: True}, {True: 3}, {2: False}, {False: 0}])
 def test_rejects_bool(terms):
     with pytest.raises(TypeError):
@@ -192,7 +217,7 @@ def test_rejects_bool(terms):
 @pytest.mark.parametrize("pair", [
     [0, "1_0"], [0, " 5 "], [0, "5 "], [0, "+5"], [0, "5\n"], [0, "\u0663"],
     [0, ""], [0, "-"], [0, "5.0"], [0, "0x5"], [0, 5], [True, "1"], ["3", "1"],
-    [2.0, "1"],
+    [2.0, "1"], [0, "0"], [0, "-0"], [0, "007"], [0, "-00"], [0, "-07"],
 ])
 def test_from_pairs_rejects_malformed(pair):
     with pytest.raises(ValueError):
@@ -334,6 +359,53 @@ def test_q_ratio_matches_oracle(num, den):
 def test_q_ratio_matches_oracle_on_multiples(den, ks, extra):
     # each (1 - q**(k*b)) is divisible by (1 - q**b), so most cases are polynomials
     assert_ratio_agrees([b * k for b, k in zip(den, ks)] + extra, den)
+
+
+# exponents at two scales, so that some ratios are sparse with a large degree
+two_scale_exps_st = st.lists(
+    st.one_of(st.integers(min_value=-8, max_value=12),
+              st.integers(min_value=-3, max_value=4).map(lambda k: 200 * k),
+              st.integers(min_value=1, max_value=3).map(lambda k: 200 * k + 1)),
+    max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_scale_exps_st, st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+       st.lists(st.sampled_from((1, 2, 3)), min_size=4, max_size=4))
+def test_q_ratio_matches_oracle_at_two_scales(extra, den, ks):
+    large = [200 * b * k for b, k in zip(den, ks)]
+    assert_ratio_agrees(large + extra, den)
+    assert_ratio_agrees(extra, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=9), max_size=5),
+       st.lists(st.sampled_from((1, 2, 3)), min_size=5, max_size=5),
+       st.lists(st.integers(min_value=1, max_value=12), max_size=4))
+def test_sparse_and_dense_series_agree(den, ks, extra):
+    num = [b * k for b, k in zip(den, ks)] + extra
+    try:
+        expected = ratio_oracle(num, den)
+    except NotDivisible:
+        assume(False)
+    net = Counter(num)
+    net.subtract(den)
+    net = {e: k for e, k in net.items() if k}
+    deg = sum(e * k for e, k in net.items())
+    dense = {k: c for k, c in enumerate(_dense_series(net, deg)) if c}
+    assert dict(_sparse_series(net, math.inf)) == dense == expected
+
+
+def test_q_ratio_sparse_result_of_huge_degree(monkeypatch):
+    # a dense series of degree 10**9 would need a 10**9-entry list
+    def no_dense(net, deg):
+        raise AssertionError("dense series of degree %d" % deg)
+    monkeypatch.setattr("qmelon.laurent._dense_series", no_dense)
+    q = LaurentPoly.q_power
+    n = 10**9
+    assert q_ratio((n, 1), ()) == (1 - q(n)) * (1 - q(1))
+    assert q_ratio((2 * n, 3), (n, 1)) == (1 + q(n)) * (1 + q(1) + q(2))
+    assert q_ratio((-2 * n, 3), (n, -1)) == q_ratio((2 * n, 3), (n, 1)).shift(1 - 2 * n)
 
 
 matrix_st = st.integers(min_value=1, max_value=4).flatmap(
