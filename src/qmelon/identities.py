@@ -193,7 +193,8 @@ def verify_deviation_binet_cauchy(n: int, m: int, k: int,
 def verify_watermelon_suite(n: int, m: int, k: int) -> list[IdentityReport]:
     """Five cross-checks of the watermelon partition function at one (n, m, k).
 
-    Direct enumeration against the interface Schur sum and the closed
+    The enumerated generating function (tableau series per interface)
+    against the interface Schur sum of bialternants and the closed
     product; the closed product against both determinant forms and the
     rectangle-shape specialization.  The enumeration and the closed
     product are each computed once and shared by the reports that use

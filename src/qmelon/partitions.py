@@ -13,10 +13,17 @@ from typing import Iterable, Iterator, Sequence
 Partition = tuple[int, ...]
 
 
+def check_int(value, what: str) -> int:
+    """Return value if it is an int and not a bool; raise ValueError otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 def check_partition(parts: Iterable[int]) -> Partition:
     lam = tuple(parts)
     for x in lam:
-        if not isinstance(x, int) or x < 0:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
             raise ValueError(f"partition parts must be nonnegative ints: {lam}")
     for a, b in zip(lam, lam[1:]):
         if a < b:

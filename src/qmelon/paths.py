@@ -19,7 +19,11 @@ Two nest flavours are glued into a watermelon:
 A watermelon with deviation k uses L = N - k active C lines (start
 points shifted east by k) and an interface partition lam inside the
 M**L box.  Its volume is |lam| plus both area statistics; the empty
-interface gives the unique minimal watermelon of volume 0.
+interface gives the unique minimal watermelon of volume 0.  Because the
+volume splits this way, watermelon_genfunc sums, per interface, q**|lam|
+times one tableau series per nest; it enumerates #C + #B tableaux per
+interface rather than building the #C * #B watermelon objects, which
+enumerate_watermelons yields one by one.
 
 Column strictness of the tableaux makes each half-nest a family of
 pairwise vertex-disjoint staircases.  When the two halves are overlaid
@@ -39,6 +43,7 @@ from typing import Iterator, Sequence
 from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
 from .partitions import (
     Partition,
+    check_int,
     check_partition,
     enumerate_in_box,
     pad,
@@ -46,6 +51,7 @@ from .partitions import (
     weight,
 )
 from .qanalogs import h_complete, qbinomial
+from .schur import tableau_sum
 from .tableaux import (
     Tableau,
     enumerate_ssyt,
@@ -209,12 +215,34 @@ def enumerate_watermelons(n: int, m: int, k: int = 0) -> Iterator[Watermelon]:
 
 
 def watermelon_genfunc(n: int, m: int, k: int = 0) -> LaurentPoly:
-    """Volume generating function, summed term by term over the enumeration."""
-    acc: dict[int, int] = {}
-    for w in enumerate_watermelons(n, m, k):
-        v = w.volume
-        acc[v] = acc.get(v, 0) + 1
-    return LaurentPoly(acc)
+    """Volume generating function, one pair of tableau series per interface.
+
+    A watermelon is a C-nest and a B-nest glued at an interface lam in the
+    m**L box, L = n - k, and its volume is |lam| plus one statistic of each
+    nest, so the sum over all watermelons factorises per interface.  In the
+    C-nest a cell of letter v is a north step on line j = L - v + 1, so the
+    statistic sum (j - 1) * l_j adds L - v per cell.  In the B-nest a cell
+    of letter v lies on line j = n - v + 1, and the statistic
+    sum (j - 1) * (m - l_j) = m * n(n-1)/2 - sum (j - 1) * l_j loses n - v
+    per cell.  Hence
+
+        sum over lam of q**|lam| * C_lam(q) * B_lam(q), shifted by m * n(n-1)/2,
+
+    where C_lam = tableau_sum(lam, (L-1, ..., 0)) and B_lam is tableau_sum of
+    the box complement of lam at (1-n, ..., 0).  This enumerates
+    #C_lam + #B_lam tableaux per interface instead of building the
+    #C_lam * #B_lam watermelons.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    lines = n - k
+    c_point = tuple(range(lines - 1, -1, -1))
+    b_point = tuple(range(1 - n, 1))
+    total = LaurentPoly.zero()
+    for lam in enumerate_in_box(lines, m):
+        c_side = tableau_sum(lam, c_point).shift(weight(lam))
+        total = total + c_side * tableau_sum(complement_shape(lam, n, m), b_point)
+    return total.shift(m * n * (n - 1) // 2)
 
 
 def closed_genfunc(n: int, l: int, m: int) -> LaurentPoly:
@@ -392,11 +420,11 @@ def watermelon_from_dict(data: dict) -> Watermelon:
     counts is used.  The volume depends on the counts alone, so it agrees
     across realizations; a stored volume field is checked.
     """
-    n, m, k = int(data["N"]), int(data["M"]), int(data["k"])
+    n, m, k = (check_int(data[key], key) for key in ("N", "M", "k"))
     lam = strip(check_partition(data["lambda"]))
     lines = n - k
-    c_steps = tuple(int(v) for v in data["c_steps"])
-    b_steps = tuple(int(v) for v in data["b_steps"])
+    c_steps = tuple(check_int(v, "c_steps entry") for v in data["c_steps"])
+    b_steps = tuple(check_int(v, "b_steps entry") for v in data["b_steps"])
     if len(c_steps) != n or len(b_steps) != n:
         raise ValueError("step vectors must have length N")
     if any(c_steps[lines:]):
@@ -411,7 +439,7 @@ def watermelon_from_dict(data: dict) -> Watermelon:
     if b_tab is None:
         raise ValueError("B step counts are not realizable for the complement shape")
     w = make_watermelon(n, m, k, lam, c_tab, b_tab)
-    if "volume" in data and int(data["volume"]) != w.volume:
+    if "volume" in data and check_int(data["volume"], "volume") != w.volume:
         raise ValueError(
             f"stored volume {data['volume']} does not match computed {w.volume}")
     return w

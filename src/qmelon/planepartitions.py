@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly
-from .partitions import Partition, strip
+from .partitions import Partition, check_int, strip
 from .paths import (
     Watermelon,
     closed_genfunc,  # noqa: F401  re-exported: MacMahon's product for the box
@@ -48,7 +48,7 @@ def check_plane_partition(parts: Sequence[Sequence[int]]) -> PlanePartition:
         raise ValueError("rows must all have the same length")
     for i, row in enumerate(pp):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"part at ({i + 1}, {j + 1}) is not a nonnegative integer")
             if j > 0 and row[j - 1] < v:
                 raise ValueError(f"row {i + 1} increases at column {j + 1}")
@@ -226,9 +226,9 @@ def pp_to_dict(pp: Sequence[Sequence[int]], n: int, l: int, m: int) -> dict:
 
 def pp_from_dict(data: dict) -> tuple[PlanePartition, int, int, int]:
     """Read {N, L, M, parts[, volume]}; returns (matrix, n, l, m)."""
-    n, l, m = int(data["N"]), int(data["L"]), int(data["M"])
+    n, l, m = (check_int(data[key], key) for key in ("N", "L", "M"))
     full = _require_box(data["parts"], n, l, m)
-    if "volume" in data and int(data["volume"]) != volume(full):
+    if "volume" in data and check_int(data["volume"], "volume") != volume(full):
         raise ValueError(
             f"stored volume {data['volume']} does not match computed {volume(full)}")
     return full, n, l, m

@@ -294,6 +294,31 @@ def test_render_volume_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+PP_JSON = json.dumps({"N": 2, "L": 2, "M": 2, "parts": [[2, 1], [1, 0]]})
+
+
+@pytest.mark.parametrize("kind,fields", [
+    ("melon", {"lambda": [True, 0]}),
+    ("melon", {"N": 2.9}),
+    ("melon", {"k": False}),
+    ("melon", {"b_steps": ["0", 1]}),
+    ("melon", {"c_steps": [0, True]}),
+    ("melon", {"volume": 2.5}),
+    ("pp", {"M": True, "parts": [[True, False]]}),
+    ("pp", {"L": 2.0}),
+    ("pp", {"parts": [[2, True], [1, 0]]}),
+    ("pp", {"volume": 4.0}),
+])
+def test_render_rejects_non_int_fields(tmp_path, capsys, kind, fields):
+    src = tmp_path / "bad.json"
+    data = dict(json.loads(MELON_JSON if kind == "melon" else PP_JSON), **fields)
+    src.write_text(json.dumps(data))
+    code, out, err = run_main(capsys, "render", "--input", str(src))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qmelon", "count", "--n", "2", "--l", "2", "--m", "2"],

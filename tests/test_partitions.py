@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmelon.partitions import (
+    check_int,
     check_partition,
     conjugate,
     enumerate_in_box,
@@ -27,6 +28,17 @@ def test_check_partition():
         check_partition([1, 2])
     with pytest.raises(ValueError):
         check_partition([2, -1])
+    for bad in ((True, 0), (1, False), (2.0, 1), ("1",)):
+        with pytest.raises(ValueError):
+            check_partition(bad)
+
+
+def test_check_int():
+    assert check_int(3, "N") == 3
+    assert check_int(-2, "k") == -2
+    for bad in (True, False, 2.9, 2.0, "2", None):
+        with pytest.raises(ValueError, match="N must be an int"):
+            check_int(bad, "N")
 
 
 def test_weight_and_n_statistic():

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from box_oracle import box_terms
 
 from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
@@ -104,6 +105,30 @@ def test_minimal_genfunc():
     assert watermelon_genfunc(0, 3, 0) == LaurentPoly.one()
 
 
+def enumeration_oracle(n: int, m: int, k: int) -> LaurentPoly:
+    """Sum of q**volume over every watermelon object, one at a time."""
+    acc: dict[int, int] = {}
+    for w in enumerate_watermelons(n, m, k):
+        acc[w.volume] = acc.get(w.volume, 0) + 1
+    return LaurentPoly(acc)
+
+
+ORACLE_GRID = ([(n, m, k) for n in range(0, 5) for m in range(0, 4)
+                for k in range(0, n + 1)]
+               + [(3, 4, 0), (2, 10, 0), (5, 3, 3)])
+
+
+@pytest.mark.parametrize("n,m,k", ORACLE_GRID)
+def test_genfunc_matches_enumeration_oracle(n, m, k):
+    assert watermelon_genfunc(n, m, k).to_pairs() == enumeration_oracle(n, m, k).to_pairs()
+
+
+@pytest.mark.parametrize("n,k", [(0, -1), (0, 1), (2, -1), (2, 3), (4, 5)])
+def test_genfunc_rejects_deviation_out_of_range(n, k):
+    with pytest.raises(ValueError):
+        watermelon_genfunc(n, 2, k)
+
+
 def test_enumeration_sizes():
     assert sum(1 for _ in enumerate_watermelons(2, 2, 0)) == 20
     assert sum(1 for _ in enumerate_watermelons(3, 3, 0)) == 980
@@ -148,6 +173,12 @@ def test_cube_genfuncs_match_oeis_a008793(n):
     assert closed_genfunc(n, n, n).eval_at_one() == A008793[n]
     assert genfunc_det_forms(n, n, n, form=1).eval_at_one() == A008793[n]
     assert genfunc_det_forms(n, n, n, form=2).eval_at_one() == A008793[n]
+    if n <= 4:
+        assert watermelon_genfunc(n, n, 0).eval_at_one() == A008793[n]
+
+
+def test_cube_genfunc_matches_dense_box_oracle():
+    assert dict(watermelon_genfunc(4, 4, 0).terms()) == box_terms(4, 4, 4)
 
 
 @pytest.mark.parametrize("n", range(0, 4))
