@@ -31,7 +31,6 @@ from .paths import (
     Watermelon,
     closed_genfunc,
     count_deviation,
-    count_deviation_det,
     enumerate_watermelons,
     genfunc_det_forms,
     gv_count,
@@ -79,7 +78,6 @@ __all__ = [
     "closed_genfunc",
     "conjugate",
     "count_deviation",
-    "count_deviation_det",
     "count_ssyt",
     "det_cofactor",
     "det_fraction_free",

@@ -156,6 +156,8 @@ def _parse_box(text: str) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
+    if any(v is not None and v < 0 for v in (args.max_n, args.max_m, args.max_k)):
+        return _fail_usage("verify bounds must be nonnegative")
     try:
         shapes_box = _parse_box(args.shapes_in_box) if args.shapes_in_box else None
     except ValueError as exc:

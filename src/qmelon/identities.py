@@ -4,6 +4,10 @@ Every verify_* function computes both sides of one identity from scratch,
 through independent code paths, and returns an IdentityReport with the two
 serialized polynomials.  A report never asserts; callers decide what a
 failed equality means.  All checks are exact, no floating point anywhere.
+
+The identities share the two sides of the Binet-Cauchy formula for Schur
+functions: _schur_pairing, the box sum of S_lam(q^a) S_lam(q^b), and
+_cauchy_det, the geometric-entry determinant over both Vandermondes.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .laurent import (
@@ -22,7 +26,7 @@ from .laurent import (
     geometric_sum,
     vandermonde,
 )
-from .partitions import enumerate_in_box, strip, weight
+from .partitions import enumerate_in_box, strip
 from .paths import (
     closed_genfunc,
     genfunc_det_forms,
@@ -84,6 +88,28 @@ def _checked_point(point: Sequence[int], size: int, label: str) -> tuple[int, ..
     return exps
 
 
+def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
+    """Sum of S_lam(q^a) S_lam(q^b) over lam inside the m**len(a) box."""
+    total = LaurentPoly.zero()
+    for lam in enumerate_in_box(len(a), m):
+        total = total + bialternant(lam, a) * bialternant(lam, b)
+    return total
+
+
+def _cauchy_det(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
+    """Geometric-entry determinant over both Vandermondes, k = len(b) - len(a).
+
+    The first k rows are the monomial rows (q^{b_j s})_j for s = 0..k-1;
+    row i after them is (sum_{t<m+len(b)} q^{(a_i+b_j)t})_j.  The quotient
+    by V(a) V(b) is shifted by -k * sum(a).
+    """
+    k = len(b) - len(a)
+    rows = [[LaurentPoly.q_power(y * s) for y in b] for s in range(k)]
+    rows += [[geometric_sum(x + y, m + len(b)) for y in b] for x in a]
+    det = det_fraction_free(PolyMatrix(rows))
+    return det.exact_div(vandermonde(a) * vandermonde(b)).shift(-k * sum(a))
+
+
 def verify_binet_cauchy(n: int, m: int, a: Sequence[int], b: Sequence[int]) -> IdentityReport:
     """Schur pairing over the box against the geometric-entry determinant.
 
@@ -97,27 +123,14 @@ def verify_binet_cauchy(n: int, m: int, a: Sequence[int], b: Sequence[int]) -> I
     bv = _checked_point(b, n, "b")
     if any(x + y == 0 for x in av for y in bv):
         raise DegeneratePoint(f"a_k + b_j = 0 for some pair of {av} and {bv}")
-    lhs = LaurentPoly.zero()
-    for lam in enumerate_in_box(n, m):
-        lhs = lhs + bialternant(lam, av) * bialternant(lam, bv)
-    entries = [[geometric_sum(x + y, m + n) for y in bv] for x in av]
-    det = det_fraction_free(PolyMatrix(entries))
-    rhs = det.exact_div(vandermonde(av) * vandermonde(bv))
-    return _report(
-        "binet-cauchy", {"N": n, "M": m, "a": av, "b": bv}, lhs, rhs, start)
+    return _report("binet-cauchy", {"N": n, "M": m, "a": av, "b": bv},
+                   _schur_pairing(m, av, bv), _cauchy_det(m, av, bv), start)
 
 
 def verify_q_binet_cauchy(n: int, m: int) -> IdentityReport:
     """The box pairing at the adjacent principal points q^(0..n-1), q^(1..n)."""
     inner = verify_binet_cauchy(n, m, tuple(range(n)), tuple(range(1, n + 1)))
-    return IdentityReport(
-        identity="q-binet-cauchy",
-        params={"N": n, "M": m},
-        lhs=inner.lhs,
-        rhs=inner.rhs,
-        equal=inner.equal,
-        elapsed_ms=inner.elapsed_ms,
-    )
+    return replace(inner, identity="q-binet-cauchy", params={"N": n, "M": m})
 
 
 def verify_kuperberg(n: int, m: int) -> IdentityReport:
@@ -129,11 +142,7 @@ def verify_kuperberg(n: int, m: int) -> IdentityReport:
     box product closed_genfunc(n, m, n).
     """
     start = time.perf_counter()
-    entries = [[geometric_sum(j + k - 1, m + n) for k in range(1, n + 1)]
-               for j in range(1, n + 1)]
-    det = det_fraction_free(PolyMatrix(entries))
-    norm = vandermonde(tuple(range(1, n + 1))) * vandermonde(tuple(range(n)))
-    lhs = det.exact_div(norm)
+    lhs = _cauchy_det(m, tuple(range(1, n + 1)), tuple(range(n)))
     rhs = closed_genfunc(n, m, n)
     return _report("kuperberg", {"N": n, "M": m}, lhs, rhs, start)
 
@@ -145,11 +154,7 @@ def verify_qbinomial_det(n: int, m: int) -> IdentityReport:
     The prefactor exponent is recorded in the params.
     """
     start = time.perf_counter()
-    av = tuple(range(1, n + 1))
-    bv = tuple(range(n))
-    lhs = LaurentPoly.zero()
-    for lam in enumerate_in_box(n, m):
-        lhs = lhs + bialternant(lam, av) * bialternant(lam, bv)
+    lhs = _schur_pairing(m, tuple(range(1, n + 1)), tuple(range(n)))
     entries = [[qbinomial(2 * n + i - 1, n + j - 1) for j in range(1, m + 1)]
                for i in range(1, m + 1)]
     prefactor = n * m * (1 - m) // 2
@@ -166,28 +171,19 @@ def verify_deviation_binet_cauchy(n: int, m: int, k: int,
 
     The sum runs over lam inside the m**(n-k) box, pairing S_lam in the
     n - k surviving x-variables with S_lam in all n y-variables.  The
-    determinant replaces the k collapsed rows by the monomial rows
-    (q^{b_j s})_j for s = 0..k-1, placed first; the remaining rows keep
-    the geometric entries.  A prefactor q^(-k sum(a)) restores the scale.
-    At k = 0 this is verify_binet_cauchy unchanged.
+    determinant is _cauchy_det, whose k leading monomial rows replace the
+    collapsed rows.  At k = 0 this is verify_binet_cauchy without its
+    a_k + b_j = 0 check.
     """
     start = time.perf_counter()
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    lines = n - k
-    av = _checked_point(a, lines, "a")
+    av = _checked_point(a, n - k, "a")
     bv = _checked_point(b, n, "b")
-    lhs = LaurentPoly.zero()
-    for lam in enumerate_in_box(lines, m):
-        lhs = lhs + bialternant(lam, av) * bialternant(lam, bv)
-    rows = [[LaurentPoly.q_power(y * s) for y in bv] for s in range(k)]
-    rows += [[geometric_sum(x + y, m + n) for y in bv] for x in av]
-    det = det_fraction_free(PolyMatrix(rows))
-    rhs = det.exact_div(vandermonde(av) * vandermonde(bv)).shift(-k * sum(av))
     return _report(
         "deviation-binet-cauchy",
         {"N": n, "M": m, "k": k, "a": av, "b": bv},
-        lhs, rhs, start)
+        _schur_pairing(m, av, bv), _cauchy_det(m, av, bv), start)
 
 
 def verify_watermelon_suite(n: int, m: int, k: int) -> list[IdentityReport]:
@@ -199,6 +195,11 @@ def verify_watermelon_suite(n: int, m: int, k: int) -> list[IdentityReport]:
     rectangle-shape specialization.  The enumeration and the closed
     product are each computed once and shared by the reports that use
     them.
+
+    The interface Schur sum weights each lam by q**|lam| S_lam(q^(0..L-1))
+    S_lam(q^(0..n-1)).  S_lam is homogeneous of degree |lam|, so
+    q**|lam| S_lam(q^(0..L-1)) = S_lam(q^(1..L)), and the sum is the Schur
+    pairing at (1..L) and (0..n-1).
 
     The specialization is shifted down by the level-reading offset,
     recorded in the params.  Cell (i, c) of the rectangle tableau of the
@@ -212,12 +213,7 @@ def verify_watermelon_suite(n: int, m: int, k: int) -> list[IdentityReport]:
 
     start = time.perf_counter()
     enum = watermelon_genfunc(n, m, k)
-    schur_sum = LaurentPoly.zero()
-    c_point = tuple(range(lines))
-    b_point = tuple(range(n))
-    for lam in enumerate_in_box(lines, m):
-        term = bialternant(lam, c_point) * bialternant(lam, b_point)
-        schur_sum = schur_sum + term.shift(weight(lam))
+    schur_sum = _schur_pairing(m, tuple(range(1, lines + 1)), tuple(range(n)))
     reports.append(_report(
         "watermelon-enum-vs-schur-sum", params, enum, schur_sum, start))
 
@@ -265,10 +261,7 @@ def verify_gessel_viennot(lam: Sequence[int], n: int) -> IdentityReport:
         {"lambda": shape, "N": n, "schur_at_one": schur_at_one},
         lhs, rhs, start)
     if report.equal and det != schur_at_one:
-        report = IdentityReport(
-            identity=report.identity, params=report.params,
-            lhs=report.lhs, rhs=report.rhs, equal=False,
-            elapsed_ms=report.elapsed_ms)
+        report = replace(report, equal=False)
     return report
 
 

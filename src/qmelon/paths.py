@@ -50,8 +50,7 @@ from .partitions import (
     strip,
     weight,
 )
-from .qanalogs import h_complete, qbinomial
-from .schur import tableau_sum
+from .schur import gv_determinant, h_determinant, tableau_sum
 from .tableaux import (
     Tableau,
     enumerate_ssyt,
@@ -264,29 +263,6 @@ def count_deviation(n: int, l: int, m: int) -> int:
     return int(value)
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
-def count_deviation_det(n: int, l: int, m: int, form: int = 1) -> int:
-    """Watermelon count as an n x n integer binomial determinant.
-
-    form 1: det(binom(l+m+n-i, m+n-j)); form 2: det(binom(l+m+n+j-i-1, l+j-i)).
-    Both forms equal count_deviation(n, l, m).
-    """
-    if form == 1:
-        rows = [[_binom(l + m + n - i, m + n - j) for j in range(1, n + 1)]
-                for i in range(1, n + 1)]
-    elif form == 2:
-        rows = [[_binom(l + m + n + j - i - 1, l + j - i) for j in range(1, n + 1)]
-                for i in range(1, n + 1)]
-    else:
-        raise ValueError("form must be 1 or 2")
-    return det_fraction_free(PolyMatrix(rows)).coeff(0)
-
-
 def volume_offset(n: int, l: int) -> int:
     """Exponent gap between the horizontal-reading statistic and the volume.
 
@@ -296,31 +272,21 @@ def volume_offset(n: int, l: int) -> int:
 
 
 def genfunc_det_forms(n: int, l: int, m: int, form: int = 1) -> LaurentPoly:
-    """Volume generating function as a normalized q-determinant.
+    """Volume generating function as a rectangle-shape Schur determinant.
 
-    form 1 uses twisted Gaussian binomials, form 2 complete homogeneous
-    sums in n + m variables.  Both determinants equal the principal
-    specialization of the rectangular-shape Schur function, so the result
-    is divided by q**volume_offset(n, l) to put the minimal watermelon at
-    volume 0.  Equals closed_genfunc(n, l, m).
+    The watermelon function is the principal specialization of the Schur
+    function of the rectangle l**n in n + m variables (Jacobi-Trudi), so
+    form 1 is schur.gv_determinant (twisted Gaussian binomials) and form 2
+    is schur.h_determinant (complete homogeneous sums) at that shape.  The
+    result is divided by q**volume_offset(n, l) to put the minimal
+    watermelon at volume 0.  Equals closed_genfunc(n, l, m).
     """
-    if n == 0:
-        return LaurentPoly.one()
-    if form == 1:
-        rows = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                tw = LaurentPoly.q_power((j - 1) * (l + j - i))
-                row.append(tw * qbinomial(l + m + n - i, m + n - j))
-            rows.append(row)
-    elif form == 2:
-        rows = [[h_complete(l + j - i, n + m) for j in range(1, n + 1)]
-                for i in range(1, n + 1)]
-    else:
+    if n < 0 or l < 0 or m < 0:
+        raise ValueError("dimensions must be nonnegative")
+    routes = {1: gv_determinant, 2: h_determinant}
+    if form not in routes:
         raise ValueError("form must be 1 or 2")
-    det = det_fraction_free(PolyMatrix(rows))
-    return det.shift(-volume_offset(n, l))
+    return routes[form]((l,) * n, n + m).shift(-volume_offset(n, l))
 
 
 def gv_count(lam: Sequence[int], n: int) -> int:
@@ -330,7 +296,7 @@ def gv_count(lam: Sequence[int], n: int) -> int:
     number of semistandard tableaux of shape lam with entries at most n.
     """
     full = pad(check_partition(lam), n)
-    rows = [[_binom(full[i - 1] + n - i, n - j) for j in range(1, n + 1)]
+    rows = [[comb(full[i - 1] + n - i, n - j) for j in range(1, n + 1)]
             for i in range(1, n + 1)]
     return det_fraction_free(PolyMatrix(rows)).coeff(0)
 

@@ -19,7 +19,8 @@ from qmelon.partitions import enumerate_in_box, strip
 from qmelon.paths import (
     closed_genfunc,
     count_deviation,
-    count_deviation_det,
+    genfunc_det_forms,
+    gv_count,
     volume_offset,
     watermelon_genfunc,
 )
@@ -97,8 +98,8 @@ def test_criterion_5_watermelon_numbers_and_nest_counts():
     for n, expected in ((2, 20), (3, 980)):
         values = {
             count_deviation(n, n, n),
-            count_deviation_det(n, n, n, form=1),
-            count_deviation_det(n, n, n, form=2),
+            gv_count((n,) * n, 2 * n),
+            genfunc_det_forms(n, n, n, form=2).eval_at_one(),
             closed_genfunc(n, n, n).eval_at_one(),
         }
         ok = ok and values == {expected}

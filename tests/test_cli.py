@@ -30,8 +30,10 @@ plane partition N=2 L=2 M=2 volume=4
 
 
 # sha256 of the timing-free output of `qmelon verify --suite all` (see
-# timing_free), frozen from a run of the reference grid.
+# timing_free), frozen from a run of the reference grid, and of the same
+# run on the 4 x 4 grid (533 lines).
 VERIFY_ALL_SHA256 = "a0d169f079b8843df451a59afc62568ed1a1ac2a526e9fd1822a77a0846ff1d8"
+VERIFY_4X4_SHA256 = "640f708ae9a6e87440faeab9b3bdb6f465f1be2f2d216fd87245ee0ebd5bb9a4"
 
 
 def run_main(capsys, *argv):
@@ -167,6 +169,14 @@ def test_verify_empty_grid(capsys):
     assert out.strip() == "# passed 0/0"
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--max-m", "--max-k"])
+def test_verify_negative_bound_is_usage_error(capsys, flag):
+    code, out, err = run_main(capsys, "verify", "--suite", "all", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_deterministic_modulo_timing(capsys):
     argv = ("verify", "--suite", "melon", "--max-n", "2", "--max-m", "1")
     _, out1, _ = run_main(capsys, *argv)
@@ -174,11 +184,19 @@ def test_verify_deterministic_modulo_timing(capsys):
     assert timing_free(out1) == timing_free(out2)
 
 
-def test_verify_all_output_frozen(capsys):
-    code, out, _ = run_main(capsys, "verify", "--suite", "all")
+def verify_all_digest(capsys, *extra):
+    code, out, _ = run_main(capsys, "verify", "--suite", "all", *extra)
     assert code == 0
     text = "\n".join(timing_free(out)) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_all_output_frozen(capsys):
+    assert verify_all_digest(capsys) == VERIFY_ALL_SHA256
+
+
+def test_verify_4x4_output_frozen(capsys):
+    assert verify_all_digest(capsys, "--max-n", "4", "--max-m", "4") == VERIFY_4X4_SHA256
 
 
 def test_verify_workers_match_serial(capsys):

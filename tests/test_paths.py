@@ -17,7 +17,6 @@ from qmelon.paths import (
     closed_genfunc,
     complement_shape,
     count_deviation,
-    count_deviation_det,
     enumerate_watermelons,
     genfunc_det_forms,
     gv_count,
@@ -187,9 +186,16 @@ def test_cube_genfunc_matches_dense_box_oracle():
 def test_count_routes_agree(n, l, m):
     a = count_deviation(n, l, m)
     assert a == count_oracle(n, l, m)
-    assert a == count_deviation_det(n, l, m, form=1)
-    assert a == count_deviation_det(n, l, m, form=2)
+    assert a == gv_count((l,) * n, n + m)
+    assert a == genfunc_det_forms(n, l, m, form=2).eval_at_one()
     assert a == closed_genfunc(n, l, m).eval_at_one()
+
+
+@pytest.mark.parametrize("box", [(-1, 2, 2), (2, -1, 2), (2, 2, -1)])
+def test_det_genfuncs_reject_negative_dimensions(box):
+    for form in (1, 2):
+        with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+            genfunc_det_forms(*box, form=form)
 
 
 @pytest.mark.parametrize("n,m,k", SMALL_GRID)
