@@ -11,7 +11,6 @@ from .laurent import (
     LaurentPoly,
     NotDivisible,
     PolyMatrix,
-    det_cofactor,
     det_fraction_free,
     geometric_sum,
     q_ratio,
@@ -19,9 +18,7 @@ from .laurent import (
 )
 from .partitions import (
     check_partition,
-    conjugate,
     enumerate_in_box,
-    format_partition,
     parse_partition,
     weight,
 )
@@ -37,7 +34,6 @@ from .paths import (
     make_watermelon,
     watermelon_from_dict,
     watermelon_genfunc,
-    watermelon_paths,
 )
 from .planepartitions import (
     BoxMismatch,
@@ -48,14 +44,12 @@ from .planepartitions import (
     pp_to_dict,
     zq,
 )
-from .qanalogs import h_complete, qbinomial, qfactorial, qint
+from .qanalogs import h_complete, qbinomial, qint
 from .schur import (
     DegeneratePoint,
-    NonzeroTail,
     bialternant,
     gv_determinant,
     h_determinant,
-    limit_vanishing_vars,
     principal_product,
     tableau_sum,
 )
@@ -69,23 +63,19 @@ __all__ = [
     "CNest",
     "DegeneratePoint",
     "LaurentPoly",
-    "NonzeroTail",
     "NotDivisible",
     "PolyMatrix",
     "Watermelon",
     "bialternant",
     "check_partition",
     "closed_genfunc",
-    "conjugate",
     "count_deviation",
     "count_ssyt",
-    "det_cofactor",
     "det_fraction_free",
     "enumerate_box",
     "enumerate_in_box",
     "enumerate_ssyt",
     "enumerate_watermelons",
-    "format_partition",
     "genfunc_det_forms",
     "geometric_sum",
     "gradient_bijection",
@@ -95,7 +85,6 @@ __all__ = [
     "h_complete",
     "h_determinant",
     "is_ssyt",
-    "limit_vanishing_vars",
     "make_watermelon",
     "parse_partition",
     "pp_from_dict",
@@ -103,13 +92,11 @@ __all__ = [
     "principal_product",
     "q_ratio",
     "qbinomial",
-    "qfactorial",
     "qint",
     "tableau_sum",
     "vandermonde",
     "watermelon_from_dict",
     "watermelon_genfunc",
-    "watermelon_paths",
     "weight",
     "zq",
 ]

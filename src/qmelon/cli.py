@@ -14,8 +14,9 @@ import argparse
 import csv
 import io
 import json
-import os
+import re
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from .identities import GOLDEN_POINTS, report_json_line, run_cases
@@ -145,14 +146,14 @@ def build_cases(suite: str, max_n: int | None, max_m: int | None,
     return cases
 
 
+_BOX_RE = re.compile(r"\s*([0-9]+)\s*,\s*([0-9]+)\s*")
+
+
 def _parse_box(text: str) -> tuple[int, int]:
-    pieces = text.split(",")
-    if len(pieces) != 2:
-        raise ValueError(f"expected ROWS,COLS, got {text!r}")
-    rows, cols = (int(p) for p in pieces)
-    if rows < 0 or cols < 0:
-        raise ValueError("box bounds must be nonnegative")
-    return rows, cols
+    match = _BOX_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"expected ROWS,COLS in ASCII digits, got {text!r}")
+    return int(match[1]), int(match[2])
 
 
 def cmd_verify(args) -> int:
@@ -162,30 +163,20 @@ def cmd_verify(args) -> int:
         shapes_box = _parse_box(args.shapes_in_box) if args.shapes_in_box else None
     except ValueError as exc:
         return _fail_usage(str(exc))
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("QMELON_WORKERS", "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                return _fail_usage(f"QMELON_WORKERS must be an integer, got {env!r}")
-    if workers is not None and workers < 1:
+    if args.workers is not None and args.workers < 1:
         return _fail_usage("worker count must be >= 1")
-    cases = build_cases(args.suite, args.max_n, args.max_m, args.max_k, shapes_box)
-    reports = run_cases(cases, workers)
-    lines = [report_json_line(r) for r in reports]
+    # open the report file before the grid runs, so a bad path costs no work
+    try:
+        sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        return _fail_usage(str(exc))
+    with sink as fh:
+        cases = build_cases(args.suite, args.max_n, args.max_m, args.max_k, shapes_box)
+        reports = run_cases(cases, args.workers)
+        for r in reports:
+            fh.write(report_json_line(r) + "\n")
     passed = sum(1 for r in reports if r.equal)
-    summary = f"# passed {passed}/{len(reports)}"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        print(summary)
-    else:
-        for line in lines:
-            print(line)
-        print(summary)
+    print(f"# passed {passed}/{len(reports)}")
     return 0 if passed == len(reports) else 1
 
 
@@ -352,7 +343,7 @@ def cmd_render(args) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail_usage(str(exc))
     try:
         data = json.loads(text)
@@ -368,11 +359,14 @@ def cmd_render(args) -> int:
                 else _svg_watermelon(w)
         else:
             raise ValueError("object is neither a plane partition nor a watermelon")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         return _fail_usage(str(exc))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            return _fail_usage(str(exc))
     else:
         sys.stdout.write(out)
     return 0
@@ -402,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shapes-in-box", default=None, metavar="ROWS,COLS",
                    help="shape box for the gv suite (default 3,3)")
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: QMELON_WORKERS or 1)")
+                   help="process count (default 1)")
     p.add_argument("--out", default=None, help="write the JSON lines to a file")
     p.set_defaults(func=cmd_verify)
 

@@ -13,7 +13,6 @@ _cauchy_det, the geometric-entry determinant over both Vandermondes.
 from __future__ import annotations
 
 import json
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -285,16 +284,6 @@ GOLDEN_POINTS: dict[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = 
     2: (((0, 1), (1, 2)), ((0, 3), (1, 5)), ((-1, 2), (3, 4))),
     3: (((0, 1, 2), (1, 2, 3)), ((0, 2, 5), (1, 3, 4)), ((-1, 1, 4), (2, 3, 7))),
 }
-
-
-def random_points(n: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Seeded generic exponent pair for fuzzing: distinct entries, no zero sums."""
-    rng = random.Random(seed)
-    while True:
-        a = tuple(rng.sample(range(-3, 7), n))
-        b = tuple(rng.sample(range(1, 10), n))
-        if all(x + y != 0 for x in a for y in b):
-            return a, b
 
 
 _CASE_FUNCS = {

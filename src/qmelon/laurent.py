@@ -202,10 +202,6 @@ class LaurentPoly:
         return cls({e: 1})
 
     @classmethod
-    def monomial(cls, e: int, c: int) -> "LaurentPoly":
-        return cls({e: c})
-
-    @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence]) -> "LaurentPoly":
         """Parse the wire format: iterable of (exponent, coeff-as-string) pairs.
 
@@ -267,7 +263,7 @@ class LaurentPoly:
     def _coerce(other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return LaurentPoly({0: other})
         return None
 
@@ -398,7 +394,11 @@ class LaurentPoly:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # a constant equals its int, so it must hash like it
+        terms = self._terms
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     # ---- serialization / display ----
 
@@ -591,39 +591,8 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple[LaurentPoly, ...]:
-        return self._rows[i]
-
     def __iter__(self) -> Iterator[tuple[LaurentPoly, ...]]:
         return iter(self._rows)
-
-
-def det_cofactor(m: PolyMatrix) -> LaurentPoly:
-    """Determinant by cofactor expansion.  Reference oracle; O(n!) work."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return _ONE
-    if n == 1:
-        return m.entry(0, 0)
-
-    def expand(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
-        k = len(rows)
-        if k == 1:
-            return rows[0][0]
-        total = _ZERO
-        first = rows[0]
-        rest = rows[1:]
-        for j in range(k):
-            if first[j].is_zero():
-                continue
-            minor = tuple(tuple(r[c] for c in range(k) if c != j) for r in rest)
-            term = first[j] * expand(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return expand(m._rows)
 
 
 def det_fraction_free(m: PolyMatrix) -> LaurentPoly:

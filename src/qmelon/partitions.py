@@ -57,13 +57,6 @@ def strip(lam: Sequence[int]) -> Partition:
     return tuple(out)
 
 
-def conjugate(lam: Sequence[int]) -> Partition:
-    s = strip(lam)
-    if not s:
-        return ()
-    return tuple(sum(1 for x in s if x >= c) for c in range(1, s[0] + 1))
-
-
 def enumerate_in_box(n: int, m: int) -> Iterator[Partition]:
     """All partitions with at most n parts, each at most m, padded to length n.
 
@@ -86,7 +79,7 @@ def enumerate_in_box(n: int, m: int) -> Iterator[Partition]:
     yield from rec([], n, m)
 
 
-_PARTITION_RE = re.compile(r"^\[\s*(?:\d+\s*(?:,\s*\d+\s*)*)?\]$")
+_PARTITION_RE = re.compile(r"^\[\s*(?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?\]$")
 
 
 def parse_partition(text: str) -> Partition:
@@ -98,7 +91,3 @@ def parse_partition(text: str) -> Partition:
     if not inner:
         return ()
     return check_partition(int(x) for x in inner.split(","))
-
-
-def format_partition(lam: Sequence[int]) -> str:
-    return "[" + ",".join(str(x) for x in lam) + "]"

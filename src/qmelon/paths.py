@@ -371,13 +371,6 @@ def b_phase_points(w: Watermelon) -> list[list[Point]]:
     return out
 
 
-def watermelon_paths(w: Watermelon) -> list[list[Point]]:
-    """Full vertex list of each glued path, start point through end point."""
-    c_parts = c_phase_points(w)
-    b_parts = b_phase_points(w)
-    return [c + b[1:] for c, b in zip(c_parts, b_parts)]
-
-
 def watermelon_from_dict(data: dict) -> Watermelon:
     """Rebuild a watermelon from its JSON form, choosing canonical tableaux.
 

@@ -134,19 +134,6 @@ def _upper_slices(pp: PlanePartition, n: int) -> list[Partition]:
     return out
 
 
-def _lower_slices(pp: PlanePartition, n: int, l: int) -> list[Partition]:
-    """Diagonals pp[i + t][i] for t = 0..l-1, each a stripped partition."""
-    out = []
-    for t in range(l):
-        diag = []
-        i = 0
-        while i + t < l and i < n:
-            diag.append(pp[i + t][i])
-            i += 1
-        out.append(strip(tuple(diag)))
-    return out
-
-
 def gradient_bijection(pp: Sequence[Sequence[int]], n: int, l: int, m: int) -> Watermelon:
     """Watermelon of a boxed plane partition, volume preserved exactly.
 
@@ -156,7 +143,8 @@ def gradient_bijection(pp: Sequence[Sequence[int]], n: int, l: int, m: int) -> W
         raise ValueError("the box must have at least as many columns as rows")
     full = _require_box(pp, n, l, m)
     upper = from_descending_slices(_upper_slices(full, n), n)
-    lower = from_descending_slices(_lower_slices(full, n, l), l)
+    # the diagonals on and below the main one are the upper ones of the transpose
+    lower = from_descending_slices(_upper_slices(tuple(zip(*full)), l), l)
     b_tab = box_complement(upper, n, m)
     interface = strip(tuple(full[i][i] for i in range(min(l, n))))
     w = make_watermelon(n, m, n - l, interface, lower, b_tab)

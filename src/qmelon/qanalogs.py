@@ -1,4 +1,4 @@
-"""q-integers, q-factorials, Gaussian binomials and complete homogeneous sums.
+"""q-integers, Gaussian binomials and complete homogeneous sums.
 
 Everything returns a LaurentPoly; all divisions are exact by construction.
 Gaussian binomials are memoized, which is safe because results are immutable
@@ -17,16 +17,6 @@ def qint(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("q-integer of a negative number")
     return LaurentPoly({e: 1 for e in range(n)})
-
-
-@lru_cache(maxsize=None)
-def qfactorial(n: int) -> LaurentPoly:
-    """[n]! = [1][2]...[n]; [0]! = 1."""
-    if n < 0:
-        raise ValueError("q-factorial of a negative number")
-    if n == 0:
-        return LaurentPoly.one()
-    return qfactorial(n - 1) * qint(n)
 
 
 @lru_cache(maxsize=None)

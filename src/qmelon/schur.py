@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
-from .partitions import Partition, check_partition, n_statistic, pad, strip
+from .partitions import check_partition, n_statistic, pad, strip
 from .qanalogs import h_complete, qbinomial
 from .tableaux import enumerate_ssyt
 
@@ -29,10 +29,6 @@ GeometricPoint = tuple[int, ...]
 
 class DegeneratePoint(ValueError):
     """A geometric point with repeated exponents where distinct ones are required."""
-
-
-class NonzeroTail(ValueError):
-    """A trailing part expected to vanish was nonzero."""
 
 
 def _require_distinct(exponents: Sequence[int]) -> None:
@@ -118,16 +114,3 @@ def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
         rows.append(row)
     return det_fraction_free(PolyMatrix(rows))
 
-
-def limit_vanishing_vars(lam: Sequence[int], n: int, k: int) -> Partition:
-    """Drop k vanishing variables: requires the last k parts of lam (padded to n) to be 0.
-
-    Returns the truncated partition on n - k parts; raises NonzeroTail otherwise.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    full = pad(check_partition(lam), n)
-    tail = full[n - k:]
-    if any(tail):
-        raise NonzeroTail(f"last {k} parts of {full} are not all zero")
-    return full[: n - k]

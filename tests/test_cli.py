@@ -221,18 +221,28 @@ def test_verify_out_file(tmp_path, capsys):
     assert json.loads(lines[0])["identity"] == "kuperberg"
 
 
-def test_verify_env_workers(capsys, monkeypatch):
-    monkeypatch.setenv("QMELON_WORKERS", "2")
-    code, out, _ = run_main(capsys, "verify", "--suite", "gv",
-                            "--shapes-in-box", "1,1")
-    assert code == 0
-    assert out.splitlines()[-1] == "# passed 2/2"
+def test_verify_out_unwritable_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_grid(cases, workers):
+        raise AssertionError("the grid ran before the report file was opened")
+    monkeypatch.setattr(cli, "run_cases", no_grid)
+    code, out, err = run_main(capsys, "verify", "--suite", "kuperberg",
+                              "--out", str(tmp_path / "missing" / "x.jsonl"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_verify_bad_box(capsys):
-    code, _, err = run_main(capsys, "verify", "--suite", "gv",
-                            "--shapes-in-box", "2x2")
-    assert code == 2
+    # int() would read "1_0" as 10 and "\u0662" as 2; only ASCII digits count
+    for box in ("2x2", "1_0,0", "\u0662,1"):
+        code, _, err = run_main(capsys, "verify", "--suite", "gv",
+                                "--shapes-in-box", box)
+        assert code == 2
+        assert err.startswith("error:")
+    code, out, _ = run_main(capsys, "verify", "--suite", "gv",
+                            "--shapes-in-box", " 1 , 1 ")
+    assert code == 0
+    assert out.splitlines()[-1] == "# passed 2/2"
 
 
 def test_render_watermelon_ascii(tmp_path, capsys):
@@ -291,6 +301,16 @@ def test_render_to_file(tmp_path, capsys):
     assert target.read_text() == MELON_ASCII
 
 
+def test_render_out_unwritable_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "melon.json"
+    src.write_text(MELON_JSON)
+    code, out, err = run_main(capsys, "render", "--input", str(src),
+                              "--out", str(tmp_path / "missing" / "fig.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_render_malformed(tmp_path, capsys):
     src = tmp_path / "bad.json"
     src.write_text("not json")
@@ -301,6 +321,14 @@ def test_render_malformed(tmp_path, capsys):
     assert code == 2
     code, _, err = run_main(capsys, "render", "--input", str(tmp_path / "nope.json"))
     assert code == 2
+    src.write_bytes(b"\xff\xfe{")
+    code, _, err = run_main(capsys, "render", "--input", str(src))
+    assert code == 2
+    assert err.startswith("error:")
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_main(capsys, "render", "--input", str(src))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_render_volume_mismatch(tmp_path, capsys):

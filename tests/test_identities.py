@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from qmelon.laurent import LaurentPoly
 from qmelon.identities import (
     GOLDEN_POINTS,
     IdentityReport,
-    random_points,
     report_json_line,
     run_cases,
     verify_binet_cauchy,
@@ -166,6 +166,16 @@ def test_golden_points_are_generic():
             assert len(a) == len(set(a)) == n
             assert len(b) == len(set(b)) == n
             assert all(x + y != 0 for x in a for y in b)
+
+
+def random_points(n: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Seeded generic exponent pair for fuzzing: distinct entries, no zero sums."""
+    rng = random.Random(seed)
+    while True:
+        a = tuple(rng.sample(range(-3, 7), n))
+        b = tuple(rng.sample(range(1, 10), n))
+        if all(x + y != 0 for x in a for y in b):
+            return a, b
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2 ** 31))

@@ -15,7 +15,6 @@ from qmelon.laurent import (
     _kronecker_div,
     _kronecker_mul,
     _sparse_series,
-    det_cofactor,
     det_fraction_free,
     geometric_sum,
     q_ratio,
@@ -115,8 +114,27 @@ def test_zero_and_one():
 
 def test_const_and_monomial():
     assert LaurentPoly.const(-3).coeff(0) == -3
-    assert LaurentPoly.monomial(-2, 5).terms() == ((-2, 5),)
     assert LaurentPoly.q_power(4) == LaurentPoly({4: 1})
+
+
+def test_constant_hashes_like_its_int():
+    assert LaurentPoly.const(3) == 3
+    assert hash(LaurentPoly.const(3)) == hash(3)
+    assert hash(LaurentPoly.const(-1)) == hash(-1)
+    assert hash(LaurentPoly.zero()) == hash(0)
+    assert len({3, LaurentPoly.const(3)}) == 1
+    assert len({0, LaurentPoly.zero()}) == 1
+    assert len({LaurentPoly({0: 3}), LaurentPoly({1: 3})}) == 2
+
+
+def test_bool_is_not_a_constant():
+    assert (LaurentPoly.one() == True) is False  # noqa: E712
+    assert LaurentPoly.one() != True  # noqa: E712
+    assert True not in [LaurentPoly.one()]
+    with pytest.raises(TypeError):
+        LaurentPoly.one() + True
+    with pytest.raises(TypeError):
+        True * LaurentPoly.one()
 
 
 @given(terms_st, terms_st)
@@ -415,20 +433,13 @@ matrix_st = st.integers(min_value=1, max_value=4).flatmap(
 
 @settings(max_examples=40, deadline=None)
 @given(matrix_st)
-def test_bareiss_matches_cofactor(rows):
-    m = PolyMatrix(rows)
-    assert det_fraction_free(m) == det_cofactor(m)
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrix_st)
 def test_bareiss_matches_permutation_expansion(rows):
     assert det_fraction_free(PolyMatrix(rows)) == perm_det(rows)
 
 
 def test_det_edge_cases():
     assert det_fraction_free(PolyMatrix([])) == LaurentPoly.one()
-    assert det_cofactor(PolyMatrix([])) == LaurentPoly.one()
+    assert perm_det([]) == LaurentPoly.one()
     one = LaurentPoly.one()
     zero = LaurentPoly.zero()
     assert det_fraction_free(PolyMatrix([[zero, one], [zero, one]])).is_zero()
@@ -439,12 +450,12 @@ def test_det_edge_cases():
 
 def test_det_singular_with_zero_leading_column():
     q = LaurentPoly.q_power
-    m = PolyMatrix([
+    rows = [
         [LaurentPoly.zero(), q(1), q(2)],
         [LaurentPoly.zero(), q(2), q(3)],
         [q(1), q(1), q(1)],
-    ])
-    assert det_fraction_free(m) == det_cofactor(m)
+    ]
+    assert det_fraction_free(PolyMatrix(rows)) == perm_det(rows)
 
 
 def test_vandermonde_explicit():

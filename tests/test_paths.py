@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from box_oracle import box_terms
 
+from qmelon.cli import _melon_point_lists
 from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
 from qmelon.paths import (
@@ -25,7 +26,6 @@ from qmelon.paths import (
     wall_heights,
     watermelon_from_dict,
     watermelon_genfunc,
-    watermelon_paths,
 )
 from qmelon.planepartitions import horizontal_steps
 from qmelon.tableaux import count_ssyt
@@ -261,9 +261,10 @@ def test_phase_geometry(n, m, k):
                 assert (x1 - x0, y1 - y0) in ((1, 0), (0, 1))
         assert_pairwise_vertex_disjoint(c_paths)
         assert_pairwise_vertex_disjoint(b_paths)
-        glued = watermelon_paths(w)
-        assert [p[0] for p in glued] == [c[0] for c in c_paths]
-        assert [p[-1] for p in glued] == [b[-1] for b in b_paths]
+        # the render glues the phases: C drawn leftwards, B rightwards
+        glued = _melon_point_lists(w)
+        assert [p[0] for p in glued] == [(1 - x, y) for x, y in (c[0] for c in c_paths)]
+        assert [p[-1] for p in glued] == [(x - 1, y) for x, y in (b[-1] for b in b_paths)]
         assert all(len(g) == len(c) + len(b) - 1
                    for g, c, b in zip(glued, c_paths, b_paths))
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmelon.laurent import LaurentPoly
-from qmelon.qanalogs import h_complete, qbinomial, qfactorial, qint
+from qmelon.qanalogs import h_complete, qbinomial, qint
 
 
 def h_oracle(r: int, m: int) -> LaurentPoly:
@@ -37,13 +37,6 @@ def test_qint_values():
     assert qint(4) == LaurentPoly({0: 1, 1: 1, 2: 1, 3: 1})
     with pytest.raises(ValueError):
         qint(-1)
-
-
-def test_qfactorial_values():
-    assert qfactorial(0) == LaurentPoly.one()
-    assert qfactorial(2) == LaurentPoly({0: 1, 1: 1})
-    # [3]! = (1+q)(1+q+q^2) = 1+2q+2q^2+q^3
-    assert qfactorial(3) == LaurentPoly({0: 1, 1: 2, 2: 2, 3: 1})
 
 
 def test_qbinomial_frozen_values():

@@ -4,11 +4,9 @@ from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
 from qmelon.schur import (
     DegeneratePoint,
-    NonzeroTail,
     bialternant,
     gv_determinant,
     h_determinant,
-    limit_vanishing_vars,
     principal_product,
     tableau_sum,
 )
@@ -110,17 +108,6 @@ def test_weight_shift_meaning():
     lhs = bialternant(lam, (1, 2, 3))
     rhs = bialternant(lam, (0, 1, 2)).shift(weight(lam))
     assert lhs == rhs
-
-
-def test_limit_vanishing_vars():
-    # a shape survives the k-variable limit iff its last k padded parts vanish
-    assert limit_vanishing_vars((2, 1, 0), 3, 1) == (2, 1)
-    assert limit_vanishing_vars((2, 1), 3, 0) == (2, 1, 0)
-    assert limit_vanishing_vars((), 3, 3) == ()
-    with pytest.raises(NonzeroTail):
-        limit_vanishing_vars((2, 1, 1), 3, 1)
-    with pytest.raises(NonzeroTail):
-        limit_vanishing_vars((2, 2, 1), 3, 3)
 
 
 def test_principal_product_rejects_short_alphabet():

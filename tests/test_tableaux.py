@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmelon.partitions import conjugate, enumerate_in_box, strip, weight
+from qmelon.partitions import enumerate_in_box, strip, weight
 from qmelon.tableaux import (
     ascending_chain,
     box_complement,
@@ -109,7 +109,8 @@ def test_ascending_chain_round_trip():
     assert from_ascending_chain(chain) == t
     for inner, outer in zip(chain, chain[1:]):
         # horizontal strips: at most one new cell per column
-        con_i, con_o = conjugate(inner), conjugate(outer)
+        con_i, con_o = ([sum(x >= c for x in lam) for c in range(1, max(lam, default=0) + 1)]
+                        for lam in (inner, outer))
         pad_i = tuple(con_i) + (0,) * (len(con_o) - len(con_i))
         assert all(o - i in (0, 1) for i, o in zip(pad_i, con_o))
 
