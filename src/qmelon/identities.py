@@ -7,7 +7,10 @@ failed equality means.  All checks are exact, no floating point anywhere.
 
 The identities share the two sides of the Binet-Cauchy formula for Schur
 functions: _schur_pairing, the box sum of S_lam(q^a) S_lam(q^b), and
-_cauchy_det, the geometric-entry determinant over both Vandermondes.
+_cauchy_det, the geometric-entry determinant over both Vandermondes.  The
+pairing sums products of alternants and makes one exact division per
+call; its divisor is the alternant of delta, so it shares no code with
+the Vandermonde products the determinant side divides by.
 """
 
 from __future__ import annotations
@@ -34,25 +37,34 @@ from .paths import (
     watermelon_genfunc,
 )
 from .qanalogs import qbinomial
-from .schur import DegeneratePoint, bialternant, principal_product
+from .schur import (
+    DegeneratePoint,
+    _alternant,
+    _require_distinct,
+    bialternant,
+    principal_product,
+)
 from .tableaux import count_ssyt
 
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """One checked equality; ``error`` is set only when the case raised."""
+
     identity: str
     params: dict
     lhs: LaurentPoly
     rhs: LaurentPoly
     equal: bool
     elapsed_ms: float
+    error: str | None = None
 
     def to_json_dict(self) -> dict:
         params = {
             key: list(value) if isinstance(value, tuple) else value
             for key, value in self.params.items()
         }
-        return {
+        out = {
             "identity": self.identity,
             "params": params,
             "lhs": self.lhs.to_pairs(),
@@ -60,6 +72,9 @@ class IdentityReport:
             "equal": self.equal,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 def report_json_line(report: IdentityReport) -> str:
@@ -88,11 +103,25 @@ def _checked_point(point: Sequence[int], size: int, label: str) -> tuple[int, ..
 
 
 def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
-    """Sum of S_lam(q^a) S_lam(q^b) over lam inside the m**len(a) box."""
+    """Sum of S_lam(q^a) S_lam(q^b) over lam inside the m**len(a) box.
+
+    By the bialternant formula S_lam(q^a) = A_{lam+delta}(q^a) / A_delta(q^a)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3), and the
+    denominator does not depend on lam.  So the products of the numerator
+    alternants are summed over the box and divided once, exactly, by
+    A_delta(q^a) A_delta(q^b).  delta has len(a) parts on the a side and
+    len(b) parts on the b side, where lam is padded with zeros.  The
+    divisor is built from the alternant of delta, although up to sign it
+    is vandermonde(a) * vandermonde(b): _cauchy_det divides by those, and
+    the two sides of Binet-Cauchy must not share that code.  A repeated
+    exponent in a or in b raises DegeneratePoint.
+    """
+    _require_distinct(a)
+    _require_distinct(b)
     total = LaurentPoly.zero()
     for lam in enumerate_in_box(len(a), m):
-        total = total + bialternant(lam, a) * bialternant(lam, b)
-    return total
+        total = total + _alternant(a, lam) * _alternant(b, lam)
+    return total.exact_div(_alternant(a, ()) * _alternant(b, ()))
 
 
 def _cauchy_det(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
@@ -301,8 +330,22 @@ Case = tuple[str, dict]
 
 
 def _dispatch(case: Case) -> list[IdentityReport]:
+    """Run one case; an exception inside it becomes one failed report.
+
+    The failed report carries the case name, its keyword arguments as
+    params, zero on both sides and ``"<ExceptionType>: <message>"`` as
+    its error, so one bad case cannot stop the others.
+    """
     name, kwargs = case
-    result = _CASE_FUNCS[name](**kwargs)
+    start = time.perf_counter()
+    try:
+        result = _CASE_FUNCS[name](**kwargs)
+    except Exception as exc:
+        return [IdentityReport(
+            identity=name, params=dict(kwargs), lhs=LaurentPoly.zero(),
+            rhs=LaurentPoly.zero(), equal=False,
+            elapsed_ms=(time.perf_counter() - start) * 1000.0,
+            error=f"{type(exc).__name__}: {exc}")]
     return result if isinstance(result, list) else [result]
 
 
@@ -311,6 +354,8 @@ def run_cases(cases: Sequence[Case], workers: int | None = None) -> list[Identit
 
     With workers > 1 the cases go through a process pool; results are
     merged in submission order, so the output is identical either way.
+    A case that raises yields one failed report with an ``error`` field,
+    serially and in the pool alike, and the other cases still run.
     """
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -13,10 +13,20 @@ agreement is part of the test contract:
 Points are given as exponent tuples (ints, possibly negative).  Repeated
 exponents make the bialternant denominator vanish and are rejected with
 DegeneratePoint rather than handled by a limit.
+
+An alternant at a geometric point is a determinant of monomials,
+det(q**(a_j * e_k)).  Up to ``_LEIBNIZ_MAX_ROWS`` rows it is the Leibniz
+expansion, a signed sum of n! monomials collected into one term dict;
+above that, n! outgrows the polynomial work of fraction-free (Bareiss)
+elimination, which computes it instead.  ``bialternant`` and the Schur
+pairing of ``identities`` both build on this one alternant.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import permutations
+from operator import getitem
 from typing import Sequence
 
 from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
@@ -36,23 +46,53 @@ def _require_distinct(exponents: Sequence[int]) -> None:
         raise DegeneratePoint(f"exponents must be distinct: {tuple(exponents)}")
 
 
+# Alternants with at most this many rows use the Leibniz expansion.  One
+# alternant at a principal point, CPython 3.11: 6 rows take 0.3-0.5 ms by
+# Leibniz and 1.5-2.3 ms by Bareiss, 7 rows 4 ms and 5-7 ms, 8 rows 25-39 ms
+# and 8-22 ms.  At 7 rows the gain does not repay building the 5040-entry
+# permutation table in a one-shot call.
+_LEIBNIZ_MAX_ROWS = 6
+
+
+@cache
+def _signed_permutations(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every permutation of range(n) with its sign; only n <= _LEIBNIZ_MAX_ROWS."""
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        out.append((-1 if inversions & 1 else 1, perm))
+    return tuple(out)
+
+
+def _alternant(exponents: Sequence[int], lam: Sequence[int]) -> LaurentPoly:
+    """The alternant det(q**(a_j * e_k)), e = lam + delta, at the point q**a.
+
+    delta = (n-1, ..., 1, 0) with n = len(exponents), and lam is padded to
+    n parts (ValueError if it has more).  A repeated exponent gives 0.
+    """
+    n = len(exponents)
+    powers = [part + n - 1 - k for k, part in enumerate(pad(lam, n))]
+    if n > _LEIBNIZ_MAX_ROWS:
+        return det_fraction_free(PolyMatrix(
+            [[LaurentPoly.q_power(x * e) for e in powers] for x in exponents]))
+    rows = [[x * e for e in powers] for x in exponents]
+    terms: dict[int, int] = {}
+    for sign, perm in _signed_permutations(n):
+        e = sum(map(getitem, rows, perm))
+        terms[e] = terms.get(e, 0) + sign
+    return LaurentPoly(terms)
+
+
 def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     """Alternant ratio det(x_j**(lam_k + N - k)) / det(x_j**(N - k)) at x_j = q**a_j.
 
-    Both determinants use the same column order, so the value does not
-    depend on any sign convention.  The division is exact.
+    Both alternants come from ``_alternant`` (Leibniz up to
+    ``_LEIBNIZ_MAX_ROWS`` variables, Bareiss above) with the same column
+    order, so the value does not depend on any sign convention.  The
+    division is exact.
     """
-    n = len(exponents)
     _require_distinct(exponents)
-    lam = pad(check_partition(lam), n)
-    a = list(exponents)
-    num = PolyMatrix(
-        [[LaurentPoly.q_power(a[j] * (lam[k] + n - 1 - k)) for k in range(n)] for j in range(n)]
-    )
-    den = PolyMatrix(
-        [[LaurentPoly.q_power(a[j] * (n - 1 - k)) for k in range(n)] for j in range(n)]
-    )
-    return det_fraction_free(num).exact_div(det_fraction_free(den))
+    return _alternant(exponents, check_partition(lam)).exact_div(_alternant(exponents, ()))
 
 
 def tableau_sum(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qmelon import cli
+from qmelon import cli, schur
 from qmelon.cli import main
 
 MELON_JSON = json.dumps({
@@ -100,6 +100,25 @@ def test_schur_single_alg_runs_only_that_route(capsys, monkeypatch):
                             "--alg", "bialternant")
     assert code == 0
     assert out == "q + 2*q^2 + 2*q^3 + 2*q^4 + q^5\n"
+
+
+def test_schur_above_the_leibniz_cutoff(capsys, monkeypatch):
+    # 9 variables are past the cutoff, so the bialternant route uses
+    # Bareiss and never builds a table of 9! signed permutations
+    assert schur._LEIBNIZ_MAX_ROWS < 9
+    tables = []
+    original = schur._signed_permutations
+
+    def recorded(n):
+        tables.append(n)
+        return original(n)
+
+    monkeypatch.setattr(schur, "_signed_permutations", recorded)
+    code, out, _ = run_main(capsys, "schur", "--shape", "[3,2,1]", "--vars", "9",
+                            "--alg", "all")
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: OK"
+    assert tables == []
 
 
 def test_count_number(capsys):

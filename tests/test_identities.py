@@ -2,12 +2,13 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from box_oracle import box_terms
 from qmelon import identities
 from qmelon.laurent import LaurentPoly
+from qmelon.partitions import enumerate_in_box
 from qmelon.identities import (
     GOLDEN_POINTS,
     IdentityReport,
@@ -22,7 +23,7 @@ from qmelon.identities import (
     verify_watermelon_suite,
     verify_zq_equals_w,
 )
-from qmelon.schur import DegeneratePoint
+from qmelon.schur import DegeneratePoint, bialternant
 
 
 def test_binet_cauchy_trivial_point():
@@ -235,3 +236,61 @@ def test_failure_report_carries_both_sides():
     assert data["equal"] is False
     assert data["lhs"] == [[0, "1"]]
     assert data["rhs"] == []
+
+
+def pairing_oracle(m, a, b):
+    """Box sum of bialternant products, one division per Schur value."""
+    total = LaurentPoly.zero()
+    for lam in enumerate_in_box(len(a), m):
+        total = total + bialternant(lam, a) * bialternant(lam, b)
+    return total
+
+
+@st.composite
+def pairing_inputs(draw):
+    """Distinct exponents with negatives allowed, len(a) <= len(b) <= 4, m <= 3."""
+    exps = st.integers(min_value=-4, max_value=8)
+    b = draw(st.lists(exps, min_size=1, max_size=4, unique=True))
+    a = draw(st.lists(exps, max_size=len(b), unique=True))
+    return draw(st.integers(min_value=0, max_value=3)), tuple(a), tuple(b)
+
+
+@settings(deadline=None, max_examples=100)
+@given(pairing_inputs())
+@example((3, (-1, 1), (2, 3, 7)))
+@example((3, (-1, 1, 4), (2, 3, 7)))
+@example((2, (), (1, 2)))
+def test_schur_pairing_matches_per_lambda_oracle(case):
+    m, a, b = case
+    assert identities._schur_pairing(m, a, b) == pairing_oracle(m, a, b)
+
+
+@pytest.mark.parametrize("a,b", [((1, 1), (0, 2)), ((0, 2), (3, 3)),
+                                 ((-2,), (5, -1, 5)), ((4, 0, 4), (1, 2, 3))])
+def test_schur_pairing_rejects_repeated_exponent(a, b):
+    with pytest.raises(DegeneratePoint):
+        identities._schur_pairing(2, a, b)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_run_cases_isolates_a_failing_case(workers):
+    bad_case = ("binet-cauchy", {"n": 2, "m": 1, "a": (1, 1), "b": (1, 2)})
+    cases = [
+        ("q-binet-cauchy", {"n": 2, "m": 1}),
+        bad_case,
+        ("gessel-viennot", {"lam": (1,), "n": 2}),
+    ]
+    reports = run_cases(cases, workers=workers)
+    assert [r.identity for r in reports] == [
+        "q-binet-cauchy", "binet-cauchy", "gessel-viennot"]
+    first, bad, last = reports
+    assert first.equal and last.equal
+    assert first.error is None and last.error is None
+    assert not bad.equal
+    assert bad.lhs.is_zero() and bad.rhs.is_zero()
+    assert bad.params == bad_case[1]
+    assert bad.error == "DegeneratePoint: a has repeated exponents: (1, 1)"
+    data = json.loads(report_json_line(bad))
+    assert data["error"] == bad.error
+    assert data["equal"] is False and data["lhs"] == [] and data["rhs"] == []
+    assert "error" not in json.loads(report_json_line(first))

@@ -1,5 +1,10 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qmelon import schur
 from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
 from qmelon.schur import (
@@ -11,6 +16,7 @@ from qmelon.schur import (
     tableau_sum,
 )
 from qmelon.tableaux import count_ssyt, enumerate_ssyt
+from test_laurent import perm_det
 
 
 def tableau_oracle(lam, m):
@@ -113,3 +119,48 @@ def test_weight_shift_meaning():
 def test_principal_product_rejects_short_alphabet():
     with pytest.raises(ValueError):
         principal_product((1, 1, 1), 2)
+
+
+@st.composite
+def alternant_inputs(draw):
+    """A point, a partition with as many parts, and a Leibniz cutoff."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    exps = draw(st.lists(st.integers(min_value=-5, max_value=9), min_size=n, max_size=n))
+    parts = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))
+    cutoff = draw(st.integers(min_value=0, max_value=6))
+    return tuple(exps), tuple(sorted(parts, reverse=True)), cutoff
+
+
+@settings(deadline=None, max_examples=200)
+@given(alternant_inputs())
+@example(((-5, 9, 0, 2, -1), (4, 2, 2, 1, 0), 4))
+@example(((3, 1, 3), (2, 1, 0), 6))
+def test_alternant_matches_permutation_expansion(case):
+    # the cutoff is drawn on both sides of n, so each size runs through
+    # the Leibniz sum and through Bareiss; a repeated exponent gives 0
+    exps, lam, cutoff = case
+    n = len(exps)
+    rows = [[LaurentPoly.q_power(x * (part + n - 1 - k)) for k, part in enumerate(lam)]
+            for x in exps]
+    with mock.patch.object(schur, "_LEIBNIZ_MAX_ROWS", cutoff):
+        assert schur._alternant(exps, lam) == perm_det(rows)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_bialternant_on_both_sides_of_the_leibniz_cutoff(monkeypatch, extra):
+    n = schur._LEIBNIZ_MAX_ROWS + extra
+    sizes = []
+    original = schur.det_fraction_free
+
+    def counted(matrix):
+        sizes.append(matrix.rows)
+        return original(matrix)
+
+    monkeypatch.setattr(schur, "det_fraction_free", counted)
+    point = tuple(range(n))
+    shapes = [(), (1,), (2, 1), (3, 2, 1)]
+    for lam in shapes:
+        value = bialternant(lam, point)
+        assert value == principal_product(lam, n) == tableau_sum(lam, point)
+    # Bareiss runs only above the cutoff, for both alternants of each shape
+    assert sizes == [n] * (2 * len(shapes) * extra)
