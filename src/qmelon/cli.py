@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from contextlib import nullcontext
+from functools import cache
 from typing import Sequence
 
 from .identities import GOLDEN_POINTS, report_json_line, run_cases
@@ -374,7 +375,14 @@ def cmd_render(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing does not change the parser, so one instance serves every call
+    of ``main``.  Each subcommand's handler is bound when the parser is
+    built: a ``cmd_*`` function replaced after that is not reached.
+    """
     parser = argparse.ArgumentParser(
         prog="qmelon",
         description="Exact watermelon path counting, boxed plane partitions, "

@@ -21,9 +21,10 @@ points shifted east by k) and an interface partition lam inside the
 M**L box.  Its volume is |lam| plus both area statistics; the empty
 interface gives the unique minimal watermelon of volume 0.  Because the
 volume splits this way, watermelon_genfunc sums, per interface, q**|lam|
-times one tableau series per nest; it enumerates #C + #B tableaux per
-interface rather than building the #C * #B watermelon objects, which
-enumerate_watermelons yields one by one.
+times one tableau series per nest.  Each series comes from the branching
+rule of schur.tableau_sum, shared by all interfaces of the call, so no
+tableau and no watermelon object is built; enumerate_watermelons yields
+the objects one by one.
 
 Column strictness of the tableaux makes each half-nest a family of
 pairwise vertex-disjoint staircases.  When the two halves are overlaid
@@ -50,7 +51,7 @@ from .partitions import (
     strip,
     weight,
 )
-from .schur import gv_determinant, h_determinant, tableau_sum
+from .schur import _tableau_series, gv_determinant, h_determinant
 from .tableaux import (
     Tableau,
     enumerate_ssyt,
@@ -228,19 +229,19 @@ def watermelon_genfunc(n: int, m: int, k: int = 0) -> LaurentPoly:
         sum over lam of q**|lam| * C_lam(q) * B_lam(q), shifted by m * n(n-1)/2,
 
     where C_lam = tableau_sum(lam, (L-1, ..., 0)) and B_lam is tableau_sum of
-    the box complement of lam at (1-n, ..., 0).  This enumerates
-    #C_lam + #B_lam tableaux per interface instead of building the
-    #C_lam * #B_lam watermelons.
+    the box complement of lam at (1-n, ..., 0).  Both come from one branching
+    series per point, so the smaller shapes that the interfaces share are
+    summed once per call, and no tableau is enumerated.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     lines = n - k
-    c_point = tuple(range(lines - 1, -1, -1))
-    b_point = tuple(range(1 - n, 1))
+    c_series = _tableau_series(range(lines - 1, -1, -1))
+    b_series = _tableau_series(range(1 - n, 1))
     total = LaurentPoly.zero()
     for lam in enumerate_in_box(lines, m):
-        c_side = tableau_sum(lam, c_point).shift(weight(lam))
-        total = total + c_side * tableau_sum(complement_shape(lam, n, m), b_point)
+        c_side = c_series(lam).shift(weight(lam))
+        total = total + c_side * b_series(complement_shape(lam, n, m))
     return total.shift(m * n * (n - 1) // 2)
 
 

@@ -16,10 +16,11 @@ makes the correspondence volume-preserving cell for cell.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly
-from .partitions import Partition, check_int, strip
+from .partitions import Partition, check_int, enumerate_in_box, strip
 from .paths import (
     Watermelon,
     closed_genfunc,  # noqa: F401  re-exported: MacMahon's product for the box
@@ -110,15 +111,70 @@ def enumerate_box(n: int, l: int, m: int) -> Iterator[PlanePartition]:
 
 
 def zq(n: int, l: int, m: int) -> LaurentPoly:
-    """Volume generating function of the box, summed over the enumeration.
+    """Volume generating function of the box, by a transfer matrix over columns.
 
+    The columns of a plane partition are partitions in the m**l box, each
+    contained in the one before it, and its volume is the sum of their
+    sizes.  So with f_1(nu) = q**|nu| and
+
+        f_{j+1}(nu) = q**|nu| * sum over mu containing nu of f_j(mu),
+
+    the box sums to sum over nu of f_n(nu) (Stanley, Enumerative
+    Combinatorics 1, 4.7).  Permuting the three axes of the stack of unit
+    cubes is a volume-preserving bijection between boxes, so the two
+    shortest sides span the states and the longest counts the columns.
+    A polynomial is packed into one Python int, a digit of whole bytes
+    per coefficient, so q**|nu| is a shift.
     Equals MacMahon's product ``closed_genfunc(n, l, m)`` exactly.
     """
-    acc: dict[int, int] = {}
-    for pp in enumerate_box(n, l, m):
-        v = volume(pp)
-        acc[v] = acc.get(v, 0) + 1
-    return LaurentPoly(acc)
+    if n < 0 or l < 0 or m < 0:
+        raise ValueError("box dimensions must be nonnegative")
+    rows, height, columns = sorted((n, l, m))
+    states = list(enumerate_in_box(rows, height))
+    weights = [sum(nu) for nu in states]
+    steps = _containment_steps(states, weights, height)
+    # A chain of columns is fixed by its multiset of states, so no
+    # coefficient exceeds the multiset count and a digit of `size` bytes holds it.
+    size = comb(len(states) + columns - 1, columns).bit_length() // 8 + 1
+    width = 8 * size
+    f = [1 << (w * width) for w in weights]
+    for _ in range(columns - 1):
+        for s, t in steps:
+            f[s] += f[t]
+        f = [g << (w * width) for g, w in zip(f, weights)]
+    digits = rows * height * columns + 1
+    raw = sum(f).to_bytes(digits * size, "little")
+    return LaurentPoly({k: int.from_bytes(raw[k * size:(k + 1) * size], "little")
+                        for k in range(digits)})
+
+
+def _containment_steps(states: list[Partition], weights: list[int],
+                       height: int) -> list[tuple[int, int]]:
+    """Index pairs (s, t) such that running g[s] += g[t] in order turns f into
+    g(nu) = sum of f(mu) over the states mu containing nu.
+
+    ``states`` are all partitions in the height**rows box, padded to rows
+    parts, and ``weights`` their sizes.  The sum runs one coordinate at a
+    time.  After coordinates 1..i, g(v) sums f(mu) over the partitions mu
+    with mu_j >= v_j for j <= i and mu_j = v_j beyond.  For a vector v
+    that is no partition, that set is the one of the partition v' with
+    v'_j = max(v_j, ..., v_{i+1}).  So coordinate i needs only
+    g(nu) += g(nu raised at i), where raising sets the i-th part to
+    nu_i + 1 and lifts the parts before it to at least that.  Summing over
+    partitions alone without the lift loses chains such as
+    (1, 1) < (2, 1) < (2, 2).  Raising grows the size, so each coordinate
+    runs from the largest state down.
+    """
+    index = {nu: s for s, nu in enumerate(states)}
+    order = sorted(range(len(states)), key=weights.__getitem__, reverse=True)
+    steps = []
+    for i in range(len(states[0])):
+        for s in order:
+            nu = states[s]
+            x = nu[i] + 1
+            if x <= height:
+                steps.append((s, index[tuple(max(v, x) for v in nu[:i]) + (x,) + nu[i + 1:]]))
+    return steps
 
 
 def _upper_slices(pp: PlanePartition, n: int) -> list[Partition]:

@@ -4,7 +4,8 @@ Five independent evaluation routes are provided on purpose; their exact
 agreement is part of the test contract:
 
 * ``bialternant``     -- ratio of two alternant determinants,
-* ``tableau_sum``     -- brute-force sum over semistandard tableaux,
+* ``tableau_sum``     -- sum over semistandard tableaux, one horizontal strip
+                         per letter (the branching rule),
 * ``principal_product`` -- hook-style product for the point (1, q, ..., q**(m-1)),
 * ``h_determinant``   -- determinant of complete homogeneous sums,
 * ``gv_determinant``  -- determinant of twisted Gaussian binomials coming
@@ -25,14 +26,13 @@ pairing of ``identities`` both build on this one alternant.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 from operator import getitem
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
-from .partitions import check_partition, n_statistic, pad, strip
+from .partitions import Partition, check_partition, n_statistic, pad, strip
 from .qanalogs import h_complete, qbinomial
-from .tableaux import enumerate_ssyt
 
 GeometricPoint = tuple[int, ...]
 
@@ -96,17 +96,67 @@ def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
 
 
 def tableau_sum(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
-    """Sum of q**(sum of a over entries) over all SSYT of shape lam, entries <= len(exponents)."""
+    """Sum of q**(sum of a over entries) over all SSYT of shape lam, entries <= len(exponents).
+
+    Computed by the branching rule, see ``_tableau_series``; the exponents
+    may be negative or repeated.
+    """
     lam = strip(check_partition(lam))
     m = len(exponents)
     if len(lam) > m:
         raise ValueError(f"shape {lam} needs more than {m} letters")
-    acc: dict[int, int] = {}
-    a = list(exponents)
-    for t in enumerate_ssyt(lam, m):
-        e = sum(a[v - 1] for row in t for v in row)
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPoly(acc)
+    return _tableau_series(exponents)(lam)
+
+
+def _tableau_series(exponents: Sequence[int]) -> Callable[[Sequence[int]], LaurentPoly]:
+    """``tableau_sum`` at one point, as a function of the shape.
+
+    The cells of letter r in an SSYT form a horizontal strip lam / mu, and
+    the letters below r fill an SSYT of mu, so
+
+        S_lam(x_1..x_r) = sum over mu < lam of x_r**|lam / mu| * S_mu(x_1..x_{r-1}),
+
+    where mu < lam means lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... with at most
+    r - 1 parts (Macdonald, Symmetric Functions and Hall Polynomials,
+    I (5.11)).  Each S_mu in r letters is computed once, for every shape
+    asked of the returned function, so the shapes of one caller share
+    their smaller shapes.  A shape must have at most len(exponents) parts.
+    The levels run bottom-up in a loop, not by recursion, so the number of
+    letters is not capped by the recursion limit.
+    """
+    a = tuple(exponents)
+    top = len(a)
+    memo: dict[tuple[Partition, int], dict[int, int]] = {((), r): {0: 1} for r in range(top + 1)}
+
+    def series(lam: Sequence[int]) -> LaurentPoly:
+        lam = strip(lam)
+        # the shapes each level needs that are not known yet, top level first
+        levels: list[dict[Partition, list[Partition]]] = []
+        pending = set() if (lam, top) in memo else {lam}
+        for r in range(top, 0, -1):
+            level = {mu: _interlaced(mu, r - 1) for mu in pending}
+            levels.append(level)
+            pending = {nu for nus in level.values() for nu in nus if (nu, r - 1) not in memo}
+        for r, level in enumerate(reversed(levels), start=1):
+            x = a[r - 1]
+            for mu, nus in level.items():
+                size = sum(mu)
+                acc: dict[int, int] = {}
+                for nu in nus:
+                    shift = x * (size - sum(nu))
+                    for e, c in memo[nu, r - 1].items():
+                        acc[e + shift] = acc.get(e + shift, 0) + c
+                memo[mu, r] = acc
+        return LaurentPoly(memo[lam, top])
+
+    return series
+
+
+def _interlaced(mu: Partition, parts: int) -> list[Partition]:
+    """The stripped nu with at most ``parts`` parts and mu_i >= nu_i >= mu_{i+1}."""
+    ranges = [range(mu[i + 1] if i + 1 < len(mu) else 0, mu[i] + 1)
+              for i in range(min(len(mu), parts))]
+    return [strip(nu) for nu in product(*ranges)]
 
 
 def principal_product(lam: Sequence[int], m: int) -> LaurentPoly:

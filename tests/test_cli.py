@@ -31,9 +31,12 @@ plane partition N=2 L=2 M=2 volume=4
 
 # sha256 of the timing-free output of `qmelon verify --suite all` (see
 # timing_free), frozen from a run of the reference grid, and of the same
-# run on the 4 x 4 grid (533 lines).
+# run on the 4 x 4 grid (533 lines) and the 5 x 5 grid (851 lines).  The
+# 5 x 5 grid passes all 850 reports, and its reports with N, M <= 4 are
+# the 4 x 4 reports in the same order.
 VERIFY_ALL_SHA256 = "a0d169f079b8843df451a59afc62568ed1a1ac2a526e9fd1822a77a0846ff1d8"
 VERIFY_4X4_SHA256 = "640f708ae9a6e87440faeab9b3bdb6f465f1be2f2d216fd87245ee0ebd5bb9a4"
+VERIFY_5X5_SHA256 = "97489deae3b357ff597cc6f1eb316bf1ec37f38bcefd5b0b0f60ddc3daf06957"
 
 
 def run_main(capsys, *argv):
@@ -218,6 +221,10 @@ def test_verify_4x4_output_frozen(capsys):
     assert verify_all_digest(capsys, "--max-n", "4", "--max-m", "4") == VERIFY_4X4_SHA256
 
 
+def test_verify_5x5_output_frozen(capsys):
+    assert verify_all_digest(capsys, "--max-n", "5", "--max-m", "5") == VERIFY_5X5_SHA256
+
+
 def test_verify_workers_match_serial(capsys):
     argv = ("verify", "--suite", "zq", "--max-n", "2", "--max-m", "2")
     _, serial, _ = run_main(capsys, *argv)
@@ -397,3 +404,18 @@ def test_module_usage_error():
         [sys.executable, "-m", "qmelon", "bogus"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # parsing leaves the shared parser as it was: a usage error reads the
+    # same before and after a successful call
+    errors = []
+    for argv in (["schur"], ["schur", "--shape", "[1]"], ["schur"]):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            errors.append(capsys.readouterr().err)
+    assert len(errors) == 2 and errors[0] == errors[1]
+    assert "the following arguments are required: --shape" in errors[0]

@@ -27,7 +27,7 @@ from qmelon.paths import (
     watermelon_from_dict,
     watermelon_genfunc,
 )
-from qmelon.planepartitions import horizontal_steps
+from qmelon.planepartitions import horizontal_steps, zq
 from qmelon.tableaux import count_ssyt
 
 SMALL_GRID = [(n, m, k) for n in range(1, 4) for m in range(1, 3)
@@ -172,8 +172,9 @@ def test_cube_genfuncs_match_oeis_a008793(n):
     assert closed_genfunc(n, n, n).eval_at_one() == A008793[n]
     assert genfunc_det_forms(n, n, n, form=1).eval_at_one() == A008793[n]
     assert genfunc_det_forms(n, n, n, form=2).eval_at_one() == A008793[n]
-    if n <= 4:
+    if n <= 5:
         assert watermelon_genfunc(n, n, 0).eval_at_one() == A008793[n]
+        assert zq(n, n, n).eval_at_one() == A008793[n]
 
 
 def test_cube_genfunc_matches_dense_box_oracle():

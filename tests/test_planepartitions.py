@@ -63,10 +63,38 @@ def test_enumerate_box_order_and_validity():
         assert in_box(pp, 2, 2, 2)
 
 
-@pytest.mark.parametrize("n,l,m", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 1),
-                                   (3, 3, 2), (2, 2, 3)])
+def zq_oracle(n, l, m):
+    """Sum of q**volume over every plane partition in the box, one at a time."""
+    acc = {}
+    for pp in enumerate_box(n, l, m):
+        v = volume(pp)
+        acc[v] = acc.get(v, 0) + 1
+    return LaurentPoly(acc)
+
+
+# every box with sides at most 3, zero sides included: 64 boxes, so the
+# grid is exhaustive rather than sampled
+SMALL_BOXES = [(n, l, m) for n in range(4) for l in range(4) for m in range(4)]
+
+
+@pytest.mark.parametrize("n,l,m", SMALL_BOXES)
 def test_zq_equals_macmahon(n, l, m):
+    z = zq(n, l, m)
+    assert z == zq_oracle(n, l, m)
+    assert dict(z.terms()) == box_terms(n, l, m)
+
+
+@pytest.mark.parametrize("n,l,m", [(2, 3, 7), (7, 2, 3), (3, 7, 2), (1, 1, 9),
+                                   (4, 4, 5), (5, 4, 6), (5, 5, 5)])
+def test_zq_matches_dense_product_beyond_enumeration(n, l, m):
+    # the states span the two shortest sides whichever argument they are
     assert dict(zq(n, l, m).terms()) == box_terms(n, l, m)
+
+
+@pytest.mark.parametrize("box", [(-1, 2, 2), (2, -1, 2), (2, 2, -1)])
+def test_zq_rejects_negative_side(box):
+    with pytest.raises(ValueError, match="box dimensions must be nonnegative"):
+        zq(*box)
 
 
 def test_zq_box_symmetry():

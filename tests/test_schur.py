@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import pytest
@@ -19,12 +20,11 @@ from qmelon.tableaux import count_ssyt, enumerate_ssyt
 from test_laurent import perm_det
 
 
-def tableau_oracle(lam, m):
-    """Direct q**(entry sum - weight) enumeration, bypassing the module."""
+def tableau_oracle(lam, exponents):
+    """Sum of q**(a_v summed over the entries v) over every SSYT, one at a time."""
     total = LaurentPoly.zero()
-    for t in enumerate_ssyt(lam, m):
-        entries = sum(v for row in t for v in row)
-        total = total + LaurentPoly.q_power(entries - weight(lam))
+    for t in enumerate_ssyt(lam, len(exponents)):
+        total = total + LaurentPoly.q_power(sum(exponents[v - 1] for row in t for v in row))
     return total
 
 
@@ -65,7 +65,7 @@ def test_five_routes_agree_in_box(m):
             gv_determinant(lam, m),
         }
         assert len(values) == 1, (lam, m)
-        assert values.pop() == tableau_oracle(lam, m)
+        assert values.pop() == tableau_oracle(lam, exps)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -86,6 +86,32 @@ def test_negative_exponents():
         assert bialternant(lam, exps) == tableau_sum(lam, exps)
 
 
+@st.composite
+def branching_inputs(draw):
+    """Up to 5 letters with exponents in -5..9, repeats allowed, and a shape
+    in the 4 x 4 box with no more parts than letters."""
+    m = draw(st.integers(min_value=0, max_value=5))
+    exps = draw(st.lists(st.integers(min_value=-5, max_value=9), min_size=m, max_size=m))
+    parts = draw(st.lists(st.integers(min_value=0, max_value=4), max_size=min(m, 4)))
+    return tuple(sorted(parts, reverse=True)), tuple(exps)
+
+
+@settings(deadline=None, max_examples=200)
+@given(branching_inputs())
+@example(((4, 4, 4, 4), (-5, 9, 9, -5, 0)))
+@example(((3, 1), (2, 2)))
+def test_tableau_sum_matches_enumeration(case):
+    lam, exps = case
+    assert tableau_sum(lam, exps) == tableau_oracle(lam, exps)
+
+
+def test_tableau_sum_long_row_single_letter():
+    # one letter fills the row in one horizontal strip: no cell-by-cell work
+    start = time.process_time()
+    assert tableau_sum((10**12,), (3,)) == LaurentPoly.q_power(3 * 10**12)
+    assert time.process_time() - start < 0.5
+
+
 def test_degenerate_point_rejected():
     with pytest.raises(DegeneratePoint):
         bialternant((1,), (1, 1))
@@ -98,6 +124,8 @@ def test_degenerate_point_rejected():
 def test_too_many_parts_rejected():
     with pytest.raises(ValueError):
         bialternant((1, 1, 1), (0, 1))
+    with pytest.raises(ValueError, match="needs more than 2 letters"):
+        tableau_sum((1, 1, 1), (0, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
