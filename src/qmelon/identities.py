@@ -28,7 +28,7 @@ from .laurent import (
     geometric_sum,
     vandermonde,
 )
-from .partitions import enumerate_in_box, strip
+from .partitions import check_int, check_partition, enumerate_in_box, strip
 from .paths import (
     closed_genfunc,
     genfunc_det_forms,
@@ -94,7 +94,7 @@ def _report(identity: str, params: dict, lhs: LaurentPoly, rhs: LaurentPoly,
 
 
 def _checked_point(point: Sequence[int], size: int, label: str) -> tuple[int, ...]:
-    exps = tuple(int(v) for v in point)
+    exps = tuple(check_int(v, f"{label} exponent") for v in point)
     if len(exps) != size:
         raise ValueError(f"{label} must have {size} exponents, got {len(exps)}")
     if len(set(exps)) != len(exps):
@@ -278,7 +278,7 @@ def verify_gessel_viennot(lam: Sequence[int], n: int) -> IdentityReport:
     Schur value is recorded in the params.
     """
     start = time.perf_counter()
-    shape = strip(tuple(int(v) for v in lam))
+    shape = strip(check_partition(lam))
     det = gv_count(shape, n)
     nests = count_ssyt(shape, n)
     schur_at_one = bialternant(shape, tuple(range(n))).eval_at_one()

@@ -4,14 +4,32 @@ A plane partition here is a rectangular matrix of nonnegative integers,
 weakly decreasing along every row and down every column.  The box
 B(n, l, m) holds matrices with l rows, n columns, and parts at most m.
 
-The bijection with watermelons goes through diagonal slices: the
-diagonals of the matrix on and above the main diagonal form a weakly
-decreasing interlacing chain and assemble into a column-strict tableau
-with entries at most n; the diagonals on and below it give a second
-tableau with entries at most l.  The lower tableau is the watermelon's
-C tableau; the box complement of the upper one is its B tableau.  The
-identity |pi| = (n + l + 1)|shape| - entries(upper) - entries(lower)
-makes the correspondence volume-preserving cell for cell.
+The bijection with watermelons (l <= n) counts parts along the diagonals
+of the matrix pp, rows i and columns j counted from 0, parts outside it
+read as 0.  The slices eps_t = (pp[t][0], pp[t + 1][1], ...) on and below
+the main diagonal shrink from eps_0 to eps_l = () and interlace, so giving
+the cells of eps_(t-1) / eps_t the letter l + 1 - t makes a column-strict
+tableau, the watermelon's C tableau.  Cell c of row r lies in eps_t
+exactly when pp[r + t][r] > c, hence
+
+    C[r][c] = l + 1 - #{i >= r : pp[i][r] > c}     for c < pp[r][r],
+
+and back, pp[i][j] = #{c : C[j][c] <= l - i + j} for i > j.  The slices
+on and above the diagonal make a tableau U with letters up to n in the
+same way, and the B tableau is its complement in the m**n box, letter by
+letter: the cells of B with letters at most s fill m - U_s[s - 1 - i]
+cells of row i, where U_s[r] = pp[r][r + n - s] counts the cells of row r
+of U with letters at most s.  So row i of B holds
+m - pp[s - 1 - i][n - 1 - i] letters at most s, hence
+
+    B[i][c] = i + 1 + #{j : pp[j][n - 1 - i] >= m - c}
+                                    for c < m - pp[n - 1 - i][n - 1 - i],
+
+and back, pp[i][j] = m - #{c : B[n - 1 - j][c] <= n + i - j} for i <= j.
+Both maps read these counts directly.  Summing l + 1 - C[r][c] over the
+cells gives the parts on and below the diagonal, and likewise for U above
+it, so |pi| = (n + l + 1)|shape| - entries(U) - entries(C) and the
+correspondence preserves volume cell for cell.
 """
 
 from __future__ import annotations
@@ -26,13 +44,7 @@ from .paths import (
     closed_genfunc,  # noqa: F401  re-exported: MacMahon's product for the box
     make_watermelon,
 )
-from .tableaux import (
-    Tableau,
-    box_complement,
-    descending_slices,
-    from_descending_slices,
-    letter_counts,
-)
+from .tableaux import Tableau, letter_counts
 
 PlanePartition = tuple[tuple[int, ...], ...]
 
@@ -177,55 +189,42 @@ def _containment_steps(states: list[Partition], weights: list[int],
     return steps
 
 
-def _upper_slices(pp: PlanePartition, n: int) -> list[Partition]:
-    """Diagonals pp[i][i + t] for t = 0..n-1, each a stripped partition."""
-    out = []
-    for t in range(n):
-        diag = []
-        i = 0
-        while i < len(pp) and i + t < n:
-            diag.append(pp[i][i + t])
-            i += 1
-        out.append(strip(tuple(diag)))
-    return out
-
-
 def gradient_bijection(pp: Sequence[Sequence[int]], n: int, l: int, m: int) -> Watermelon:
     """Watermelon of a boxed plane partition, volume preserved exactly.
 
-    Needs l <= n; the deviation of the result is k = n - l.
+    Needs l <= n; the deviation of the result is k = n - l.  The tableaux
+    are the counts C[r][c] and B[i][c] of the module docstring.
     """
     if l > n:
         raise ValueError("the box must have at least as many columns as rows")
     full = _require_box(pp, n, l, m)
-    upper = from_descending_slices(_upper_slices(full, n), n)
-    # the diagonals on and below the main one are the upper ones of the transpose
-    lower = from_descending_slices(_upper_slices(tuple(zip(*full)), l), l)
-    b_tab = box_complement(upper, n, m)
-    interface = strip(tuple(full[i][i] for i in range(min(l, n))))
-    w = make_watermelon(n, m, n - l, interface, lower, b_tab)
+    diag = [full[r][r] for r in range(l)] + [0] * (n - l)
+    c_tab = tuple(
+        tuple(l + 1 - sum(full[i][r] > c for i in range(r, l)) for c in range(diag[r]))
+        for r in range(l) if diag[r])
+    b_tab = tuple(
+        tuple(i + 1 + sum(full[j][n - 1 - i] >= m - c for j in range(l))
+              for c in range(m - diag[n - 1 - i]))
+        for i in range(n) if diag[n - 1 - i] < m)
+    w = make_watermelon(n, m, n - l, strip(tuple(diag[:l])), c_tab, b_tab)
     assert w.volume == volume(full)
     return w
 
 
 def gradient_bijection_inverse(w: Watermelon) -> PlanePartition:
-    """Boxed plane partition of a watermelon; inverse of gradient_bijection."""
+    """Boxed plane partition of a watermelon; inverse of gradient_bijection.
+
+    Each part counts the small letters of one tableau row, as in the
+    module docstring.
+    """
     n, l, m = w.n, w.lines, w.m
-    upper = box_complement(w.b_nest.tableau, n, m)
-    delta = descending_slices(upper, n)
-    eps = descending_slices(w.c_nest.tableau, l)
-    rows = []
-    for i in range(1, l + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j >= i:
-                diag = delta[j - i]
-                row.append(diag[i - 1] if i - 1 < len(diag) else 0)
-            else:
-                diag = eps[i - j]
-                row.append(diag[j - 1] if j - 1 < len(diag) else 0)
-        rows.append(tuple(row))
-    pp = tuple(rows)
+    c_rows = w.c_nest.tableau + ((),) * (l - len(w.c_nest.tableau))
+    b_rows = w.b_nest.tableau + ((),) * (n - len(w.b_nest.tableau))
+    pp = tuple(
+        tuple(sum(v <= l - i + j for v in c_rows[j]) if i > j
+              else m - sum(v <= n + i - j for v in b_rows[n - 1 - j])
+              for j in range(n))
+        for i in range(l))
     assert volume(pp) == w.volume
     return pp
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -364,6 +365,27 @@ def test_render_volume_mismatch(tmp_path, capsys):
     src.write_text(json.dumps(data))
     code, _, err = run_main(capsys, "render", "--input", str(src))
     assert code == 2
+
+
+@pytest.mark.parametrize("melon", [
+    # nine B rows of four cells take at most four north steps per line, so
+    # the 5 is refused by its counts; searching the fillings instead takes
+    # time exponential in the rows (tens of CPU seconds)
+    {"N": 9, "M": 4, "k": 0, "lambda": [0] * 9,
+     "c_steps": [0] * 9, "b_steps": [4] * 7 + [3, 5]},
+    # a negative count must not be read as some other realizable one
+    {"N": 3, "M": 2, "k": 0, "lambda": [2, 1, 0],
+     "c_steps": [-1, 2, 2], "b_steps": [1, 1, 1]},
+])
+def test_render_unrealizable_steps_fail_fast(tmp_path, capsys, melon):
+    src = tmp_path / "melon.json"
+    src.write_text(json.dumps(melon))
+    start = time.process_time()
+    code, out, err = run_main(capsys, "render", "--input", str(src))
+    assert time.process_time() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 PP_JSON = json.dumps({"N": 2, "L": 2, "M": 2, "parts": [[2, 1], [1, 0]]})

@@ -50,6 +50,19 @@ def test_binet_cauchy_rejects_degenerate():
         verify_binet_cauchy(2, 1, (0,), (1, 2))      # wrong length
 
 
+@pytest.mark.parametrize("verify,args", [
+    (verify_binet_cauchy, (2, 1, (0.7, 2.2), ("1", 3))),
+    (verify_binet_cauchy, (2, 1, (0, 2), ("1", 3))),
+    (verify_deviation_binet_cauchy, (2, 2, 1, (True,), (1, 2))),
+    (verify_gessel_viennot, ((2.9, True), 2)),
+    (verify_gessel_viennot, ((2, 1.0), 2)),
+])
+def test_identity_arguments_must_be_ints(verify, args):
+    # int() would truncate 0.7 to 0 and read "1" and True as 1
+    with pytest.raises(ValueError, match="int"):
+        verify(*args)
+
+
 def test_q_binet_cauchy_small():
     r = verify_q_binet_cauchy(1, 1)
     assert r.equal

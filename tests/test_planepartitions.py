@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -124,6 +125,22 @@ def test_gradient_bijection_exhaustive(n, l, m):
         assert gradient_bijection_inverse(w) == pp
         total += 1
     assert total == box_count(n, l, m)
+
+
+# sha256 over repr((interface, C tableau, B tableau)) + newline for every
+# plane partition of every BIJECTION_GRID box, in enumerate_box order;
+# computed with the diagonal-slice construction the counting formulas replaced
+BIJECTION_SHA256 = "7fe89053637346bd33fd9b8f25591aa5e55d34cd339c6c0b3233f5409913b071"
+
+
+def test_gradient_bijection_output_frozen():
+    digest = hashlib.sha256()
+    for n, l, m in BIJECTION_GRID:
+        for pp in enumerate_box(n, l, m):
+            w = gradient_bijection(pp, n, l, m)
+            key = (w.interface, w.c_nest.tableau, w.b_nest.tableau)
+            digest.update(repr(key).encode() + b"\n")
+    assert digest.hexdigest() == BIJECTION_SHA256
 
 
 def test_gradient_bijection_rejects_wide_base():

@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmelon.partitions import enumerate_in_box, strip, weight
+from qmelon.partitions import enumerate_in_box, strip
 from qmelon.tableaux import (
-    ascending_chain,
-    box_complement,
     count_ssyt,
-    descending_slices,
     enumerate_ssyt,
     first_ssyt_with_counts,
-    from_ascending_chain,
-    from_descending_slices,
     is_ssyt,
     letter_counts,
     shape_of,
@@ -101,60 +96,15 @@ def test_first_is_lex_least():
             assert first == min(candidates)
 
 
-def test_ascending_chain_round_trip():
-    t = ((1, 1, 2), (2, 3))
-    chain = ascending_chain(t, 3)
-    assert chain[0] == ()
-    assert strip(chain[-1]) == (3, 2)
-    assert from_ascending_chain(chain) == t
-    for inner, outer in zip(chain, chain[1:]):
-        # horizontal strips: at most one new cell per column
-        con_i, con_o = ([sum(x >= c for x in lam) for c in range(1, max(lam, default=0) + 1)]
-                        for lam in (inner, outer))
-        pad_i = tuple(con_i) + (0,) * (len(con_o) - len(con_i))
-        assert all(o - i in (0, 1) for i, o in zip(pad_i, con_o))
+def test_first_ssyt_refuses_exactly_the_unrealizable_counts():
+    # every shape with at most 3 rows of length at most 3, and every count
+    # vector of up to 3 letters with each count at most 3
+    for lam in enumerate_in_box(3, 3):
+        shape = strip(lam)
+        for letters in range(4):
+            brute = {letter_counts(t, letters): t for t in reversed(brute_ssyt(shape, letters))}
+            for counts in itertools.product(range(4), repeat=letters):
+                assert first_ssyt_with_counts(shape, counts) == brute.get(counts)
+    # a negative count is never realizable, even when the counts sum to the shape
+    assert first_ssyt_with_counts((2, 1), (2, 2, -1)) is None
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 1), (2, 2), (3, 2, 1), (1, 1), (3,)]),
-       st.integers(min_value=3, max_value=4))
-def test_chain_round_trip_everywhere(shape, max_entry):
-    for t in enumerate_ssyt(shape, max_entry):
-        assert from_ascending_chain(ascending_chain(t, max_entry)) == t
-
-
-def test_descending_slices_round_trip():
-    for shape in [(2, 1), (2, 2), (3, 1, 1)]:
-        for t in enumerate_ssyt(shape, 3):
-            slices = descending_slices(t, 3)
-            assert len(slices) == 4
-            assert strip(slices[0]) == strip(shape_of(t))
-            assert from_descending_slices(slices, 3) == t
-
-
-def test_descending_slices_semantics():
-    # letter v occupies the slices indexed 0..max_entry-v
-    t = ((1, 2), (2,))
-    slices = descending_slices(t, 2)
-    assert [strip(s) for s in slices] == [(2, 1), (1,), ()]
-
-
-def test_box_complement_involution_and_counts():
-    rows, height = 2, 3
-    shapes = [strip(lam) for lam in enumerate_in_box(rows, height)]
-    for shape in shapes:
-        for t in enumerate_ssyt(shape, rows):
-            c = box_complement(t, rows, height)
-            assert is_ssyt(c, rows)
-            assert weight(shape_of(c)) + weight(shape_of(t)) == rows * height
-            assert box_complement(c, rows, height) == t
-            before = letter_counts(t, rows)
-            after = letter_counts(c, rows)
-            assert all(b + a == height for b, a in zip(before, after))
-
-
-def test_box_complement_rejects_overflow():
-    with pytest.raises(ValueError):
-        box_complement(((1, 1, 1),), 1, 2)   # row longer than the box height
-    with pytest.raises(ValueError):
-        box_complement(((1,), (2,), (3,)), 2, 3)   # more rows than fit
