@@ -35,6 +35,16 @@ multiplication and the long division.  :func:`q_ratio` decides
 exactness from cyclotomic factor counts before any arithmetic, then
 evaluates the ratio on sparse dicts while the partial results stay
 sparse, and otherwise as a truncated dense power series.
+
+:func:`det_fraction_free` applies the substitution once per matrix, not
+once per operation.  Each row is shifted by q**(-v_i) to polynomials, and
+every entry is evaluated at X = 2**(8*W).  Bareiss elimination then runs
+on plain ints, whose divisions are exact, and only the final integer is
+unpacked.  Its S + 1 digits are the determinant, S being the sum of the
+row spans, because W is chosen with 2**(8*W-1) above
+B = prod_i sum_j |a_ij|_1, a bound on every coefficient of the shifted
+determinant.  Matrices whose packed determinant, W * S bytes, reaches
+``_PACKED_DET_MAX_BYTES`` run the same elimination on LaurentPoly entries.
 """
 
 from __future__ import annotations
@@ -42,9 +52,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from itertools import accumulate
-from math import gcd
+from math import gcd, prod
 from operator import sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class NotDivisible(ArithmeticError):
@@ -58,6 +68,15 @@ class NotDivisible(ArithmeticError):
 # schoolbook loop costs about 0.15 us and a packed coefficient about 1 us,
 # so square operands break even near 16 x 16 terms and win 4x at 70 x 70.
 _KRONECKER_CUTOFF = 8
+
+# det_fraction_free eliminates over packed integers while the packed
+# determinant, W * S bytes, is below this; see its docstring.  CPython 3.11,
+# packed time over LaurentPoly time on the two det forms of
+# genfunc_det_forms: 0.23-0.68 up to 8 K bytes (every box of the
+# benchmark), 0.73-0.97 from 9 K to 13 K, 1.01-1.44 from 13.6 K to 15.5 K,
+# and 1.6-1.9 at 8 x 8 x 8 (28-35 K), where the quadratic big-integer
+# divmod dominates.  Monomial alternants of 14 rows read 0.8-0.9 at 8-10 K.
+_PACKED_DET_MAX_BYTES = 12000
 
 # The decimal form str(int) emits for a nonzero int, in ASCII digits only.
 _WIRE_COEFF = re.compile(r"-?[1-9][0-9]*")
@@ -601,14 +620,31 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     This is the one elimination routine of the package.  Integer matrices
     go through it too: PolyMatrix embeds ints as constants, so
     ``det_fraction_free(PolyMatrix(rows)).coeff(0)`` is the integer
-    determinant of ``rows``.
+    determinant of ``rows``.  Sizes below 3 are expanded directly.
 
-    Every division performed is exact in the Laurent ring; a division
-    failure would mean corrupted arithmetic, so it is converted into a
-    hard internal error.  Pivoting takes the first nonzero entry in
-    column order with a full row swap and sign tracking; an all-zero
-    pivot column short-circuits to 0.  Sizes below 3 are expanded
-    directly.
+    Larger matrices are evaluated once at q = X = 2**(8*W) and eliminated
+    over the integers, and only the final integer is unpacked (Kronecker
+    substitution applied to the whole matrix).  Row i is first multiplied
+    by q**(-v_i), v_i the least exponent in the row, so every entry is a
+    polynomial and the determinant of the shifted matrix is a polynomial
+    of degree at most S, the sum of the row spans; the shift comes back
+    at the end.  Evaluation at X is a ring homomorphism, so integer
+    Bareiss returns det(M)(X).  By the Leibniz expansion the coefficients
+    of the shifted determinant are at most B = prod_i sum_j |a_ij|_1 in
+    absolute value, |a|_1 being the sum of the absolute coefficients of a.
+    W is the least width with 2**(8*W-1) > B, so every coefficient is one
+    signed base-X digit and the S + 1 unpacked digits are det(M) exactly;
+    this a-priori bound is the proof.  The packed route runs while the
+    packed determinant, W * S bytes, is below ``_PACKED_DET_MAX_BYTES``;
+    larger matrices are eliminated with LaurentPoly entries, where B
+    overshoots the true coefficients most and the quadratic big-integer
+    divmod would lose.
+
+    In both rings every division is exact by Sylvester's identity, for
+    any nonzero pivot; a remainder would mean corrupted arithmetic, so it
+    is converted into a hard internal error.  Pivoting takes the first
+    nonzero entry in column order with a full row swap and sign tracking;
+    an all-zero pivot column, or an all-zero row, gives 0.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -619,25 +655,69 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
         return m.entry(0, 0)
     if n == 2:
         return m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = _ONE
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
-        if piv is None:
+    a = [[x._terms for x in row] for row in m]
+    lows, span = [], 0
+    for row in a:
+        row_terms = [t for t in row if t]
+        if not row_terms:
             return _ZERO
+        low = min(map(min, row_terms))
+        lows.append(low)
+        span += max(map(max, row_terms)) - low
+    bound = prod(sum(sum(map(abs, t.values())) for t in row) for row in a)
+    width = bound.bit_length() // 8 + 1
+    try:
+        if width * span >= _PACKED_DET_MAX_BYTES:
+            return _bareiss([list(row) for row in m], LaurentPoly.exact_div)
+        value = _bareiss([[_evaluate(t, low, width) for t in row]
+                          for row, low in zip(a, lows)], _int_exact_div)
+    except NotDivisible as exc:
+        raise RuntimeError("fraction-free elimination lost exactness") from exc
+    low = sum(lows)
+    coeffs = _unpack(value, span + 1, width)
+    return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
+
+
+def _evaluate(terms: Mapping[int, int], low: int, width: int) -> int:
+    """The value of q**(-low) * terms at q = 2**(8*width); every exponent is at least low."""
+    if not terms:
+        return 0
+    val, coeffs = _dense(terms)
+    return _pack(coeffs, width) << (8 * width * (val - low))
+
+
+def _int_exact_div(num: int, den: int) -> int:
+    quot, rem = divmod(num, den)
+    if rem:
+        raise NotDivisible("remainder in integer division")
+    return quot
+
+
+def _bareiss(a: list[list], exact_div: Callable) -> object:
+    """Determinant of the n x n list a, n >= 1, by Bareiss elimination in place.
+
+    The entries are ints or LaurentPolys; exact_div(num, den) returns the
+    quotient in their ring and raises NotDivisible on a remainder.
+    """
+    n = len(a)
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return a[k][k]  # the zero of the ring
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
+            row_i = a[i]
+            lead = row_i[k]
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                try:
-                    a[i][j] = num.exact_div(prev)
-                except NotDivisible as exc:
-                    raise RuntimeError("fraction-free elimination lost exactness") from exc
-            a[i][k] = _ZERO
-        prev = a[k][k]
+                num = pivot * row_i[j] - lead * row_k[j]
+                row_i[j] = num if prev is None else exact_div(num, prev)
+        prev = pivot
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
 

@@ -20,6 +20,17 @@ def check_int(value, what: str) -> int:
     return value
 
 
+def check_box(n, l, m) -> tuple[int, int, int]:
+    """The sides n, l, m of a box; ValueError names a side that is not an int.
+
+    A negative side raises ValueError too.
+    """
+    sides = (check_int(n, "n"), check_int(l, "l"), check_int(m, "m"))
+    if min(sides) < 0:
+        raise ValueError("box dimensions must be nonnegative")
+    return sides
+
+
 def check_partition(parts: Iterable[int]) -> Partition:
     lam = tuple(parts)
     for x in lam:

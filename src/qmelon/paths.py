@@ -44,6 +44,7 @@ from typing import Iterator, Sequence
 from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
 from .partitions import (
     Partition,
+    check_box,
     check_int,
     check_partition,
     enumerate_in_box,
@@ -233,6 +234,7 @@ def watermelon_genfunc(n: int, m: int, k: int = 0) -> LaurentPoly:
     series per point, so the smaller shapes that the interfaces share are
     summed once per call, and no tableau is enumerated.
     """
+    n, m, k = check_int(n, "n"), check_int(m, "m"), check_int(k, "k")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     lines = n - k
@@ -247,14 +249,14 @@ def watermelon_genfunc(n: int, m: int, k: int = 0) -> LaurentPoly:
 
 def closed_genfunc(n: int, l: int, m: int) -> LaurentPoly:
     """Box product form: prod over i<=n, j<=m of (1 - q^(l+i+j-1)) / (1 - q^(i+j-1))."""
-    if n < 0 or l < 0 or m < 0:
-        raise ValueError("dimensions must be nonnegative")
+    n, l, m = check_box(n, l, m)
     hooks = [i + j - 1 for i in range(1, n + 1) for j in range(1, m + 1)]
     return q_ratio((l + h for h in hooks), hooks)
 
 
 def count_deviation(n: int, l: int, m: int) -> int:
     """Number of watermelons: prod over i<=n, j<=m of (l+i+j-1)/(i+j-1)."""
+    n, l, m = check_box(n, l, m)
     value = Fraction(1)
     for i in range(1, n + 1):
         for j in range(1, m + 1):
@@ -282,10 +284,9 @@ def genfunc_det_forms(n: int, l: int, m: int, form: int = 1) -> LaurentPoly:
     result is divided by q**volume_offset(n, l) to put the minimal
     watermelon at volume 0.  Equals closed_genfunc(n, l, m).
     """
-    if n < 0 or l < 0 or m < 0:
-        raise ValueError("dimensions must be nonnegative")
+    n, l, m = check_box(n, l, m)
     routes = {1: gv_determinant, 2: h_determinant}
-    if form not in routes:
+    if check_int(form, "form") not in routes:
         raise ValueError("form must be 1 or 2")
     return routes[form]((l,) * n, n + m).shift(-volume_offset(n, l))
 

@@ -38,7 +38,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly
-from .partitions import Partition, check_int, enumerate_in_box, strip
+from .partitions import Partition, check_box, check_int, enumerate_in_box, strip
 from .paths import (
     Watermelon,
     closed_genfunc,  # noqa: F401  re-exported: MacMahon's product for the box
@@ -139,8 +139,7 @@ def zq(n: int, l: int, m: int) -> LaurentPoly:
     per coefficient, so q**|nu| is a shift.
     Equals MacMahon's product ``closed_genfunc(n, l, m)`` exactly.
     """
-    if n < 0 or l < 0 or m < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    n, l, m = check_box(n, l, m)
     rows, height, columns = sorted((n, l, m))
     states = list(enumerate_in_box(rows, height))
     weights = [sum(nu) for nu in states]

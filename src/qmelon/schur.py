@@ -186,10 +186,10 @@ def h_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
 def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
     """Nonintersecting-path determinant of twisted Gaussian binomials.
 
-    Entry (i, j) is q**((j-1)(lam_i + j - i)) * [lam_i + m - i choose m - j];
-    requires m >= number of parts of lam.
+    Entry (i, j) is q**((j-1)(lam_i + j - i)) * [lam_i + m - i choose m - j]
+    over the nonzero parts of lam; requires m >= their number.
     """
-    lam = check_partition(lam)
+    lam = strip(check_partition(lam))
     n = len(lam)
     if n == 0:
         return LaurentPoly.one()

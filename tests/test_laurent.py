@@ -2,11 +2,13 @@ import itertools
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qmelon import laurent
 from qmelon.laurent import (
     LaurentPoly,
     NotDivisible,
@@ -435,6 +437,84 @@ matrix_st = st.integers(min_value=1, max_value=4).flatmap(
 @given(matrix_st)
 def test_bareiss_matches_permutation_expansion(rows):
     assert det_fraction_free(PolyMatrix(rows)) == perm_det(rows)
+
+
+# Entries for the determinant: small and huge coefficients, negative
+# exponents, zeros, and plain ints, which PolyMatrix embeds as constants.
+det_entry_st = st.one_of(
+    poly_st, big_terms_st.map(LaurentPoly), st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-10**120, max_value=10**120))
+
+
+@st.composite
+def det_matrix_st(draw):
+    """Square matrices up to 5 x 5, some with a zero row or column or a repeated row."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(det_entry_st, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    index = st.integers(min_value=0, max_value=n - 1)
+    shape = draw(st.sampled_from(("full", "zero row", "zero column", "repeated row")))
+    if shape == "zero row":
+        rows[draw(index)] = [0] * n
+    elif shape == "zero column":
+        j = draw(index)
+        rows = [row[:j] + [0] + row[j + 1:] for row in rows]
+    elif shape == "repeated row":
+        rows[draw(index)] = list(rows[draw(index)])
+    return rows
+
+
+@pytest.mark.parametrize("cutoff", [0, math.inf], ids=["laurent", "packed"])
+@settings(max_examples=60, deadline=None)
+@given(det_matrix_st())
+def test_bareiss_in_both_rings_matches_permutation_expansion(cutoff, rows):
+    # the size cutoff at 0 keeps every matrix on LaurentPoly entries, at
+    # infinity it packs every one
+    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", cutoff):
+        det = det_fraction_free(PolyMatrix(rows))
+    assert det == perm_det([[LaurentPoly.const(x) if isinstance(x, int) else x
+                             for x in row] for row in rows])
+
+
+def alternant_matrix(exponents, lam):
+    n = len(exponents)
+    powers = [part + n - 1 - k for k, part in enumerate(lam + (0,) * (n - len(lam)))]
+    return PolyMatrix([[LaurentPoly.q_power(x * e) for e in powers] for x in exponents])
+
+
+def test_det_over_the_cutoff_does_not_pack():
+    # the per-operation kernels keep to the schoolbook here, so a _pack call
+    # could only come from packing the matrix
+    m = alternant_matrix(tuple(range(0, 36, 3)), (3, 2, 1))
+    packs = mock.Mock(wraps=laurent._pack)
+    unpacks = mock.Mock(wraps=laurent._unpack)
+    with mock.patch.object(laurent, "_KRONECKER_CUTOFF", math.inf), \
+            mock.patch.object(laurent, "_pack", packs), \
+            mock.patch.object(laurent, "_unpack", unpacks):
+        det = det_fraction_free(m)
+    assert packs.call_count == 0 and unpacks.call_count == 0
+    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", math.inf):
+        assert det_fraction_free(m) == det
+
+
+@pytest.mark.parametrize("rows", [3, 5, 8, 12])
+def test_packed_det_unpacks_once(rows):
+    m = alternant_matrix(tuple(range(rows)), (2, 1))
+    unpacks = mock.Mock(wraps=laurent._unpack)
+    with mock.patch.object(laurent, "_unpack", unpacks):
+        det = det_fraction_free(m)
+    assert unpacks.call_count == 1
+    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", 0):
+        assert det_fraction_free(m) == det
+
+
+def test_packed_det_of_integers_is_one_digit():
+    unpacks = mock.Mock(wraps=laurent._unpack)
+    with mock.patch.object(laurent, "_unpack", unpacks):
+        det = det_fraction_free(PolyMatrix([[2, 0, 1], [1, 3, 0], [0, 1, 10**50]]))
+    assert det == LaurentPoly.const(6 * 10**50 + 1)
+    assert unpacks.call_args.args[1] == 1
 
 
 def test_det_edge_cases():

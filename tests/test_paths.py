@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -29,6 +30,10 @@ from qmelon.paths import (
 )
 from qmelon.planepartitions import horizontal_steps, zq
 from qmelon.tableaux import count_ssyt
+
+# Arguments that are not strict ints, with the name each error must give.
+NOT_INT_SIDES = [((True, 2, 2), "n"), ((2, True, 2), "l"), ((2, 2.5, 2), "l"),
+                 ((2, 2, "2"), "m"), ((2.0, 2, 2), "n")]
 
 SMALL_GRID = [(n, m, k) for n in range(1, 4) for m in range(1, 3)
               for k in range(0, n + 1)]
@@ -197,6 +202,51 @@ def test_det_genfuncs_reject_negative_dimensions(box):
     for form in (1, 2):
         with pytest.raises(ValueError, match="dimensions must be nonnegative"):
             genfunc_det_forms(*box, form=form)
+
+
+@pytest.mark.parametrize("args,name", NOT_INT_SIDES)
+def test_count_deviation_takes_strict_ints(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        count_deviation(*args)
+
+
+@pytest.mark.parametrize("args,name", NOT_INT_SIDES)
+def test_closed_genfunc_takes_strict_ints(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        closed_genfunc(*args)
+
+
+@pytest.mark.parametrize("args,name", NOT_INT_SIDES + [((2, 2, 2, True), "form")])
+def test_genfunc_det_forms_takes_strict_ints(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        genfunc_det_forms(*args)
+
+
+@pytest.mark.parametrize("args,name", [((True, 2, 0), "n"), ((2, True, 0), "m"),
+                                       ((2, 2, False), "k"), ((2, 2, 0.0), "k"),
+                                       ((2, 2.5, 0), "m")])
+def test_watermelon_genfunc_takes_strict_ints(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        watermelon_genfunc(*args)
+
+
+# sha256 of one JSON line per determinant: [n, l, m, form, to_pairs()] for
+# both genfunc_det_forms over every box with sides 0..5, then
+# [lam, n, gv_count(lam, n)] for every lam in the 4 x 4 box and every n
+# from its length to 4.  Computed before the determinant was packed.
+DET_OUTPUTS_SHA256 = "b5d317d04d8619cf2da6f5eb2cb9898aaa0ce47faf92f5ee0b6f11c7beb05d34"
+
+
+def test_det_outputs_frozen():
+    digest = hashlib.sha256()
+    for n, l, m in itertools.product(range(6), repeat=3):
+        for form in (1, 2):
+            pairs = genfunc_det_forms(n, l, m, form).to_pairs()
+            digest.update((json.dumps([n, l, m, form, pairs]) + "\n").encode())
+    for lam in enumerate_in_box(4, 4):
+        for n in range(len(strip(lam)), 5):
+            digest.update((json.dumps([list(lam), n, gv_count(lam, n)]) + "\n").encode())
+    assert digest.hexdigest() == DET_OUTPUTS_SHA256
 
 
 @pytest.mark.parametrize("n,m,k", SMALL_GRID)

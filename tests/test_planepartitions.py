@@ -92,6 +92,13 @@ def test_zq_matches_dense_product_beyond_enumeration(n, l, m):
     assert dict(zq(n, l, m).terms()) == box_terms(n, l, m)
 
 
+@pytest.mark.parametrize("args,name", [((True, 2, 2), "n"), ((2, True, 2), "l"),
+                                       ((2, 2.5, 2), "l"), ((2, 2, "2"), "m")])
+def test_zq_takes_strict_ints(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        zq(*args)
+
+
 @pytest.mark.parametrize("box", [(-1, 2, 2), (2, -1, 2), (2, 2, -1)])
 def test_zq_rejects_negative_side(box):
     with pytest.raises(ValueError, match="box dimensions must be nonnegative"):
