@@ -44,7 +44,7 @@ from .planepartitions import (
     pp_to_dict,
     zq,
 )
-from .qanalogs import h_complete, qbinomial, qint
+from .qanalogs import h_complete, qbinomial
 from .schur import (
     DegeneratePoint,
     bialternant,
@@ -92,7 +92,6 @@ __all__ = [
     "principal_product",
     "q_ratio",
     "qbinomial",
-    "qint",
     "tableau_sum",
     "vandermonde",
     "watermelon_from_dict",

@@ -172,11 +172,15 @@ def principal_product(lam: Sequence[int], m: int) -> LaurentPoly:
 
 
 def h_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
-    """Jacobi-Trudi style determinant det(h(lam_i - i + j)) in m variables."""
-    lam = check_partition(lam)
-    if len(strip(lam)) > m:
-        raise ValueError(f"shape {lam} needs more than {m} letters")
+    """Jacobi-Trudi style determinant det(h(lam_i - i + j)) in m variables.
+
+    Zero parts are stripped first: their trailing block of the matrix is
+    unitriangular, so it does not change the determinant.
+    """
+    lam = strip(check_partition(lam))
     n = len(lam)
+    if n > m:
+        raise ValueError(f"shape {lam} needs more than {m} letters")
     if n == 0:
         return LaurentPoly.one()
     entries = [[h_complete(lam[i] - (i + 1) + (j + 1), m) for j in range(n)] for i in range(n)]
@@ -195,12 +199,7 @@ def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
         return LaurentPoly.one()
     if m < n:
         raise ValueError(f"need at least {n} variables for {lam}")
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            tw = LaurentPoly.q_power((j - 1) * (lam[i - 1] + j - i))
-            row.append(tw * qbinomial(lam[i - 1] + m - i, m - j))
-        rows.append(row)
+    rows = [[qbinomial(lam[i - 1] + m - i, m - j).shift((j - 1) * (lam[i - 1] + j - i))
+             for j in range(1, n + 1)] for i in range(1, n + 1)]
     return det_fraction_free(PolyMatrix(rows))
 

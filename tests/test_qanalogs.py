@@ -1,11 +1,38 @@
 import itertools
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmelon.laurent import LaurentPoly
-from qmelon.qanalogs import h_complete, qbinomial, qint
+from qmelon import qanalogs
+from qmelon.laurent import LaurentPoly, q_ratio
+from qmelon.qanalogs import h_complete, qbinomial
+
+
+def qint(n: int) -> LaurentPoly:
+    """[n] = 1 + q + ... + q**(n-1); [0] = 0."""
+    if n < 0:
+        raise ValueError("q-integer of a negative number")
+    return LaurentPoly({e: 1 for e in range(n)})
+
+
+def qbinomial_product_oracle(big: int, small: int) -> LaurentPoly:
+    """[big choose small] as the product of [big-small+i] / [i], i = 1..small.
+
+    One LaurentPoly product and one exact division per step; every partial
+    product is a Gaussian binomial, so each division is exact.
+    """
+    if big < 0:
+        raise ValueError("upper index must be nonnegative")
+    if small < 0 or small > big:
+        return LaurentPoly.zero()
+    small = min(small, big - small)
+    result = LaurentPoly.one()
+    for i in range(1, small + 1):
+        result = (result * qint(big - small + i)).exact_div(qint(i))
+    return result
 
 
 def h_oracle(r: int, m: int) -> LaurentPoly:
@@ -76,10 +103,47 @@ def test_symmetry_and_palindromicity(big):
 
 
 def test_qbinomial_counts_at_one():
-    import math
-    for big in range(0, 10):
+    for big in range(0, 41):
         for small in range(0, big + 1):
             assert qbinomial(big, small).eval_at_one() == math.comb(big, small)
+
+
+@given(st.integers(min_value=0, max_value=40).flatmap(
+    lambda big: st.tuples(st.just(big), st.integers(min_value=-1, max_value=big + 1))))
+def test_qbinomial_matches_product_oracle(args):
+    assert qbinomial(*args) == qbinomial_product_oracle(*args)
+
+
+@pytest.mark.parametrize("big", range(0, 41, 4))
+def test_qbinomial_matches_q_ratio(big):
+    for small in range(0, big + 1):
+        expect = q_ratio(range(big - small + 1, big + 1), range(1, small + 1))
+        assert qbinomial(big, small) == expect, (big, small)
+
+
+def test_qbinomial_exactness_check_is_live():
+    # without the division the vacated top slots are nonzero, so the check fires
+    qbinomial.cache_clear()
+    with mock.patch.object(qanalogs, "accumulate", lambda xs: xs):
+        with pytest.raises(RuntimeError, match="lost exactness"):
+            qbinomial(7, 3)
+    assert qbinomial(7, 3) == qbinomial_product_oracle(7, 3)
+
+
+def test_qbinomial_result_does_not_depend_on_the_cache():
+    qbinomial.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            qbinomial(2.0, 1)
+        with pytest.raises(ValueError):
+            qbinomial(2, 1.0)
+        with pytest.raises(ValueError):
+            qbinomial(True, 1)
+        with pytest.raises(ValueError):
+            h_complete(1.0, 2)
+        with pytest.raises(ValueError):
+            h_complete(1, True)
+        assert qbinomial(2, 1) == LaurentPoly({0: 1, 1: 1})
 
 
 @given(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=5))
@@ -90,5 +154,8 @@ def test_h_complete_matches_enumeration(r, m):
 def test_h_complete_edges():
     assert h_complete(-2, 3).is_zero()
     assert h_complete(0, 3) == LaurentPoly.one()
+    assert h_complete(0, 0) == LaurentPoly.one()
     with pytest.raises(ValueError):
         h_complete(1, 0)
+    with pytest.raises(ValueError):
+        h_complete(0, -1)
