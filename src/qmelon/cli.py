@@ -185,8 +185,6 @@ def cmd_verify(args) -> int:
 
 def cmd_count(args) -> int:
     n, l, m = args.n, args.l, args.m
-    if min(n, l, m) < 0:
-        return _fail_usage("box dimensions must be nonnegative")
     try:
         if args.what == "number":
             value = count_deviation(n, l, m)

@@ -33,8 +33,7 @@ when the schoolbook's term pairs are at least ``_KRONECKER_CUTOFF`` times
 the dense span to pack; small or sparse operands keep the schoolbook
 multiplication and the long division.  :func:`q_ratio` decides
 exactness from cyclotomic factor counts before any arithmetic, then
-evaluates the ratio on sparse dicts while the partial results stay
-sparse, and otherwise as a truncated dense power series.
+evaluates the ratio as a truncated dense power series.
 
 :func:`det_fraction_free` applies the substitution once per matrix, not
 once per operation.  Each row is shifted by q**(-v_i) to polynomials, and
@@ -77,6 +76,14 @@ _KRONECKER_CUTOFF = 8
 # and 1.6-1.9 at 8 x 8 x 8 (28-35 K), where the quadratic big-integer
 # divmod dominates.  Monomial alternants of 14 rows read 0.8-0.9 at 8-10 K.
 _PACKED_DET_MAX_BYTES = 12000
+
+# The most coefficients a dense list may hold: q_ratio's series and
+# qanalogs.qbinomial refuse a longer one before allocating it.  A list slot
+# is an 8-byte pointer, so 10**7 slots take 80 MB.  A multiplication step
+# of the series briefly holds three such lists (240 MB peak RSS) and takes
+# about a second with CPython 3.11, which bounds what one factor may cost;
+# closed_genfunc(40, 40, 40) needs 64,001 coefficients.
+_MAX_DENSE_COEFFS = 10**7
 
 # The decimal form str(int) emits for a nonzero int, in ASCII digits only.
 _WIRE_COEFF = re.compile(r"-?[1-9][0-9]*")
@@ -349,7 +356,9 @@ class LaurentPoly:
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by q**e."""
-        return LaurentPoly({k + e: c for k, c in self._terms.items()})
+        if not _is_int(e):
+            raise TypeError("shift exponent must be an int")
+        return _canonical({k + e: c for k, c in self._terms.items()})
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / other; raises NotDivisible on any remainder.
@@ -481,14 +490,11 @@ def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> Laure
     The ratio is then evaluated in t = q**g, where g is the gcd of the
     exponents left once a negative exponent is turned positive by
     1 - q**(-a) = -q**(-a) * (1 - q**a) and equal factors cancel.  It is
-    a polynomial of degree D = (sum a - sum b) / g in t.  The sparse
-    route multiplies the numerator factors as dicts and divides by each
-    (1 - t**b) as a prefix sum along each residue class mod b, so its
-    cost follows the number of terms, not D; it gives up once a partial
-    result passes (D + 1) / ``_SPARSE_SHARE`` terms.  The dense route
-    works modulo t**(D + 1), which is exact: it multiplies a list of
-    D + 1 coefficients by each (1 - t**a) in place and divides by each
-    (1 - t**b) as a strided prefix sum.
+    a polynomial of degree D = (sum a - sum b) / g in t, evaluated modulo
+    t**(D + 1), which is exact: a list of D + 1 coefficients is multiplied
+    by each (1 - t**a) in place and divided by each (1 - t**b) as a
+    strided prefix sum.  When D + 1 exceeds ``_MAX_DENSE_COEFFS`` the
+    ratio raises ValueError before the list is built.
     """
     num, den = list(num_exponents), list(den_exponents)
     if not all(_is_int(e) for e in num + den):
@@ -522,47 +528,11 @@ def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> Laure
         return _canonical({shift: sign})
     net = {e // g: k for e, k in net.items() if k}
     deg = sum(e * k for e, k in net.items())
-    terms = _sparse_series(net, (deg + 1) // _SPARSE_SHARE)
-    if terms is None:
-        terms = enumerate(_dense_series(net, deg))
-    return _canonical({shift + g * k: sign * c for k, c in terms if c})
-
-
-# The sparse route of q_ratio stops once a partial result holds more than
-# this share of the dense route's D + 1 coefficients.  A dict entry costs
-# several times a list slot, and the cap bounds the work lost to a switch.
-_SPARSE_SHARE = 16
-
-
-def _sparse_series(net: Mapping[int, int], cap: int) -> "Iterable[tuple[int, int]] | None":
-    """Terms of prod (1 - t**e)**k over net, or None past cap terms.
-
-    The product must be a polynomial.  Every numerator factor is multiplied
-    in before the first division, so each partial quotient is a polynomial.
-    """
-    prod = _ONE
-    for e, k in net.items():
-        for _ in range(k):
-            prod = prod * (_ONE - LaurentPoly.q_power(e))
-            if len(prod._terms) > cap:
-                return None
-    terms = prod._terms
-    for b, k in net.items():
-        for _ in range(-k):
-            # q_k = p_k + q_(k-b): the running sum along each class is
-            # constant between two of its exponents and 0 after the last
-            keys = sorted(terms, key=lambda e: (e % b, e))
-            runs, total = [], 0
-            for e, nxt in zip(keys, keys[1:]):
-                total += terms[e]
-                if total:
-                    runs.append((e, nxt, total))
-            if sum((nxt - e) // b for e, nxt, _ in runs) > cap:
-                return None
-            terms = {}
-            for e, nxt, c in runs:
-                terms.update(dict.fromkeys(range(e, nxt, b), c))
-    return terms.items()
+    if deg + 1 > _MAX_DENSE_COEFFS:
+        raise ValueError(f"ratio of q-products has degree D = {deg} in q**{g}; its "
+                         f"D + 1 coefficients exceed the limit of {_MAX_DENSE_COEFFS}")
+    coeffs = _dense_series(net, deg)
+    return _canonical({shift + g * k: sign * c for k, c in enumerate(coeffs) if c})
 
 
 def _dense_series(net: Mapping[int, int], deg: int) -> list[int]:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Sequence
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _unpack
 from .partitions import Partition, check_box, check_int, enumerate_in_box, strip
 from .paths import (
     Watermelon,
@@ -145,7 +145,8 @@ def zq(n: int, l: int, m: int) -> LaurentPoly:
     weights = [sum(nu) for nu in states]
     steps = _containment_steps(states, weights, height)
     # A chain of columns is fixed by its multiset of states, so no
-    # coefficient exceeds the multiset count and a digit of `size` bytes holds it.
+    # coefficient exceeds the multiset count, which is below 2**(8*size - 1):
+    # a signed digit of `size` bytes holds it.
     size = comb(len(states) + columns - 1, columns).bit_length() // 8 + 1
     width = 8 * size
     f = [1 << (w * width) for w in weights]
@@ -154,9 +155,7 @@ def zq(n: int, l: int, m: int) -> LaurentPoly:
             f[s] += f[t]
         f = [g << (w * width) for g, w in zip(f, weights)]
     digits = rows * height * columns + 1
-    raw = sum(f).to_bytes(digits * size, "little")
-    return LaurentPoly({k: int.from_bytes(raw[k * size:(k + 1) * size], "little")
-                        for k in range(digits)})
+    return LaurentPoly(dict(enumerate(_unpack(sum(f), digits, size))))
 
 
 def _containment_steps(states: list[Partition], weights: list[int],

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
-from .laurent import LaurentPoly
+from .laurent import _MAX_DENSE_COEFFS, LaurentPoly
 from .partitions import check_int
 
 
@@ -29,7 +29,8 @@ def qbinomial(big: int, small: int) -> LaurentPoly:
     subtraction, then divides by (1 - q**i) with a prefix sum along each
     residue class mod i.  That prefix sum is the power series of the
     quotient, so the division was exact if and only if the i top slots it
-    vacates read zero; anything else raises RuntimeError.
+    vacates read zero; anything else raises RuntimeError.  A list longer
+    than ``laurent._MAX_DENSE_COEFFS`` raises ValueError before it is built.
     """
     check_int(big, "upper index")
     check_int(small, "lower index")
@@ -39,7 +40,11 @@ def qbinomial(big: int, small: int) -> LaurentPoly:
         return LaurentPoly.zero()
     small = min(small, big - small)
     rest = big - small
-    coeffs = [1] + [0] * (small * (rest + 1))
+    length = small * (rest + 1) + 1
+    if length > _MAX_DENSE_COEFFS:
+        raise ValueError(f"Gaussian binomial [{big} choose {small}] needs {length} "
+                         f"coefficients, over the limit of {_MAX_DENSE_COEFFS}")
+    coeffs = [1] + [0] * (length - 1)
     deg = 0
     for i in range(1, small + 1):
         e = rest + i

@@ -163,8 +163,26 @@ def test_count_json(capsys):
 
 
 def test_count_negative(capsys):
-    code, _, err = run_main(capsys, "count", "--n", "-1", "--l", "1", "--m", "1")
+    for what in ("number", "genfunc", "zq"):
+        code, _, err = run_main(capsys, "count", "--n", "-1", "--l", "1", "--m", "1",
+                                "--what", what)
+        assert code == 2
+        assert err == "error: box dimensions must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--what", "genfunc", "--n", "1", "--l", "1000000000", "--m", "1"),
+    ("schur", "--shape", "[99999999999]", "--vars", "2", "--alg", "product"),
+    ("schur", "--shape", "[99999999999]", "--vars", "2", "--alg", "hdet"),
+    ("schur", "--shape", "[99999999999]", "--vars", "2", "--alg", "gvdet"),
+], ids=["genfunc", "product", "hdet", "gvdet"])
+def test_oversized_coefficient_list_is_a_usage_error(capsys, argv):
+    # each would need a list of about 10**9 or 10**11 coefficients
+    code, out, err = run_main(capsys, *argv)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "coefficients" in err and "Traceback" not in err
 
 
 def test_verify_small_suite(capsys):

@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-from collections import Counter
 from unittest import mock
 
 import pytest
@@ -13,10 +12,8 @@ from qmelon.laurent import (
     LaurentPoly,
     NotDivisible,
     PolyMatrix,
-    _dense_series,
     _kronecker_div,
     _kronecker_mul,
-    _sparse_series,
     det_fraction_free,
     geometric_sum,
     q_ratio,
@@ -289,6 +286,9 @@ def test_exact_div_laurent_units():
 @given(poly_st, st.integers(min_value=-5, max_value=5))
 def test_shift_is_monomial_mul(p, e):
     assert p.shift(e) == p * LaurentPoly.q_power(e)
+    for bad in (float(e), e == 0):
+        with pytest.raises(TypeError):
+            p.shift(bad)
 
 
 @given(poly_st)
@@ -398,34 +398,27 @@ def test_q_ratio_matches_oracle_at_two_scales(extra, den, ks):
     assert_ratio_agrees(extra, [])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=9), max_size=5),
-       st.lists(st.sampled_from((1, 2, 3)), min_size=5, max_size=5),
-       st.lists(st.integers(min_value=1, max_value=12), max_size=4))
-def test_sparse_and_dense_series_agree(den, ks, extra):
-    num = [b * k for b, k in zip(den, ks)] + extra
-    try:
-        expected = ratio_oracle(num, den)
-    except NotDivisible:
-        assume(False)
-    net = Counter(num)
-    net.subtract(den)
-    net = {e: k for e, k in net.items() if k}
-    deg = sum(e * k for e, k in net.items())
-    dense = {k: c for k, c in enumerate(_dense_series(net, deg)) if c}
-    assert dict(_sparse_series(net, math.inf)) == dense == expected
-
-
 def test_q_ratio_sparse_result_of_huge_degree(monkeypatch):
-    # a dense series of degree 10**9 would need a 10**9-entry list
+    # a dense series of degree 10**9 would need a 10**9-entry list, so the
+    # ratio is refused before any list is built
     def no_dense(net, deg):
         raise AssertionError("dense series of degree %d" % deg)
     monkeypatch.setattr("qmelon.laurent._dense_series", no_dense)
-    q = LaurentPoly.q_power
     n = 10**9
-    assert q_ratio((n, 1), ()) == (1 - q(n)) * (1 - q(1))
-    assert q_ratio((2 * n, 3), (n, 1)) == (1 + q(n)) * (1 + q(1) + q(2))
-    assert q_ratio((-2 * n, 3), (n, -1)) == q_ratio((2 * n, 3), (n, 1)).shift(1 - 2 * n)
+    for num, den in (((n, 1), ()), ((2 * n, 3), (n, 1)), ((-2 * n, 3), (n, -1))):
+        with pytest.raises(ValueError, match=r"degree D = 100000000[0-9] in q\*\*1; "
+                                             r"its D \+ 1 coefficients exceed the limit"):
+            q_ratio(num, den)
+
+
+def test_q_ratio_limit_is_on_the_coefficient_count(monkeypatch):
+    monkeypatch.setattr(laurent, "_MAX_DENSE_COEFFS", 10)
+    # 1 + q + ... + q**9: D + 1 = 10 coefficients, at the limit
+    assert q_ratio((10,), (1,)) == geometric_sum(1, 10)
+    # D counts powers of t = q**g, not of q
+    assert q_ratio((30,), (3,)) == geometric_sum(3, 10)
+    with pytest.raises(ValueError, match=r"D = 10 in q\*\*1;.* limit of 10$"):
+        q_ratio((11,), (1,))
 
 
 matrix_st = st.integers(min_value=1, max_value=4).flatmap(

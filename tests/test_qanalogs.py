@@ -130,6 +130,18 @@ def test_qbinomial_exactness_check_is_live():
     assert qbinomial(7, 3) == qbinomial_product_oracle(7, 3)
 
 
+def test_qbinomial_limit_is_on_the_buffer_length():
+    # [N choose 1] runs on a buffer of N + 1 coefficients
+    qbinomial.cache_clear()
+    with mock.patch.object(qanalogs, "_MAX_DENSE_COEFFS", 50):
+        assert qbinomial(49, 1) == qint(49)
+        assert qbinomial(49, 48) == qint(49)
+        with pytest.raises(ValueError, match=r"\[50 choose 1\] needs 51 coefficients, "
+                                             r"over the limit of 50$"):
+            qbinomial(50, 1)
+    assert qbinomial(50, 1) == qint(50)
+
+
 def test_qbinomial_result_does_not_depend_on_the_cache():
     qbinomial.cache_clear()
     for _ in range(2):
