@@ -23,8 +23,6 @@ from .partitions import (
     weight,
 )
 from .paths import (
-    BNest,
-    CNest,
     Watermelon,
     closed_genfunc,
     count_deviation,
@@ -58,9 +56,7 @@ from .tableaux import count_ssyt, enumerate_ssyt, is_ssyt
 __version__ = "0.1.0"
 
 __all__ = [
-    "BNest",
     "BoxMismatch",
-    "CNest",
     "DegeneratePoint",
     "LaurentPoly",
     "NotDivisible",

@@ -3,18 +3,19 @@
 A nest of paths drawn against the vertical lines x = 1, 2, ... is encoded
 by a semistandard tableau: row i describes path i, and the number of
 north steps path i takes on a given line is a letter count of that row.
-Two nest flavours are glued into a watermelon:
+A watermelon record holds its interface partition and the two tableaux
+of the nests glued there:
 
-* a C-nest of shape lam on L lines: path i starts at the staircase point
-  (L - i + 1, L - i) and climbs west to the wall x = 1, ending at height
-  lam_i + L - i.  North steps on line j come from the letter L - j + 1
-  in row i, so the area statistic is sum (j - 1) * l_j with l_j the
-  total north steps on line j.
-* a B-nest of N paths in a box of height M: path i leaves the wall at
-  the height where the matching C path stopped and climbs east to
-  (i, N + M - i).  It is encoded by a tableau of the box-complement
-  shape, row N + 1 - i driving path i, letter N - j + 1 giving norths
-  on line j; the area statistic is sum (j - 1) * (M - l_j).
+* the C tableau, of shape lam with letters up to L: path i starts at
+  the staircase point (L - i + 1, L - i) and climbs west to the wall
+  x = 1, ending at height lam_i + L - i.  North steps on line j come
+  from the letter L - j + 1 in row i, so the area statistic is
+  sum (j - 1) * l_j with l_j the total north steps on line j.
+* the B tableau, of the box-complement shape with letters up to N: the
+  N paths live in a box of height M, and path i leaves the wall at the
+  height where the matching C path stopped and climbs east to
+  (i, N + M - i).  Row N + 1 - i drives path i and the letter N - j + 1
+  gives norths on line j; the area statistic is sum (j - 1) * (M - l_j).
 
 A watermelon with deviation k uses L = N - k active C lines (start
 points shifted east by k) and an interface partition lam inside the
@@ -67,70 +68,6 @@ class NonIntegral(ArithmeticError):
     """An integer-valued product came out non-integral (internal assertion)."""
 
 
-@dataclass(frozen=True)
-class CNest:
-    """Nest of paths climbing west to the wall x = 1, encoded by a tableau."""
-
-    lines: int
-    tableau: Tableau
-
-    def __post_init__(self):
-        if not is_ssyt(self.tableau, self.lines):
-            raise ValueError("not a semistandard tableau within the line count")
-
-    @property
-    def shape(self) -> Partition:
-        return shape_of(self.tableau)
-
-    @property
-    def step_counts(self) -> tuple[int, ...]:
-        """North steps per line, l_1..l_n: l_j counts the letter n - j + 1."""
-        counts = letter_counts(self.tableau, self.lines)
-        return tuple(counts[self.lines - j] for j in range(1, self.lines + 1))
-
-    @property
-    def path_volume(self) -> int:
-        """Squares swept below the paths: sum (j - 1) * l_j."""
-        return sum((j - 1) * l for j, l in enumerate(self.step_counts, start=1))
-
-    @property
-    def weighted_volume(self) -> int:
-        """Cell count of the shape plus the path volume."""
-        return weight(self.shape) + self.path_volume
-
-
-@dataclass(frozen=True)
-class BNest:
-    """Nest of paths climbing east from the wall inside a box of height M."""
-
-    paths: int
-    height: int
-    tableau: Tableau
-
-    def __post_init__(self):
-        if not is_ssyt(self.tableau, self.paths):
-            raise ValueError("not a semistandard tableau within the path count")
-        shape = shape_of(self.tableau)
-        if shape and shape[0] > self.height:
-            raise ValueError("tableau row longer than the box height")
-
-    @property
-    def shape(self) -> Partition:
-        return shape_of(self.tableau)
-
-    @property
-    def step_counts(self) -> tuple[int, ...]:
-        """North steps per line: l_j counts the letter n - j + 1."""
-        counts = letter_counts(self.tableau, self.paths)
-        return tuple(counts[self.paths - j] for j in range(1, self.paths + 1))
-
-    @property
-    def path_volume(self) -> int:
-        """Squares below the east steps: sum (j - 1) * (M - l_j)."""
-        m = self.height
-        return sum((j - 1) * (m - l) for j, l in enumerate(self.step_counts, start=1))
-
-
 def complement_shape(lam: Sequence[int], n: int, m: int) -> Partition:
     """Rotated complement of lam inside the m**n box: parts m - lam_{n+1-i}."""
     full = pad(check_partition(lam), n)
@@ -141,14 +78,19 @@ def complement_shape(lam: Sequence[int], n: int, m: int) -> Partition:
 
 @dataclass(frozen=True)
 class Watermelon:
-    """A C-nest glued to a B-nest across a shared interface partition."""
+    """A C-nest glued to a B-nest across a shared interface partition.
+
+    Each nest is one semistandard tableau: c_tableau has the interface
+    shape and letters 1..L, b_tableau the box-complement shape and
+    letters 1..n.  make_watermelon is the checked constructor.
+    """
 
     n: int
     m: int
     k: int
     interface: Partition
-    c_nest: CNest
-    b_nest: BNest
+    c_tableau: Tableau
+    b_tableau: Tableau
 
     @property
     def lines(self) -> int:
@@ -157,14 +99,18 @@ class Watermelon:
 
     @property
     def volume(self) -> int:
-        return self.c_nest.weighted_volume + self.b_nest.path_volume
+        """|lam| + sum (j - 1) * (l^C_j + M - l^B_j) over the lines j = 1..n."""
+        return weight(self.interface) + sum(
+            j * (c + self.m - b)
+            for j, (c, b) in enumerate(zip(self.c_steps(), self.b_steps())))
 
     def c_steps(self) -> tuple[int, ...]:
         """C-side step counts on lines 1..n; the last k are forced to 0."""
-        return self.c_nest.step_counts + (0,) * self.k
+        return letter_counts(self.c_tableau, self.lines)[::-1] + (0,) * self.k
 
     def b_steps(self) -> tuple[int, ...]:
-        return self.b_nest.step_counts
+        """B-side north steps on lines 1..n: l_j counts the letter n - j + 1."""
+        return letter_counts(self.b_tableau, self.n)[::-1]
 
     def to_dict(self) -> dict:
         return {
@@ -190,11 +136,11 @@ def make_watermelon(n: int, m: int, k: int, interface: Sequence[int],
         raise ValueError("C tableau shape does not match the interface")
     if strip(shape_of(b_tab)) != strip(complement_shape(lam, n, m)):
         raise ValueError("B tableau shape must be the box complement of the interface")
-    return Watermelon(
-        n=n, m=m, k=k, interface=lam,
-        c_nest=CNest(lines=lines, tableau=c_tab),
-        b_nest=BNest(paths=n, height=m, tableau=b_tab),
-    )
+    if not is_ssyt(c_tab, lines):
+        raise ValueError("C tableau is not semistandard within the line count")
+    if not is_ssyt(b_tab, n):
+        raise ValueError("B tableau is not semistandard within the path count")
+    return Watermelon(n, m, k, lam, c_tab, b_tab)
 
 
 def enumerate_watermelons(n: int, m: int, k: int = 0) -> Iterator[Watermelon]:
@@ -322,7 +268,7 @@ def c_phase_points(w: Watermelon) -> list[list[Point]]:
     lines 1..L only, the k easternmost lines carry no steps.
     """
     n, k = w.n, w.k
-    rows = list(w.c_nest.tableau)
+    rows = list(w.c_tableau)
     heights = wall_heights(w)
     out = []
     for i in range(1, n + 1):
@@ -351,7 +297,7 @@ def b_phase_points(w: Watermelon) -> list[list[Point]]:
     is a north step on line n + 1 - v.
     """
     n, m = w.n, w.m
-    rows = list(w.b_nest.tableau)
+    rows = list(w.b_tableau)
     heights = wall_heights(w)
     out = []
     for i in range(1, n + 1):

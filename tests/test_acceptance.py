@@ -126,7 +126,7 @@ def test_criterion_6_plane_partition_bridge():
                     w = gradient_bijection(pp, n, l, m)
                     ok = ok and gradient_bijection_inverse(w) == pp
                     ok = ok and w.volume == sum(map(sum, pp))
-                    seen.add((w.interface, w.c_nest.tableau, w.b_nest.tableau))
+                    seen.add((w.interface, w.c_tableau, w.b_tableau))
                     total += 1
                 ok = ok and len(seen) == total == count_deviation(n, l, m)
     _verdict(6, "plane partition generating function and gradient bijection", ok)

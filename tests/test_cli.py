@@ -185,6 +185,16 @@ def test_oversized_coefficient_list_is_a_usage_error(capsys, argv):
     assert "coefficients" in err and "Traceback" not in err
 
 
+def test_oversized_zq_box_is_a_usage_error(capsys):
+    # 185 M state slots, refused before any state is built
+    code, out, err = run_main(capsys, "count", "--what", "zq",
+                              "--n", "10", "--l", "10", "--m", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: zq of the box 10x10x10 ") and err.count("\n") == 1
+    assert "state slots" in err and "Traceback" not in err
+
+
 def test_verify_small_suite(capsys):
     code, out, _ = run_main(capsys, "verify", "--suite", "qbinet",
                             "--max-n", "2", "--max-m", "2")

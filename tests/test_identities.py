@@ -285,6 +285,12 @@ def test_schur_pairing_rejects_repeated_exponent(a, b):
         identities._schur_pairing(2, a, b)
 
 
+def test_run_cases_reports_an_oversized_zq_box_as_failed():
+    [report] = run_cases([("zq-equals-w", {"n": 10, "l": 10, "m": 10})])
+    assert report.identity == "zq-equals-w" and not report.equal
+    assert report.error.startswith("ValueError: zq of the box 10x10x10 needs ")
+
+
 @pytest.mark.parametrize("workers", [None, 2])
 def test_run_cases_isolates_a_failing_case(workers):
     bad_case = ("binet-cauchy", {"n": 2, "m": 1, "a": (1, 1), "b": (1, 2)})

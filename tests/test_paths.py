@@ -7,12 +7,10 @@ from fractions import Fraction
 import pytest
 from box_oracle import box_terms
 
-from qmelon.cli import _melon_point_lists
+from qmelon.cli import _melon_point_lists, main
 from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
 from qmelon.paths import (
-    BNest,
-    CNest,
     Watermelon,
     b_phase_points,
     c_phase_points,
@@ -28,8 +26,9 @@ from qmelon.paths import (
     watermelon_from_dict,
     watermelon_genfunc,
 )
-from qmelon.planepartitions import horizontal_steps, zq
-from qmelon.tableaux import count_ssyt
+from qmelon.planepartitions import gradient_bijection_inverse, horizontal_steps, zq
+from qmelon.planepartitions import volume as pp_volume
+from qmelon.tableaux import count_ssyt, enumerate_ssyt
 
 # Arguments that are not strict ints, with the name each error must give.
 NOT_INT_SIDES = [((True, 2, 2), "n"), ((2, True, 2), "l"), ((2, 2.5, 2), "l"),
@@ -48,37 +47,47 @@ def count_oracle(n: int, l: int, m: int) -> Fraction:
     return out
 
 
-# ---- nests ----
+# ---- the two nests of a watermelon ----
 
 def test_cnest_example():
-    nest = CNest(lines=2, tableau=((1,),))
-    assert nest.shape == (1,)
-    assert nest.step_counts == (0, 1)
-    assert nest.path_volume == 1
-    assert nest.weighted_volume == 2
+    w = make_watermelon(2, 1, 0, (1,), ((1,),), ((1,),))
+    assert w.c_tableau == ((1,),) and w.b_tableau == ((1,),)
+    assert w.c_steps() == (0, 1)
+    assert w.volume == 2   # |lam| = 1, C area 1, B area 0
 
 
 def test_cnest_rejects_bad_tableau():
-    with pytest.raises(ValueError):
-        CNest(lines=2, tableau=((2, 1),))
-    with pytest.raises(ValueError):
-        CNest(lines=1, tableau=((1,), (1,)))   # column repeat
+    with pytest.raises(ValueError, match="C tableau is not semistandard"):
+        make_watermelon(2, 2, 0, (2,), ((2, 1),), ((1, 1),))   # decreasing row
+    with pytest.raises(ValueError, match="C tableau is not semistandard"):
+        make_watermelon(2, 1, 0, (1, 1), ((1,), (1,)), ())   # column repeat
+    with pytest.raises(ValueError, match="C tableau is not semistandard"):
+        make_watermelon(2, 1, 1, (1,), ((2,),), ((1,),))   # letter beyond L
 
 
 def test_bnest_example():
-    nest = BNest(paths=2, height=1, tableau=((1,),))
-    assert nest.step_counts == (0, 1)
-    assert nest.path_volume == 0
-    with pytest.raises(ValueError):
-        BNest(paths=2, height=1, tableau=((1, 1),))   # row exceeds height
+    w = make_watermelon(2, 1, 0, (1,), ((1,),), ((1,),))
+    assert w.b_steps() == (0, 1)
+    b_area = sum(j * (w.m - b) for j, b in enumerate(w.b_steps()))
+    assert b_area == 0
+    with pytest.raises(ValueError, match="box complement"):
+        make_watermelon(2, 1, 0, (), (), ((1, 1),))   # B row longer than M
+    with pytest.raises(ValueError, match="B tableau is not semistandard"):
+        make_watermelon(2, 1, 0, (1,), ((1,),), ((3,),))   # letter beyond N
 
 
 def test_nest_from_large_shape():
-    # (5,5,3,2,2,0) drawn against 6 lines; row r filled with the letter r
-    t = tuple(tuple(1 + r for _ in range(width)) for r, width in enumerate((5, 5, 3, 2, 2)))
-    nest = CNest(lines=6, tableau=t)
-    assert nest.shape == (5, 5, 3, 2, 2)
-    assert nest.weighted_volume == weight((5, 5, 3, 2, 2)) + nest.path_volume
+    # (5,5,3,2,2,0) drawn against 6 lines; row r filled with the letter r + 1
+    lam = (5, 5, 3, 2, 2)
+    t = tuple(tuple(1 + r for _ in range(width)) for r, width in enumerate(lam))
+    b_tab = next(enumerate_ssyt(strip(complement_shape(lam, 6, 5)), 6))
+    w = make_watermelon(6, 5, 0, lam, t, b_tab)
+    assert w.interface == lam and w.c_tableau == t
+    assert w.c_steps() == (0, 2, 2, 3, 5, 5)
+    c_area = sum(j * c for j, c in enumerate(w.c_steps()))
+    b_area = sum(j * (w.m - b) for j, b in enumerate(w.b_steps()))
+    assert w.volume == weight(lam) + c_area + b_area
+    assert pp_volume(gradient_bijection_inverse(w)) == w.volume
 
 
 def test_complement_shape():
@@ -350,8 +359,8 @@ def test_from_dict_canonical_tableau():
     data = {"N": 2, "M": 1, "k": 0, "lambda": [1, 0],
             "c_steps": [0, 1], "b_steps": [0, 1], "volume": 2}
     w = watermelon_from_dict(data)
-    assert w.c_nest.tableau == ((1,),)
-    assert w.b_nest.tableau == ((1,),)
+    assert w.c_tableau == ((1,),)
+    assert w.b_tableau == ((1,),)
 
 
 def test_from_dict_rejects_bad_data():
@@ -366,6 +375,34 @@ def test_from_dict_rejects_bad_data():
         watermelon_from_dict(dict(good, k=1, c_steps=[0, 1]))  # trailing steps must vanish
     with pytest.raises(ValueError):
         watermelon_from_dict(dict(good, b_steps=[9, 0]))  # unrealizable counts
+
+
+# sha256 over json.dumps(to_dict(), sort_keys=True) + newline for every
+# watermelon of enumerate_watermelons(n, m, k) with n <= 3, m <= 2 and
+# 0 <= k <= n (327 objects, in that loop order), followed after every 7th
+# object, from the first on, by its `qmelon render` output in the ascii and
+# then the svg style.  Computed before the watermelon record held its
+# tableaux directly, when each nest was a separate object.
+WIRE_AND_RENDER_SHA256 = "05cd3430c4f9fd1711809ecf223a4999b6191060def9910807b135da02fa7096"
+
+
+def test_wire_format_and_renders_frozen(tmp_path, capsys):
+    digest = hashlib.sha256()
+    src = tmp_path / "melon.json"
+    count = 0
+    for n, m in itertools.product(range(4), range(3)):
+        for k in range(n + 1):
+            for w in enumerate_watermelons(n, m, k):
+                line = json.dumps(w.to_dict(), sort_keys=True)
+                digest.update((line + "\n").encode())
+                if count % 7 == 0:
+                    src.write_text(line)
+                    for style in ("ascii", "svg"):
+                        assert main(["render", "--input", str(src), "--style", style]) == 0
+                        digest.update(capsys.readouterr().out.encode())
+                count += 1
+    assert count == 327
+    assert digest.hexdigest() == WIRE_AND_RENDER_SHA256
 
 
 # ---- level reading ----

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from box_oracle import box_count, box_terms
+from qmelon import planepartitions
 from qmelon.laurent import LaurentPoly
 from qmelon.paths import closed_genfunc, volume_offset, watermelon_genfunc
 from qmelon.planepartitions import (
@@ -111,6 +112,36 @@ def test_zq_box_symmetry():
     assert closed_genfunc(1, 3, 2) == closed_genfunc(3, 1, 2)
 
 
+class StatesBuilt(Exception):
+    pass
+
+
+def test_zq_refuses_an_oversized_box_before_building_states(monkeypatch):
+    def no_states(*args):
+        raise StatesBuilt
+    monkeypatch.setattr(planepartitions, "enumerate_in_box", no_states)
+    # C(20, 10) = 184,756 states of 1,001 digits each
+    with pytest.raises(ValueError, match="^zq of the box 10x10x10 needs 184940756 "
+                                         "state slots; the limit is 50000000$"):
+        zq(10, 10, 10)
+    with pytest.raises(ValueError, match="^zq of the box 12x10x9 needs"):
+        zq(12, 10, 9)
+    # 8x8x8 (6.6 M slots) and 9x9x9 (35.5 M) pass the check and go on to build
+    for box in ((8, 8, 8), (9, 9, 9)):
+        with pytest.raises(StatesBuilt):
+            zq(*box)
+
+
+def test_zq_slot_limit_boundary(monkeypatch):
+    # the states span the two shortest sides: C(2 + 3, 2) = 10 states of
+    # 2 * 3 * 4 + 1 = 25 digits
+    monkeypatch.setattr(planepartitions, "_MAX_ZQ_SLOTS", 250)
+    assert zq(4, 2, 3) == closed_genfunc(4, 2, 3)
+    monkeypatch.setattr(planepartitions, "_MAX_ZQ_SLOTS", 249)
+    with pytest.raises(ValueError, match="needs 250 state slots; the limit is 249$"):
+        zq(4, 2, 3)
+
+
 def test_zq_frozen_small():
     assert zq(1, 1, 1) == LaurentPoly({0: 1, 1: 1})
     assert zq(2, 2, 2).degree() == 8
@@ -126,7 +157,7 @@ def test_gradient_bijection_exhaustive(n, l, m):
         w = gradient_bijection(pp, n, l, m)
         assert w.n == n and w.m == m and w.k == n - l
         assert w.volume == volume(pp)
-        key = (w.interface, w.c_nest.tableau, w.b_nest.tableau)
+        key = (w.interface, w.c_tableau, w.b_tableau)
         assert key not in seen
         seen.add(key)
         assert gradient_bijection_inverse(w) == pp
@@ -145,7 +176,7 @@ def test_gradient_bijection_output_frozen():
     for n, l, m in BIJECTION_GRID:
         for pp in enumerate_box(n, l, m):
             w = gradient_bijection(pp, n, l, m)
-            key = (w.interface, w.c_nest.tableau, w.b_nest.tableau)
+            key = (w.interface, w.c_tableau, w.b_tableau)
             digest.update(repr(key).encode() + b"\n")
     assert digest.hexdigest() == BIJECTION_SHA256
 
