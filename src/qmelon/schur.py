@@ -19,14 +19,21 @@ An alternant at a geometric point is a determinant of monomials,
 det(q**(a_j * e_k)).  Up to ``_LEIBNIZ_MAX_ROWS`` rows it is the Leibniz
 expansion, a signed sum of n! monomials collected into one term dict;
 above that, n! outgrows the polynomial work of fraction-free (Bareiss)
-elimination, which computes it instead.  ``bialternant`` and the Schur
-pairing of ``identities`` both build on this one alternant.
+elimination, which computes it instead.  ``bialternant`` and the divisor
+of the Schur pairing of ``identities`` build on this one alternant.  The
+pairing's numerators, the alternants of every shape in a box, are the
+maximal minors of one monomial matrix, which ``_maximal_minors`` computes
+all at once.
+
+``bialternant`` and ``tableau_sum`` refuse a shape with more than
+``_MAX_TABLEAUX`` tableaux before any work; the count is Weyl's product.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import permutations, product
+from math import prod
 from operator import getitem
 from typing import Callable, Sequence
 
@@ -83,28 +90,110 @@ def _alternant(exponents: Sequence[int], lam: Sequence[int]) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def _maximal_minors(exponents: Sequence[int], cols: int, width: int,
+                    fixed: int = 0) -> tuple[int, dict[int, int]]:
+    """Every maximal minor of the monomial matrix (q**(a_j * c)), packed.
+
+    The matrix has one row per exponent a_j and the columns c = 0..cols-1.
+    Row j is shifted by q**(-low_j), low_j = min(0, a_j * (cols - 1)), so
+    every entry is a polynomial, and the minors are returned as their
+    values at X = 2**(8*width), keyed by their column set as a bitmask,
+    with the columns in increasing order.  Only the column sets that
+    contain the columns 0..fixed-1 are computed.  The first value
+    returned is sum_j low_j, the exponent the minors were shifted by.
+
+    One Laplace dynamic program over the rows: the state after r rows is
+    a set T of r columns with the minor of those rows on T, and row r
+    extends it by each free column c, whose sign is (-1) to the number of
+    columns of T above c.  A state that holds more than n - fixed
+    columns from fixed on, n = len(exponents), cannot reach a wanted set
+    and is never built.  The
+    values are exact ints whatever the width; it only has to be the same
+    for every minor that is later combined with these.
+    """
+    n = len(exponents)
+    free = n - fixed
+    level = {0: 1}
+    low_sum = 0
+    for x in exponents:
+        low = min(0, x * (cols - 1))
+        low_sum += low
+        shifts = [8 * width * (x * c - low) for c in range(cols)]
+        nxt: dict[int, int] = {}
+        for mask, value in level.items():
+            top = cols if (mask >> fixed).bit_count() < free else fixed
+            odd = (mask >> top).bit_count() & 1
+            for c in range(top - 1, -1, -1):
+                bit = 1 << c
+                if mask & bit:
+                    odd ^= 1
+                    continue
+                term = -(value << shifts[c]) if odd else value << shifts[c]
+                key = mask | bit
+                nxt[key] = nxt.get(key, 0) + term
+        level = nxt
+    return low_sum, level
+
+
+# The most tableaux s_lam(1**n) that bialternant and tableau_sum accept.  The
+# count bounds the terms of the bialternant quotient, so its long-division
+# steps, and the branching pairs on each level of tableau_sum.  At two
+# variables every tableau is one pair: 10**6 tableaux of shape (10**6,) take
+# about 12 s and 0.7 GB of peak RSS in tableau_sum and 2 s in bialternant
+# (CPython 3.11).
+_MAX_TABLEAUX = 10**6
+
+
+def _require_tableau_budget(lam: Sequence[int], n: int) -> None:
+    """Refuse a shape with more than ``_MAX_TABLEAUX`` SSYT in n letters.
+
+    The count is s_lam(1**n), Weyl's product over i < j < n of
+    (lam_i - lam_j + j - i) / (j - i).  Taken up to column j, the partial
+    products are the counts of the first j + 1 rows in j + 1 letters:
+    integers that never decrease, since every factor is at least 1.  So
+    the check stops at the first one over the limit, which it names as a
+    lower bound, and skips the pairs of zero parts, whose factor is 1: at
+    most len(lam) * n steps whatever the size of the parts.  lam is
+    padded to n parts (ValueError if it has more).
+    """
+    lam = pad(lam, n)
+    rows = len(strip(lam))
+    count = 1
+    for j in range(1, n):
+        top = range(min(j, rows))
+        count = count * prod(lam[i] - lam[j] + j - i for i in top) // prod(j - i for i in top)
+        if count > _MAX_TABLEAUX:
+            raise ValueError(f"shape {strip(lam)} has at least {count} tableaux in {n} "
+                             f"letters, over the limit of {_MAX_TABLEAUX}")
+
+
 def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     """Alternant ratio det(x_j**(lam_k + N - k)) / det(x_j**(N - k)) at x_j = q**a_j.
 
     Both alternants come from ``_alternant`` (Leibniz up to
     ``_LEIBNIZ_MAX_ROWS`` variables, Bareiss above) with the same column
     order, so the value does not depend on any sign convention.  The
-    division is exact.
+    division is exact.  A shape with more than ``_MAX_TABLEAUX`` tableaux
+    in N letters raises ValueError before any work.
     """
     _require_distinct(exponents)
-    return _alternant(exponents, check_partition(lam)).exact_div(_alternant(exponents, ()))
+    lam = check_partition(lam)
+    _require_tableau_budget(lam, len(exponents))
+    return _alternant(exponents, lam).exact_div(_alternant(exponents, ()))
 
 
 def tableau_sum(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     """Sum of q**(sum of a over entries) over all SSYT of shape lam, entries <= len(exponents).
 
     Computed by the branching rule, see ``_tableau_series``; the exponents
-    may be negative or repeated.
+    may be negative or repeated.  A shape with more than ``_MAX_TABLEAUX``
+    tableaux raises ValueError before any work.
     """
     lam = strip(check_partition(lam))
     m = len(exponents)
     if len(lam) > m:
         raise ValueError(f"shape {lam} needs more than {m} letters")
+    _require_tableau_budget(lam, m)
     return _tableau_series(exponents)(lam)
 
 

@@ -185,6 +185,17 @@ def test_oversized_coefficient_list_is_a_usage_error(capsys, argv):
     assert "coefficients" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("alg", ["tableaux", "bialternant", "all"])
+def test_oversized_tableau_count_is_a_usage_error(capsys, alg):
+    # 10**11 tableaux: the branching rule and the long division are refused at once
+    code, out, err = run_main(capsys, "schur", "--shape", "[99999999999]", "--vars", "2",
+                              "--alg", alg)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: shape (99999999999,) has at least 100000000000 tableaux in 2 letters, "
+                   "over the limit of 1000000\n")
+
+
 def test_oversized_zq_box_is_a_usage_error(capsys):
     # 185 M state slots, refused before any state is built
     code, out, err = run_main(capsys, "count", "--what", "zq",

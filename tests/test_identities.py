@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from box_oracle import box_terms
 from qmelon import identities
-from qmelon.laurent import LaurentPoly
+from qmelon.laurent import LaurentPoly, NotDivisible
 from qmelon.partitions import enumerate_in_box
 from qmelon.identities import (
     GOLDEN_POINTS,
@@ -261,11 +262,16 @@ def pairing_oracle(m, a, b):
 
 @st.composite
 def pairing_inputs(draw):
-    """Distinct exponents with negatives allowed, len(a) <= len(b) <= 4, m <= 3."""
+    """Distinct exponents with negatives allowed and len(a) <= len(b).
+
+    Either len(b) <= 4 and m <= 3, or len(b) = 7 and m <= 1: seven rows
+    take the divisor alternant past the Leibniz cutoff, onto Bareiss.
+    """
     exps = st.integers(min_value=-4, max_value=8)
-    b = draw(st.lists(exps, min_size=1, max_size=4, unique=True))
+    rows = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    b = draw(st.lists(exps, min_size=rows, max_size=rows, unique=True))
     a = draw(st.lists(exps, max_size=len(b), unique=True))
-    return draw(st.integers(min_value=0, max_value=3)), tuple(a), tuple(b)
+    return draw(st.integers(min_value=0, max_value=1 if rows == 7 else 3)), tuple(a), tuple(b)
 
 
 @settings(deadline=None, max_examples=100)
@@ -273,6 +279,8 @@ def pairing_inputs(draw):
 @example((3, (-1, 1), (2, 3, 7)))
 @example((3, (-1, 1, 4), (2, 3, 7)))
 @example((2, (), (1, 2)))
+@example((1, (-4, -2, 0, 1, 3, 5, 8), (-3, -1, 0, 2, 4, 6, 7)))
+@example((1, (5, -3), (8, -4, 0, 2, 7, -1, 3)))
 def test_schur_pairing_matches_per_lambda_oracle(case):
     m, a, b = case
     assert identities._schur_pairing(m, a, b) == pairing_oracle(m, a, b)
@@ -283,6 +291,23 @@ def test_schur_pairing_matches_per_lambda_oracle(case):
 def test_schur_pairing_rejects_repeated_exponent(a, b):
     with pytest.raises(DegeneratePoint):
         identities._schur_pairing(2, a, b)
+
+
+def test_schur_pairing_turns_a_corrupted_sum_into_an_error():
+    # one digit of the packed sum off by one adds a monomial to the
+    # numerator, which the two-term divisor alternants cannot divide
+    real_unpack = identities._unpack
+
+    def corrupted(value, digits, width):
+        out = real_unpack(value, digits, width)
+        out[0] += 1
+        return out
+
+    assert identities._schur_pairing(2, (0, 1), (1, 2)) == pairing_oracle(2, (0, 1), (1, 2))
+    with mock.patch.object(identities, "_unpack", corrupted):
+        with pytest.raises(RuntimeError, match="^Schur pairing lost exactness$") as info:
+            identities._schur_pairing(2, (0, 1), (1, 2))
+    assert isinstance(info.value.__cause__, NotDivisible)
 
 
 def test_run_cases_reports_an_oversized_zq_box_as_failed():

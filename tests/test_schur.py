@@ -1,3 +1,6 @@
+import itertools
+import math
+import re
 import time
 from unittest import mock
 
@@ -5,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmelon import schur
+from qmelon import laurent, schur
 from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
+from qmelon.paths import watermelon_genfunc
 from qmelon.schur import (
     DegeneratePoint,
     bialternant,
@@ -206,3 +210,70 @@ def test_bialternant_on_both_sides_of_the_leibniz_cutoff(monkeypatch, extra):
         assert value == principal_product(lam, n) == tableau_sum(lam, point)
     # Bareiss runs only above the cutoff, for both alternants of each shape
     assert sizes == [n] * (2 * len(shapes) * extra)
+
+
+@st.composite
+def minors_inputs(draw):
+    """Exponent rows with negatives, zeros and repeats, a column count and a fixed prefix."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    exps = draw(st.lists(st.integers(min_value=-4, max_value=5), min_size=n, max_size=n))
+    cols = n + draw(st.integers(min_value=0, max_value=3))
+    fixed = draw(st.integers(min_value=0, max_value=n))
+    return tuple(exps), cols, fixed
+
+
+@settings(deadline=None, max_examples=150)
+@given(minors_inputs())
+@example(((0, -3, 0, 5), 7, 0))
+@example(((-4, 2, 0), 5, 2))
+@example(((), 2, 0))
+def test_maximal_minors_match_permutation_expansion(case):
+    exps, cols, fixed = case
+    n = len(exps)
+    width = math.factorial(n).bit_length() // 8 + 1  # every coefficient is at most n!
+    low, minors = schur._maximal_minors(exps, cols, width, fixed)
+    assert low == sum(min(0, x * (cols - 1)) for x in exps)
+    span = (cols - 1) * sum(map(abs, exps))
+    wanted = [s for s in itertools.combinations(range(cols), n) if set(range(fixed)) <= set(s)]
+    assert sorted(minors) == sorted(sum(1 << c for c in s) for s in wanted)
+    for columns in wanted:
+        digits = laurent._unpack(minors[sum(1 << c for c in columns)], span + 1, width)
+        minor = LaurentPoly({low + e: c for e, c in enumerate(digits)})
+        rows = [[LaurentPoly.q_power(x * c) for c in columns] for x in exps]
+        assert minor == perm_det(rows)
+
+
+@pytest.mark.parametrize("route", [bialternant, tableau_sum])
+def test_tableau_budget_counts_by_the_weyl_product(monkeypatch, route):
+    # the refusal comes at exactly the tableau count, before any work
+    point = (0, 2, 3, 7)
+    for lam in enumerate_in_box(4, 2):
+        count = count_ssyt(lam, 4)
+        monkeypatch.setattr(schur, "_MAX_TABLEAUX", count)
+        assert route(lam, point) == tableau_oracle(lam, point)
+        monkeypatch.setattr(schur, "_MAX_TABLEAUX", count - 1)
+        monkeypatch.setattr(schur, "_alternant", None)
+        monkeypatch.setattr(schur, "_tableau_series", None)
+        with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} has "
+                                             f"at least {count} tableaux in 4 letters, over the "
+                                             f"limit of {count - 1}$"):
+            route(lam, point)
+        monkeypatch.undo()
+
+
+def test_watermelon_genfunc_does_not_pay_for_the_tableau_budget(monkeypatch):
+    want = watermelon_genfunc(3, 2, 1)
+    monkeypatch.setattr(schur, "_MAX_TABLEAUX", 0)
+    with pytest.raises(ValueError):
+        tableau_sum((1,), (0, 1))
+    assert watermelon_genfunc(3, 2, 1) == want
+
+
+def test_tableau_budget_skips_pairs_of_zero_parts():
+    # Weyl's product over all pairs of 10**5 letters has 5 * 10**9 factors;
+    # the check takes one step per letter here and stops at the first
+    # partial count over the limit
+    schur._require_tableau_budget((1,), 10**5)
+    with pytest.raises(ValueError, match="^shape \\(2,\\) has at least 1000405 tableaux "
+                                         "in 100000 letters"):
+        schur._require_tableau_budget((2,), 10**5)
