@@ -87,8 +87,10 @@ _PACKED_DET_MAX_BYTES = 12000
 # closed_genfunc(40, 40, 40) needs 64,001 coefficients.
 _MAX_DENSE_COEFFS = 10**7
 
-# struct codes of the native signed C integers, by their size in bytes
-_NATIVE_SIGNED = {calcsize(code): code for code in "bhiq"}
+# struct codes of the native signed C integers, by their size in bytes.  A
+# cast reads the machine's byte order and the digits are little-endian, so
+# a big-endian host has none and reads every width digit by digit.
+_NATIVE_SIGNED = {calcsize(code): code for code in "bhiq"} if sys.byteorder == "little" else {}
 
 # The decimal form str(int) emits for a nonzero int, in ASCII digits only.
 _WIRE_COEFF = re.compile(r"-?[1-9][0-9]*")
@@ -134,16 +136,16 @@ def _pack(coeffs: list[int], width: int) -> int:
 def _unpack(value: int, digits: int, width: int) -> list[int]:
     """Signed base-X digits of value, lowest first, inverse of _pack.
 
-    Raises OverflowError unless every digit lies in [-X/2, X/2).  A width
-    of a native C integer is read by one memoryview cast, about 10x faster
-    than the per-digit loop that other widths take.
+    Raises OverflowError unless every digit lies in [-X/2, X/2).  On a
+    little-endian host, a width of a native C integer is read by one
+    memoryview cast, about 10x faster than the per-digit loop that other
+    widths take.
     """
     h = _halves(digits, width)
+    raw = memoryview(((value + h) ^ h).to_bytes(digits * width, "little"))
     code = _NATIVE_SIGNED.get(width)
     if code is not None:
-        raw = ((value + h) ^ h).to_bytes(digits * width, sys.byteorder)
-        return memoryview(raw).cast(code).tolist()
-    raw = memoryview(((value + h) ^ h).to_bytes(digits * width, "little"))
+        return raw.cast(code).tolist()
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, digits * width, width)]
 

@@ -25,19 +25,20 @@ pairing's numerators, the alternants of every shape in a box, are the
 maximal minors of one monomial matrix, which ``_maximal_minors`` computes
 all at once.
 
-``bialternant`` and ``tableau_sum`` refuse a shape with more than
-``_MAX_TABLEAUX`` tableaux before any work; the count is Weyl's product.
+``bialternant`` refuses a quotient whose degree span passes
+``laurent._MAX_DENSE_COEFFS``, and ``tableau_sum`` a branching of more
+than ``_MAX_BRANCHING_STEPS`` steps, before any polynomial is built.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import prod
-from operator import getitem
+from operator import getitem, sub
 from typing import Callable, Sequence
 
-from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
+from .laurent import _MAX_DENSE_COEFFS, LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
 from .partitions import Partition, check_partition, n_statistic, pad, strip
 from .qanalogs import h_complete, qbinomial
 
@@ -135,36 +136,20 @@ def _maximal_minors(exponents: Sequence[int], cols: int, width: int,
     return low_sum, level
 
 
-# The most tableaux s_lam(1**n) that bialternant and tableau_sum accept.  The
-# count bounds the terms of the bialternant quotient, so its long-division
-# steps, and the branching pairs on each level of tableau_sum.  At two
-# variables every tableau is one pair: 10**6 tableaux of shape (10**6,) take
-# about 12 s and 0.7 GB of peak RSS in tableau_sum and 2 s in bialternant
-# (CPython 3.11).
-_MAX_TABLEAUX = 10**6
+def _require_quotient_span(lam: Sequence[int], exponents: Sequence[int]) -> None:
+    """Refuse a bialternant quotient of more than ``_MAX_DENSE_COEFFS`` coefficients.
 
-
-def _require_tableau_budget(lam: Sequence[int], n: int) -> None:
-    """Refuse a shape with more than ``_MAX_TABLEAUX`` SSYT in n letters.
-
-    The count is s_lam(1**n), Weyl's product over i < j < n of
-    (lam_i - lam_j + j - i) / (j - i).  Taken up to column j, the partial
-    products are the counts of the first j + 1 rows in j + 1 letters:
-    integers that never decrease, since every factor is at least 1.  So
-    the check stops at the first one over the limit, which it names as a
-    lower bound, and skips the pairs of zero parts, whose factor is 1: at
-    most len(lam) * n steps whatever the size of the parts.  lam is
-    padded to n parts (ValueError if it has more).
+    S_lam(q**a) has degree sum_i lam_i * a_(i) with a sorted decreasing and
+    valuation the same sum with a sorted increasing (the monomial x**lam
+    dominates every other), so the span is known in n log n steps.  It
+    bounds the quotient's terms, so the steps of its long division, and
+    the digits of its Kronecker division.
     """
-    lam = pad(lam, n)
-    rows = len(strip(lam))
-    count = 1
-    for j in range(1, n):
-        top = range(min(j, rows))
-        count = count * prod(lam[i] - lam[j] + j - i for i in top) // prod(j - i for i in top)
-        if count > _MAX_TABLEAUX:
-            raise ValueError(f"shape {strip(lam)} has at least {count} tableaux in {n} "
-                             f"letters, over the limit of {_MAX_TABLEAUX}")
+    span = sum(part * (hi - lo) for part, hi, lo
+               in zip(lam, sorted(exponents, reverse=True), sorted(exponents))) + 1
+    if span > _MAX_DENSE_COEFFS:
+        raise ValueError(f"shape {strip(lam)} in {len(exponents)} letters has a quotient of "
+                         f"{span} coefficients, over the limit of {_MAX_DENSE_COEFFS}")
 
 
 def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
@@ -173,12 +158,13 @@ def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     Both alternants come from ``_alternant`` (Leibniz up to
     ``_LEIBNIZ_MAX_ROWS`` variables, Bareiss above) with the same column
     order, so the value does not depend on any sign convention.  The
-    division is exact.  A shape with more than ``_MAX_TABLEAUX`` tableaux
-    in N letters raises ValueError before any work.
+    division is exact.  A quotient that would span more than
+    ``laurent._MAX_DENSE_COEFFS`` exponents raises ValueError before any
+    work.
     """
     _require_distinct(exponents)
     lam = check_partition(lam)
-    _require_tableau_budget(lam, len(exponents))
+    _require_quotient_span(lam, exponents)
     return _alternant(exponents, lam).exact_div(_alternant(exponents, ()))
 
 
@@ -186,18 +172,29 @@ def tableau_sum(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     """Sum of q**(sum of a over entries) over all SSYT of shape lam, entries <= len(exponents).
 
     Computed by the branching rule, see ``_tableau_series``; the exponents
-    may be negative or repeated.  A shape with more than ``_MAX_TABLEAUX``
-    tableaux raises ValueError before any work.
+    may be negative or repeated.  A shape whose branching would take more
+    than ``_MAX_BRANCHING_STEPS`` steps raises ValueError before any
+    polynomial is built.
     """
     lam = strip(check_partition(lam))
     m = len(exponents)
     if len(lam) > m:
         raise ValueError(f"shape {lam} needs more than {m} letters")
-    _require_tableau_budget(lam, m)
-    return _tableau_series(exponents)(lam)
+    return _tableau_series(exponents, _MAX_BRANCHING_STEPS)(lam)
 
 
-def _tableau_series(exponents: Sequence[int]) -> Callable[[Sequence[int]], LaurentPoly]:
+# The most steps tableau_sum may take, counted as in _tableau_series.  A
+# step is one term added to a series; making an interlacing pair (its tuple,
+# its strip and its memo entry) costs about _PAIR_STEPS of them.  CPython
+# 3.11 takes 40-140 ns a step and keeps every level's series: (1,) in 3000
+# letters counts 4.5 * 10**6 steps and takes 0.65 s and 300 MB of peak
+# RSS, and (300000,) in 2 letters, just past the limit, 2 s and 320 MB.
+_MAX_BRANCHING_STEPS = 10**7
+_PAIR_STEPS = 16
+
+
+def _tableau_series(exponents: Sequence[int],
+                    limit: int | None = None) -> Callable[[Sequence[int]], LaurentPoly]:
     """``tableau_sum`` at one point, as a function of the shape.
 
     The cells of letter r in an SSYT form a horizontal strip lam / mu, and
@@ -212,18 +209,38 @@ def _tableau_series(exponents: Sequence[int]) -> Callable[[Sequence[int]], Laure
     their smaller shapes.  A shape must have at most len(exponents) parts.
     The levels run bottom-up in a loop, not by recursion, so the number of
     letters is not capped by the recursion limit.
+
+    With a ``limit``, each level counts its steps before it builds the
+    list of its pairs, and so before any polynomial: a shape mu on level r
+    has prod_i (mu_i - mu_(i+1) + 1) interlacing nu, each a pair of
+    ``_PAIR_STEPS`` steps, and the series of nu has at most
+    |nu| * (max - min of a_1..a_(r-1)) + 1 terms to add.  Past the limit
+    the call raises ValueError.
     """
     a = tuple(exponents)
     top = len(a)
     memo: dict[tuple[Partition, int], dict[int, int]] = {((), r): {0: 1} for r in range(top + 1)}
+    # spreads[r]: max - min of the first r exponents
+    spreads = [0, *map(sub, accumulate(a, max), accumulate(a, min))]
 
     def series(lam: Sequence[int]) -> LaurentPoly:
         lam = strip(lam)
         # the shapes each level needs that are not known yet, top level first
         levels: list[dict[Partition, list[Partition]]] = []
         pending = set() if (lam, top) in memo else {lam}
+        steps = 0
         for r in range(top, 0, -1):
-            level = {mu: _interlaced(mu, r - 1) for mu in pending}
+            ranges = {mu: _interlacing_ranges(mu, r - 1) for mu in pending}
+            if limit is not None:
+                for rs in ranges.values():
+                    count = prod(map(len, rs))
+                    # the sum of |nu| over the count nu: each range is run count / len times
+                    size = count * sum(rg.start + rg.stop - 1 for rg in rs) // 2
+                    steps += count * (_PAIR_STEPS + 1) + size * spreads[r - 1]
+                if steps > limit:
+                    raise ValueError(f"shape {lam} in {top} letters would take {steps} or more "
+                                     f"branching steps, over the limit of {limit}")
+            level = {mu: [strip(nu) for nu in product(*rs)] for mu, rs in ranges.items()}
             levels.append(level)
             pending = {nu for nus in level.values() for nu in nus if (nu, r - 1) not in memo}
         for r, level in enumerate(reversed(levels), start=1):
@@ -241,11 +258,10 @@ def _tableau_series(exponents: Sequence[int]) -> Callable[[Sequence[int]], Laure
     return series
 
 
-def _interlaced(mu: Partition, parts: int) -> list[Partition]:
-    """The stripped nu with at most ``parts`` parts and mu_i >= nu_i >= mu_{i+1}."""
-    ranges = [range(mu[i + 1] if i + 1 < len(mu) else 0, mu[i] + 1)
-              for i in range(min(len(mu), parts))]
-    return [strip(nu) for nu in product(*ranges)]
+def _interlacing_ranges(mu: Partition, parts: int) -> list[range]:
+    """The ranges of nu_i for the nu with at most ``parts`` parts and mu_i >= nu_i >= mu_{i+1}."""
+    return [range(mu[i + 1] if i + 1 < len(mu) else 0, mu[i] + 1)
+            for i in range(min(len(mu), parts))]
 
 
 def principal_product(lam: Sequence[int], m: int) -> LaurentPoly:

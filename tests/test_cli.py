@@ -185,15 +185,19 @@ def test_oversized_coefficient_list_is_a_usage_error(capsys, argv):
     assert "coefficients" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("alg", ["tableaux", "bialternant", "all"])
-def test_oversized_tableau_count_is_a_usage_error(capsys, alg):
-    # 10**11 tableaux: the branching rule and the long division are refused at once
+@pytest.mark.parametrize("alg, message", [
+    ("tableaux", "would take 1700000000000 or more branching steps"),
+    ("bialternant", "has a quotient of 100000000000 coefficients"),
+    ("all", "has a quotient of 100000000000 coefficients"),
+])
+def test_oversized_single_row_is_a_usage_error(capsys, alg, message):
+    # 10**11 + 1 shapes on the first level, 10**11 quotient terms: both
+    # routes are refused before any polynomial is built
     code, out, err = run_main(capsys, "schur", "--shape", "[99999999999]", "--vars", "2",
                               "--alg", alg)
     assert code == 2
     assert out == ""
-    assert err == ("error: shape (99999999999,) has at least 100000000000 tableaux in 2 letters, "
-                   "over the limit of 1000000\n")
+    assert err == f"error: shape (99999999999,) in 2 letters {message}, over the limit of 10000000\n"
 
 
 def test_oversized_zq_box_is_a_usage_error(capsys):

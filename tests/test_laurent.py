@@ -210,11 +210,14 @@ def test_large_non_divisible_dividend_raises():
     st.lists(st.integers(min_value=-2**(8 * width - 1), max_value=2**(8 * width - 1) - 1),
              min_size=1, max_size=12))))
 def test_unpack_inverts_pack_at_every_width(case):
-    # widths 1, 2, 4 and 8 are read by a native cast, the others digit by digit
+    # widths 1, 2, 4 and 8 are read by a native cast, the others digit by
+    # digit; a host without the cast (big-endian) reads them all digit by digit
     width, coeffs = case
-    assert laurent._unpack(laurent._pack(coeffs, width), len(coeffs), width) == coeffs
-    with pytest.raises(OverflowError):
-        laurent._unpack(1 << (8 * width * len(coeffs)), len(coeffs), width)
+    for native in (dict(laurent._NATIVE_SIGNED), {}):
+        with mock.patch.object(laurent, "_NATIVE_SIGNED", native):
+            assert laurent._unpack(laurent._pack(coeffs, width), len(coeffs), width) == coeffs
+            with pytest.raises(OverflowError):
+                laurent._unpack(1 << (8 * width * len(coeffs)), len(coeffs), width)
 
 
 def test_kronecker_div_packs_a_divisor_wider_than_the_dividend():

@@ -12,6 +12,7 @@ from qmelon import laurent, schur
 from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
 from qmelon.paths import watermelon_genfunc
+from qmelon.qanalogs import qbinomial
 from qmelon.schur import (
     DegeneratePoint,
     bialternant,
@@ -243,37 +244,82 @@ def test_maximal_minors_match_permutation_expansion(case):
         assert minor == perm_det(rows)
 
 
-@pytest.mark.parametrize("route", [bialternant, tableau_sum])
-def test_tableau_budget_counts_by_the_weyl_product(monkeypatch, route):
-    # the refusal comes at exactly the tableau count, before any work
-    point = (0, 2, 3, 7)
+def test_bialternant_refuses_a_quotient_past_the_dense_limit(monkeypatch):
+    # the predicted span is the quotient's exact span; one past the limit is
+    # refused before any alternant is built
+    point = (7, 0, 3, -2)
     for lam in enumerate_in_box(4, 2):
-        count = count_ssyt(lam, 4)
-        monkeypatch.setattr(schur, "_MAX_TABLEAUX", count)
-        assert route(lam, point) == tableau_oracle(lam, point)
-        monkeypatch.setattr(schur, "_MAX_TABLEAUX", count - 1)
+        value = tableau_oracle(lam, point)
+        span = max(value._terms) - min(value._terms) + 1
+        monkeypatch.setattr(schur, "_MAX_DENSE_COEFFS", span)
+        assert bialternant(lam, point) == value
+        monkeypatch.setattr(schur, "_MAX_DENSE_COEFFS", span - 1)
         monkeypatch.setattr(schur, "_alternant", None)
-        monkeypatch.setattr(schur, "_tableau_series", None)
-        with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} has "
-                                             f"at least {count} tableaux in 4 letters, over the "
-                                             f"limit of {count - 1}$"):
-            route(lam, point)
+        with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} in 4 letters "
+                                             f"has a quotient of {span} coefficients, over the "
+                                             f"limit of {span - 1}$"):
+            bialternant(lam, point)
         monkeypatch.undo()
 
 
-def test_watermelon_genfunc_does_not_pay_for_the_tableau_budget(monkeypatch):
+def branching_steps(lam, exponents):
+    """The steps tableau_sum counts, pair by pair; asserts each series bound."""
+    a = tuple(exponents)
+    steps, pending, known = 0, {strip(lam)} - {()}, set()
+    for r in range(len(a), 0, -1):
+        spread = max(a[:r - 1], default=0) - min(a[:r - 1], default=0)
+        nxt = set()
+        for mu in pending:
+            for nu in itertools.product(*(range(mu[i + 1] if i + 1 < len(mu) else 0, mu[i] + 1)
+                                         for i in range(min(len(mu), r - 1)))):
+                nu = strip(nu)
+                terms = weight(nu) * spread + 1
+                assert len(tableau_oracle(nu, a[:r - 1])._terms) <= terms
+                steps += schur._PAIR_STEPS + terms
+                if nu and (nu, r - 1) not in known:
+                    known.add((nu, r - 1))
+                    nxt.add(nu)
+        pending = nxt
+    return steps
+
+
+def test_tableau_sum_refuses_past_the_branching_limit(monkeypatch):
+    # the limit is met exactly at the counted steps, and each pair's series
+    # bound holds
+    point = (0, 2, 3, 7)
+    for lam in enumerate_in_box(4, 2):
+        steps = branching_steps(lam, point)
+        monkeypatch.setattr(schur, "_MAX_BRANCHING_STEPS", steps)
+        assert tableau_sum(lam, point) == tableau_oracle(lam, point)
+        monkeypatch.setattr(schur, "_MAX_BRANCHING_STEPS", steps - 1)
+        with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} in 4 letters "
+                                             f"would take \\d+ or more branching steps, over the "
+                                             f"limit of {steps - 1}$"):
+            tableau_sum(lam, point)
+        monkeypatch.undo()
+
+
+def test_budgets_accept_many_tableaux_of_little_work():
+    # 1,313,400 tableaux, but at most 4 shapes a level and series of 592 terms
+    assert tableau_sum((1, 1, 1), tuple(range(200))) == qbinomial(200, 3).shift(3)
+    # about 1.6 * 10**7 tableaux, but a 10-row alternant and a quotient of 136 terms
+    assert bialternant((5, 5, 5), tuple(range(10))) == principal_product((5, 5, 5), 10)
+    # a single row in 2 letters has as many terms as tableaux
+    for route in (bialternant, tableau_sum):
+        with pytest.raises(ValueError, match="over the limit of 10000000$"):
+            route((99999999999,), (0, 1))
+
+
+def test_watermelon_genfunc_does_not_pay_for_the_branching_limit(monkeypatch):
     want = watermelon_genfunc(3, 2, 1)
-    monkeypatch.setattr(schur, "_MAX_TABLEAUX", 0)
+    monkeypatch.setattr(schur, "_MAX_BRANCHING_STEPS", 0)
     with pytest.raises(ValueError):
         tableau_sum((1,), (0, 1))
     assert watermelon_genfunc(3, 2, 1) == want
 
 
-def test_tableau_budget_skips_pairs_of_zero_parts():
-    # Weyl's product over all pairs of 10**5 letters has 5 * 10**9 factors;
-    # the check takes one step per letter here and stops at the first
-    # partial count over the limit
-    schur._require_tableau_budget((1,), 10**5)
-    with pytest.raises(ValueError, match="^shape \\(2,\\) has at least 1000405 tableaux "
-                                         "in 100000 letters"):
-        schur._require_tableau_budget((2,), 10**5)
+def test_branching_limit_stops_at_the_first_level_over_it():
+    # the full count over 10**5 letters would be about 5 * 10**9 steps; the
+    # check stops at the first level past the limit, about 4,500 levels down
+    with pytest.raises(ValueError, match="^shape \\(1,\\) in 100000 letters would take"):
+        tableau_sum((1,), tuple(range(10**5)))
