@@ -6,13 +6,9 @@ serialized polynomials.  A report never asserts; callers decide what a
 failed equality means.  All checks are exact, no floating point anywhere.
 
 The identities share the two sides of the Binet-Cauchy formula for Schur
-functions: _schur_pairing, the box sum of S_lam(q^a) S_lam(q^b), and
-_cauchy_det, the geometric-entry determinant over both Vandermondes.  The
-pairing takes every numerator alternant of the box as a maximal minor of
-one monomial matrix per side, all computed at once and packed as ints,
-sums their products as ints, unpacks once and makes one exact division
-per call; its divisor is the alternant of delta, so it shares no code
-with the Vandermonde products the determinant side divides by.
+functions: schur._schur_pairing, the box sum of S_lam(q^a) S_lam(q^b)
+divided by its own alternants of delta, and _cauchy_det, the
+geometric-entry determinant over both Vandermondes.
 """
 
 from __future__ import annotations
@@ -21,19 +17,9 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from math import comb, factorial
 from typing import Sequence
 
-from .laurent import (
-    LaurentPoly,
-    NotDivisible,
-    PolyMatrix,
-    _canonical,
-    _unpack,
-    det_fraction_free,
-    geometric_sum,
-    vandermonde,
-)
+from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, geometric_sum, vandermonde
 from .partitions import check_int, check_partition, strip
 from .paths import (
     closed_genfunc,
@@ -43,14 +29,7 @@ from .paths import (
     watermelon_genfunc,
 )
 from .qanalogs import qbinomial
-from .schur import (
-    DegeneratePoint,
-    _alternant,
-    _maximal_minors,
-    _require_distinct,
-    bialternant,
-    principal_product,
-)
+from .schur import DegeneratePoint, _schur_pairing, bialternant, principal_product
 from .tableaux import count_ssyt
 
 
@@ -107,60 +86,6 @@ def _checked_point(point: Sequence[int], size: int, label: str) -> tuple[int, ..
     if len(set(exps)) != len(exps):
         raise DegeneratePoint(f"{label} has repeated exponents: {exps}")
     return exps
-
-
-def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
-    """Sum of S_lam(q^a) S_lam(q^b) over lam inside the m**len(a) box.
-
-    By the bialternant formula S_lam(q^a) = A_{lam+delta}(q^a) / A_delta(q^a)
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3), and the
-    denominator does not depend on lam.  So the products of the numerator
-    alternants are summed over the box and divided once, exactly, by
-    A_delta(q^a) A_delta(q^b).  delta has len(a) parts on the a side and
-    len(b) parts on the b side, where lam is padded with zeros.
-
-    Each numerator alternant is a maximal minor of one monomial matrix,
-    (q^(a_j c)) with c < m + len(a) on the a side: lam + delta is its
-    column set.  On the b side, with k = len(b) - len(a), the column set
-    is the a side's shifted up by k, plus 0..k-1.  ``_maximal_minors``
-    computes all of them at once as packed values at X = 2**(8W), so the
-    box sum is a sum of int products, unpacked once.  By the Leibniz
-    expansion each minor has coefficients of absolute sum at most
-    len(a)! or len(b)!, so every coefficient of the sum is at most
-    B = C(m + len(a), len(a)) len(a)! len(b)!; W is the least width with
-    2**(8W-1) > B, and this a-priori bound is the proof that the digits
-    are the coefficients.  The minors list their columns in increasing
-    order and the alternants in decreasing order, which costs the sign
-    (-1)**(n(n-1)/2) per side of n rows.
-
-    The divisor is built from the alternant of delta, although up to sign
-    it is vandermonde(a) * vandermonde(b): _cauchy_det divides by those,
-    and the two sides of Binet-Cauchy must not share that code.  The
-    division is the exactness check: a remainder would mean corrupted
-    arithmetic and raises RuntimeError.  A repeated exponent in a or in b
-    raises DegeneratePoint.  Needs len(a) <= len(b).
-    """
-    _require_distinct(a)
-    _require_distinct(b)
-    na, nb = len(a), len(b)
-    k = nb - na
-    if not na:
-        return LaurentPoly.one()  # the box of no rows holds only the empty shape
-    bound = comb(m + na, na) * factorial(na) * factorial(nb)
-    width = bound.bit_length() // 8 + 1
-    low_a, minors_a = _maximal_minors(a, m + na, width)
-    low_b, minors_b = _maximal_minors(b, m + nb, width, fixed=k)
-    below = (1 << k) - 1
-    value = sum(minor * minors_b[(cols << k) | below] for cols, minor in minors_a.items())
-    span = (m + na - 1) * sum(map(abs, a)) + (m + nb - 1) * sum(map(abs, b))
-    low = low_a + low_b
-    sign = (-1) ** ((na * (na - 1) + nb * (nb - 1)) // 2)
-    total = _canonical({low + e: sign * c
-                        for e, c in enumerate(_unpack(value, span + 1, width)) if c})
-    try:
-        return total.exact_div(_alternant(a, ()) * _alternant(b, ()))
-    except NotDivisible as exc:
-        raise RuntimeError("Schur pairing lost exactness") from exc
 
 
 def _cauchy_det(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:

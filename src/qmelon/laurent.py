@@ -150,6 +150,11 @@ def _unpack(value: int, digits: int, width: int) -> list[int]:
             for i in range(0, digits * width, width)]
 
 
+def _unpack_poly(value: int, low: int, digits: int, width: int) -> "LaurentPoly":
+    """The polynomial sum_k c_k * q**(low + k), c_k the ``_unpack`` digits of value."""
+    return _canonical({low + k: c for k, c in enumerate(_unpack(value, digits, width)) if c})
+
+
 def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly":
     """Product of two nonzero term dicts by one big-integer multiplication."""
     low_a, ca = _dense(a)
@@ -159,9 +164,7 @@ def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly":
             + min(len(a), len(b)).bit_length())
     width = bits // 8 + 1
     digits = len(ca) + len(cb) - 1
-    coeffs = _unpack(_pack(ca, width) * _pack(cb, width), digits, width)
-    low = low_a + low_b
-    return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
+    return _unpack_poly(_pack(ca, width) * _pack(cb, width), low_a + low_b, digits, width)
 
 
 def _kronecker_div(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly | None":
@@ -191,15 +194,14 @@ def _kronecker_div(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly |
         if rem:
             return None
         try:
-            coeffs = _unpack(quot, digits, width)
+            q = _unpack_poly(quot, low_a - low_b, digits, width)
         except OverflowError:
             bits *= 2
             continue
         # bound on every coefficient of A - B*Q
-        bound = max_a + overlap * max_b * max(map(abs, coeffs))
+        bound = max_a + overlap * max_b * max(map(abs, q._terms.values()))
         if bound.bit_length() <= 8 * width:
-            low = low_a - low_b
-            return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
+            return q
         bits = max(bound.bit_length(), 2 * bits)
     return None
 
@@ -656,15 +658,13 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
                           for row, low in zip(a, lows)], _int_exact_div)
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
-    low = sum(lows)
-    coeffs = _unpack(value, span + 1, width)
-    return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
+    return _unpack_poly(value, sum(lows), span + 1, width)
 
 
 def _evaluate(terms: Mapping[int, int], low: int, width: int) -> int:
     """The value of q**(-low) * terms at q = 2**(8*width); every exponent is at least low."""
-    if not terms:
-        return 0
+    if len(terms) < 2:
+        return sum(c << (8 * width * (e - low)) for e, c in terms.items())
     val, coeffs = _dense(terms)
     return _pack(coeffs, width) << (8 * width * (val - low))
 

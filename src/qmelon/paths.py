@@ -38,8 +38,7 @@ disjoint nests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
@@ -193,23 +192,26 @@ def watermelon_genfunc(n: int, m: int, k: int = 0) -> LaurentPoly:
     return total.shift(m * n * (n - 1) // 2)
 
 
+def _hooks(n: int, m: int) -> list[int]:
+    """The hook lengths i + j - 1 of the cells of the m**n box."""
+    return [i + j - 1 for i in range(1, n + 1) for j in range(1, m + 1)]
+
+
 def closed_genfunc(n: int, l: int, m: int) -> LaurentPoly:
     """Box product form: prod over i<=n, j<=m of (1 - q^(l+i+j-1)) / (1 - q^(i+j-1))."""
     n, l, m = check_box(n, l, m)
-    hooks = [i + j - 1 for i in range(1, n + 1) for j in range(1, m + 1)]
+    hooks = _hooks(n, m)
     return q_ratio((l + h for h in hooks), hooks)
 
 
 def count_deviation(n: int, l: int, m: int) -> int:
     """Number of watermelons: prod over i<=n, j<=m of (l+i+j-1)/(i+j-1)."""
     n, l, m = check_box(n, l, m)
-    value = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            value *= Fraction(l + i + j - 1, i + j - 1)
-    if value.denominator != 1:
+    hooks = _hooks(n, m)
+    value, rem = divmod(prod(l + h for h in hooks), prod(hooks))
+    if rem:
         raise NonIntegral(f"count for ({n}, {l}, {m}) is not an integer")
-    return int(value)
+    return value
 
 
 def volume_offset(n: int, l: int) -> int:

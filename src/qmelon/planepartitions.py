@@ -37,7 +37,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Sequence
 
-from .laurent import LaurentPoly, _unpack
+from .laurent import LaurentPoly, _unpack_poly
 from .partitions import Partition, check_box, check_int, enumerate_in_box, strip
 from .paths import (
     Watermelon,
@@ -168,7 +168,7 @@ def zq(n: int, l: int, m: int) -> LaurentPoly:
         for s, t in steps:
             f[s] += f[t]
         f = [g << (w * width) for g, w in zip(f, weights)]
-    return LaurentPoly(dict(enumerate(_unpack(sum(f), digits, size))))
+    return _unpack_poly(sum(f), 0, digits, size)
 
 
 def _containment_steps(states: list[Partition], weights: list[int],

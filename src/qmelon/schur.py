@@ -16,29 +16,36 @@ exponents make the bialternant denominator vanish and are rejected with
 DegeneratePoint rather than handled by a limit.
 
 An alternant at a geometric point is a determinant of monomials,
-det(q**(a_j * e_k)).  Up to ``_LEIBNIZ_MAX_ROWS`` rows it is the Leibniz
-expansion, a signed sum of n! monomials collected into one term dict;
-above that, n! outgrows the polynomial work of fraction-free (Bareiss)
-elimination, which computes it instead.  ``bialternant`` and the divisor
-of the Schur pairing of ``identities`` build on this one alternant.  The
-pairing's numerators, the alternants of every shape in a box, are the
-maximal minors of one monomial matrix, which ``_maximal_minors`` computes
-all at once.
+det(q**(a_j * e_k)), so the alternants of all shapes at one point are the
+maximal minors of one monomial matrix.  ``_maximal_minors`` computes them
+with one dynamic program over column sets, packed as ints; it gives
+``bialternant`` both of its alternants up to ``_MINORS_MAX_ROWS`` rows,
+where fraction-free (Bareiss) elimination takes over, and
+``_schur_pairing`` every alternant of a box, its divisor included.
 
 ``bialternant`` refuses a quotient whose degree span passes
-``laurent._MAX_DENSE_COEFFS``, and ``tableau_sum`` a branching of more
+``laurent._MAX_DENSE_COEFFS`` and an alternant of more than
+``_MAX_ALTERNANT_WORK`` steps, and ``tableau_sum`` a branching of more
 than ``_MAX_BRANCHING_STEPS`` steps, before any polynomial is built.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import accumulate, permutations, product
-from math import prod
-from operator import getitem, sub
+from itertools import accumulate, product
+from math import comb, factorial, prod
+from operator import sub
 from typing import Callable, Sequence
 
-from .laurent import _MAX_DENSE_COEFFS, LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
+from .laurent import (
+    _MAX_DENSE_COEFFS,
+    LaurentPoly,
+    NotDivisible,
+    PolyMatrix,
+    _evaluate,
+    _unpack_poly,
+    det_fraction_free,
+    q_ratio,
+)
 from .partitions import Partition, check_partition, n_statistic, pad, strip
 from .qanalogs import h_complete, qbinomial
 
@@ -54,86 +61,132 @@ def _require_distinct(exponents: Sequence[int]) -> None:
         raise DegeneratePoint(f"exponents must be distinct: {tuple(exponents)}")
 
 
-# Alternants with at most this many rows use the Leibniz expansion.  One
-# alternant at a principal point, CPython 3.11: 6 rows take 0.3-0.5 ms by
-# Leibniz and 1.5-2.3 ms by Bareiss, 7 rows 4 ms and 5-7 ms, 8 rows 25-39 ms
-# and 8-22 ms.  At 7 rows the gain does not repay building the 5040-entry
-# permutation table in a one-shot call.
-_LEIBNIZ_MAX_ROWS = 6
+# Alternants with at most this many rows are one maximal minor, above it
+# Bareiss eliminations.  bialternant at (0, ..., n-1) for (2,1), (3,2,1) and
+# (5,5,5), CPython 3.11, minors time over Bareiss time: 0.30-0.54 from 6 to
+# 12 rows, 0.61-0.84 at 14 (0.33-0.46 s) and 1.02-1.18 at 15 (0.9-1.3 s).
+_MINORS_MAX_ROWS = 14
+
+# The most work of an alternant, about 3 s of CPython 3.11; see _alternant.
+_MAX_ALTERNANT_WORK = 10**10
 
 
-@cache
-def _signed_permutations(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Every permutation of range(n) with its sign; only n <= _LEIBNIZ_MAX_ROWS."""
-    out = []
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        out.append((-1 if inversions & 1 else 1, perm))
-    return tuple(out)
+def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tuple[int, int]:
+    """The alternant det(q**(a_j * e_k)), e = lam + delta, at q**a, packed.
 
-
-def _alternant(exponents: Sequence[int], lam: Sequence[int]) -> LaurentPoly:
-    """The alternant det(q**(a_j * e_k)), e = lam + delta, at the point q**a.
-
-    delta = (n-1, ..., 1, 0) with n = len(exponents), and lam is padded to
-    n parts (ValueError if it has more).  A repeated exponent gives 0.
+    delta = (n-1, ..., 1, 0), n = len(exponents); lam is padded to n parts
+    (ValueError if it has more).  Returns (low, value): value is q**(-low)
+    times the alternant, a polynomial, at q = 2**(8*width); the width must
+    hold n!, which bounds its coefficients.  A repeated exponent gives 0.
+    Up to ``_MINORS_MAX_ROWS`` rows it is one maximal minor, above that a
+    Bareiss elimination, and its work is predicted as their big-int steps
+    times the bytes of the packed value.
     """
     n = len(exponents)
-    powers = [part + n - 1 - k for k, part in enumerate(pad(lam, n))]
-    if n > _LEIBNIZ_MAX_ROWS:
-        return det_fraction_free(PolyMatrix(
-            [[LaurentPoly.q_power(x * e) for e in powers] for x in exponents]))
-    rows = [[x * e for e in powers] for x in exponents]
-    terms: dict[int, int] = {}
-    for sign, perm in _signed_permutations(n):
-        e = sum(map(getitem, rows, perm))
-        terms[e] = terms.get(e, 0) + sign
-    return LaurentPoly(terms)
+    columns = [part + k for k, part in enumerate(reversed(pad(lam, n)))]
+    span = (columns[-1] - columns[0]) * sum(map(abs, exponents)) if n else 0
+    low = sum(x * columns[0 if x >= 0 else -1] for x in exponents)
+    minor = n <= _MINORS_MAX_ROWS
+    # n * 2**(n-1) minor steps, or n**3 Bareiss steps of a product and a division,
+    # 31-47 times as slow per byte at 14-15 rows, at the width of n**n < 2**(n bits(n))
+    work = span * ((n << n >> 1) * width if minor else 32 * n**3 * (n * n.bit_length() // 8 + 1))
+    if work > _MAX_ALTERNANT_WORK:
+        raise ValueError(f"shape {strip(lam)} in {n} letters would take {work} alternant "
+                         f"steps, over the limit of {_MAX_ALTERNANT_WORK}")
+    if minor:
+        value = _maximal_minors(exponents, columns, width)[(1 << n) - 1]
+        # the minor lists its columns increasing, the alternant decreasing
+        return low, -value if n & 2 else value
+    det = det_fraction_free(PolyMatrix(
+        [[LaurentPoly.q_power(x * e) for e in reversed(columns)] for x in exponents]))
+    return low, _evaluate(dict(det.terms()), low, width)
 
 
-def _maximal_minors(exponents: Sequence[int], cols: int, width: int,
-                    fixed: int = 0) -> tuple[int, dict[int, int]]:
+def _maximal_minors(exponents: Sequence[int], columns: Sequence[int], width: int,
+                    fixed: int = 0) -> dict[int, int]:
     """Every maximal minor of the monomial matrix (q**(a_j * c)), packed.
 
-    The matrix has one row per exponent a_j and the columns c = 0..cols-1.
-    Row j is shifted by q**(-low_j), low_j = min(0, a_j * (cols - 1)), so
-    every entry is a polynomial, and the minors are returned as their
-    values at X = 2**(8*width), keyed by their column set as a bitmask,
-    with the columns in increasing order.  Only the column sets that
-    contain the columns 0..fixed-1 are computed.  The first value
-    returned is sum_j low_j, the exponent the minors were shifted by.
+    One row per exponent a_j, one column per c in the increasing
+    ``columns``; row j is shifted by q**(-low_j), low_j the least a_j * c.
+    The minors are values at X = 2**(8*width), keyed by their column
+    positions as a bitmask, the columns in increasing order; only the sets
+    that hold the first ``fixed`` positions are computed.
 
     One Laplace dynamic program over the rows: the state after r rows is
     a set T of r columns with the minor of those rows on T, and row r
-    extends it by each free column c, whose sign is (-1) to the number of
-    columns of T above c.  A state that holds more than n - fixed
-    columns from fixed on, n = len(exponents), cannot reach a wanted set
-    and is never built.  The
-    values are exact ints whatever the width; it only has to be the same
-    for every minor that is later combined with these.
+    extends it by each free column c, with the sign (-1) to the number of
+    columns of T above c.  No state holds more than n - fixed columns
+    past the fixed ones, n = len(exponents).  Any width gives exact ints,
+    as long as it is the one of every minor they are combined with.
     """
-    n = len(exponents)
-    free = n - fixed
+    cols = len(columns)
+    free = len(exponents) - fixed
     level = {0: 1}
-    low_sum = 0
     for x in exponents:
-        low = min(0, x * (cols - 1))
-        low_sum += low
-        shifts = [8 * width * (x * c - low) for c in range(cols)]
+        low = x * columns[0 if x >= 0 else -1]
+        # (bit, shift) per column, the highest column first
+        steps = [(1 << c, 8 * width * (x * columns[c] - low)) for c in reversed(range(cols))]
+        head = steps[cols - fixed:]
         nxt: dict[int, int] = {}
+        get = nxt.get
         for mask, value in level.items():
-            top = cols if (mask >> fixed).bit_count() < free else fixed
-            odd = (mask >> top).bit_count() & 1
-            for c in range(top - 1, -1, -1):
-                bit = 1 << c
+            if (mask >> fixed).bit_count() < free:
+                run, odd = steps, 0
+            else:
+                run, odd = head, (mask >> fixed).bit_count() & 1
+            for bit, shift in run:
                 if mask & bit:
                     odd ^= 1
-                    continue
-                term = -(value << shifts[c]) if odd else value << shifts[c]
-                key = mask | bit
-                nxt[key] = nxt.get(key, 0) + term
+                elif odd:
+                    nxt[mask | bit] = get(mask | bit, 0) - (value << shift)
+                else:
+                    nxt[mask | bit] = get(mask | bit, 0) + (value << shift)
         level = nxt
-    return low_sum, level
+    return level
+
+
+def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
+    """Sum of S_lam(q^a) S_lam(q^b) over lam inside the m**len(a) box.
+
+    By the bialternant formula S_lam(q^a) = A_{lam+delta}(q^a) / A_delta(q^a)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3), the box sum
+    of the numerator products is divided once by A_delta(q^a) A_delta(q^b),
+    lam padded to len(a) and len(b) parts.  Each alternant is a maximal
+    minor of (q^(a_j c)), c < m + len(a), on the columns lam + delta; on
+    the b side, k = len(b) - len(a), on those shifted up by k plus 0..k-1.
+    A minor's coefficients have absolute sum at most len(a)! or len(b)!
+    (Leibniz), so the box sum's are at most B = C(m + len(a), len(a))
+    len(a)! len(b)!, and packed at the least W with 2**(8W-1) > B its
+    digits are its coefficients.  Row shifts and column-order signs are
+    the same in the sum and the divisor, and cancel.  The divisor equals
+    vandermonde(a) * vandermonde(b) up to sign but is never built that
+    way: identities._cauchy_det divides by those.  A remainder means
+    corrupted arithmetic and raises RuntimeError; a repeated exponent
+    raises DegeneratePoint.  Needs len(a) <= len(b).
+    """
+    _require_distinct(a)
+    _require_distinct(b)
+    na, nb = len(a), len(b)
+    k = nb - na
+    if not na:
+        return LaurentPoly.one()  # the box of no rows holds only the empty shape
+    width = (comb(m + na, na) * factorial(na) * factorial(nb)).bit_length() // 8 + 1
+    minors_a = _maximal_minors(a, range(m + na), width)
+    minors_b = _maximal_minors(b, range(m + nb), width, fixed=k)
+    below = (1 << k) - 1
+    value = sum(minor * minors_b[(cols << k) | below] for cols, minor in minors_a.items())
+    span = (m + na - 1) * sum(map(abs, a)) + (m + nb - 1) * sum(map(abs, b))
+    total = _unpack_poly(value, 0, span + 1, width)
+    # a delta minor is q**(m |a_j|) for each negative a_j, shifted at column
+    # m + n - 1, times a polynomial of span (n-1) sum|a_j|: unpacked over that
+    delta = minors_a[(1 << na) - 1] * minors_b[(1 << nb) - 1]
+    low = m * sum(-x for x in (*a, *b) if x < 0)
+    delta_span = (na - 1) * sum(map(abs, a)) + (nb - 1) * sum(map(abs, b))
+    divisor = _unpack_poly(delta >> (8 * width * low), low, delta_span + 1, width)
+    try:
+        return total.exact_div(divisor)
+    except NotDivisible as exc:
+        raise RuntimeError("Schur pairing lost exactness") from exc
 
 
 def _require_quotient_span(lam: Sequence[int], exponents: Sequence[int]) -> None:
@@ -155,17 +208,33 @@ def _require_quotient_span(lam: Sequence[int], exponents: Sequence[int]) -> None
 def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     """Alternant ratio det(x_j**(lam_k + N - k)) / det(x_j**(N - k)) at x_j = q**a_j.
 
-    Both alternants come from ``_alternant`` (Leibniz up to
-    ``_LEIBNIZ_MAX_ROWS`` variables, Bareiss above) with the same column
-    order, so the value does not depend on any sign convention.  The
-    division is exact.  A quotient that would span more than
-    ``laurent._MAX_DENSE_COEFFS`` exponents raises ValueError before any
-    work.
+    Both alternants come from ``_alternant`` at one width, and the quotient
+    is one integer division.  S_lam(q**a) has a term q**e per tableau, so
+    its coefficients are at most S_lam(1, ..., 1) = prod over i < j of
+    (lam_i - lam_j + j - i) / (j - i) (Weyl); a width that holds that and
+    N! makes the quotient's digits its coefficients.  A remainder raises
+    RuntimeError; a quotient spanning more than ``laurent._MAX_DENSE_COEFFS``
+    exponents, or an alternant of more than ``_MAX_ALTERNANT_WORK`` steps,
+    raises ValueError before any work.
     """
     _require_distinct(exponents)
-    lam = check_partition(lam)
+    lam = strip(check_partition(lam))
     _require_quotient_span(lam, exponents)
-    return _alternant(exponents, lam).exact_div(_alternant(exponents, ()))
+    n = len(exponents)
+    full = pad(lam, n)
+    # a pair of zero parts adds a factor 1 to S_lam(1, ..., 1)
+    pairs = [(i, j) for i in range(len(lam)) for j in range(i + 1, n)]
+    dim = prod(full[i] - full[j] + j - i for i, j in pairs) // prod(j - i for i, j in pairs)
+    width = max(dim, factorial(n)).bit_length() // 8 + 1
+    low, top = _alternant(exponents, full, width)
+    low_delta, bottom = _alternant(exponents, (), width)
+    # strip the powers of X that divide each value, so the quotient is a polynomial
+    v, v_delta = (((x & -x).bit_length() - 1) // (8 * width) for x in (top, bottom))
+    quot, rem = divmod(top >> (8 * width * v), bottom >> (8 * width * v_delta))
+    if rem:
+        raise RuntimeError("bialternant lost exactness")
+    return _unpack_poly(quot, low + v - low_delta - v_delta,
+                        quot.bit_length() // (8 * width) + 1, width)
 
 
 def tableau_sum(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:

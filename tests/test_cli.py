@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -106,23 +107,11 @@ def test_schur_single_alg_runs_only_that_route(capsys, monkeypatch):
     assert out == "q + 2*q^2 + 2*q^3 + 2*q^4 + q^5\n"
 
 
-def test_schur_above_the_leibniz_cutoff(capsys, monkeypatch):
-    # 9 variables are past the cutoff, so the bialternant route uses
-    # Bareiss and never builds a table of 9! signed permutations
-    assert schur._LEIBNIZ_MAX_ROWS < 9
-    tables = []
-    original = schur._signed_permutations
-
-    def recorded(n):
-        tables.append(n)
-        return original(n)
-
-    monkeypatch.setattr(schur, "_signed_permutations", recorded)
+def test_schur_all_routes_at_9_variables(capsys):
     code, out, _ = run_main(capsys, "schur", "--shape", "[3,2,1]", "--vars", "9",
                             "--alg", "all")
     assert code == 0
     assert out.splitlines()[-1] == "verdict: OK"
-    assert tables == []
 
 
 def test_count_number(capsys):
@@ -198,6 +187,18 @@ def test_oversized_single_row_is_a_usage_error(capsys, alg, message):
     assert code == 2
     assert out == ""
     assert err == f"error: shape (99999999999,) in 2 letters {message}, over the limit of 10000000\n"
+
+
+def test_oversized_alternant_is_a_usage_error(capsys, monkeypatch):
+    # a quotient of 2000 terms, but a Bareiss alternant of 2000 rows: it is
+    # refused before the monomial matrix is built
+    monkeypatch.setattr(schur, "det_fraction_free", None)
+    code, out, err = run_main(capsys, "schur", "--shape", "[1]", "--vars", "2000",
+                              "--alg", "bialternant")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: shape \(1,\) in 2000 letters would take \d+ alternant steps, "
+                        r"over the limit of 10000000000\n", err)
 
 
 def test_oversized_zq_box_is_a_usage_error(capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from box_oracle import box_terms
-from qmelon import identities
+from qmelon import identities, schur
 from qmelon.laurent import LaurentPoly, NotDivisible
 from qmelon.partitions import enumerate_in_box
 from qmelon.identities import (
@@ -265,7 +265,7 @@ def pairing_inputs(draw):
     """Distinct exponents with negatives allowed and len(a) <= len(b).
 
     Either len(b) <= 4 and m <= 3, or len(b) = 7 and m <= 1: seven rows
-    take the divisor alternant past the Leibniz cutoff, onto Bareiss.
+    give minors of up to 7! terms and a width of up to four bytes.
     """
     exps = st.integers(min_value=-4, max_value=8)
     rows = draw(st.sampled_from([1, 2, 3, 4, 7]))
@@ -281,33 +281,38 @@ def pairing_inputs(draw):
 @example((2, (), (1, 2)))
 @example((1, (-4, -2, 0, 1, 3, 5, 8), (-3, -1, 0, 2, 4, 6, 7)))
 @example((1, (5, -3), (8, -4, 0, 2, 7, -1, 3)))
+@example((3, (-4, -3), (-2, -1, 5)))
 def test_schur_pairing_matches_per_lambda_oracle(case):
     m, a, b = case
-    assert identities._schur_pairing(m, a, b) == pairing_oracle(m, a, b)
+    assert schur._schur_pairing(m, a, b) == pairing_oracle(m, a, b)
 
 
 @pytest.mark.parametrize("a,b", [((1, 1), (0, 2)), ((0, 2), (3, 3)),
                                  ((-2,), (5, -1, 5)), ((4, 0, 4), (1, 2, 3))])
 def test_schur_pairing_rejects_repeated_exponent(a, b):
     with pytest.raises(DegeneratePoint):
-        identities._schur_pairing(2, a, b)
+        schur._schur_pairing(2, a, b)
 
 
 def test_schur_pairing_turns_a_corrupted_sum_into_an_error():
     # one digit of the packed sum off by one adds a monomial to the
-    # numerator, which the two-term divisor alternants cannot divide
-    real_unpack = identities._unpack
+    # numerator, which the two-term divisor alternants cannot divide; the
+    # divisor is unpacked second and is left as it is
+    real_unpack = schur._unpack_poly
+    calls = []
 
-    def corrupted(value, digits, width):
-        out = real_unpack(value, digits, width)
-        out[0] += 1
-        return out
+    def corrupted(value, low, digits, width):
+        calls.append(digits)
+        out = real_unpack(value, low, digits, width)
+        return out + LaurentPoly.q_power(low) if len(calls) == 1 else out
 
-    assert identities._schur_pairing(2, (0, 1), (1, 2)) == pairing_oracle(2, (0, 1), (1, 2))
-    with mock.patch.object(identities, "_unpack", corrupted):
+    assert schur._schur_pairing(2, (0, 1), (1, 2)) == pairing_oracle(2, (0, 1), (1, 2))
+    with mock.patch.object(schur, "_unpack_poly", corrupted):
         with pytest.raises(RuntimeError, match="^Schur pairing lost exactness$") as info:
-            identities._schur_pairing(2, (0, 1), (1, 2))
+            schur._schur_pairing(2, (0, 1), (1, 2))
     assert isinstance(info.value.__cause__, NotDivisible)
+    # the numerator spans (2 + 1) * 1 + (2 + 1) * 3 exponents, the divisor 1 + 3
+    assert calls == [13, 5]
 
 
 def test_run_cases_reports_an_oversized_zq_box_as_failed():

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 from box_oracle import box_terms
 
+from qmelon import paths
 from qmelon.cli import _melon_point_lists, main
 from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
 from qmelon.paths import (
+    NonIntegral,
     Watermelon,
     b_phase_points,
     c_phase_points,
@@ -204,6 +206,19 @@ def test_count_routes_agree(n, l, m):
     assert a == gv_count((l,) * n, n + m)
     assert a == genfunc_det_forms(n, l, m, form=2).eval_at_one()
     assert a == closed_genfunc(n, l, m).eval_at_one()
+
+
+@pytest.mark.parametrize("box", [(10, 7, 13), (30, 30, 30), (1, 10**6, 3)])
+def test_count_deviation_is_the_exact_int(box):
+    value = count_deviation(*box)
+    assert type(value) is int and value == count_oracle(*box)
+
+
+def test_count_deviation_raises_on_a_remainder(monkeypatch):
+    # (1 + 2) / 2 over a single hook of 2: the remainder is not dropped
+    monkeypatch.setattr(paths, "_hooks", lambda n, m: [2])
+    with pytest.raises(NonIntegral, match=r"^count for \(1, 1, 1\) is not an integer$"):
+        count_deviation(1, 1, 1)
 
 
 @pytest.mark.parametrize("box", [(-1, 2, 2), (2, -1, 2), (2, 2, -1)])

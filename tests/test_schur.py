@@ -168,9 +168,16 @@ def test_principal_product_rejects_short_alphabet():
         principal_product((1, 1, 1), 2)
 
 
+def alternant(exps, lam):
+    """schur._alternant unpacked, at the width that holds n!."""
+    width = math.factorial(len(exps)).bit_length() // 8 + 1
+    low, value = schur._alternant(exps, lam, width)
+    return laurent._unpack_poly(value, low, value.bit_length() // (8 * width) + 1, width)
+
+
 @st.composite
 def alternant_inputs(draw):
-    """A point, a partition with as many parts, and a Leibniz cutoff."""
+    """A point, a partition with as many parts, and a minors cutoff."""
     n = draw(st.integers(min_value=0, max_value=5))
     exps = draw(st.lists(st.integers(min_value=-5, max_value=9), min_size=n, max_size=n))
     parts = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))
@@ -184,18 +191,18 @@ def alternant_inputs(draw):
 @example(((3, 1, 3), (2, 1, 0), 6))
 def test_alternant_matches_permutation_expansion(case):
     # the cutoff is drawn on both sides of n, so each size runs through
-    # the Leibniz sum and through Bareiss; a repeated exponent gives 0
+    # the maximal minor and through Bareiss; a repeated exponent gives 0
     exps, lam, cutoff = case
     n = len(exps)
     rows = [[LaurentPoly.q_power(x * (part + n - 1 - k)) for k, part in enumerate(lam)]
             for x in exps]
-    with mock.patch.object(schur, "_LEIBNIZ_MAX_ROWS", cutoff):
-        assert schur._alternant(exps, lam) == perm_det(rows)
+    with mock.patch.object(schur, "_MINORS_MAX_ROWS", cutoff):
+        assert alternant(exps, lam) == perm_det(rows)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
-def test_bialternant_on_both_sides_of_the_leibniz_cutoff(monkeypatch, extra):
-    n = schur._LEIBNIZ_MAX_ROWS + extra
+def test_bialternant_on_both_sides_of_the_minors_cutoff(monkeypatch, extra):
+    n = schur._MINORS_MAX_ROWS + extra
     sizes = []
     original = schur.det_fraction_free
 
@@ -204,43 +211,51 @@ def test_bialternant_on_both_sides_of_the_leibniz_cutoff(monkeypatch, extra):
         return original(matrix)
 
     monkeypatch.setattr(schur, "det_fraction_free", counted)
-    point = tuple(range(n))
+    # centred on 0, the point has half the span of (0, ..., n-1); S_lam is
+    # homogeneous of degree |lam|, so shifting the point shifts the value
+    point = tuple(range(-(n // 2), n - n // 2))
     shapes = [(), (1,), (2, 1), (3, 2, 1)]
     for lam in shapes:
         value = bialternant(lam, point)
-        assert value == principal_product(lam, n) == tableau_sum(lam, point)
+        assert value == principal_product(lam, n).shift(-(n // 2) * weight(lam))
+        assert value == tableau_sum(lam, point)
     # Bareiss runs only above the cutoff, for both alternants of each shape
     assert sizes == [n] * (2 * len(shapes) * extra)
 
 
 @st.composite
 def minors_inputs(draw):
-    """Exponent rows with negatives, zeros and repeats, a column count and a fixed prefix."""
+    """Exponent rows with negatives, zeros and repeats, increasing columns with gaps
+    and negatives, and a fixed prefix."""
     n = draw(st.integers(min_value=0, max_value=4))
     exps = draw(st.lists(st.integers(min_value=-4, max_value=5), min_size=n, max_size=n))
     cols = n + draw(st.integers(min_value=0, max_value=3))
+    columns = draw(st.lists(st.integers(min_value=-3, max_value=9), min_size=cols,
+                            max_size=cols, unique=True))
     fixed = draw(st.integers(min_value=0, max_value=n))
-    return tuple(exps), cols, fixed
+    return tuple(exps), sorted(columns), fixed
 
 
 @settings(deadline=None, max_examples=150)
 @given(minors_inputs())
-@example(((0, -3, 0, 5), 7, 0))
-@example(((-4, 2, 0), 5, 2))
-@example(((), 2, 0))
+@example(((0, -3, 0, 5), [0, 1, 2, 3, 4, 5, 6], 0))
+@example(((-4, 2, 0), [-2, 0, 3, 4, 8], 2))
+@example(((2, -1), [1, 7], 0))
+@example(((), [0, 1], 0))
 def test_maximal_minors_match_permutation_expansion(case):
-    exps, cols, fixed = case
+    exps, columns, fixed = case
     n = len(exps)
     width = math.factorial(n).bit_length() // 8 + 1  # every coefficient is at most n!
-    low, minors = schur._maximal_minors(exps, cols, width, fixed)
-    assert low == sum(min(0, x * (cols - 1)) for x in exps)
-    span = (cols - 1) * sum(map(abs, exps))
-    wanted = [s for s in itertools.combinations(range(cols), n) if set(range(fixed)) <= set(s)]
+    minors = schur._maximal_minors(exps, columns, width, fixed)
+    low = sum(min((x * c for c in columns), default=0) for x in exps)
+    span = (columns[-1] - columns[0]) * sum(map(abs, exps)) if columns else 0
+    wanted = [s for s in itertools.combinations(range(len(columns)), n)
+              if set(range(fixed)) <= set(s)]
     assert sorted(minors) == sorted(sum(1 << c for c in s) for s in wanted)
-    for columns in wanted:
-        digits = laurent._unpack(minors[sum(1 << c for c in columns)], span + 1, width)
+    for positions in wanted:
+        digits = laurent._unpack(minors[sum(1 << c for c in positions)], span + 1, width)
         minor = LaurentPoly({low + e: c for e, c in enumerate(digits)})
-        rows = [[LaurentPoly.q_power(x * c) for c in columns] for x in exps]
+        rows = [[LaurentPoly.q_power(x * columns[c]) for c in positions] for x in exps]
         assert minor == perm_det(rows)
 
 
@@ -260,6 +275,68 @@ def test_bialternant_refuses_a_quotient_past_the_dense_limit(monkeypatch):
                                              f"limit of {span - 1}$"):
             bialternant(lam, point)
         monkeypatch.undo()
+
+
+def alternant_work(n, lam, exponents, minors):
+    """The work _alternant predicts, from the widths of its two routes."""
+    powers = [part + n - 1 - k for k, part in enumerate(lam + (0,) * (n - len(lam)))]
+    span = (max(powers) - min(powers)) * sum(map(abs, exponents))
+    if minors:
+        return n * 2 ** (n - 1) * (math.factorial(n).bit_length() // 8 + 1) * span
+    return 32 * n**3 * (n * n.bit_length() // 8 + 1) * span
+
+
+@pytest.mark.parametrize("cutoff", [0, 99])
+def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
+    # the limit is met exactly at the predicted work on both routes; one
+    # below it, the call is refused before any minor or matrix is built
+    monkeypatch.setattr(schur, "_MINORS_MAX_ROWS", cutoff)
+    for point in [(7, 0, 3, -2), (-1, 4, 2)]:
+        n = len(point)
+        for lam in enumerate_in_box(n, 2):
+            work = alternant_work(n, lam, point, cutoff > n)
+            rows = [[LaurentPoly.q_power(x * (part + n - 1 - k)) for k, part in enumerate(lam)]
+                    for x in point]
+            monkeypatch.setattr(schur, "_MAX_ALTERNANT_WORK", work)
+            assert alternant(point, lam) == perm_det(rows)
+            monkeypatch.setattr(schur, "_MAX_ALTERNANT_WORK", work - 1)
+            monkeypatch.setattr(schur, "_maximal_minors", None)
+            monkeypatch.setattr(schur, "det_fraction_free", None)
+            with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} in {n} "
+                                                 f"letters would take {work} alternant steps, "
+                                                 f"over the limit of {work - 1}$"):
+                alternant(point, lam)
+            monkeypatch.undo()
+            monkeypatch.setattr(schur, "_MINORS_MAX_ROWS", cutoff)
+
+
+def test_alternant_budget_accepts_the_measured_cases():
+    # 0.4 s and 1.3 s on Bareiss, and 10 ms on the minors
+    for lam, n in [((3, 2, 1), 14), ((2, 1), 16), ((5, 5, 5), 10)]:
+        assert bialternant(lam, tuple(range(n))) == principal_product(lam, n)
+
+
+@pytest.mark.parametrize("lam, n", [((1, 1, 1), 200), ((1,), 2000)])
+def test_alternant_budget_refuses_a_long_alphabet(lam, n):
+    # small quotients, but Bareiss on 200 or 2000 rows
+    with pytest.raises(ValueError, match=f"^shape {re.escape(str(lam))} in {n} letters would "
+                                         f"take \\d+ alternant steps, over the limit of "
+                                         f"10000000000$"):
+        bialternant(lam, tuple(range(n)))
+
+
+def test_bialternant_turns_a_remainder_into_an_error(monkeypatch):
+    # a numerator off by one in its lowest digit is no multiple of the
+    # delta minor
+    real_alternant = schur._alternant
+
+    def corrupted(exponents, lam, width):
+        low, value = real_alternant(exponents, lam, width)
+        return low, value + 1 if any(lam) else value
+
+    monkeypatch.setattr(schur, "_alternant", corrupted)
+    with pytest.raises(RuntimeError, match="^bialternant lost exactness$"):
+        bialternant((2, 1), (0, 1, 2))
 
 
 def branching_steps(lam, exponents):
