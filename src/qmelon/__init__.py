@@ -12,9 +12,7 @@ from .laurent import (
     NotDivisible,
     PolyMatrix,
     det_fraction_free,
-    geometric_sum,
     q_ratio,
-    vandermonde,
 )
 from .partitions import (
     check_partition,
@@ -73,7 +71,6 @@ __all__ = [
     "enumerate_ssyt",
     "enumerate_watermelons",
     "genfunc_det_forms",
-    "geometric_sum",
     "gradient_bijection",
     "gradient_bijection_inverse",
     "gv_count",
@@ -89,7 +86,6 @@ __all__ = [
     "q_ratio",
     "qbinomial",
     "tableau_sum",
-    "vandermonde",
     "watermelon_from_dict",
     "watermelon_genfunc",
     "weight",

@@ -7,8 +7,11 @@ failed equality means.  All checks are exact, no floating point anywhere.
 
 The identities share the two sides of the Binet-Cauchy formula for Schur
 functions: schur._schur_pairing, the box sum of S_lam(q^a) S_lam(q^b)
-divided by its own alternants of delta, and _cauchy_det, the
-geometric-entry determinant over both Vandermondes.
+from a minors dynamic program, divided by its own alternants of delta,
+and _cauchy_det, the geometric-entry determinant from Bareiss
+elimination, divided by the Vandermonde products multiplied out factor by
+factor.  Both sides are packed ints at X = 2**(8W) and share only their
+last step, laurent._packed_quotient, which proves the quotient it returns.
 """
 
 from __future__ import annotations
@@ -17,9 +20,18 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from math import factorial
 from typing import Sequence
 
-from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, geometric_sum, vandermonde
+from .laurent import (
+    LaurentPoly,
+    NotDivisible,
+    PolyMatrix,
+    _bareiss,
+    _int_exact_div,
+    _packed_quotient,
+    det_fraction_free,
+)
 from .partitions import check_int, check_partition, strip
 from .paths import (
     closed_genfunc,
@@ -92,14 +104,57 @@ def _cauchy_det(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     """Geometric-entry determinant over both Vandermondes, k = len(b) - len(a).
 
     The first k rows are the monomial rows (q^{b_j s})_j for s = 0..k-1;
-    row i after them is (sum_{t<m+len(b)} q^{(a_i+b_j)t})_j.  The quotient
-    by V(a) V(b) is shifted by -k * sum(a).
+    row i after them is (sum_{t<c} q^{(a_i+b_j)t})_j, c = m + len(b).  The
+    quotient by V(a) V(b) is shifted by -k * sum(a).
+
+    Everything is an int at X = 2**(8W), as in ``det_fraction_free``:
+    row r is multiplied by q**(-L_r), L_r its least exponent, so a monomial
+    is a shift and a geometric sum of step d is c digits 1 spaced |d|
+    apart, shifted by (c - 1) * min(d, 0) - L_r.  Bareiss runs on those
+    ints.  By Leibniz the shifted determinant's coefficients are at most
+    len(b)! c**len(a), which fixes W.  Each factor q^{a_l} - q^{a_j}, j < l,
+    is q**min * (q**|a_l - a_j| - 1) up to its sign, so V(a) V(b) packs as
+    a product of ints X**d - 1, whose coefficients have absolute sum at
+    most len(a)! len(b)! (Leibniz again).  The determinant is divided by
+    it with ``laurent._packed_quotient``, proven from those two bounds.  A
+    remainder means corrupted arithmetic and raises RuntimeError.
     """
-    k = len(b) - len(a)
-    rows = [[LaurentPoly.q_power(y * s) for y in b] for s in range(k)]
-    rows += [[geometric_sum(x + y, m + len(b)) for y in b] for x in a]
-    det = det_fraction_free(PolyMatrix(rows))
-    return det.exact_div(vandermonde(a) * vandermonde(b)).shift(-k * sum(a))
+    na, nb = len(a), len(b)
+    k, count = nb - na, m + nb
+    if not nb:
+        return LaurentPoly.one()
+    norm = factorial(na) * factorial(nb)
+    bound = factorial(nb) * count**na
+    width = bound.bit_length() // 8 + 1
+    unit = 8 * width
+    low_b = min(b)
+    rows = [[1 << unit * s * (y - low_b) for y in b] for s in range(k)]
+    shift = low_b * k * (k - 1) // 2
+    for x in a:
+        row_low = (count - 1) * min(0, x + low_b)
+        shift += row_low
+        rows.append([_geometric(x + y, count, width)
+                     << unit * ((count - 1) * min(0, x + y) - row_low) for y in b])
+    sign, divisor = 1, 1
+    for point in (a, b):
+        for l, y in enumerate(point):
+            for x in point[:l]:
+                shift -= min(x, y)
+                if y < x:
+                    sign = -sign
+                divisor *= (1 << unit * abs(y - x)) - 1
+    try:
+        det = _bareiss(rows, _int_exact_div)
+        return _packed_quotient(sign * det, divisor, shift - k * sum(a), width, bound, norm)
+    except NotDivisible as exc:
+        raise RuntimeError("Cauchy determinant lost exactness") from exc
+
+
+def _geometric(step: int, count: int, width: int) -> int:
+    """sum X**(|step| t) over t < count at X = 2**(8*width), read off its bytes."""
+    if not step:
+        return count
+    return int.from_bytes((b"\x01" + bytes(abs(step) * width - 1)) * count, "little")
 
 
 def verify_binet_cauchy(n: int, m: int, a: Sequence[int], b: Sequence[int]) -> IdentityReport:

@@ -44,6 +44,12 @@ row spans, because W is chosen with 2**(8*W-1) above
 B = prod_i sum_j |a_ij|_1, a bound on every coefficient of the shifted
 determinant.  Matrices whose packed determinant, W * S bytes, reaches
 ``_PACKED_DET_MAX_BYTES`` run the same elimination on LaurentPoly entries.
+
+Callers that already hold two polynomials packed at one width divide them
+with ``_packed_quotient``: one ``divmod``, and only the quotient is
+unpacked.  It is kept when the width bounds it a priori or when the proof
+of ``_kronecker_div`` holds at that width; otherwise both operands are
+unpacked once and divided by :meth:`LaurentPoly.exact_div`.
 """
 
 from __future__ import annotations
@@ -153,6 +159,40 @@ def _unpack(value: int, digits: int, width: int) -> list[int]:
 def _unpack_poly(value: int, low: int, digits: int, width: int) -> "LaurentPoly":
     """The polynomial sum_k c_k * q**(low + k), c_k the ``_unpack`` digits of value."""
     return _canonical({low + k: c for k, c in enumerate(_unpack(value, digits, width)) if c})
+
+
+def _packed_quotient(num: int, den: int, low: int, width: int,
+                     num_max: int | None = None, den_norm: int = 0) -> "LaurentPoly":
+    """The exact quotient A / B of two packed polynomials, unpacked once.
+
+    num = A(X) and den = B(X) at X = 2**(8*width), every coefficient of A
+    and of B in [-X/2, X/2); the quotient's digit 0 is the exponent low.
+    The powers of X that divide each are stripped, so the quotient is a
+    polynomial, and one divmod gives Q(X); a remainder raises NotDivisible.
+    Q's digits are its coefficients when the caller's width bounds them a
+    priori (num_max None).  Otherwise Q is proven after the fact, as in
+    ``_kronecker_div``: P = A - B*Q vanishes at X, and each coefficient of
+    P is at most num_max + den_norm * max|Q|, num_max bounding those of A
+    and den_norm the absolute sum of those of B; below X, that forces
+    P = 0.  When that bound is not below X, A and B are unpacked and
+    divided by ``LaurentPoly.exact_div``, which proves its own quotient.
+    """
+    if not num:
+        return _ZERO
+    unit = 8 * width
+    v_num, v_den = (((x & -x).bit_length() - 1) // unit for x in (num, den))
+    num >>= unit * v_num
+    den >>= unit * v_den
+    quot, rem = divmod(num, den)
+    if rem:
+        raise NotDivisible("remainder in packed division")
+    low += v_num - v_den
+    q = _unpack_poly(quot, low, quot.bit_length() // unit + 1, width)
+    if num_max is None or (num_max + den_norm * max(map(abs, q._terms.values()))
+                           ).bit_length() <= unit:
+        return q
+    return _unpack_poly(num, low + v_den, num.bit_length() // unit + 1, width).exact_div(
+        _unpack_poly(den, v_den, den.bit_length() // unit + 1, width))
 
 
 def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly":
@@ -475,17 +515,6 @@ _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
 
 
-def geometric_sum(step: int, count: int) -> LaurentPoly:
-    """1 + q**step + q**(2*step) + ... with `count` terms, exact for any step."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    terms: dict[int, int] = {}
-    for t in range(count):
-        e = t * step
-        terms[e] = terms.get(e, 0) + 1
-    return LaurentPoly(terms)
-
-
 def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> LaurentPoly:
     """prod (1 - q**a) over num_exponents divided by prod (1 - q**b) over den_exponents.
 
@@ -703,16 +732,3 @@ def _bareiss(a: list[list], exact_div: Callable) -> object:
         prev = pivot
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
-
-
-def vandermonde(exponents: Sequence[int]) -> LaurentPoly:
-    """prod over m < l of (q**a_l - q**a_m) for the geometric point q**a.
-
-    Empty and singleton tuples give 1; a repeated exponent gives 0.
-    """
-    result = _ONE
-    a = list(exponents)
-    for l in range(len(a)):
-        for m_ in range(l):
-            result = result * (LaurentPoly.q_power(a[l]) - LaurentPoly.q_power(a[m_]))
-    return result

@@ -42,7 +42,7 @@ from .laurent import (
     NotDivisible,
     PolyMatrix,
     _evaluate,
-    _unpack_poly,
+    _packed_quotient,
     det_fraction_free,
     q_ratio,
 )
@@ -158,11 +158,13 @@ def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     (Leibniz), so the box sum's are at most B = C(m + len(a), len(a))
     len(a)! len(b)!, and packed at the least W with 2**(8W-1) > B its
     digits are its coefficients.  Row shifts and column-order signs are
-    the same in the sum and the divisor, and cancel.  The divisor equals
-    vandermonde(a) * vandermonde(b) up to sign but is never built that
-    way: identities._cauchy_det divides by those.  A remainder means
-    corrupted arithmetic and raises RuntimeError; a repeated exponent
-    raises DegeneratePoint.  Needs len(a) <= len(b).
+    the same in the sum and the divisor, and cancel.  The packed sum is
+    divided by the packed product of the two delta minors at that width
+    (``laurent._packed_quotient``), and the quotient is proven from B and
+    the divisor's absolute sum, at most len(a)! len(b)!; a quotient too
+    large for that proof is divided again by ``LaurentPoly.exact_div``.
+    A remainder means corrupted arithmetic and raises RuntimeError; a
+    repeated exponent raises DegeneratePoint.  Needs len(a) <= len(b).
     """
     _require_distinct(a)
     _require_distinct(b)
@@ -170,21 +172,16 @@ def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     k = nb - na
     if not na:
         return LaurentPoly.one()  # the box of no rows holds only the empty shape
-    width = (comb(m + na, na) * factorial(na) * factorial(nb)).bit_length() // 8 + 1
+    norm = factorial(na) * factorial(nb)
+    bound = comb(m + na, na) * norm
+    width = bound.bit_length() // 8 + 1
     minors_a = _maximal_minors(a, range(m + na), width)
     minors_b = _maximal_minors(b, range(m + nb), width, fixed=k)
     below = (1 << k) - 1
     value = sum(minor * minors_b[(cols << k) | below] for cols, minor in minors_a.items())
-    span = (m + na - 1) * sum(map(abs, a)) + (m + nb - 1) * sum(map(abs, b))
-    total = _unpack_poly(value, 0, span + 1, width)
-    # a delta minor is q**(m |a_j|) for each negative a_j, shifted at column
-    # m + n - 1, times a polynomial of span (n-1) sum|a_j|: unpacked over that
     delta = minors_a[(1 << na) - 1] * minors_b[(1 << nb) - 1]
-    low = m * sum(-x for x in (*a, *b) if x < 0)
-    delta_span = (na - 1) * sum(map(abs, a)) + (nb - 1) * sum(map(abs, b))
-    divisor = _unpack_poly(delta >> (8 * width * low), low, delta_span + 1, width)
     try:
-        return total.exact_div(divisor)
+        return _packed_quotient(value, delta, 0, width, bound, norm)
     except NotDivisible as exc:
         raise RuntimeError("Schur pairing lost exactness") from exc
 
@@ -228,13 +225,10 @@ def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     width = max(dim, factorial(n)).bit_length() // 8 + 1
     low, top = _alternant(exponents, full, width)
     low_delta, bottom = _alternant(exponents, (), width)
-    # strip the powers of X that divide each value, so the quotient is a polynomial
-    v, v_delta = (((x & -x).bit_length() - 1) // (8 * width) for x in (top, bottom))
-    quot, rem = divmod(top >> (8 * width * v), bottom >> (8 * width * v_delta))
-    if rem:
-        raise RuntimeError("bialternant lost exactness")
-    return _unpack_poly(quot, low + v - low_delta - v_delta,
-                        quot.bit_length() // (8 * width) + 1, width)
+    try:
+        return _packed_quotient(top, bottom, low - low_delta, width)
+    except NotDivisible as exc:
+        raise RuntimeError("bialternant lost exactness") from exc
 
 
 def tableau_sum(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:

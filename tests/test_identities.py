@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from box_oracle import box_terms
-from qmelon import identities, schur
+from cauchy_oracle import cauchy_det
+from qmelon import identities, laurent, schur
 from qmelon.laurent import LaurentPoly, NotDivisible
 from qmelon.partitions import enumerate_in_box
 from qmelon.identities import (
@@ -25,6 +26,7 @@ from qmelon.identities import (
     verify_zq_equals_w,
 )
 from qmelon.schur import DegeneratePoint, bialternant
+from test_laurent import exact_div_spy
 
 
 def test_binet_cauchy_trivial_point():
@@ -275,16 +277,27 @@ def pairing_inputs(draw):
 
 
 @settings(deadline=None, max_examples=100)
-@given(pairing_inputs())
-@example((3, (-1, 1), (2, 3, 7)))
-@example((3, (-1, 1, 4), (2, 3, 7)))
-@example((2, (), (1, 2)))
-@example((1, (-4, -2, 0, 1, 3, 5, 8), (-3, -1, 0, 2, 4, 6, 7)))
-@example((1, (5, -3), (8, -4, 0, 2, 7, -1, 3)))
-@example((3, (-4, -3), (-2, -1, 5)))
-def test_schur_pairing_matches_per_lambda_oracle(case):
+@given(pairing_inputs(), st.booleans())
+@example((3, (-1, 1), (2, 3, 7)), False)
+@example((3, (-1, 1), (2, 3, 7)), True)
+@example((3, (-1, 1, 4), (2, 3, 7)), False)
+@example((2, (), (1, 2)), True)
+@example((1, (-4, -2, 0, 1, 3, 5, 8), (-3, -1, 0, 2, 4, 6, 7)), False)
+@example((1, (5, -3), (8, -4, 0, 2, 7, -1, 3)), False)
+@example((3, (-4, -3), (-2, -1, 5)), False)
+@example((3, (-4, -3), (-2, -1, 5)), True)
+def test_schur_pairing_matches_per_lambda_oracle(case, forced):
+    # forced: the quotient proof is made to fail, so the fallback divides
     m, a, b = case
-    assert schur._schur_pairing(m, a, b) == pairing_oracle(m, a, b)
+    expected = pairing_oracle(m, a, b)
+    if not forced:
+        assert schur._schur_pairing(m, a, b) == expected
+        return
+    patch, widths = unproven(schur)
+    spy, divisions = exact_div_spy()
+    with patch, spy:
+        assert schur._schur_pairing(m, a, b) == expected
+    assert len(widths) == len(divisions) == (1 if a else 0)
 
 
 @pytest.mark.parametrize("a,b", [((1, 1), (0, 2)), ((0, 2), (3, 3)),
@@ -294,25 +307,147 @@ def test_schur_pairing_rejects_repeated_exponent(a, b):
         schur._schur_pairing(2, a, b)
 
 
-def test_schur_pairing_turns_a_corrupted_sum_into_an_error():
-    # one digit of the packed sum off by one adds a monomial to the
-    # numerator, which the two-term divisor alternants cannot divide; the
-    # divisor is unpacked second and is left as it is
-    real_unpack = schur._unpack_poly
-    calls = []
+def unproven(module):
+    """Patch module's packed division so that its quotient proof always fails.
 
-    def corrupted(value, low, digits, width):
-        calls.append(digits)
-        out = real_unpack(value, low, digits, width)
-        return out + LaurentPoly.q_power(low) if len(calls) == 1 else out
+    A numerator bound of X leaves no room for the proof, so every quotient
+    goes to the fallback division; returns the patch and the list of the
+    widths it was called at.
+    """
+    real = laurent._packed_quotient
+    widths = []
+
+    def forced(num, den, low, width, num_max, den_norm):
+        widths.append(width)
+        return real(num, den, low, width, 1 << 8 * width, den_norm)
+
+    return mock.patch.object(module, "_packed_quotient", forced), widths
+
+
+def test_schur_pairing_turns_a_corrupted_sum_into_an_error():
+    # one off in the lowest digit of the packed box sum adds a constant to
+    # the numerator, which the product of the two delta minors cannot divide
+    real = laurent._packed_quotient
+    sums = []
+
+    def corrupted(num, den, *args):
+        sums.append(num)
+        return real(num + 1, den, *args)
 
     assert schur._schur_pairing(2, (0, 1), (1, 2)) == pairing_oracle(2, (0, 1), (1, 2))
-    with mock.patch.object(schur, "_unpack_poly", corrupted):
+    with mock.patch.object(schur, "_packed_quotient", corrupted):
         with pytest.raises(RuntimeError, match="^Schur pairing lost exactness$") as info:
             schur._schur_pairing(2, (0, 1), (1, 2))
     assert isinstance(info.value.__cause__, NotDivisible)
-    # the numerator spans (2 + 1) * 1 + (2 + 1) * 3 exponents, the divisor 1 + 3
-    assert calls == [13, 5]
+    assert len(sums) == 1
+
+
+def test_schur_pairing_corrupted_on_the_fallback_route_is_an_error():
+    # with the proof forced to fail the sum is unpacked and long-divided;
+    # one more in its lowest coefficient leaves a remainder there too
+    real_unpack = laurent._unpack_poly
+    patch, widths = unproven(schur)
+    unpacked = []
+
+    def corrupted(value, low, digits, width):
+        unpacked.append(digits)
+        out = real_unpack(value, low, digits, width)
+        # the quotient is unpacked first, then the numerator, then the divisor
+        return out + LaurentPoly.q_power(low) if len(unpacked) == 2 else out
+
+    with patch, mock.patch.object(laurent, "_unpack_poly", corrupted):
+        with pytest.raises(RuntimeError, match="^Schur pairing lost exactness$") as info:
+            schur._schur_pairing(2, (0, 1), (1, 2))
+    assert isinstance(info.value.__cause__, NotDivisible)
+    assert widths == [1] and len(unpacked) == 3
+
+
+@st.composite
+def cauchy_inputs(draw):
+    """(m, a, b) with 0 <= len(a) <= len(b) <= 4 and m <= 4, distinct exponents.
+
+    Negative exponents and a_i + b_j = 0 are allowed, as in the deviation
+    identity; k = len(b) - len(a) runs from 0 to len(b).
+    """
+    exps = st.integers(min_value=-4, max_value=6)
+    b = draw(st.lists(exps, max_size=4, unique=True))
+    a = draw(st.lists(exps, max_size=len(b), unique=True))
+    return draw(st.integers(min_value=0, max_value=4)), tuple(a), tuple(b)
+
+
+@settings(deadline=None, max_examples=150)
+@given(cauchy_inputs(), st.booleans())
+@example((0, (), ()), False)
+@example((2, (-1, 1), (1, 2)), False)        # a_1 + b_1 = 0
+@example((3, (-4,), (-3, 4, 0)), False)       # k = 2, negative steps
+@example((4, (-4, -3, 5, 6), (-2, 4, 3, -1)), False)
+@example((4, (-4, -3, 5, 6), (-2, 4, 3, -1)), True)
+@example((1, (), (5, -4, 0, 2)), True)       # full deviation: monomial rows only
+def test_cauchy_det_matches_laurent_oracle(case, forced):
+    m, a, b = case
+    expected = cauchy_det(m, a, b)
+    if not forced:
+        assert identities._cauchy_det(m, a, b) == expected
+        return
+    patch, widths = unproven(identities)
+    spy, divisions = exact_div_spy()
+    with patch, spy:
+        assert identities._cauchy_det(m, a, b) == expected
+    assert len(widths) == len(divisions) == (1 if b else 0)
+
+
+def test_cauchy_det_takes_the_proven_route_on_the_golden_points():
+    points = [pair for pairs in GOLDEN_POINTS.values() for pair in pairs]
+    expected = [cauchy_det(2, a, b) for a, b in points]
+    spy, divisions = exact_div_spy()
+    with spy:
+        assert [identities._cauchy_det(2, a, b) for a, b in points] == expected
+    assert divisions == []
+
+
+@pytest.mark.parametrize("verify,n,m", [(verify_q_binet_cauchy, 5, 5), (verify_kuperberg, 7, 7)])
+def test_quotient_past_the_numerator_width_is_divided_again(verify, n, m):
+    # at these sizes the pairing (width 3) and the determinant side (width 5)
+    # have quotient coefficients of 24 and 50 bits: the one-width candidate
+    # carries, so only a sound proof sends it to the fallback, and a report
+    # against the other side (closed_genfunc for Kuperberg) catches one that
+    # does not
+    spy, divisions = exact_div_spy()
+    with spy:
+        report = verify(n, m)
+    assert report.equal
+    assert divisions
+
+
+def test_cauchy_det_turns_a_corrupted_entry_into_an_error():
+    # one more in the constant digit of one packed geometric entry changes
+    # the determinant by a cofactor, which is no multiple of V(a) V(b)
+    real = identities._geometric
+    entries = []
+
+    def corrupted(step, count, width):
+        entries.append(step)
+        value = real(step, count, width)
+        return value + 1 if len(entries) == 1 else value
+
+    assert identities._cauchy_det(2, (0, 1), (1, 2)) == cauchy_det(2, (0, 1), (1, 2))
+    with mock.patch.object(identities, "_geometric", corrupted):
+        with pytest.raises(RuntimeError, match="^Cauchy determinant lost exactness$") as info:
+            identities._cauchy_det(2, (0, 1), (1, 2))
+    assert isinstance(info.value.__cause__, NotDivisible)
+    assert entries == [1, 2, 2, 3]
+
+
+def test_cauchy_det_turns_a_corrupted_determinant_into_an_error():
+    real = identities._bareiss
+
+    def corrupted(rows, exact_div):
+        return real(rows, exact_div) + 1
+
+    with mock.patch.object(identities, "_bareiss", corrupted):
+        with pytest.raises(RuntimeError, match="^Cauchy determinant lost exactness$") as info:
+            identities._cauchy_det(3, (-1, 1, 4), (2, 3, 7))
+    assert isinstance(info.value.__cause__, NotDivisible)
 
 
 def test_run_cases_reports_an_oversized_zq_box_as_failed():

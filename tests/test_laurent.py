@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cauchy_oracle import geometric_sum, vandermonde
 from qmelon import laurent
 from qmelon.laurent import (
     LaurentPoly,
@@ -15,9 +16,7 @@ from qmelon.laurent import (
     _kronecker_div,
     _kronecker_mul,
     det_fraction_free,
-    geometric_sum,
     q_ratio,
-    vandermonde,
 )
 
 
@@ -218,6 +217,69 @@ def test_unpack_inverts_pack_at_every_width(case):
             assert laurent._unpack(laurent._pack(coeffs, width), len(coeffs), width) == coeffs
             with pytest.raises(OverflowError):
                 laurent._unpack(1 << (8 * width * len(coeffs)), len(coeffs), width)
+
+
+def exact_div_spy():
+    """A patch of LaurentPoly.exact_div that records each call; returns it and the record."""
+    real = LaurentPoly.exact_div
+    calls = []
+
+    def spy(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    return mock.patch.object(LaurentPoly, "exact_div", spy), calls
+
+
+def packed_at(terms: dict, low: int, width: int) -> int:
+    """terms at q = X = 2**(8*width) times X**(-low); every exponent is at least low."""
+    return sum(c << (8 * width * (e - low)) for e, c in terms.items())
+
+
+small_terms_st = st.dictionaries(st.integers(min_value=-6, max_value=6),
+                                 st.integers(min_value=-9, max_value=9), min_size=1,
+                                 max_size=6).map(lambda d: {e: c for e, c in d.items() if c})
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_terms_st, small_terms_st, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3))
+def test_packed_quotient_matches_long_division(p, r, pad_a, pad_b):
+    # powers of X below both operands are stripped; the width holds A and B,
+    # so the a-priori route, the proven route and its fallback all give p
+    assume(p and r)
+    a = naive_mul(p, r)
+    bound = max(map(abs, a.values()))
+    norm = sum(map(abs, r.values()))
+    width = max(bound, norm).bit_length() // 8 + 1
+    num = packed_at(a, min(a) - pad_a, width)
+    den = packed_at(r, min(r) - pad_b, width)
+    low = min(a) - pad_a - (min(r) - pad_b)
+    proven = bound + norm * max(map(abs, p.values())) < 1 << 8 * width
+    spy, slow = exact_div_spy()
+    with spy:
+        assert laurent._packed_quotient(num, den, low, width, bound, norm)._terms == p
+        assert bool(slow) != proven
+        if proven:
+            assert laurent._packed_quotient(num, den, low, width)._terms == p
+    if len(r) > 1:
+        with pytest.raises(NotDivisible):
+            laurent._packed_quotient(num + (1 << 8 * width * pad_a), den, low, width, bound, norm)
+
+
+def test_packed_quotient_proof_rejects_a_carried_digit():
+    # (1 - q)**2 times the tent (1 + ... + q**199)**2 is 1 - 2 q**200 + q**400:
+    # A and B fit in one byte, but the tent's middle coefficients, up to 200,
+    # carry into the next digit, so the one-byte candidate is wrong and only
+    # the proof keeps it out
+    tent = naive_mul({e: 1 for e in range(200)}, {e: 1 for e in range(200)})
+    num = packed_at({0: 1, 200: -2, 400: 1}, 0, 1)
+    den = packed_at({0: 1, 1: -2, 2: 1}, 0, 1)
+    assert laurent._packed_quotient(num, den, 0, 1)._terms != tent
+    spy, slow = exact_div_spy()
+    with spy:
+        assert laurent._packed_quotient(num, den, 0, 1, 2, 4)._terms == tent
+    assert len(slow) == 1
 
 
 def test_kronecker_div_packs_a_divisor_wider_than_the_dividend():
