@@ -12,6 +12,13 @@ and _cauchy_det, the geometric-entry determinant from Bareiss
 elimination, divided by the Vandermonde products multiplied out factor by
 factor.  Both sides are packed ints at X = 2**(8W) and share only their
 last step, laurent._packed_quotient, which proves the quotient it returns.
+
+The q-binomial determinant and the det forms of the watermelon suite come
+from laurent.det_fraction_free, which expands a large packed matrix of
+few rows by minors (laurent._minors_det).  That is a Laplace expansion
+like the pairing's schur._maximal_minors, but separate code: it takes
+arbitrary int entries in a row order by size and returns one determinant,
+where _maximal_minors shifts monomials and returns every maximal minor.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from math import factorial
 from typing import Sequence
 
 from .laurent import (
+    _MAX_DENSE_COEFFS,
     LaurentPoly,
     NotDivisible,
     PolyMatrix,
@@ -118,6 +126,14 @@ def _cauchy_det(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     most len(a)! len(b)! (Leibniz again).  The determinant is divided by
     it with ``laurent._packed_quotient``, proven from those two bounds.  A
     remainder means corrupted arithmetic and raises RuntimeError.
+
+    The shifted rows span (max(b) - min(b)) s digits for monomial row s and
+    (c - 1) (max(0, a_i + max(b)) - min(0, a_i + min(b))) for geometric row
+    i, and the determinant, every intermediate value of Bareiss and the
+    divisor (which divides the nonzero determinant) have at most their
+    sum plus one digit.  When those digits times W pass
+    ``laurent._MAX_DENSE_COEFFS`` bytes, ValueError is raised before any
+    entry is built.
     """
     na, nb = len(a), len(b)
     k, count = nb - na, m + nb
@@ -127,7 +143,12 @@ def _cauchy_det(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     bound = factorial(nb) * count**na
     width = bound.bit_length() // 8 + 1
     unit = 8 * width
-    low_b = min(b)
+    low_b, high_b = min(b), max(b)
+    size = width * ((high_b - low_b) * k * (k - 1) // 2 + 1 + (count - 1) * sum(
+        max(0, x + high_b) - min(0, x + low_b) for x in a))
+    if size > _MAX_DENSE_COEFFS:
+        raise ValueError(f"the Cauchy determinant of {count} terms at {tuple(a)} and {tuple(b)} "
+                         f"would pack {size} bytes, over the limit of {_MAX_DENSE_COEFFS}")
     rows = [[1 << unit * s * (y - low_b) for y in b] for s in range(k)]
     shift = low_b * k * (k - 1) // 2
     for x in a:

@@ -33,17 +33,21 @@ when the schoolbook's term pairs are at least ``_KRONECKER_CUTOFF`` times
 the dense span to pack; small or sparse operands keep the schoolbook
 multiplication and the long division.  :func:`q_ratio` decides
 exactness from cyclotomic factor counts before any arithmetic, then
-evaluates the ratio as a truncated dense power series.
+evaluates the lower half of the ratio as a truncated dense power series
+and mirrors it, the ratio being palindromic up to sign.
 
 :func:`det_fraction_free` applies the substitution once per matrix, not
 once per operation.  Each row is shifted by q**(-v_i) to polynomials, and
-every entry is evaluated at X = 2**(8*W).  Bareiss elimination then runs
-on plain ints, whose divisions are exact, and only the final integer is
-unpacked.  Its S + 1 digits are the determinant, S being the sum of the
-row spans, because W is chosen with 2**(8*W-1) above
+every entry is evaluated at X = 2**(8*W).  The determinant of those plain
+ints comes from Bareiss elimination, whose divisions are exact, or, for a
+matrix of at most ``_MINORS_DET_MAX_ROWS`` rows and large entries, from a
+division-free Laplace expansion over column sets; only the final integer
+is unpacked.  Its S + 1 digits are the determinant, S being the sum of
+the row spans, because W is chosen with 2**(8*W-1) above
 B = prod_i sum_j |a_ij|_1, a bound on every coefficient of the shifted
 determinant.  Matrices whose packed determinant, W * S bytes, reaches
-``_PACKED_DET_MAX_BYTES`` run the same elimination on LaurentPoly entries.
+``_PACKED_DET_MAX_BYTES`` are eliminated by Bareiss on LaurentPoly
+entries.
 
 Callers that already hold two polynomials packed at one width divide them
 with ``_packed_quotient``: one ``divmod``, and only the quotient is
@@ -85,12 +89,32 @@ _KRONECKER_CUTOFF = 8
 # divmod dominates.  Monomial alternants of 14 rows read 0.8-0.9 at 8-10 K.
 _PACKED_DET_MAX_BYTES = 12000
 
+# A packed matrix of at most _MINORS_DET_MAX_ROWS rows whose packed
+# determinant, W * S bytes, reaches _MINORS_DET_MIN_BYTES is expanded by
+# minors (_minors_det), any other one eliminated (_bareiss).  CPython 3.11,
+# minors time over Bareiss time on the packed matrices of genfunc_det_forms,
+# the q-binomial determinants and monomial alternants: 1.2-2.3 at 3 rows
+# and 1.0-1.8 at 4 and 5 rows below 250 bytes (the verify grid's are at
+# most 228), 0.6-1.1 from 350 to 510 bytes, 0.26-0.9 from 512 bytes up
+# to 6 rows (genfunc-boxes: 1.8 K to 5.4 K bytes, 4 to 6 rows), 0.1-1.2 at
+# 7 and 8 rows and 0.05-0.74 at 9 to 12 (the det forms up to (10, 3, 2)).
+# Dense matrices of small entries are the slow end, and they lose more with
+# every row, as the n * 2**(n-1) products of the expansion outgrow the
+# n**3 / 3 pivot steps: monomial alternants read 1.3 at 6 to 8 rows, 1.7
+# at 9, 2.7 at 10, 4.2 at 12 and 10 at 15 (1.1 K to 14 K bytes).
+_MINORS_DET_MAX_ROWS = 10
+_MINORS_DET_MIN_BYTES = 512
+
 # The most coefficients a dense list may hold: q_ratio's series and
 # qanalogs.qbinomial refuse a longer one before allocating it.  A list slot
 # is an 8-byte pointer, so 10**7 slots take 80 MB.  A multiplication step
-# of the series briefly holds three such lists (240 MB peak RSS) and takes
-# about a second with CPython 3.11, which bounds what one factor may cost;
-# closed_genfunc(40, 40, 40) needs 64,001 coefficients.
+# briefly holds three such lists (240 MB) and takes about a second with
+# CPython 3.11, which bounds what one factor may cost.  q_ratio's check
+# still counts the D + 1 coefficients of the polynomial it returns, though
+# its series computes only D // 2 + 1 of them and mirrors the rest, because
+# the returned polynomial holds them all: at the limit, q_ratio((10**7,),
+# (1,)) takes about 3 s and 740 MB peak RSS, nearly all of it for that
+# polynomial's dict.  closed_genfunc(40, 40, 40) needs 64,001 coefficients.
 _MAX_DENSE_COEFFS = 10**7
 
 # struct codes of the native signed C integers, by their size in bytes.  A
@@ -534,11 +558,17 @@ def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> Laure
     The ratio is then evaluated in t = q**g, where g is the gcd of the
     exponents left once a negative exponent is turned positive by
     1 - q**(-a) = -q**(-a) * (1 - q**a) and equal factors cancel.  It is
-    a polynomial of degree D = (sum a - sum b) / g in t, evaluated modulo
-    t**(D + 1), which is exact: a list of D + 1 coefficients is multiplied
-    by each (1 - t**a) in place and divided by each (1 - t**b) as a
-    strided prefix sum.  When D + 1 exceeds ``_MAX_DENSE_COEFFS`` the
-    ratio raises ValueError before the list is built.
+    a polynomial R of degree D = (sum a - sum b) / g in t.  Since
+    t**a * (1 - t**(-a)) = -(1 - t**a), it is palindromic up to sign,
+    t**D * R(1/t) = (-1)**F * R(t) with F the sum of the net factor
+    multiplicities, so its coefficients 0 .. D // 2 fix the rest.  Those
+    are evaluated modulo t**(D // 2 + 1), which is exact: a list of
+    D // 2 + 1 coefficients is multiplied by each (1 - t**a) in place and
+    divided by each (1 - t**b) as a strided prefix sum, a factor with
+    exponent above D // 2 being 1 at that precision, and the list is then
+    mirrored to the D + 1 coefficients of R.  When D + 1 exceeds
+    ``_MAX_DENSE_COEFFS`` the ratio raises ValueError before any list is
+    built.
     """
     num, den = list(num_exponents), list(den_exponents)
     if not all(_is_int(e) for e in num + den):
@@ -580,17 +610,25 @@ def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> Laure
 
 
 def _dense_series(net: Mapping[int, int], deg: int) -> list[int]:
-    """Coefficients of prod (1 - t**e)**k over net, a polynomial of degree deg."""
-    s = [1] + [0] * deg
+    """Coefficients of prod (1 - t**e)**k over net, a polynomial of degree deg.
+
+    Only the coefficients up to deg // 2 are computed; the others follow
+    from the palindrome c_(deg-i) = (-1)**F * c_i, F = sum k (see q_ratio).
+    """
+    half = deg // 2
+    s = [1] + [0] * half
     for e, k in net.items():
-        if e > deg:
+        if e > half:
             continue
         for _ in range(k):
             s[e:] = list(map(sub, s[e:], s))
         for _ in range(-k):
             for r in range(e):
                 s[r::e] = accumulate(s[r::e])
-    return s
+    mirror = s[:deg - half][::-1]
+    if sum(net.values()) & 1:
+        mirror = [-c for c in mirror]
+    return s + mirror
 
 
 class PolyMatrix:
@@ -629,34 +667,37 @@ class PolyMatrix:
 
 
 def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
-    """Determinant by single-step fraction-free (Bareiss) elimination.
+    """Determinant by fraction-free (Bareiss) elimination or expansion by minors.
 
-    This is the one elimination routine of the package.  Integer matrices
-    go through it too: PolyMatrix embeds ints as constants, so
-    ``det_fraction_free(PolyMatrix(rows)).coeff(0)`` is the integer
-    determinant of ``rows``.  Sizes below 3 are expanded directly.
+    Integer matrices go through it too: PolyMatrix embeds ints as
+    constants, so ``det_fraction_free(PolyMatrix(rows)).coeff(0)`` is the
+    integer determinant of ``rows``.  Sizes below 3 are expanded directly.
 
-    Larger matrices are evaluated once at q = X = 2**(8*W) and eliminated
+    Larger matrices are evaluated once at q = X = 2**(8*W) and computed
     over the integers, and only the final integer is unpacked (Kronecker
     substitution applied to the whole matrix).  Row i is first multiplied
     by q**(-v_i), v_i the least exponent in the row, so every entry is a
     polynomial and the determinant of the shifted matrix is a polynomial
     of degree at most S, the sum of the row spans; the shift comes back
-    at the end.  Evaluation at X is a ring homomorphism, so integer
-    Bareiss returns det(M)(X).  By the Leibniz expansion the coefficients
+    at the end.  Evaluation at X is a ring homomorphism, so the integer
+    determinant is det(M)(X).  By the Leibniz expansion the coefficients
     of the shifted determinant are at most B = prod_i sum_j |a_ij|_1 in
     absolute value, |a|_1 being the sum of the absolute coefficients of a.
     W is the least width with 2**(8*W-1) > B, so every coefficient is one
     signed base-X digit and the S + 1 unpacked digits are det(M) exactly;
-    this a-priori bound is the proof.  The packed route runs while the
-    packed determinant, W * S bytes, is below ``_PACKED_DET_MAX_BYTES``;
-    larger matrices are eliminated with LaurentPoly entries, where B
-    overshoots the true coefficients most and the quadratic big-integer
-    divmod would lose.
+    this a-priori bound is the proof, whichever integer routine ran.  The
+    packed route runs while the packed determinant, W * S bytes, is below
+    ``_PACKED_DET_MAX_BYTES``; larger matrices are eliminated with
+    LaurentPoly entries, where B overshoots the true coefficients most and
+    the quadratic big-integer divmod would lose.  On the packed route a
+    matrix of at most ``_MINORS_DET_MAX_ROWS`` rows whose W * S reaches
+    ``_MINORS_DET_MIN_BYTES`` is expanded by minors (``_minors_det``),
+    which has no division and multiplies each large entry into a minor of
+    the smaller rows; a smaller or larger one is eliminated by Bareiss.
 
-    In both rings every division is exact by Sylvester's identity, for
-    any nonzero pivot; a remainder would mean corrupted arithmetic, so it
-    is converted into a hard internal error.  Pivoting takes the first
+    In both rings every Bareiss division is exact by Sylvester's identity,
+    for any nonzero pivot; a remainder would mean corrupted arithmetic, so
+    it is converted into a hard internal error.  Pivoting takes the first
     nonzero entry in column order with a full row swap and sign tracking;
     an all-zero pivot column, or an all-zero row, gives 0.
     """
@@ -680,11 +721,15 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
         span += max(map(max, row_terms)) - low
     bound = prod(sum(sum(map(abs, t.values())) for t in row) for row in a)
     width = bound.bit_length() // 8 + 1
+    size = width * span
     try:
-        if width * span >= _PACKED_DET_MAX_BYTES:
+        if size >= _PACKED_DET_MAX_BYTES:
             return _bareiss([list(row) for row in m], LaurentPoly.exact_div)
-        value = _bareiss([[_evaluate(t, low, width) for t in row]
-                          for row, low in zip(a, lows)], _int_exact_div)
+        packed = [[_evaluate(t, low, width) for t in row] for row, low in zip(a, lows)]
+        if n <= _MINORS_DET_MAX_ROWS and size >= _MINORS_DET_MIN_BYTES:
+            value = _minors_det(packed)
+        else:
+            value = _bareiss(packed, _int_exact_div)
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
     return _unpack_poly(value, sum(lows), span + 1, width)
@@ -703,6 +748,39 @@ def _int_exact_div(num: int, den: int) -> int:
     if rem:
         raise NotDivisible("remainder in integer division")
     return quot
+
+
+def _minors_det(a: list[list[int]]) -> int:
+    """Determinant of the n x n int list a, n >= 1, by Laplace expansion over minors.
+
+    One dynamic program over column sets, with no division: the state
+    after r rows is a set T of r columns with the minor of those rows on
+    T, and the next row extends it by each free column c whose entry is
+    nonzero, with the sign (-1) to the number of columns of T above c.
+    The rows are taken in increasing order of the sum of their entries'
+    bit lengths, so each large entry multiplies a minor of the small rows,
+    and the sign of that reordering is folded into the result.
+    """
+    n = len(a)
+    order = sorted(range(n), key=lambda i: sum(x.bit_length() for x in a[i]))
+    odd = sum(i > j for k, j in enumerate(order) for i in order[:k]) & 1
+    level = {0: 1}
+    for i in order:
+        # (bit, entry) per column, the highest column first
+        steps = [(1 << c, x) for c, x in reversed(list(enumerate(a[i])))]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for mask, value in level.items():
+            above = 0
+            for bit, x in steps:
+                if mask & bit:
+                    above ^= 1
+                elif x:
+                    nxt[mask | bit] = (get(mask | bit, 0) - value * x if above
+                                       else get(mask | bit, 0) + value * x)
+        level = nxt
+    value = level.get((1 << n) - 1, 0)
+    return -value if odd else value
 
 
 def _bareiss(a: list[list], exact_div: Callable) -> object:

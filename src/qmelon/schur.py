@@ -25,8 +25,10 @@ where fraction-free (Bareiss) elimination takes over, and
 
 ``bialternant`` refuses a quotient whose degree span passes
 ``laurent._MAX_DENSE_COEFFS`` and an alternant of more than
-``_MAX_ALTERNANT_WORK`` steps, and ``tableau_sum`` a branching of more
-than ``_MAX_BRANCHING_STEPS`` steps, before any polynomial is built.
+``_MAX_ALTERNANT_WORK`` steps, ``tableau_sum`` a branching of more than
+``_MAX_BRANCHING_STEPS`` steps, and ``_schur_pairing`` a box sum of more
+than ``laurent._MAX_DENSE_COEFFS`` packed bytes, before any polynomial is
+built.
 """
 
 from __future__ import annotations
@@ -165,6 +167,12 @@ def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     large for that proof is divided again by ``LaurentPoly.exact_div``.
     A remainder means corrupted arithmetic and raises RuntimeError; a
     repeated exponent raises DegeneratePoint.  Needs len(a) <= len(b).
+
+    Row j of a side is shifted by |x_j| (c - 1) digits at most, c its
+    column count, so the box sum has at most the sum of those shifts over
+    both sides plus one digit; when those digits times W pass
+    ``laurent._MAX_DENSE_COEFFS`` bytes, ValueError is raised before any
+    minor is built.
     """
     _require_distinct(a)
     _require_distinct(b)
@@ -175,6 +183,10 @@ def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     norm = factorial(na) * factorial(nb)
     bound = comb(m + na, na) * norm
     width = bound.bit_length() // 8 + 1
+    size = width * (sum(map(abs, a)) * (m + na - 1) + sum(map(abs, b)) * (m + nb - 1) + 1)
+    if size > _MAX_DENSE_COEFFS:
+        raise ValueError(f"the Schur pairing over the {m}**{na} box at {tuple(a)} and {tuple(b)} "
+                         f"would pack {size} bytes, over the limit of {_MAX_DENSE_COEFFS}")
     minors_a = _maximal_minors(a, range(m + na), width)
     minors_b = _maximal_minors(b, range(m + nb), width, fixed=k)
     below = (1 << k) - 1

@@ -1,16 +1,19 @@
 import json
 import random
+import time
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from box_oracle import box_terms
 from cauchy_oracle import cauchy_det
 from qmelon import identities, laurent, schur
 from qmelon.laurent import LaurentPoly, NotDivisible
+from qmelon.cli import build_cases
 from qmelon.partitions import enumerate_in_box
+from qmelon.paths import genfunc_det_forms
 from qmelon.identities import (
     GOLDEN_POINTS,
     IdentityReport,
@@ -454,6 +457,82 @@ def test_run_cases_reports_an_oversized_zq_box_as_failed():
     [report] = run_cases([("zq-equals-w", {"n": 10, "l": 10, "m": 10})])
     assert report.identity == "zq-equals-w" and not report.equal
     assert report.error.startswith("ValueError: zq of the box 10x10x10 needs ")
+
+
+def test_verify_grid_determinants_are_eliminated_not_expanded():
+    # the packed determinants of the default grid have 3 or 4 rows and at
+    # most 228 bytes, below the minors threshold; a det form of the 5x5x5
+    # box, at 1.8 K bytes, is above it
+    minors = mock.Mock(wraps=laurent._minors_det)
+    eliminated = []
+    real = laurent._bareiss
+
+    def spy(rows, exact_div):
+        if exact_div is laurent._int_exact_div:
+            eliminated.append(len(rows))
+        return real(rows, exact_div)
+
+    with mock.patch.multiple(laurent, _minors_det=minors, _bareiss=spy):
+        reports = run_cases(build_cases("all", None, None, None, None))
+        assert all(r.equal for r in reports)
+        assert minors.call_count == 0 and set(eliminated) == {3, 4}
+        genfunc_det_forms(5, 5, 5, form=1)
+        assert minors.call_count == 1
+
+
+def test_run_cases_refuses_an_oversized_binet_cauchy_point():
+    # one row shifted by 10**8 digits on each side; the pairing runs first
+    # and refuses before it builds a minor
+    start = time.perf_counter()
+    [report] = run_cases([("binet-cauchy", {"n": 1, "m": 1, "a": (10**8,), "b": (1,)})])
+    assert time.perf_counter() - start < 1
+    assert report.identity == "binet-cauchy" and not report.equal
+    assert report.error.startswith("ValueError: the Schur pairing over the 1**1 box at "
+                                   "(100000000,) and (1,) would pack 100000002 bytes")
+
+
+BINET_CAUCHY_SIDES = {"pairing": (schur, schur._schur_pairing),
+                      "determinant": (identities, identities._cauchy_det)}
+
+
+@pytest.mark.parametrize("side", sorted(BINET_CAUCHY_SIDES))
+def test_binet_cauchy_side_refuses_past_the_packed_limit(side):
+    module, compute = BINET_CAUCHY_SIDES[side]
+    with pytest.raises(ValueError, match=r"would pack 100000002 bytes, over the limit of 10000000$"):
+        compute(1, (10**8,), (1,))
+    # at (3,), (1,) and m = 1 both sides predict 5 one-byte digits
+    with mock.patch.object(module, "_MAX_DENSE_COEFFS", 5):
+        assert compute(1, (3,), (1,)) == cauchy_det(1, (3,), (1,))
+    with mock.patch.object(module, "_MAX_DENSE_COEFFS", 4):
+        with pytest.raises(ValueError, match=r"would pack 5 bytes, over the limit of 4$"):
+            compute(1, (3,), (1,))
+
+
+@pytest.mark.parametrize("side", sorted(BINET_CAUCHY_SIDES))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda nb: st.tuples(
+    st.integers(min_value=0, max_value=nb),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.integers(min_value=-6, max_value=9), min_size=nb, max_size=nb, unique=True))))
+def test_binet_cauchy_size_prediction_bounds_the_packed_operands(side, case):
+    # a limit one byte below the largest packed operand of the quotient
+    # must be refused, so the prediction is never below what is built
+    k, m, b = case
+    a = tuple(x + 1 for x in b[k:])
+    module, compute = BINET_CAUCHY_SIDES[side]
+    sizes = []
+    real = module._packed_quotient
+
+    def spy(num, den, *args):
+        sizes.extend((abs(num).bit_length() + 7) // 8 for num in (num, den))
+        return real(num, den, *args)
+
+    with mock.patch.object(module, "_packed_quotient", spy):
+        compute(m, a, tuple(b))
+    assume(sizes)  # the pairing of no rows packs nothing
+    with mock.patch.object(module, "_MAX_DENSE_COEFFS", max(sizes) - 1):
+        with pytest.raises(ValueError, match="would pack"):
+            compute(m, a, tuple(b))
 
 
 @pytest.mark.parametrize("workers", [None, 2])

@@ -4,10 +4,11 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cauchy_oracle import geometric_sum, vandermonde
+from series_oracle import full_series
 from qmelon import laurent
 from qmelon.laurent import (
     LaurentPoly,
@@ -499,6 +500,69 @@ def test_q_ratio_limit_is_on_the_coefficient_count(monkeypatch):
         q_ratio((11,), (1,))
 
 
+def series_calls(num, den):
+    """The (net, deg) pairs q_ratio hands to its series; none when it raises first."""
+    calls = []
+    real = laurent._dense_series
+
+    def spy(net, deg):
+        calls.append((dict(net), deg))
+        return real(net, deg)
+
+    with mock.patch.object(laurent, "_dense_series", spy):
+        try:
+            q_ratio(num, den)
+        except (NotDivisible, ZeroDivisionError):
+            pass
+    return calls
+
+
+# Products of (1 - t**e)**k with k >= 0: every one a polynomial of degree
+# sum e * k, zero multiplicities and exponents past half the degree included.
+product_net_st = st.dictionaries(st.integers(min_value=1, max_value=12),
+                                 st.integers(min_value=0, max_value=3), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_net_st)
+def test_half_series_matches_full_series_on_products(net):
+    deg = sum(e * k for e, k in net.items())
+    assert laurent._dense_series(net, deg) == full_series(net, deg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=9), max_size=5),
+       st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=5, max_size=5),
+       exps_st)
+@example([1, 2], [6, 2, 1, 1, 1], [])
+@example([1], [-3, 1, 1, 1, 1], [5])
+def test_half_series_matches_full_series_through_q_ratio(den, ks, extra):
+    # the nets q_ratio builds, denominators and negative exponents included
+    for net, deg in series_calls([b * k for b, k in zip(den, ks)] + extra, den):
+        assert laurent._dense_series(net, deg) == full_series(net, deg)
+
+
+# (num, den, D, F): odd and even degree, odd and even sign exponent, a
+# negative exponent, a factor cancelled to a zero net multiplicity, and
+# factors with an exponent in (D/2, D]
+@pytest.mark.parametrize("num, den, deg, flips", [
+    ((10,), (1,), 9, 0),
+    ((6, 4), (1, 2), 7, 0),
+    ((2, 2, 3), (), 7, 1),
+    ((1, 3), (), 4, 0),
+    ((1, 1, 2), (), 4, 1),
+    ((-3, 5), (1,), 7, 1),
+    ((2, 6, 7), (2, 1), 12, 1),
+])
+def test_half_series_cases(num, den, deg, flips):
+    [(net, got_deg)] = series_calls(num, den)
+    assert (got_deg, sum(net.values()) & 1) == (deg, flips)
+    half = laurent._dense_series(net, deg)
+    assert half == full_series(net, deg)
+    assert half == [(-1) ** flips * c for c in reversed(half)]
+    assert dict(q_ratio(num, den).terms()) == ratio_oracle(num, den)
+
+
 matrix_st = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
         st.lists(poly_st, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -546,6 +610,64 @@ def test_bareiss_in_both_rings_matches_permutation_expansion(cutoff, rows):
         det = det_fraction_free(PolyMatrix(rows))
     assert det == perm_det([[LaurentPoly.const(x) if isinstance(x, int) else x
                              for x in row] for row in rows])
+
+
+# Rows of sizes medium, small and large, so the size order (1, 0, 2) is one
+# transposition and the minors expansion must fold in its odd sign; the
+# large row has a negative exponent.
+ODD_ORDER_ROWS = [[10**50, 1, 1], [1, 2, 3],
+                  [LaurentPoly({-2: 10**100}), LaurentPoly({3: 1}), 7]]
+
+PACKED_ROUTES = {"minors": {"_MINORS_DET_MAX_ROWS": math.inf, "_MINORS_DET_MIN_BYTES": 0},
+                 "bareiss": {"_MINORS_DET_MAX_ROWS": 0}}
+
+
+@pytest.mark.parametrize("route", sorted(PACKED_ROUTES))
+@settings(max_examples=60, deadline=None)
+@given(det_matrix_st())
+@example(ODD_ORDER_ROWS)
+@example([[10**50, 1, 1], [1, 2, 3], [10**100, 10**100 + 1, 7]])
+def test_packed_det_by_both_routes_matches_permutation_expansion(route, rows):
+    # every matrix packed, then expanded by minors always or never
+    minors = mock.Mock(wraps=laurent._minors_det)
+    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", math.inf), \
+            mock.patch.multiple(laurent, _minors_det=minors, **PACKED_ROUTES[route]):
+        det = det_fraction_free(PolyMatrix(rows))
+    assert det == perm_det([[LaurentPoly.const(x) if isinstance(x, int) else x
+                             for x in row] for row in rows])
+    packed = len(rows) >= 3 and all(any(row) for row in rows)
+    assert minors.call_count == (packed and route == "minors")
+
+
+def test_minors_det_folds_the_sign_of_the_row_order():
+    # sizes order the rows (1, 0): one transposition
+    assert laurent._minors_det([[10**50, 1], [2, 3]]) == 3 * 10**50 - 2
+    # (1, 2, 0), a 3-cycle, and (1, 0, 2), a transposition
+    for rows in ([[10**90, 5, 7], [1, 2, 3], [4, 10**30, 6]],
+                 [[4, 10**30, 6], [1, 2, 3], [10**90, 5, 7]]):
+        assert laurent._minors_det(rows) == laurent._bareiss(
+            [list(row) for row in rows], laurent._int_exact_div)
+
+
+def test_minors_route_thresholds():
+    minors = mock.Mock(wraps=laurent._minors_det)
+
+    def expanded(m):
+        minors.reset_mock()
+        with mock.patch.object(laurent, "_minors_det", minors):
+            det = det_fraction_free(m)
+        with mock.patch.object(laurent, "_MINORS_DET_MAX_ROWS", 0):
+            assert det_fraction_free(m) == det
+        return minors.call_count == 1
+
+    # width 1 (B = 2) and one row of span s: W * S = s bytes
+    q = LaurentPoly.q_power
+    assert expanded(PolyMatrix([[1, 0, q(512)], [0, 1, 0], [0, 0, 1]]))
+    assert not expanded(PolyMatrix([[1, 0, q(511)], [0, 1, 0], [0, 0, 1]]))
+    # width 1 and spans of 1485 and 1980 digits: only the one within the
+    # row limit is expanded
+    assert expanded(alternant_matrix(tuple(range(0, 30, 3)), (2, 1)))
+    assert not expanded(alternant_matrix(tuple(range(0, 33, 3)), (2, 1)))
 
 
 def alternant_matrix(exponents, lam):
