@@ -15,17 +15,18 @@ last step, laurent._packed_quotient, which proves the quotient it returns.
 
 The q-binomial determinant and the det forms of the watermelon suite come
 from laurent.det_fraction_free, which expands a large packed matrix of
-few rows by minors (laurent._minors_det).  That is a Laplace expansion
-like the pairing's schur._maximal_minors, but separate code: it takes
-arbitrary int entries in a row order by size and returns one determinant,
-where _maximal_minors shifts monomials and returns every maximal minor.
+few rows by minors (laurent._minors_det), at q = Y and at q = -Y when
+its width allows, recovering the even and the odd coefficients from the
+two values.  That is a Laplace expansion like the pairing's
+schur._maximal_minors, but separate code: it takes arbitrary int entries
+in a row order by size and returns one determinant, where
+_maximal_minors shifts monomials and returns every maximal minor.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import factorial
 from typing import Sequence
@@ -398,6 +399,10 @@ def run_cases(cases: Sequence[Case], workers: int | None = None) -> list[Identit
     serially and in the pool alike, and the other cases still run.
     """
     if workers is not None and workers > 1:
+        # imported here: concurrent.futures.process pulls in multiprocessing,
+        # which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_dispatch, cases))
     else:

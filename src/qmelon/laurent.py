@@ -19,14 +19,16 @@ coefficients.
 
 Large operands go through Kronecker substitution (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 2009, in its plain single-point form).  A polynomial
-with dense coefficients c_0 .. c_(n-1) is packed into the one integer
-sum c_i * X**i with X = 2**(8*width): every coefficient becomes a
-``width``-byte two's-complement digit, and the digits are joined and read
-back with ``int.to_bytes``/``int.from_bytes``, so packing and unpacking are
-linear.  A product is then one big-integer multiplication, and an exact
-quotient one big-integer ``divmod`` whose result is accepted only once it
-is proven; see :meth:`LaurentPoly.exact_div`.  The width is chosen so that
+J. Symbolic Comput. 2009): the single-point form for products and
+quotients, the two-point form at q = +Y and q = -Y for the minors route of
+determinants (see below).  A polynomial with dense coefficients
+c_0 .. c_(n-1) is packed into the one integer sum c_i * X**i with
+X = 2**(8*width): every coefficient becomes a ``width``-byte
+two's-complement digit, and the digits are joined and read back with
+``int.to_bytes``/``int.from_bytes``, so packing and unpacking are linear.
+A product is then one big-integer multiplication, and an exact quotient
+one big-integer ``divmod`` whose result is accepted only once it is
+proven; see :meth:`LaurentPoly.exact_div`.  The width is chosen so that
 every coefficient of the result lies in [-X/2, X/2), where signed base-X
 digits, and so the polynomial, are unique.  The packed kernels run only
 when the schoolbook's term pairs are at least ``_KRONECKER_CUTOFF`` times
@@ -39,13 +41,17 @@ and mirrors it, the ratio being palindromic up to sign.
 :func:`det_fraction_free` applies the substitution once per matrix, not
 once per operation.  Each row is shifted by q**(-v_i) to polynomials, and
 every entry is evaluated at X = 2**(8*W).  The determinant of those plain
-ints comes from Bareiss elimination, whose divisions are exact, or, for a
-matrix of at most ``_MINORS_DET_MAX_ROWS`` rows and large entries, from a
-division-free Laplace expansion over column sets; only the final integer
-is unpacked.  Its S + 1 digits are the determinant, S being the sum of
-the row spans, because W is chosen with 2**(8*W-1) above
-B = prod_i sum_j |a_ij|_1, a bound on every coefficient of the shifted
-determinant.  Matrices whose packed determinant, W * S bytes, reaches
+ints comes from Bareiss elimination, whose divisions are exact, and only
+the final integer is unpacked.  Its S + 1 digits are the determinant, S
+being the sum of the row spans, because W is chosen with 2**(8*W-1)
+above B = prod_i sum_j |a_ij|_1, a bound on every coefficient of the
+shifted determinant.  A matrix of at most ``_MINORS_DET_MAX_ROWS`` rows
+and large entries is instead expanded by a division-free Laplace
+expansion over column sets, twice, at q = Y and q = -Y with
+Y = 2**(8*ceil(W/2)): the sum and the difference of the two values give
+the even and the odd coefficients as two integers of half the length,
+each unpacked at width 2 * ceil(W/2), and Y**2 > 2B keeps the same a
+priori proof.  Matrices whose packed determinant, W * S bytes, reaches
 ``_PACKED_DET_MAX_BYTES`` are eliminated by Bareiss on LaurentPoly
 entries.
 
@@ -694,6 +700,10 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     ``_MINORS_DET_MIN_BYTES`` is expanded by minors (``_minors_det``),
     which has no division and multiplies each large entry into a minor of
     the smaller rows; a smaller or larger one is eliminated by Bareiss.
+    When W >= 2 the expansion runs at q = Y and q = -Y instead of at X,
+    Y = 2**(8*ceil(W/2)), on ints of about half the length
+    (``_two_point_det``); Y**2 >= X, so B proves the recovered digits.  At
+    W = 1 the halves would be no shorter, and X is kept.
 
     In both rings every Bareiss division is exact by Sylvester's identity,
     for any nonzero pivot; a remainder would mean corrupted arithmetic, so
@@ -725,14 +735,68 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     try:
         if size >= _PACKED_DET_MAX_BYTES:
             return _bareiss([list(row) for row in m], LaurentPoly.exact_div)
+        minors = n <= _MINORS_DET_MAX_ROWS and size >= _MINORS_DET_MIN_BYTES
+        if minors and width >= 2:
+            return _two_point_det(a, lows, span, width)
         packed = [[_evaluate(t, low, width) for t in row] for row, low in zip(a, lows)]
-        if n <= _MINORS_DET_MAX_ROWS and size >= _MINORS_DET_MIN_BYTES:
-            value = _minors_det(packed)
-        else:
-            value = _bareiss(packed, _int_exact_div)
+        value = _minors_det(packed) if minors else _bareiss(packed, _int_exact_div)
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
     return _unpack_poly(value, sum(lows), span + 1, width)
+
+
+def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], span: int,
+                   width: int) -> "LaurentPoly":
+    """det_fraction_free's minors route at q = Y and q = -Y, Y = 2**(8*half).
+
+    half = ceil(width / 2), so Y**2 >= 2**(8*width).  The shifted
+    determinant is D(q) = E(q**2) + q * O(q**2), and the two expansions give
+    O(Y**2) = (D(Y) - D(-Y)) / (2Y) and E(Y**2) = D(-Y) + Y * O(Y**2); the
+    division must be exact, else NotDivisible, and it also makes
+    D(Y) + D(-Y) even.  The coefficients of E and O are those of D, below
+    2**(8*width-1) <= Y**2 / 2, so their digits at width 2 * half are
+    exact and interleave to D.  Each entry is packed once by its even and
+    once by its odd coefficients, both at width 2 * half; no coefficient
+    has to fit in half bytes.
+    """
+    half = (width + 1) // 2
+    unit = 8 * half
+    plus, minus = [], []
+    for row, low in zip(a, lows):
+        row_plus, row_minus = [], []
+        for terms in row:
+            even, odd = _evaluate_halves(terms, low, half)
+            row_plus.append(even + (odd << unit))
+            row_minus.append(even - (odd << unit))
+        plus.append(row_plus)
+        minus.append(row_minus)
+    at_minus = _minors_det(minus)
+    twice_odd = _minors_det(plus) - at_minus
+    if twice_odd & ((2 << unit) - 1):
+        raise NotDivisible("remainder in the two-point recovery")
+    odd = twice_odd >> (unit + 1)
+    even = at_minus + (odd << unit)
+    coeffs = [0] * (span + 1)
+    coeffs[0::2] = _unpack(even, span // 2 + 1, 2 * half)
+    coeffs[1::2] = _unpack(odd, (span + 1) // 2, 2 * half)
+    low = sum(lows)
+    return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
+
+
+def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int, int]:
+    """(E(Y**2), O(Y**2)) for q**(-low) * terms = E(q**2) + q * O(q**2), Y = 2**(8*half)."""
+    unit = 16 * half
+    if not terms:
+        return 0, 0
+    if len(terms) == 1:
+        # c * q**k = c * (q**2)**(k // 2), times q when k is odd
+        [(e, c)] = terms.items()
+        k = e - low
+        return (0, c << unit * (k // 2)) if k & 1 else (c << unit * (k // 2), 0)
+    val, coeffs = _dense(terms)
+    k = val - low
+    return (_pack(coeffs[k & 1::2], 2 * half) << unit * ((k + 1) // 2),
+            _pack(coeffs[1 - (k & 1)::2], 2 * half) << unit * (k // 2))
 
 
 def _evaluate(terms: Mapping[int, int], low: int, width: int) -> int:

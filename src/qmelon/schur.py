@@ -27,8 +27,8 @@ where fraction-free (Bareiss) elimination takes over, and
 ``laurent._MAX_DENSE_COEFFS`` and an alternant of more than
 ``_MAX_ALTERNANT_WORK`` steps, ``tableau_sum`` a branching of more than
 ``_MAX_BRANCHING_STEPS`` steps, and ``_schur_pairing`` a box sum of more
-than ``laurent._MAX_DENSE_COEFFS`` packed bytes, before any polynomial is
-built.
+than ``laurent._MAX_DENSE_COEFFS`` packed bytes or more than
+``_MAX_ALTERNANT_WORK`` minor steps, before any polynomial is built.
 """
 
 from __future__ import annotations
@@ -172,7 +172,10 @@ def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     column count, so the box sum has at most the sum of those shifts over
     both sides plus one digit; when those digits times W pass
     ``laurent._MAX_DENSE_COEFFS`` bytes, ValueError is raised before any
-    minor is built.
+    minor is built.  It is raised likewise when the two DPs' predicted
+    work passes ``_MAX_ALTERNANT_WORK``: their states, (1 + 2**k) times
+    the sum of C(m + len(a), j) over j <= len(a), each visiting
+    m + len(b) columns, times those bytes, as ``_alternant`` charges.
     """
     _require_distinct(a)
     _require_distinct(b)
@@ -187,6 +190,13 @@ def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     if size > _MAX_DENSE_COEFFS:
         raise ValueError(f"the Schur pairing over the {m}**{na} box at {tuple(a)} and {tuple(b)} "
                          f"would pack {size} bytes, over the limit of {_MAX_DENSE_COEFFS}")
+    # the a side's DP holds every set of at most na of its m + na columns, the
+    # b side's any of its k fixed columns besides; each visits m + nb columns
+    states = (1 + (1 << k)) * sum(comb(m + na, j) for j in range(na + 1))
+    work = states * (m + nb) * size
+    if work > _MAX_ALTERNANT_WORK:
+        raise ValueError(f"the Schur pairing over the {m}**{na} box at {tuple(a)} and {tuple(b)} "
+                         f"would take {work} minor steps, over the limit of {_MAX_ALTERNANT_WORK}")
     minors_a = _maximal_minors(a, range(m + na), width)
     minors_b = _maximal_minors(b, range(m + nb), width, fixed=k)
     below = (1 << k) - 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -463,6 +464,20 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "20"
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # run_cases imports the pool only for workers > 1; a serial run, and
+    # every fresh interpreter that only imports the CLI, skips
+    # multiprocessing altogether
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qmelon.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_usage_error():

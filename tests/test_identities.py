@@ -477,7 +477,8 @@ def test_verify_grid_determinants_are_eliminated_not_expanded():
         assert all(r.equal for r in reports)
         assert minors.call_count == 0 and set(eliminated) == {3, 4}
         genfunc_det_forms(5, 5, 5, form=1)
-        assert minors.call_count == 1
+        # expanded at q = Y and at q = -Y
+        assert minors.call_count == 2
 
 
 def test_run_cases_refuses_an_oversized_binet_cauchy_point():
@@ -489,6 +490,30 @@ def test_run_cases_refuses_an_oversized_binet_cauchy_point():
     assert report.identity == "binet-cauchy" and not report.equal
     assert report.error.startswith("ValueError: the Schur pairing over the 1**1 box at "
                                    "(100000000,) and (1,) would pack 100000002 bytes")
+
+
+def test_run_cases_refuses_a_pairing_of_too_many_minors():
+    # C(304, 4) column sets, every one of which the minors DP would hold,
+    # although the box sum packs only 24,245 bytes
+    start = time.perf_counter()
+    [report] = run_cases([("q-binet-cauchy", {"n": 4, "m": 300})])
+    assert time.perf_counter() - start < 1
+    assert report.identity == "q-binet-cauchy" and not report.equal
+    assert report.error.startswith("ValueError: the Schur pairing over the 300**4 box at "
+                                   "(0, 1, 2, 3) and (1, 2, 3, 4) would take ")
+
+
+def test_pairing_work_limit_is_checked_before_any_minor():
+    # m = 2, a = (1, 2) and b = (0, 1, 3): k = 1, W = 1 (B = 72), 3 * 3 +
+    # 4 * 4 + 1 digits, (1 + 2) * (1 + 4 + 6) states visiting 5 columns
+    work = 3 * 11 * 5 * 26
+    with mock.patch.object(schur, "_MAX_ALTERNANT_WORK", work):
+        assert schur._schur_pairing(2, (1, 2), (0, 1, 3)) == cauchy_det(2, (1, 2), (0, 1, 3))
+    with mock.patch.object(schur, "_MAX_ALTERNANT_WORK", work - 1), \
+            mock.patch.object(schur, "_maximal_minors") as minors:
+        with pytest.raises(ValueError, match=f"would take {work} minor steps, over the limit"):
+            schur._schur_pairing(2, (1, 2), (0, 1, 3))
+    assert minors.call_count == 0
 
 
 BINET_CAUCHY_SIDES = {"pairing": (schur, schur._schur_pairing),

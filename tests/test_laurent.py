@@ -621,12 +621,28 @@ ODD_ORDER_ROWS = [[10**50, 1, 1], [1, 2, 3],
 PACKED_ROUTES = {"minors": {"_MINORS_DET_MAX_ROWS": math.inf, "_MINORS_DET_MIN_BYTES": 0},
                  "bareiss": {"_MINORS_DET_MAX_ROWS": 0}}
 
+q = LaurentPoly.q_power
+# Matrices of width W >= 2 for the minors route at q = Y and q = -Y, with
+# (W, S) = (2, 4), (3, 5), (2, 5) and (3, 6): odd and even widths and
+# spans, negative coefficients, a negative exponent and entries of one
+# odd-exponent term
+TWO_POINT_ROWS = [
+    [[200, 0, q(3)], [0, -1, 0], [q(1), 0, 1 + q(1)]],
+    [[-(10**4), q(-2) * 7, 0], [0, q(1) * -3, 1], [q(2), 2, 5]],
+    [[300 * q(1), 1, 0], [-1, q(4), 2], [0, 0, -1]],
+    [[q(2) * 10**5, q(1), -1], [3, 0, q(3) * -5], [1, q(1), -q(1)]],
+]
+
 
 @pytest.mark.parametrize("route", sorted(PACKED_ROUTES))
 @settings(max_examples=60, deadline=None)
 @given(det_matrix_st())
 @example(ODD_ORDER_ROWS)
 @example([[10**50, 1, 1], [1, 2, 3], [10**100, 10**100 + 1, 7]])
+@example(TWO_POINT_ROWS[0])
+@example(TWO_POINT_ROWS[1])
+@example(TWO_POINT_ROWS[2])
+@example(TWO_POINT_ROWS[3])
 def test_packed_det_by_both_routes_matches_permutation_expansion(route, rows):
     # every matrix packed, then expanded by minors always or never
     minors = mock.Mock(wraps=laurent._minors_det)
@@ -636,7 +652,65 @@ def test_packed_det_by_both_routes_matches_permutation_expansion(route, rows):
     assert det == perm_det([[LaurentPoly.const(x) if isinstance(x, int) else x
                              for x in row] for row in rows])
     packed = len(rows) >= 3 and all(any(row) for row in rows)
-    assert minors.call_count == (packed and route == "minors")
+    # the minors route expands once at width 1, else at q = Y and q = -Y
+    expansions = 1 + (det_width(rows) >= 2)
+    assert minors.call_count == (expansions if packed and route == "minors" else 0)
+
+
+def det_width(rows):
+    """det_fraction_free's width W, the least with 2**(8W-1) > prod of the row L1 norms."""
+    return math.prod(sum(abs(c) for x in row for c in LaurentPoly._coerce(x)._terms.values())
+                     for row in rows).bit_length() // 8 + 1
+
+
+def det_span(rows):
+    """S, the sum over the rows of the degree minus the least exponent."""
+    span = 0
+    for row in rows:
+        exps = [e for x in row for e in LaurentPoly._coerce(x)._terms]
+        span += max(exps) - min(exps)
+    return span
+
+
+def test_two_point_cases_cover_both_parities():
+    assert {(det_width(rows) & 1, det_span(rows) & 1) for rows in TWO_POINT_ROWS} == {
+        (0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("call", [0, 1])
+@pytest.mark.parametrize("offset", ["1", "Y"])
+def test_two_point_det_detects_a_corrupted_expansion(call, offset):
+    # D(Y) - D(-Y) is a multiple of 2Y; one expansion off by 1 or by Y
+    # breaks that, whichever point it was
+    rows = TWO_POINT_ROWS[1]
+    half = (det_width(rows) + 1) // 2
+    real = laurent._minors_det
+    calls = []
+
+    def corrupted(a):
+        calls.append(a)
+        value = real(a)
+        return value + (1 if offset == "1" else 1 << 8 * half) if len(calls) == call + 1 else value
+
+    with mock.patch.multiple(laurent, _minors_det=corrupted, **PACKED_ROUTES["minors"]):
+        with pytest.raises(RuntimeError, match="^fraction-free elimination lost exactness$") as info:
+            det_fraction_free(PolyMatrix(rows))
+    assert isinstance(info.value.__cause__, NotDivisible)
+    assert len(calls) == 2
+
+
+def test_width_one_keeps_the_one_point_route():
+    # B = 2 and 127 give W = 1, one expansion at X = 2**8; B = 128 gives
+    # W = 2 and two expansions at Y = 2**8 and -Y
+    for corner, expansions in ((1, 1), (126, 1), (127, 2)):
+        rows = [[corner, 0, q(600)], [0, 1, 0], [0, 0, 1]]
+        minors = mock.Mock(wraps=laurent._minors_det)
+        evaluate = mock.Mock(wraps=laurent._evaluate)
+        with mock.patch.multiple(laurent, _minors_det=minors, _evaluate=evaluate):
+            det = det_fraction_free(PolyMatrix(rows))
+        assert det == corner
+        assert minors.call_count == expansions
+        assert evaluate.call_count == (9 if expansions == 1 else 0)
 
 
 def test_minors_det_folds_the_sign_of_the_row_order():
@@ -658,16 +732,16 @@ def test_minors_route_thresholds():
             det = det_fraction_free(m)
         with mock.patch.object(laurent, "_MINORS_DET_MAX_ROWS", 0):
             assert det_fraction_free(m) == det
-        return minors.call_count == 1
+        return minors.call_count
 
-    # width 1 (B = 2) and one row of span s: W * S = s bytes
-    q = LaurentPoly.q_power
-    assert expanded(PolyMatrix([[1, 0, q(512)], [0, 1, 0], [0, 0, 1]]))
-    assert not expanded(PolyMatrix([[1, 0, q(511)], [0, 1, 0], [0, 0, 1]]))
-    # width 1 and spans of 1485 and 1980 digits: only the one within the
-    # row limit is expanded
-    assert expanded(alternant_matrix(tuple(range(0, 30, 3)), (2, 1)))
-    assert not expanded(alternant_matrix(tuple(range(0, 33, 3)), (2, 1)))
+    # width 1 (B = 2) and one row of span s: W * S = s bytes; one expansion
+    # at X = 2**8
+    assert expanded(PolyMatrix([[1, 0, q(512)], [0, 1, 0], [0, 0, 1]])) == 1
+    assert expanded(PolyMatrix([[1, 0, q(511)], [0, 1, 0], [0, 0, 1]])) == 0
+    # width 5 (B = n**n) and spans of 1485 and 1980 digits: only the one
+    # within the row limit is expanded, at q = Y and q = -Y
+    assert expanded(alternant_matrix(tuple(range(0, 30, 3)), (2, 1))) == 2
+    assert expanded(alternant_matrix(tuple(range(0, 33, 3)), (2, 1))) == 0
 
 
 def alternant_matrix(exponents, lam):
@@ -697,7 +771,9 @@ def test_packed_det_unpacks_once(rows):
     unpacks = mock.Mock(wraps=laurent._unpack)
     with mock.patch.object(laurent, "_unpack", unpacks):
         det = det_fraction_free(m)
-    assert unpacks.call_count == 1
+    # 8 rows take the minors route at q = Y and -Y, which unpacks the even
+    # and the odd coefficients; the others are eliminated and unpack once
+    assert unpacks.call_count == (2 if rows == 8 else 1)
     with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", 0):
         assert det_fraction_free(m) == det
 
