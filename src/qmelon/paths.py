@@ -22,10 +22,11 @@ points shifted east by k) and an interface partition lam inside the
 M**L box.  Its volume is |lam| plus both area statistics; the empty
 interface gives the unique minimal watermelon of volume 0.  Because the
 volume splits this way, watermelon_genfunc sums, per interface, q**|lam|
-times one tableau series per nest.  Each series comes from the branching
-rule of schur.tableau_sum, shared by all interfaces of the call, so no
-tableau and no watermelon object is built; enumerate_watermelons yields
-the objects one by one.
+times one tableau series per nest.  The series of every interface come
+from two sweeps of the branching rule (schur._tableau_series), one per
+nest, on ints packed at q = 2**(8W), so no tableau, no interlacing pair
+and no watermelon object is built; enumerate_watermelons yields the
+objects one by one.
 
 Column strictness of the tableaux makes each half-nest a family of
 pairwise vertex-disjoint staircases.  When the two halves are overlaid
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .laurent import LaurentPoly, PolyMatrix, det_fraction_free, q_ratio
+from .laurent import LaurentPoly, PolyMatrix, _unpack_poly, det_fraction_free, q_ratio
 from .partitions import (
     Partition,
     check_box,
@@ -52,7 +53,7 @@ from .partitions import (
     strip,
     weight,
 )
-from .schur import _tableau_series, gv_determinant, h_determinant
+from .schur import _tableau_series, _weyl_dim, gv_determinant, h_determinant
 from .tableaux import (
     Tableau,
     enumerate_ssyt,
@@ -175,21 +176,38 @@ def watermelon_genfunc(n: int, m: int, k: int = 0) -> LaurentPoly:
         sum over lam of q**|lam| * C_lam(q) * B_lam(q), shifted by m * n(n-1)/2,
 
     where C_lam = tableau_sum(lam, (L-1, ..., 0)) and B_lam is tableau_sum of
-    the box complement of lam at (1-n, ..., 0).  Both come from one branching
-    series per point, so the smaller shapes that the interfaces share are
-    summed once per call, and no tableau is enumerated.
+    the box complement of lam at (1-n, ..., 0).  One call of
+    ``schur._tableau_series`` gives every C_lam, the shapes between 0 and
+    m**L, and one every B_lam, the shapes between (m**k) and m**n; each
+    level of a call is swept once for all the interfaces, and no tableau is
+    enumerated.  The sum is taken on the packed ints and unpacked once.
+    Every coefficient is at most the number of watermelons, the sum over
+    lam of S_lam(1**L) S_lam^c(1**n), each factor Weyl's product
+    (``schur._weyl_dim``), so the width that holds it is proven a priori.
     """
     n, m, k = check_int(n, "n"), check_int(m, "m"), check_int(k, "k")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     lines = n - k
-    c_series = _tableau_series(range(lines - 1, -1, -1))
-    b_series = _tableau_series(range(1 - n, 1))
-    total = LaurentPoly.zero()
-    for lam in enumerate_in_box(lines, m):
-        c_side = c_series(lam).shift(weight(lam))
-        total = total + c_side * b_series(complement_shape(lam, n, m))
-    return total.shift(m * n * (n - 1) // 2)
+    if not m:
+        return LaurentPoly.one()  # the empty box holds only the empty interface
+    # every coefficient of the sum is at most its number of watermelons, so
+    # this width makes the digits the coefficients; the box complement of
+    # lam has as many tableaux in n letters as lam (GL_n duality)
+    bound = sum(_weyl_dim(lam, lines) * _weyl_dim(lam, n) for lam in enumerate_in_box(lines, m))
+    width = bound.bit_length() // 8 + 1
+    c_series = _tableau_series(range(lines), (), (m,) * lines, width)
+    b_series = _tableau_series(range(1 - n, 1), (m,) * k, (m,) * n, width)
+    unit = 8 * width
+    top = (m,) * k
+    total = 0
+    for lam, c_side in c_series.items():
+        comp = top + tuple(m - part for part in reversed(lam))
+        total += c_side * b_series[comp] << unit * n * sum(lam)
+    # B_mu is packed from q**((1 - n)|mu|), |mu| = n m - |lam|, and C_lam from
+    # q**0, so the term of lam sits n |lam| digits above q**((1 - n) n m)
+    low = (1 - n) * n * m + m * n * (n - 1) // 2
+    return _unpack_poly(total, low, total.bit_length() // unit + 1, width)
 
 
 def _hooks(n: int, m: int) -> list[int]:

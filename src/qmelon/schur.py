@@ -5,7 +5,8 @@ agreement is part of the test contract:
 
 * ``bialternant``     -- ratio of two alternant determinants,
 * ``tableau_sum``     -- sum over semistandard tableaux, one horizontal strip
-                         per letter (the branching rule),
+                         per letter (the branching rule), as sweeps over the
+                         shapes of each level,
 * ``principal_product`` -- hook-style product for the point (1, q, ..., q**(m-1)),
 * ``h_determinant``   -- determinant of complete homogeneous sums,
 * ``gv_determinant``  -- determinant of twisted Gaussian binomials coming
@@ -23,20 +24,28 @@ with one dynamic program over column sets, packed as ints; it gives
 where fraction-free (Bareiss) elimination takes over, and
 ``_schur_pairing`` every alternant of a box, its divisor included.
 
+The branching rule runs on packed ints too.  ``_tableau_series`` builds
+the tableau series of every shape between two bounds, letter by letter:
+each level's sum over interlacing shapes is one shift-add per state and
+coordinate, and ``_weyl_dim`` bounds the coefficients a priori.  It gives
+``tableau_sum`` its one shape and ``paths.watermelon_genfunc`` both nests
+of every interface; it shares nothing with the pairing but the unpacking.
+
 ``bialternant`` refuses a quotient whose degree span passes
 ``laurent._MAX_DENSE_COEFFS`` and an alternant of more than
-``_MAX_ALTERNANT_WORK`` steps, ``tableau_sum`` a branching of more than
-``_MAX_BRANCHING_STEPS`` steps, and ``_schur_pairing`` a box sum of more
+``_MAX_ALTERNANT_WORK`` steps, and ``_schur_pairing`` a box sum of more
 than ``laurent._MAX_DENSE_COEFFS`` packed bytes or more than
 ``_MAX_ALTERNANT_WORK`` minor steps, before any polynomial is built.
+``tableau_sum`` refuses a branching of more than ``_MAX_BRANCHING_STEPS``
+steps before it sweeps the level that passes the limit.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
-from math import comb, factorial, prod
+from itertools import combinations, starmap
+from math import comb, factorial, perm, prod
 from operator import sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .laurent import (
     _MAX_DENSE_COEFFS,
@@ -45,6 +54,7 @@ from .laurent import (
     PolyMatrix,
     _evaluate,
     _packed_quotient,
+    _unpack_poly,
     det_fraction_free,
     q_ratio,
 )
@@ -241,10 +251,7 @@ def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     _require_quotient_span(lam, exponents)
     n = len(exponents)
     full = pad(lam, n)
-    # a pair of zero parts adds a factor 1 to S_lam(1, ..., 1)
-    pairs = [(i, j) for i in range(len(lam)) for j in range(i + 1, n)]
-    dim = prod(full[i] - full[j] + j - i for i, j in pairs) // prod(j - i for i, j in pairs)
-    width = max(dim, factorial(n)).bit_length() // 8 + 1
+    width = max(_weyl_dim(lam, n), factorial(n)).bit_length() // 8 + 1
     low, top = _alternant(exponents, full, width)
     low_delta, bottom = _alternant(exponents, (), width)
     try:
@@ -256,97 +263,166 @@ def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
 def tableau_sum(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     """Sum of q**(sum of a over entries) over all SSYT of shape lam, entries <= len(exponents).
 
-    Computed by the branching rule, see ``_tableau_series``; the exponents
-    may be negative or repeated.  A shape whose branching would take more
-    than ``_MAX_BRANCHING_STEPS`` steps raises ValueError before any
-    polynomial is built.
+    Computed by the branching rule, see ``_tableau_series``, as one packed
+    int: the sweep between the bounds lo = hi = lam.  The exponents may be
+    negative or repeated.  Its coefficients are at most the number of
+    tableaux, S_lam(1, ..., 1) (``_weyl_dim``), so a width that holds that
+    makes the digits the coefficients.  A shape whose branching would take
+    more than ``_MAX_BRANCHING_STEPS`` steps raises ValueError before any
+    shift-add of the level past the limit runs.
     """
     lam = strip(check_partition(lam))
     m = len(exponents)
     if len(lam) > m:
         raise ValueError(f"shape {lam} needs more than {m} letters")
-    return _tableau_series(exponents, _MAX_BRANCHING_STEPS)(lam)
+    width = _weyl_dim(lam, m).bit_length() // 8 + 1
+    [value] = _tableau_series(exponents, lam, lam, width, _MAX_BRANCHING_STEPS).values()
+    return _unpack_poly(value, min(exponents, default=0) * sum(lam),
+                        value.bit_length() // (8 * width) + 1, width)
+
+
+def _weyl_dim(lam: Sequence[int], n: int) -> int:
+    """S_lam(1, ..., 1) in n letters, the number of SSYT of shape lam with entries <= n.
+
+    Weyl's product over 0 <= i < j < n of (lam_i - lam_j + j - i) / (j - i),
+    lam a partition with at most n nonzero parts.  With l_i = lam_i - i over
+    the p nonzero parts, the pairs of part i with the zero parts give
+    (l_i + n - 1)! / (l_i + p - 1)! over (n - 1 - i)! / (p - 1 - i)!, and the
+    pairs of two nonzero parts give l_i - l_j over (p - 1 - i)! in all.  Per
+    part that is C(l_i + n - 1, lam_i) over the falling factorial
+    (l_i + p - 1) ... (lam_i + 1), so a long alphabet builds no large
+    factorial.
+    """
+    parts = len(lam) - lam.count(0)
+    shifted = list(map(sub, lam, range(parts)))
+    value = prod(starmap(sub, combinations(shifted, 2)))
+    for x, part in zip(shifted, lam):
+        value *= comb(x + n - 1, part)
+    return value // prod(perm(x + parts - 1, parts - 1 - i) for i, x in enumerate(shifted))
 
 
 # The most steps tableau_sum may take, counted as in _tableau_series.  A
-# step is one term added to a series; making an interlacing pair (its tuple,
-# its strip and its memo entry) costs about _PAIR_STEPS of them.  CPython
-# 3.11 takes 40-140 ns a step and keeps every level's series: (1,) in 3000
-# letters counts 4.5 * 10**6 steps and takes 0.65 s and 300 MB of peak
-# RSS, and (300000,) in 2 letters, just past the limit, 2 s and 320 MB.
+# visit builds one state of a level or sweeps one coordinate of it, and
+# costs _VISIT_STEPS plus a step per _VISIT_BYTES bytes of the level's
+# longest packed series.  CPython 3.11 on a shared 2-core VM, least squares
+# over 18 shapes of 3 to 3000 letters: 395 ns a visit and 0.26 ns a byte,
+# so a step is about 23 ns and 10**7 steps about 0.25 s.  A byte is charged
+# six times its time, so that the series a level holds stay below
+# _VISIT_BYTES * 10**7 = 160 MB: (20000,) in 2 letters, 0.64 s and 600 MB,
+# is refused, and (10, 10, 10) in 20 letters, 0.02 s, is not.
 _MAX_BRANCHING_STEPS = 10**7
-_PAIR_STEPS = 16
+_VISIT_STEPS = 17
+_VISIT_BYTES = 16
 
 
-def _tableau_series(exponents: Sequence[int],
-                    limit: int | None = None) -> Callable[[Sequence[int]], LaurentPoly]:
-    """``tableau_sum`` at one point, as a function of the shape.
+def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[int],
+                    width: int, limit: int | None = None) -> dict[Partition, int]:
+    """The tableau series of every shape between the partitions lo and hi, packed.
 
-    The cells of letter r in an SSYT form a horizontal strip lam / mu, and
-    the letters below r fill an SSYT of mu, so
+    Maps each partition nu with lo_i <= nu_i <= hi_i, padded to len(hi)
+    parts, to q**(-a_1 |nu|) S_nu(q**a) at q = 2**(8*width), a the
+    exponents sorted increasing (S_nu is symmetric, so the order is free)
+    and a_1 the least.  hi must have at most len(exponents) parts and
+    contain lo.  A value is only ever shifted and added, so the ints are
+    exact at any width; the digits are the coefficients when the width
+    holds the largest coefficient asked for.
 
-        S_lam(x_1..x_r) = sum over mu < lam of x_r**|lam / mu| * S_mu(x_1..x_{r-1}),
+    The cells of letter r in an SSYT form a horizontal strip mu / nu, and
+    the letters below r fill an SSYT of nu, so
 
-    where mu < lam means lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... with at most
-    r - 1 parts (Macdonald, Symmetric Functions and Hall Polynomials,
-    I (5.11)).  Each S_mu in r letters is computed once, for every shape
-    asked of the returned function, so the shapes of one caller share
-    their smaller shapes.  A shape must have at most len(exponents) parts.
-    The levels run bottom-up in a loop, not by recursion, so the number of
-    letters is not capped by the recursion limit.
+        S_mu(x_1..x_r) = sum over nu < mu of x_r**|mu / nu| * S_nu(x_1..x_{r-1}),
 
-    With a ``limit``, each level counts its steps before it builds the
-    list of its pairs, and so before any polynomial: a shape mu on level r
-    has prod_i (mu_i - mu_(i+1) + 1) interlacing nu, each a pair of
-    ``_PAIR_STEPS`` steps, and the series of nu has at most
-    |nu| * (max - min of a_1..a_(r-1)) + 1 terms to add.  Past the limit
-    the call raises ValueError.
+    where nu < mu means mu_i >= nu_i >= mu_(i+1) for every i, nu with at
+    most r - 1 parts (Macdonald, Symmetric Functions and Hall Polynomials,
+    I (5.11)).  Level r holds the shapes of r letters that lie below a
+    target in a Gelfand-Tsetlin chain: lo_(i+N-r) <= nu_i <= hi_i, N the
+    number of letters.  The sum over the box of nu runs one coordinate at
+    a time, i = r, ..., 1.  Part r of nu is 0, so a new last coordinate is
+    set at once to x_r**mu_r times the shape above it.  Every other one is
+    swept in place, over the states in increasing lexicographic order:
+
+        H(v) = H(v) + (H(v - e_i) << 8 * width * (a_r - a_1)),
+
+    which turns coordinate i from nu_i into mu_i, nu_i running from
+    mu_(i+1) (the state's next coordinate, already turned) up to mu_i, and
+    mu_i no more than nu_(i-1) (the state's previous coordinate, not yet
+    turned).  The states take level r - 1's lower bounds and level r's
+    upper bounds, so the running sums below level r's lower bound have a
+    state too; the next level, and the targets at the end, read only the
+    shapes of their own bounds.  A state is one int, its coordinates
+    digits in base hi_1 + 1, so v - e_i is one subtraction.  Coordinates
+    past len(hi) are 0 and are not kept, and one whose bounds are equal is
+    not swept, so a long alphabet does not build long states.
+
+    With a ``limit``, each level counts its states as they are generated,
+    before any of them is swept, and charges each state one visit to build
+    it and one per swept coordinate.  A visit is ``_VISIT_STEPS`` steps
+    plus a step per ``_VISIT_BYTES`` bytes of the level's longest packed
+    series, width times (a_r - a_1) |hi| + 1 digits, |hi| over the level's
+    coordinates.  Past the limit the call raises ValueError.
     """
-    a = tuple(exponents)
+    a = sorted(exponents)
     top = len(a)
-    memo: dict[tuple[Partition, int], dict[int, int]] = {((), r): {0: 1} for r in range(top + 1)}
-    # spreads[r]: max - min of the first r exponents
-    spreads = [0, *map(sub, accumulate(a, max), accumulate(a, min))]
-
-    def series(lam: Sequence[int]) -> LaurentPoly:
-        lam = strip(lam)
-        # the shapes each level needs that are not known yet, top level first
-        levels: list[dict[Partition, list[Partition]]] = []
-        pending = set() if (lam, top) in memo else {lam}
-        steps = 0
-        for r in range(top, 0, -1):
-            ranges = {mu: _interlacing_ranges(mu, r - 1) for mu in pending}
+    hi = strip(hi)
+    lo = pad(strip(lo), top + 1)
+    radix = hi[0] + 1 if hi else 1
+    level = {0: 1}
+    kept = 0
+    steps = 0
+    for r in range(1, top + 1):
+        kept = min(r, len(hi))
+        grown = r <= len(hi)
+        # level r - 1's lower bounds, level r's upper bounds; a new last
+        # coordinate was 0 on level r - 1 and takes level r's bounds
+        bounds = [(lo[c + top - r + (c < kept - 1 or not grown)], hi[c]) for c in range(kept)]
+        free = [c for c in range(kept - 1 if grown else kept) if bounds[c][0] < bounds[c][1]]
+        spread = a[r - 1] - a[0]
+        shift = 8 * width * spread
+        if limit is not None:
+            size = width * (spread * sum(hi[:kept]) + 1)
+            per_state = (len(free) + 1) * (_VISIT_STEPS + size // _VISIT_BYTES)
+        states = [0]
+        for c, (low, high) in enumerate(bounds):
             if limit is not None:
-                for rs in ranges.values():
-                    count = prod(map(len, rs))
-                    # the sum of |nu| over the count nu: each range is run count / len times
-                    size = count * sum(rg.start + rg.stop - 1 for rg in rs) // 2
-                    steps += count * (_PAIR_STEPS + 1) + size * spreads[r - 1]
-                if steps > limit:
-                    raise ValueError(f"shape {lam} in {top} letters would take {steps} or more "
-                                     f"branching steps, over the limit of {limit}")
-            level = {mu: [strip(nu) for nu in product(*rs)] for mu, rs in ranges.items()}
-            levels.append(level)
-            pending = {nu for nus in level.values() for nu in nus if (nu, r - 1) not in memo}
-        for r, level in enumerate(reversed(levels), start=1):
-            x = a[r - 1]
-            for mu, nus in level.items():
-                size = sum(mu)
-                acc: dict[int, int] = {}
-                for nu in nus:
-                    shift = x * (size - sum(nu))
-                    for e, c in memo[nu, r - 1].items():
-                        acc[e + shift] = acc.get(e + shift, 0) + c
-                memo[mu, r] = acc
-        return LaurentPoly(memo[lam, top])
+                # each prefix extends to a state, so a level has at least as
+                # many states as prefixes
+                count = (sum(min(high, key % radix) for key in states) if c else high) \
+                    - (low - 1) * len(states)
+                _check_branching(hi, top, steps + count * per_state, limit)
+            if c:
+                states = [key * radix + v for key in states
+                          for v in range(low, min(high, key % radix) + 1)]
+            else:
+                states = list(range(low, high + 1))
+        if limit is not None:
+            steps += len(states) * per_state
+            _check_branching(hi, top, steps, limit)
+        old = level.get
+        if grown:
+            # every cell of the new row holds r: x_r**mu_r times the shape above it
+            series = {key: old(key // radix, 0) << shift * (key % radix) for key in states}
+        else:
+            series = {key: old(key, 0) for key in states}
+        get = series.get
+        for c in reversed(free):
+            stride = radix ** (kept - 1 - c)
+            for key in states:
+                below = get(key - stride)
+                if below:
+                    series[key] += below << shift
+        level = series
+    # the targets, level N's shapes, with their keys
+    shapes = [((), 0)]
+    for c in range(kept):
+        shapes = [(shape + (v,), key * radix + v) for shape, key in shapes
+                  for v in range(lo[c], min(hi[c], shape[-1] if c else hi[0]) + 1)]
+    return {shape: level[key] for shape, key in shapes}
 
-    return series
 
-
-def _interlacing_ranges(mu: Partition, parts: int) -> list[range]:
-    """The ranges of nu_i for the nu with at most ``parts`` parts and mu_i >= nu_i >= mu_{i+1}."""
-    return [range(mu[i + 1] if i + 1 < len(mu) else 0, mu[i] + 1)
-            for i in range(min(len(mu), parts))]
+def _check_branching(lam: Partition, letters: int, steps: int, limit: int) -> None:
+    if steps > limit:
+        raise ValueError(f"shape {lam} in {letters} letters would take {steps} or more "
+                         f"branching steps, over the limit of {limit}")
 
 
 def principal_product(lam: Sequence[int], m: int) -> LaurentPoly:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from box_oracle import box_terms
 
-from qmelon import paths
+from qmelon import paths, schur
 from qmelon.cli import _melon_point_lists, main
 from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
@@ -136,6 +136,31 @@ ORACLE_GRID = ([(n, m, k) for n in range(0, 5) for m in range(0, 4)
 @pytest.mark.parametrize("n,m,k", ORACLE_GRID)
 def test_genfunc_matches_enumeration_oracle(n, m, k):
     assert watermelon_genfunc(n, m, k).to_pairs() == enumeration_oracle(n, m, k).to_pairs()
+
+
+@pytest.mark.parametrize("n,m,k,width", [(4, 5, 3, 1), (3, 8, 2, 2), (4, 7, 2, 2),
+                                         (3, 11, 1, 3)])
+def test_genfunc_on_both_sides_of_a_width_byte(n, m, k, width):
+    # 126, 165, 32670 and 41405 watermelons: the bound on the coefficients
+    # crosses 2**7 and 2**15
+    bound = sum(schur._weyl_dim(lam, n - k) * schur._weyl_dim(lam, n)
+                for lam in enumerate_in_box(n - k, m))
+    assert bound == count_deviation(n, n - k, m)
+    assert bound.bit_length() // 8 + 1 == width
+    assert dict(watermelon_genfunc(n, m, k).terms()) == box_terms(n, n - k, m)
+
+
+def test_genfunc_width_bound_is_live(monkeypatch):
+    # coefficients up to 11408 do not fit one byte: with every Weyl count
+    # forced to 1, the digits are read wrong or refused
+    want = box_terms(4, 4, 4)
+    assert max(want.values()) >= 2**8
+    monkeypatch.setattr(paths, "_weyl_dim", lambda shape, n: 1)
+    try:
+        value = watermelon_genfunc(4, 4, 0)
+    except (OverflowError, ValueError):
+        return
+    assert dict(value.terms()) != want
 
 
 @pytest.mark.parametrize("n,k", [(0, -1), (0, 1), (2, -1), (2, 3), (4, 5)])

@@ -124,6 +124,64 @@ def test_tableau_sum_matches_enumeration(case):
     assert tableau_sum(lam, exps) == tableau_oracle(lam, exps)
 
 
+@st.composite
+def bounded_series_inputs(draw):
+    """Up to 4 letters with exponents in -5..9, repeats allowed, and partitions
+    lo inside hi, hi with at most 3 nonzero parts of at most 3 and no more
+    parts than letters."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    exps = draw(st.lists(st.integers(min_value=-5, max_value=9), min_size=n, max_size=n))
+    hi = sorted(draw(st.lists(st.integers(min_value=1, max_value=3), max_size=min(n, 3))),
+                reverse=True)
+    # the k-th largest of parts drawn below hi_1, hi_2, ... is below hi_k
+    lo = sorted((draw(st.integers(min_value=0, max_value=part)) for part in hi), reverse=True)
+    return tuple(exps), tuple(lo), tuple(hi)
+
+
+@settings(deadline=None, max_examples=150)
+@given(bounded_series_inputs())
+@example(((-2, -1, 0), (2, 0, 0), (2, 2, 2)))  # the B side of watermelon_genfunc(3, 2, 1)
+@example(((3, -1, 3, 0), (1, 1, 0), (3, 2, 1)))
+@example(((7, -5), (2, 1), (3, 3)))
+@example(((), (), ()))
+def test_tableau_series_between_bounds_matches_enumeration(case):
+    # every shape between the bounds, none other, each packed from q**(min a |nu|)
+    exps, lo, hi = case
+    shapes = [nu for nu in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+              if list(nu) == sorted(nu, reverse=True)]
+    width = max(count_ssyt(nu, len(exps)) for nu in shapes).bit_length() // 8 + 1
+    series = schur._tableau_series(exps, lo, hi, width)
+    assert sorted(series) == shapes
+    for nu, value in series.items():
+        low = min(exps, default=0) * weight(nu)
+        digits = value.bit_length() // (8 * width) + 1
+        assert laurent._unpack_poly(value, low, digits, width) == tableau_oracle(strip(nu), exps)
+
+
+@pytest.mark.parametrize("lam, n, width", [((5,), 5, 1), ((5, 1), 4, 2),
+                                           ((4, 4, 2), 7, 2), ((5, 3), 8, 3)])
+def test_tableau_sum_on_both_sides_of_a_width_byte(lam, n, width):
+    # S_lam(1, ..., 1) is 126, 140, 31752 and 33264: on both sides of 2**7 and 2**15
+    assert schur._weyl_dim(lam, n).bit_length() // 8 + 1 == width
+    assert tableau_sum(lam, tuple(range(n))) == principal_product(lam, n)
+    point = tuple(range(-(n // 2), n - n // 2))
+    assert tableau_sum(lam, point) == bialternant(lam, point)
+
+
+def test_tableau_sum_width_bound_is_live(monkeypatch):
+    # coefficients up to 1998 do not fit one byte: with the bound forced to
+    # 1, the digits are read wrong or refused
+    lam, point = (4, 4, 2), tuple(range(7))
+    want = principal_product(lam, 7)
+    assert max(c for _, c in want.terms()) >= 2**8
+    monkeypatch.setattr(schur, "_weyl_dim", lambda shape, n: 1)
+    try:
+        value = tableau_sum(lam, point)
+    except (OverflowError, ValueError):
+        return
+    assert value != want
+
+
 def test_tableau_sum_long_row_single_letter():
     # one letter fills the row in one horizontal strip: no cell-by-cell work
     start = time.process_time()
@@ -340,23 +398,33 @@ def test_bialternant_turns_a_remainder_into_an_error(monkeypatch):
 
 
 def branching_steps(lam, exponents):
-    """The steps tableau_sum counts, pair by pair; asserts each series bound."""
-    a = tuple(exponents)
-    steps, pending, known = 0, {strip(lam)} - {()}, set()
-    for r in range(len(a), 0, -1):
-        spread = max(a[:r - 1], default=0) - min(a[:r - 1], default=0)
-        nxt = set()
-        for mu in pending:
-            for nu in itertools.product(*(range(mu[i + 1] if i + 1 < len(mu) else 0, mu[i] + 1)
-                                         for i in range(min(len(mu), r - 1)))):
-                nu = strip(nu)
-                terms = weight(nu) * spread + 1
-                assert len(tableau_oracle(nu, a[:r - 1])._terms) <= terms
-                steps += schur._PAIR_STEPS + terms
-                if nu and (nu, r - 1) not in known:
-                    known.add((nu, r - 1))
-                    nxt.add(nu)
-        pending = nxt
+    """The steps tableau_sum charges, level by level; asserts each series bound.
+
+    Level r sweeps the shapes rho inside lam with at most r parts,
+    rho_i >= lam_(i+N-r+1) for i < r and rho_r >= lam_N, N the number of
+    letters.  Each is charged one visit, and one more per part i < r with
+    lam_(i+N-r+1) < lam_i; a visit is 17 steps and a step per 16 bytes of
+    the level's longest series.
+    """
+    a = sorted(exponents)
+    top = len(a)
+    lam = strip(lam)
+    low = lam + (0,) * (top + 1 - len(lam))
+    width = count_ssyt(lam, top).bit_length() // 8 + 1
+    steps = 0
+    for r in range(1, top + 1):
+        parts = min(r, len(lam))
+        bounds = [(low[i + top - r + 1] if i < r - 1 else low[top - 1], lam[i])
+                  for i in range(parts)]
+        shapes = [rho for rho in itertools.product(*(range(l, h + 1) for l, h in bounds))
+                  if list(rho) == sorted(rho, reverse=True)]
+        free = sum(l < h for l, h in bounds[:r - 1])
+        digits = (a[r - 1] - a[0]) * sum(lam[:parts]) + 1
+        for rho in shapes:
+            if all(part >= bound for part, bound in zip(rho, low[top - r:])):
+                terms = tableau_oracle(rho, a[:r])._terms
+                assert max(terms) - min(terms) < digits
+        steps += len(shapes) * (free + 1) * (17 + width * digits // 16)
     return steps
 
 
