@@ -158,11 +158,14 @@ def test_tableau_series_between_bounds_matches_enumeration(case):
         assert laurent._unpack_poly(value, low, digits, width) == tableau_oracle(strip(nu), exps)
 
 
-@pytest.mark.parametrize("lam, n, width", [((5,), 5, 1), ((5, 1), 4, 2),
-                                           ((4, 4, 2), 7, 2), ((5, 3), 8, 3)])
-def test_tableau_sum_on_both_sides_of_a_width_byte(lam, n, width):
-    # S_lam(1, ..., 1) is 126, 140, 31752 and 33264: on both sides of 2**7 and 2**15
-    assert schur._weyl_dim(lam, n).bit_length() // 8 + 1 == width
+@pytest.mark.parametrize("lam, n, dim, width", [((5,), 5, 126, 1), ((5, 1), 4, 140, 2),
+                                                ((4, 4, 2), 7, 31752, 2), ((5, 3), 8, 33264, 3)])
+def test_tableau_sum_on_both_sides_of_a_width_byte(lam, n, dim, width):
+    # S_lam(1, ..., 1) on both sides of 2**7 and 2**15; at a point of n
+    # equal exponents it is the one coefficient
+    assert schur._weyl_dim(lam, n) == dim
+    assert dim.bit_length() // 8 + 1 == width
+    assert tableau_sum(lam, (3,) * n) == LaurentPoly({3 * weight(lam): dim})
     assert tableau_sum(lam, tuple(range(n))) == principal_product(lam, n)
     point = tuple(range(-(n // 2), n - n // 2))
     assert tableau_sum(lam, point) == bialternant(lam, point)
