@@ -36,8 +36,9 @@ of every interface; it shares nothing with the pairing but the unpacking.
 ``_MAX_ALTERNANT_WORK`` steps, and ``_schur_pairing`` a box sum of more
 than ``laurent._MAX_DENSE_COEFFS`` packed bytes or more than
 ``_MAX_ALTERNANT_WORK`` minor steps, before any polynomial is built.
-``tableau_sum`` refuses a branching of more than ``_MAX_BRANCHING_STEPS``
-steps before it sweeps the level that passes the limit.
+``tableau_sum`` refuses a branching and unpacking of more than
+``_MAX_BRANCHING_STEPS`` steps before it sweeps the level that passes the
+limit.
 """
 
 from __future__ import annotations
@@ -267,9 +268,12 @@ def tableau_sum(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     int: the sweep between the bounds lo = hi = lam.  The exponents may be
     negative or repeated.  Its coefficients are at most the number of
     tableaux, S_lam(1, ..., 1) (``_weyl_dim``), so a width that holds that
-    makes the digits the coefficients.  A shape whose branching would take
-    more than ``_MAX_BRANCHING_STEPS`` steps raises ValueError before any
-    shift-add of the level past the limit runs.
+    makes the digits the coefficients.  A shape whose branching and
+    unpacking would take more than ``_MAX_BRANCHING_STEPS`` steps raises
+    ValueError before any shift-add of the level past the limit runs, or
+    before the unpacking, which is charged by the digits of the dense
+    result: a point with a wide gap between its exponents pays for the
+    zero digits between its terms.
     """
     lam = strip(check_partition(lam))
     m = len(exponents)
@@ -303,16 +307,30 @@ def _weyl_dim(lam: Sequence[int], n: int) -> int:
 
 # The most steps tableau_sum may take, counted as in _tableau_series.  A
 # visit builds one state of a level or sweeps one coordinate of it, and
-# costs _VISIT_STEPS plus a step per _VISIT_BYTES bytes of the level's
-# longest packed series.  CPython 3.11 on a shared 2-core VM, least squares
-# over 18 shapes of 3 to 3000 letters: 395 ns a visit and 0.26 ns a byte,
-# so a step is about 23 ns and 10**7 steps about 0.25 s.  A byte is charged
-# six times its time, so that the series a level holds stay below
-# _VISIT_BYTES * 10**7 = 160 MB: (20000,) in 2 letters, 0.64 s and 600 MB,
-# is refused, and (10, 10, 10) in 20 letters, 0.02 s, is not.
+# costs _VISIT_STEPS plus a step per _VISIT_BYTES bytes of the series it
+# reads or makes.  CPython 3.11 on a shared 2-core VM, least squares over
+# 18 shapes of 3 to 3000 letters: 395 ns a visit and 0.26 ns a byte, so a
+# step is about 23 ns and 10**7 steps about 0.25 s.  A byte is charged six
+# times its time, so that the series of one call stay below
+# _VISIT_BYTES * 10**7 = 160 MB.  Unpacking the result costs 50 to 700 ns
+# a digit (700 at the widths with no native cast), _DIGIT_STEPS steps, so
+# a sparse point pays for the zero digits between its terms.  Charged so,
+# 18 shapes from (140000,) in 2 letters to (1,) in 6000 took 4 to 24 ns a
+# step: (90000,) in 2 letters, about 0.2 s, and (10, 10, 10) in 20
+# letters, 0.02 s, are accepted, and (1,) at (0, 4 * 10**5), two terms
+# 400,000 digits apart, is refused.
 _MAX_BRANCHING_STEPS = 10**7
 _VISIT_STEPS = 17
 _VISIT_BYTES = 16
+_DIGIT_STEPS = 30
+
+# The rise of a floor over its states' lower bound up to which the states
+# below it keep running sums.  The halvings pay a list and a few passes per
+# line, so running sums are faster at small rises and the halvings at large
+# ones (microseconds, running vs halvings, width 3): (32,) at (0, 1) 41 vs
+# 54, at (0, 7) 49 vs 56, (32, 32) at (0, 3, 7) 580 vs 729, (64,) at (0, 7)
+# 102 vs 86, (256,) at (0, 1) 240 vs 205, (1024,) at (0, 1) 2972 vs 829.
+_RUNNING_SUM_RISE = 32
 
 
 def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[int],
@@ -346,20 +364,36 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
     which turns coordinate i from nu_i into mu_i, nu_i running from
     mu_(i+1) (the state's next coordinate, already turned) up to mu_i, and
     mu_i no more than nu_(i-1) (the state's previous coordinate, not yet
-    turned).  The states take level r - 1's lower bounds and level r's
-    upper bounds, so the running sums below level r's lower bound have a
-    state too; the next level, and the targets at the end, read only the
-    shapes of their own bounds.  A state is one int, its coordinates
-    digits in base hi_1 + 1, so v - e_i is one subtraction.  Coordinates
-    past len(hi) are 0 and are not kept, and one whose bounds are equal is
-    not swept, so a long alphabet does not build long states.
+    turned).  The states take level r - 1's lower bounds low_i and level
+    r's upper bounds.  A state below level r's lower bound f_i is read only
+    by the state at f_i on its line.  When f_i - low_i is at most
+    ``_RUNNING_SUM_RISE``, such states keep their running sums like any
+    other; past that, a running sum per state would cost the line's length
+    squared, so the state at f_i takes the sum of its line up to f_i at
+    once, by halves (``_stacked``), and the states below f_i are dropped.
+    The new last coordinate's factor x_r**mu_r, the same along every line,
+    then waits for the sweeps, so the dropped states never carry it.  The
+    next level, and the targets at the end, read only the shapes of their
+    own bounds.  A state is one int, its coordinates digits in base
+    hi_1 + 1, so v - e_i is one subtraction.  Coordinates past len(hi) are
+    0 and are not kept, and one whose bounds are equal is not swept, so a
+    long alphabet does not build long states.
 
-    With a ``limit``, each level counts its states as they are generated,
-    before any of them is swept, and charges each state one visit to build
-    it and one per swept coordinate.  A visit is ``_VISIT_STEPS`` steps
-    plus a step per ``_VISIT_BYTES`` bytes of the level's longest packed
-    series, width times (a_r - a_1) |hi| + 1 digits, |hi| over the level's
-    coordinates.  Past the limit the call raises ValueError.
+    With a ``limit``, each level is charged as its states are generated,
+    before any of them is swept.  A visit is ``_VISIT_STEPS`` steps plus a
+    step per ``_VISIT_BYTES`` bytes of the series it reads or makes, at
+    most width * (s' |hi| + (s - s') t + 1) bytes: s = a_r - a_1 and
+    s' = a_(r-1) - a_1 are the spreads of levels r and r - 1, |hi| runs
+    over the level's coordinates and t is the sum of hi_j - low_j over the
+    coordinates j turned so far (hi_j for a new one).  A state costs one
+    visit to build, and per swept coordinate i one visit after the sweep
+    of i.  Past the rise, a state below f_i costs instead two visits
+    before the sweep (its share of the halvings) and is dropped, and a
+    state at f_i ceil(log2(f_i - low_i + 1)) more (one per halving); a new
+    coordinate's factor is then one more visit for each state not dropped,
+    with every coordinate turned.  After the last level, the caller's
+    unpacking of one target is charged ``_DIGIT_STEPS`` a digit,
+    (a_N - a_1) |hi| + 1     digits.  Past the limit the call raises ValueError.
     """
     a = sorted(exponents)
     top = len(a)
@@ -378,9 +412,17 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
         free = [c for c in range(kept - 1 if grown else kept) if bounds[c][0] < bounds[c][1]]
         spread = a[r - 1] - a[0]
         shift = 8 * width * spread
+        # a new last coordinate's factor x_r**mu_r is the same along every
+        # line of a sweep; it waits for the sweeps that drop states
+        late = grown and any(lo[c + top - r] - bounds[c][0] > _RUNNING_SUM_RISE for c in free)
         if limit is not None:
-            size = width * (spread * sum(hi[:kept]) + 1)
-            per_state = (len(free) + 1) * (_VISIT_STEPS + size // _VISIT_BYTES)
+            below = a[r - 2] - a[0] if r > 1 else 0
+            fixed = below * sum(hi[:kept]) + 1
+
+            def visit(turned: int) -> int:
+                return _VISIT_STEPS + width * (fixed + (spread - below) * turned) // _VISIT_BYTES
+
+            turned = hi[kept - 1] if grown and not late else 0
         states = [0]
         for c, (low, high) in enumerate(bounds):
             if limit is not None:
@@ -388,17 +430,36 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
                 # many states as prefixes
                 count = (sum(min(high, key % radix) for key in states) if c else high) \
                     - (low - 1) * len(states)
-                _check_branching(hi, top, steps + count * per_state, limit)
+                _check_branching(hi, top, steps + count * visit(turned), limit)
             if c:
                 states = [key * radix + v for key in states
                           for v in range(low, min(high, key % radix) + 1)]
             else:
                 states = list(range(low, high + 1))
         if limit is not None:
-            steps += len(states) * per_state
+            steps += len(states) * visit(turned)
+            rising = [True] * len(states)
+            for c in reversed(free):
+                low, high = bounds[c]
+                floor = lo[c + top - r]
+                before = visit(turned)
+                turned += high - low
+                if floor - low <= _RUNNING_SUM_RISE:
+                    steps += len(states) * visit(turned)
+                    continue
+                stride = radix ** (kept - 1 - c)
+                digits = [key // stride % radix for key in states]
+                under = sum(d < floor for d in digits)
+                halvings = digits.count(floor) * (floor - low).bit_length()
+                steps += 2 * under * before + (len(states) - under + halvings) * visit(turned)
+                rising = [up and d >= floor for up, d in zip(rising, digits)]
+            if late:
+                steps += sum(rising) * visit(turned + hi[kept - 1])
             _check_branching(hi, top, steps, limit)
         old = level.get
-        if grown:
+        if late:
+            series = {key: old(key // radix, 0) for key in states}
+        elif grown:
             # every cell of the new row holds r: x_r**mu_r times the shape above it
             series = {key: old(key // radix, 0) << shift * (key % radix) for key in states}
         else:
@@ -406,17 +467,64 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
         get = series.get
         for c in reversed(free):
             stride = radix ** (kept - 1 - c)
+            floor = lo[c + top - r]
+            if floor - bounds[c][0] <= _RUNNING_SUM_RISE:
+                for key in states:
+                    below = get(key - stride)
+                    if below:
+                        series[key] += below << shift
+                continue
+            # the states below the floor go into the sums at the floor
+            rising = []
             for key in states:
-                below = get(key - stride)
-                if below:
-                    series[key] += below << shift
+                digit = key // stride % radix
+                if digit > floor:
+                    below = get(key - stride)
+                    if below:
+                        series[key] += below << shift
+                elif digit == floor:
+                    line = [series[key]]
+                    key_below = key - stride
+                    while key_below in series:
+                        line.append(series.pop(key_below))
+                        key_below -= stride
+                    series[key] = _stacked(line, shift)
+                else:
+                    continue
+                rising.append(key)
+            if len(series) > len(rising):
+                # states below the floor on a line that never reaches it
+                series = {key: series[key] for key in rising}
+                get = series.get
+            states = rising
+        if late:
+            series = {key: value << shift * (key % radix) for key, value in series.items()}
         level = series
+    if limit is not None:
+        # the caller unpacks a target of up to (a_N - a_1) |hi| + 1 digits
+        steps += _DIGIT_STEPS * ((a[-1] - a[0] if a else 0) * sum(hi) + 1)
+        _check_branching(hi, top, steps, limit)
     # the targets, level N's shapes, with their keys
     shapes = [((), 0)]
     for c in range(kept):
         shapes = [(shape + (v,), key * radix + v) for shape, key in shapes
                   for v in range(lo[c], min(hi[c], shape[-1] if c else hi[0]) + 1)]
     return {shape: level[key] for shape, key in shapes}
+
+
+def _stacked(values: list[int], shift: int) -> int:
+    """The sum of values[t] << shift * t, added by halves.
+
+    n ints of b bytes at a shift of s bytes cost about 2 n b + n s log2(n)
+    bytes of shift-adds, where adding them one by one costs about n**2 s / 2.
+    """
+    while len(values) > 1:
+        pairs = [low + (high << shift) for low, high in zip(values[::2], values[1::2])]
+        if len(values) % 2:
+            pairs.append(values[-1])
+        values = pairs
+        shift *= 2
+    return values[0]
 
 
 def _check_branching(lam: Partition, letters: int, steps: int, limit: int) -> None:

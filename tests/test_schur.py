@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import re
 import time
 from unittest import mock
@@ -143,6 +144,8 @@ def bounded_series_inputs(draw):
 @example(((-2, -1, 0), (2, 0, 0), (2, 2, 2)))  # the B side of watermelon_genfunc(3, 2, 1)
 @example(((3, -1, 3, 0), (1, 1, 0), (3, 2, 1)))
 @example(((7, -5), (2, 1), (3, 3)))
+@example(((2, -3), (34, 0), (36, 2)))  # floors 34 above the states below them
+@example(((1, -1, 4), (34, 1, 0), (35, 2, 1)))
 @example(((), (), ()))
 def test_tableau_series_between_bounds_matches_enumeration(case):
     # every shape between the bounds, none other, each packed from q**(min a |nu|)
@@ -401,13 +404,23 @@ def test_bialternant_turns_a_remainder_into_an_error(monkeypatch):
 
 
 def branching_steps(lam, exponents):
-    """The steps tableau_sum charges, level by level; asserts each series bound.
+    """The steps tableau_sum charges, level by level; asserts each level's series bound.
 
-    Level r sweeps the shapes rho inside lam with at most r parts,
-    rho_i >= lam_(i+N-r+1) for i < r and rho_r >= lam_N, N the number of
-    letters.  Each is charged one visit, and one more per part i < r with
-    lam_(i+N-r+1) < lam_i; a visit is 17 steps and a step per 16 bytes of
-    the level's longest series.
+    Level r of N letters sweeps the shapes rho inside lam with at most r
+    parts, rho_i >= lam_(i+N-r+1) =: low_i for i < r and rho_r >= lam_N,
+    and keeps those with rho_i >= lam_(i+N-r) =: f_i, w the width.  A
+    visit is 17 steps and a step per 16 bytes of w * (s' |lam| + (s - s') t
+    + 1), s and s' the spreads a_r - a_1 and a_(r-1) - a_1, |lam| over r
+    parts and t the sum of lam_j - low_j over the parts turned so far.
+    Each shape is built in one visit, with a new part r turned unless
+    the level has a rise past 32 (below).  Each part i < r with
+    low_i < lam_i, last first, costs a shape one visit with part i
+    turned, when f_i - low_i <= 32.  Past that rise it costs a shape two
+    visits if rho_i < f_i, with the parts after i turned, and drops it,
+    and otherwise one, plus ceil(log2(f_i - low_i + 1)) if rho_i = f_i,
+    with part i turned too.  When a new part r waits for such a rise, each
+    shape not dropped is one more visit with every part turned.  Unpacking the result is 30
+    steps a digit, (a_N - a_1) |lam| + 1 digits.
     """
     a = sorted(exponents)
     top = len(a)
@@ -417,34 +430,65 @@ def branching_steps(lam, exponents):
     steps = 0
     for r in range(1, top + 1):
         parts = min(r, len(lam))
+        grown = r <= len(lam)
         bounds = [(low[i + top - r + 1] if i < r - 1 else low[top - 1], lam[i])
                   for i in range(parts)]
+        floors = low[top - r:top - r + parts]
         shapes = [rho for rho in itertools.product(*(range(l, h + 1) for l, h in bounds))
                   if list(rho) == sorted(rho, reverse=True)]
-        free = sum(l < h for l, h in bounds[:r - 1])
-        digits = (a[r - 1] - a[0]) * sum(lam[:parts]) + 1
+        spread, below = a[r - 1] - a[0], (a[r - 2] - a[0] if r > 1 else 0)
+        fixed = below * sum(lam[:parts]) + 1
+
+        def visit(turned):
+            return 17 + width * (fixed + (spread - below) * turned) // 16
+
+        swept = [i for i in range(parts - 1 if grown else parts) if bounds[i][0] < lam[i]]
+        late = grown and any(floors[i] - bounds[i][0] > 32 for i in swept)
+        turned = lam[parts - 1] if grown and not late else 0
+        steps += len(shapes) * visit(turned)
+        dropped = set()
+        for i in reversed(swept):
+            (l, h), f = bounds[i], floors[i]
+            before, after = visit(turned), visit(turned + h - l)
+            turned += h - l
+            if f - l <= 32:
+                steps += len(shapes) * after
+                continue
+            for rho in shapes:
+                if rho[i] < f:
+                    steps += 2 * before
+                    dropped.add(rho)
+                else:
+                    steps += after * (1 + (rho[i] == f) * (f - l).bit_length())
+        if late:
+            turned += lam[parts - 1]
+            steps += (len(shapes) - len(dropped)) * visit(turned)
         for rho in shapes:
-            if all(part >= bound for part, bound in zip(rho, low[top - r:])):
-                terms = tableau_oracle(rho, a[:r])._terms
-                assert max(terms) - min(terms) < digits
-        steps += len(shapes) * (free + 1) * (17 + width * digits // 16)
-    return steps
+            if not all(map(operator.ge, rho, floors)):
+                continue
+            terms = tableau_oracle(rho, a[:r])._terms
+            assert max(terms) - a[0] * sum(rho) < fixed + (spread - below) * turned
+    return steps + 30 * ((a[-1] - a[0]) * sum(lam) + 1)
 
 
 def test_tableau_sum_refuses_past_the_branching_limit(monkeypatch):
-    # the limit is met exactly at the counted steps, and each pair's series
-    # bound holds
-    point = (0, 2, 3, 7)
-    for lam in enumerate_in_box(4, 2):
-        steps = branching_steps(lam, point)
-        monkeypatch.setattr(schur, "_MAX_BRANCHING_STEPS", steps)
-        assert tableau_sum(lam, point) == tableau_oracle(lam, point)
-        monkeypatch.setattr(schur, "_MAX_BRANCHING_STEPS", steps - 1)
-        with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} in 4 letters "
-                                             f"would take \\d+ or more branching steps, over the "
-                                             f"limit of {steps - 1}$"):
-            tableau_sum(lam, point)
-        monkeypatch.undo()
+    # the limit is met exactly at the counted steps, and each level's series
+    # bound holds; the second point has a negative and a repeated exponent,
+    # and the third floors more than 32 above the states below them, which
+    # are summed by halves
+    for point, lams in (((0, 2, 3, 7), enumerate_in_box(4, 2)),
+                        ((4, -1, 0, 0), enumerate_in_box(3, 4)),
+                        ((3, -2, 3), [(40,), (35, 30), (34, 34, 1), (40, 2, 1), (50, 9)])):
+        for lam in lams:
+            steps = branching_steps(lam, point)
+            monkeypatch.setattr(schur, "_MAX_BRANCHING_STEPS", steps)
+            assert tableau_sum(lam, point) == tableau_oracle(lam, point)
+            monkeypatch.setattr(schur, "_MAX_BRANCHING_STEPS", steps - 1)
+            with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} in "
+                                                 f"{len(point)} letters would take \\d+ or more branching "
+                                                 f"steps, over the limit of {steps - 1}$"):
+                tableau_sum(lam, point)
+            monkeypatch.undo()
 
 
 def test_budgets_accept_many_tableaux_of_little_work():
@@ -458,6 +502,27 @@ def test_budgets_accept_many_tableaux_of_little_work():
             route((99999999999,), (0, 1))
 
 
+def test_long_row_in_two_letters_keeps_no_running_sum_below_its_floor():
+    # every shape of letter 1 is summed into the one target at once, by
+    # halves: about 2.3 * 10**6 steps, where a running sum per shape would
+    # hold 4 * 10**8 bytes
+    start = time.process_time()
+    assert tableau_sum((20000,), (0, 1)) == bialternant((20000,), (0, 1))
+    assert time.process_time() - start < 2
+
+
+def test_sparse_point_is_charged_its_dense_digits():
+    # the packed series of (1,) at (0, g) has g + 1 digits, two of them
+    # nonzero, and unpacking costs each digit: refused past about 3 * 10**5,
+    # and at 10**8 by the 10**8 bytes of its one sweep, before it runs
+    assert tableau_sum((1,), (0, 10**5)) == LaurentPoly({0: 1, 10**5: 1})
+    for gap in (10**6, 10**8):
+        start = time.process_time()
+        with pytest.raises(ValueError, match="^shape \\(1,\\) in 2 letters would take "):
+            tableau_sum((1,), (0, gap))
+        assert time.process_time() - start < 0.5
+
+
 def test_watermelon_genfunc_does_not_pay_for_the_branching_limit(monkeypatch):
     want = watermelon_genfunc(3, 2, 1)
     monkeypatch.setattr(schur, "_MAX_BRANCHING_STEPS", 0)
@@ -467,7 +532,7 @@ def test_watermelon_genfunc_does_not_pay_for_the_branching_limit(monkeypatch):
 
 
 def test_branching_limit_stops_at_the_first_level_over_it():
-    # the full count over 10**5 letters would be about 5 * 10**9 steps; the
-    # check stops at the first level past the limit, about 4,500 levels down
+    # the full count over 10**5 letters would be about 4 * 10**9 steps; the
+    # check stops at the first level past the limit, about 4,200 levels down
     with pytest.raises(ValueError, match="^shape \\(1,\\) in 100000 letters would take"):
         tableau_sum((1,), tuple(range(10**5)))
