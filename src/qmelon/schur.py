@@ -393,7 +393,8 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
     coordinate's factor is then one more visit for each state not dropped,
     with every coordinate turned.  After the last level, the caller's
     unpacking of one target is charged ``_DIGIT_STEPS`` a digit,
-    (a_N - a_1) |hi| + 1     digits.  Past the limit the call raises ValueError.
+    (a_N - a_1) |hi| + 1 digits.  Past the limit the call raises
+    ValueError.
     """
     a = sorted(exponents)
     top = len(a)
@@ -416,11 +417,11 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
         # line of a sweep; it waits for the sweeps that drop states
         late = grown and any(lo[c + top - r] - bounds[c][0] > _RUNNING_SUM_RISE for c in free)
         if limit is not None:
-            below = a[r - 2] - a[0] if r > 1 else 0
-            fixed = below * sum(hi[:kept]) + 1
+            prev = a[r - 2] - a[0] if r > 1 else 0
+            fixed = prev * sum(hi[:kept]) + 1
 
             def visit(turned: int) -> int:
-                return _VISIT_STEPS + width * (fixed + (spread - below) * turned) // _VISIT_BYTES
+                return _VISIT_STEPS + width * (fixed + (spread - prev) * turned) // _VISIT_BYTES
 
             turned = hi[kept - 1] if grown and not late else 0
         states = [0]
@@ -438,7 +439,7 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
                 states = list(range(low, high + 1))
         if limit is not None:
             steps += len(states) * visit(turned)
-            rising = [True] * len(states)
+            alive = [True] * len(states)
             for c in reversed(free):
                 low, high = bounds[c]
                 floor = lo[c + top - r]
@@ -452,9 +453,9 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
                 under = sum(d < floor for d in digits)
                 halvings = digits.count(floor) * (floor - low).bit_length()
                 steps += 2 * under * before + (len(states) - under + halvings) * visit(turned)
-                rising = [up and d >= floor for up, d in zip(rising, digits)]
+                alive = [up and d >= floor for up, d in zip(alive, digits)]
             if late:
-                steps += sum(rising) * visit(turned + hi[kept - 1])
+                steps += sum(alive) * visit(turned + hi[kept - 1])
             _check_branching(hi, top, steps, limit)
         old = level.get
         if late:
