@@ -174,8 +174,9 @@ def cmd_verify(args) -> int:
     with sink as fh:
         cases = build_cases(args.suite, args.max_n, args.max_m, args.max_k, shapes_box)
         reports = run_cases(cases, args.workers)
+        timing = not args.no_timing
         for r in reports:
-            fh.write(report_json_line(r) + "\n")
+            fh.write(report_json_line(r, timing) + "\n")
     passed = sum(1 for r in reports if r.equal)
     print(f"# passed {passed}/{len(reports)}")
     return 0 if passed == len(reports) else 1
@@ -195,10 +196,9 @@ def cmd_count(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         return _fail_usage(str(exc))
     if args.format == "json":
-        wire = value if isinstance(value, int) else value.to_pairs()
-        print(json.dumps(
-            {"n": n, "l": l, "m": m, "what": args.what, "value": wire},
-            sort_keys=True))
+        # the keys of json.dumps(..., sort_keys=True), the value written directly
+        wire = str(value) if isinstance(value, int) else value._wire_json()
+        print(f'{{"l": {l}, "m": {m}, "n": {n}, "value": {wire}, "what": "{args.what}"}}')
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -404,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="process count (default 1)")
     p.add_argument("--out", default=None, help="write the JSON lines to a file")
+    p.add_argument("--no-timing", action="store_true",
+                   help="leave elapsed_ms out of every report line")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="watermelon numbers and generating functions")

@@ -84,8 +84,27 @@ class IdentityReport:
         return out
 
 
-def report_json_line(report: IdentityReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True)
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def report_json_line(report: IdentityReport, timing: bool = True) -> str:
+    """One report as a JSON line, byte for byte ``json.dumps(to_json_dict(), sort_keys=True)``.
+
+    The keys come in sorted order: elapsed_ms, equal, error, identity, lhs,
+    params, rhs.  The head before ``lhs`` and the params are encoded by
+    one shared encoder, and each polynomial side is written straight from
+    its terms; equal sides are written once.  With ``timing`` false,
+    ``elapsed_ms`` is left out, so the line depends on the case alone.
+    """
+    head = {"equal": report.equal, "identity": report.identity}
+    if timing:
+        head["elapsed_ms"] = round(report.elapsed_ms, 3)
+    if report.error is not None:
+        head["error"] = report.error
+    lhs = report.lhs._wire_json()
+    rhs = lhs if report.lhs == report.rhs else report.rhs._wire_json()
+    return (f'{_ENCODER.encode(head)[:-1]}, "lhs": {lhs}, '
+            f'"params": {_ENCODER.encode(report.params)}, "rhs": {rhs}}}')
 
 
 def _report(identity: str, params: dict, lhs: LaurentPoly, rhs: LaurentPoly,

@@ -123,6 +123,15 @@ _MINORS_DET_MIN_BYTES = 512
 # polynomial's dict.  closed_genfunc(40, 40, 40) needs 64,001 coefficients.
 _MAX_DENSE_COEFFS = 10**7
 
+# The most work of _packed_quotient's divmod, on the scale of
+# schur._MAX_ALTERNANT_WORK: 10**10 steps, about 3 s of CPython 3.11.  Long
+# division is quadratic there, about 0.13 ns per byte of the quotient times
+# byte of the divisor, so a quarter of the product of the numerator's and
+# the divisor's bytes is charged: bialternant((1,), (0, 10**5)) divides
+# 200,000 by 100,000 bytes, 5.0 * 10**9 steps, in 1.2 s, and (0, 10**6)
+# would take minutes for 5.0 * 10**11 steps.
+_MAX_QUOTIENT_WORK = 10**10
+
 # struct codes of the native signed C integers, by their size in bytes.  A
 # cast reads the machine's byte order and the digits are little-endian, so
 # a big-endian host has none and reads every width digit by digit.
@@ -199,6 +208,8 @@ def _packed_quotient(num: int, den: int, low: int, width: int,
     and of B in [-X/2, X/2); the quotient's digit 0 is the exponent low.
     The powers of X that divide each are stripped, so the quotient is a
     polynomial, and one divmod gives Q(X); a remainder raises NotDivisible.
+    A divmod whose work, a quarter of the product of the two operands'
+    bytes, passes ``_MAX_QUOTIENT_WORK`` raises ValueError before it runs.
     Q's digits are its coefficients when the caller's width bounds them a
     priori (num_max None).  Otherwise Q is proven after the fact, as in
     ``_kronecker_div``: P = A - B*Q vanishes at X, and each coefficient of
@@ -213,6 +224,11 @@ def _packed_quotient(num: int, den: int, low: int, width: int,
     v_num, v_den = (((x & -x).bit_length() - 1) // unit for x in (num, den))
     num >>= unit * v_num
     den >>= unit * v_den
+    num_bytes, den_bytes = ((x.bit_length() + 7) // 8 for x in (num, den))
+    work = num_bytes * den_bytes // 4
+    if work > _MAX_QUOTIENT_WORK:
+        raise ValueError(f"a packed quotient of {num_bytes} by {den_bytes} bytes would take "
+                         f"{work} division steps, over the limit of {_MAX_QUOTIENT_WORK}")
     quot, rem = divmod(num, den)
     if rem:
         raise NotDivisible("remainder in packed division")
@@ -518,6 +534,10 @@ class LaurentPoly:
     def to_pairs(self) -> list[list]:
         """Wire format: [[exponent, coefficient-as-decimal-string], ...] ascending."""
         return [[e, str(c)] for e, c in self.terms()]
+
+    def _wire_json(self) -> str:
+        """The JSON text of ``to_pairs()``, byte for byte what ``json.dumps`` writes."""
+        return "[" + ", ".join([f'[{e}, "{c}"]' for e, c in sorted(self._terms.items())]) + "]"
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{e}: {c}" for e, c in self.terms())

@@ -43,6 +43,7 @@ limit.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, starmap
 from math import comb, factorial, perm, prod
 from operator import sub
@@ -285,7 +286,9 @@ def tableau_sum(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
                         value.bit_length() // (8 * width) + 1, width)
 
 
-def _weyl_dim(lam: Sequence[int], n: int) -> int:
+# typed, as qanalogs.qbinomial: a cached int key cannot answer a bool key
+@lru_cache(maxsize=None, typed=True)
+def _weyl_dim(lam: tuple[int, ...], n: int) -> int:
     """S_lam(1, ..., 1) in n letters, the number of SSYT of shape lam with entries <= n.
 
     Weyl's product over 0 <= i < j < n of (lam_i - lam_j + j - i) / (j - i),
@@ -295,7 +298,8 @@ def _weyl_dim(lam: Sequence[int], n: int) -> int:
     pairs of two nonzero parts give l_i - l_j over (p - 1 - i)! in all.  Per
     part that is C(l_i + n - 1, lam_i) over the falling factorial
     (l_i + p - 1) ... (lam_i + 1), so a long alphabet builds no large
-    factorial.
+    factorial.  Memoized: the watermelon width bound asks for the same
+    shapes on every call with the same box.
     """
     parts = len(lam) - lam.count(0)
     shifted = list(map(sub, lam, range(parts)))

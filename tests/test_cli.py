@@ -10,6 +10,8 @@ import pytest
 
 from qmelon import cli, schur
 from qmelon.cli import main
+from qmelon.paths import closed_genfunc, count_deviation
+from qmelon.planepartitions import zq
 
 MELON_JSON = json.dumps({
     "N": 2, "M": 1, "k": 0, "lambda": [1, 0],
@@ -32,9 +34,9 @@ plane partition N=2 L=2 M=2 volume=4
 """
 
 
-# sha256 of the timing-free output of `qmelon verify --suite all` (see
-# timing_free), frozen from a run of the reference grid, and of the same
-# run on the 4 x 4 grid (533 lines) and the 5 x 5 grid (851 lines).  The
+# sha256 of the output of `qmelon verify --suite all --no-timing`, frozen
+# from a run of the reference grid, and of the same run on the 4 x 4 grid
+# (533 lines) and the 5 x 5 grid (851 lines).  The
 # 5 x 5 grid passes all 850 reports, and its reports with N, M <= 4 are
 # the 4 x 4 reports in the same order.
 VERIFY_ALL_SHA256 = "a0d169f079b8843df451a59afc62568ed1a1ac2a526e9fd1822a77a0846ff1d8"
@@ -46,19 +48,6 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def timing_free(text):
-    """verify output with elapsed_ms dropped from every report line."""
-    rows = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            rows.append(line)
-        else:
-            d = json.loads(line)
-            d.pop("elapsed_ms")
-            rows.append(json.dumps(d, sort_keys=True))
-    return rows
 
 
 def test_schur_all_agrees(capsys):
@@ -150,6 +139,22 @@ def test_count_json(capsys):
     data = json.loads(out)
     assert data["value"][0] == [0, "1"]
     assert data["what"] == "genfunc"
+
+
+# the 9 x 9 x 9 box has coefficients and a count past 2**64
+@pytest.mark.parametrize("what, box", [
+    *((what, box) for what in ("number", "genfunc", "zq")
+      for box in [(0, 3, 2), (1, 1, 0), (2, 2, 2), (3, 1, 4), (5, 5, 5)]),
+    ("number", (9, 9, 9)), ("genfunc", (9, 9, 9))])
+def test_count_json_is_json_dumps_byte_for_byte(capsys, what, box):
+    n, l, m = box
+    value = {"number": count_deviation, "genfunc": closed_genfunc, "zq": zq}[what](n, l, m)
+    wire = value if what == "number" else value.to_pairs()
+    code, out, _ = run_main(capsys, "count", "--n", str(n), "--l", str(l), "--m", str(m),
+                            "--what", what, "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"n": n, "l": l, "m": m, "what": what, "value": wire},
+                             sort_keys=True) + "\n"
 
 
 def test_count_negative(capsys):
@@ -245,18 +250,29 @@ def test_verify_negative_bound_is_usage_error(capsys, flag):
     assert err.startswith("error:")
 
 
-def test_verify_deterministic_modulo_timing(capsys):
-    argv = ("verify", "--suite", "melon", "--max-n", "2", "--max-m", "1")
+def test_verify_deterministic_without_timing(capsys):
+    argv = ("verify", "--suite", "melon", "--max-n", "2", "--max-m", "1", "--no-timing")
     _, out1, _ = run_main(capsys, *argv)
     _, out2, _ = run_main(capsys, *argv)
-    assert timing_free(out1) == timing_free(out2)
+    assert out1 == out2
+
+
+def test_verify_no_timing_drops_only_elapsed_ms(capsys):
+    argv = ("verify", "--suite", "all", "--max-n", "2", "--max-m", "2")
+    _, timed, _ = run_main(capsys, *argv)
+    _, untimed, _ = run_main(capsys, *argv, "--no-timing")
+    timed, untimed = timed.splitlines(), untimed.splitlines()
+    assert len(timed) == len(untimed) == 131 and timed[-1] == untimed[-1] == "# passed 130/130"
+    for line, bare in zip(timed[:-1], untimed[:-1]):
+        data = json.loads(line)
+        assert isinstance(data.pop("elapsed_ms"), float)
+        assert bare == json.dumps(data, sort_keys=True)
 
 
 def verify_all_digest(capsys, *extra):
-    code, out, _ = run_main(capsys, "verify", "--suite", "all", *extra)
+    code, out, _ = run_main(capsys, "verify", "--suite", "all", "--no-timing", *extra)
     assert code == 0
-    text = "\n".join(timing_free(out)) + "\n"
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
 def test_verify_all_output_frozen(capsys):
@@ -272,14 +288,11 @@ def test_verify_5x5_output_frozen(capsys):
 
 
 def test_verify_workers_match_serial(capsys):
-    argv = ("verify", "--suite", "zq", "--max-n", "2", "--max-m", "2")
+    argv = ("verify", "--suite", "zq", "--max-n", "2", "--max-m", "2", "--no-timing")
     _, serial, _ = run_main(capsys, *argv)
     _, para, _ = run_main(capsys, *argv, "--workers", "2")
-    strip_ms = lambda t: [
-        {k: v for k, v in json.loads(x).items() if k != "elapsed_ms"}
-        for x in t.splitlines() if not x.startswith("#")]
-    assert strip_ms(serial) == strip_ms(para)
-    assert serial.splitlines()[-1] == para.splitlines()[-1]
+    assert serial == para
+    assert serial.splitlines()[-1] == "# passed 6/6"
 
 
 def test_verify_out_file(tmp_path, capsys):

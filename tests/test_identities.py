@@ -226,10 +226,55 @@ def test_report_json_shape():
 def test_reports_deterministic_modulo_timing():
     a = verify_kuperberg(2, 2)
     b = verify_kuperberg(2, 2)
-    da, db = a.to_json_dict(), b.to_json_dict()
-    da.pop("elapsed_ms")
-    db.pop("elapsed_ms")
-    assert da == db
+    assert report_json_line(a, timing=False) == report_json_line(b, timing=False)
+    assert "elapsed_ms" not in json.loads(report_json_line(a, timing=False))
+
+
+# Polynomial sides for the byte-level oracle: the zero polynomial, negative
+# exponents and coefficients past 2**64.
+wire_poly_st = st.dictionaries(
+    st.integers(min_value=-30, max_value=30),
+    st.one_of(st.integers(min_value=-9, max_value=9),
+              st.integers(min_value=-2**200, max_value=2**200)),
+    max_size=12,
+).map(LaurentPoly)
+
+# params as the cases build them and beyond: tuples, nested lists, strings
+# with quotes, backslashes and non-ASCII text
+wire_text_st = st.one_of(st.text(max_size=12),
+                         st.sampled_from(['"', "\\", 'q"\\', "λ→μ", "\x00\n"]))
+wire_params_st = st.dictionaries(
+    wire_text_st,
+    st.recursive(
+        st.one_of(st.integers(min_value=-2**70, max_value=2**70), wire_text_st, st.booleans(),
+                  st.none()),
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.lists(inner, max_size=3).map(tuple)),
+        max_leaves=8),
+    max_size=5,
+)
+
+
+@settings(max_examples=300)
+@given(identity=wire_text_st, params=wire_params_st, lhs=wire_poly_st,
+       rhs=st.one_of(wire_poly_st, st.none()), equal=st.booleans(),
+       elapsed_ms=st.floats(), error=st.one_of(st.none(), wire_text_st))
+@example(identity="probe", params={"a": (1, -2), "b": [[3, (4,)], "x"]},
+         lhs=LaurentPoly({-3: 2**64 + 1, 5: -(2**65)}), rhs=None, equal=False,
+         elapsed_ms=0.0005, error='ValueError: \'q\' "quoted" \\ λ')
+@example(identity="probe", params={}, lhs=LaurentPoly(), rhs=None, equal=True,
+         elapsed_ms=1.0, error=None)
+def test_report_json_line_is_json_dumps_byte_for_byte(identity, params, lhs, rhs, equal,
+                                                      elapsed_ms, error):
+    # rhs None stands for equal sides held as distinct objects; the equal
+    # flag is drawn on its own, so equal sides also come with equal=False
+    rhs = LaurentPoly(dict(lhs.terms())) if rhs is None else rhs
+    r = IdentityReport(identity=identity, params=params, lhs=lhs, rhs=rhs, equal=equal,
+                       elapsed_ms=elapsed_ms, error=error)
+    want = r.to_json_dict()
+    assert report_json_line(r) == json.dumps(want, sort_keys=True)
+    del want["elapsed_ms"]
+    assert report_json_line(r, timing=False) == json.dumps(want, sort_keys=True)
 
 
 def test_run_cases_orders_and_parallelism():

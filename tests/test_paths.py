@@ -150,6 +150,16 @@ def test_genfunc_on_both_sides_of_a_width_byte(n, m, k, width):
     assert dict(watermelon_genfunc(n, m, k).terms()) == box_terms(n, n - k, m)
 
 
+def test_genfunc_width_bound_is_memoized():
+    # a second call on the same box computes no Weyl count again
+    watermelon_genfunc(3, 3, 1)
+    before = schur._weyl_dim.cache_info()
+    watermelon_genfunc(3, 3, 1)
+    after = schur._weyl_dim.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 2 * len(list(enumerate_in_box(2, 3)))
+
+
 def test_genfunc_width_bound_is_live(monkeypatch):
     # coefficients up to 11408 do not fit one byte: with every Weyl count
     # forced to 1, the digits are read wrong or refused
