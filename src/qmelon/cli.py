@@ -197,7 +197,7 @@ def cmd_count(args) -> int:
         return _fail_usage(str(exc))
     if args.format == "json":
         # the keys of json.dumps(..., sort_keys=True), the value written directly
-        wire = str(value) if isinstance(value, int) else value._wire_json()
+        wire = value if isinstance(value, int) else value._wire_json()
         print(f'{{"l": {l}, "m": {m}, "n": {n}, "value": {wire}, "what": "{args.what}"}}')
     elif args.format == "csv":
         buf = io.StringIO()

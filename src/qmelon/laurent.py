@@ -59,7 +59,9 @@ Callers that already hold two polynomials packed at one width divide them
 with ``_packed_quotient``: one ``divmod``, and only the quotient is
 unpacked.  It is kept when the width bounds it a priori or when the proof
 of ``_kronecker_div`` holds at that width; otherwise both operands are
-unpacked once and divided by :meth:`LaurentPoly.exact_div`.
+unpacked once and divided by :meth:`LaurentPoly.exact_div`.  The divmod is
+quadratic, so one whose predicted work passes ``_MAX_QUOTIENT_WORK`` is
+refused with ValueError before it runs.
 """
 
 from __future__ import annotations

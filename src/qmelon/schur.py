@@ -35,7 +35,9 @@ of every interface; it shares nothing with the pairing but the unpacking.
 ``laurent._MAX_DENSE_COEFFS`` and an alternant of more than
 ``_MAX_ALTERNANT_WORK`` steps, and ``_schur_pairing`` a box sum of more
 than ``laurent._MAX_DENSE_COEFFS`` packed bytes or more than
-``_MAX_ALTERNANT_WORK`` minor steps, before any polynomial is built.
+``_MAX_ALTERNANT_WORK`` minor steps, before any polynomial is built; the
+packed quotient both end in refuses a divmod past
+``laurent._MAX_QUOTIENT_WORK`` before it runs.
 ``tableau_sum`` refuses a branching and unpacking of more than
 ``_MAX_BRANCHING_STEPS`` steps before it sweeps the level that passes the
 limit.
@@ -246,7 +248,8 @@ def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     N! makes the quotient's digits its coefficients.  A remainder raises
     RuntimeError; a quotient spanning more than ``laurent._MAX_DENSE_COEFFS``
     exponents, or an alternant of more than ``_MAX_ALTERNANT_WORK`` steps,
-    raises ValueError before any work.
+    raises ValueError before any work, and a quotient past
+    ``laurent._MAX_QUOTIENT_WORK`` before its divmod.
     """
     _require_distinct(exponents)
     lam = strip(check_partition(lam))

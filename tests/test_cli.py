@@ -250,7 +250,7 @@ def test_verify_negative_bound_is_usage_error(capsys, flag):
     assert err.startswith("error:")
 
 
-def test_verify_deterministic_without_timing(capsys):
+def test_verify_deterministic_modulo_timing(capsys):
     argv = ("verify", "--suite", "melon", "--max-n", "2", "--max-m", "1", "--no-timing")
     _, out1, _ = run_main(capsys, *argv)
     _, out2, _ = run_main(capsys, *argv)
