@@ -51,7 +51,9 @@ expansion over column sets, twice, at q = Y and q = -Y with
 Y = 2**(8*ceil(W/2)): the sum and the difference of the two values give
 the even and the odd coefficients as two integers of half the length,
 each unpacked at width 2 * ceil(W/2), and Y**2 > 2B keeps the same a
-priori proof.  Matrices whose packed determinant, W * S bytes, reaches
+priori proof.  That route also shifts each column by the power of q all
+its row-shifted entries share, and packs each distinct entry once per
+shift.  Matrices whose packed determinant, W * S bytes, reaches
 ``_PACKED_DET_MAX_BYTES`` are eliminated by Bareiss on LaurentPoly
 entries.
 
@@ -124,6 +126,13 @@ _MINORS_DET_MIN_BYTES = 512
 # (1,)) takes about 3 s and 740 MB peak RSS, nearly all of it for that
 # polynomial's dict.  closed_genfunc(40, 40, 40) needs 64,001 coefficients.
 _MAX_DENSE_COEFFS = 10**7
+
+# The most slot-passes of q_ratio's series: each net factor (1 - t**e)**k
+# with e <= D // 2 makes |k| passes over the D // 2 + 1 slots.  CPython
+# 3.11 takes about 100 ns per slot-pass: closed_genfunc(30, 30, 30) charges
+# about 1.8 * 10**7 in 1.8 s, (40, 40, 40) 7.7 * 10**7 in 11-12 s, and the
+# boxes of sides 8 to 12 at most 1.9 * 10**5.
+_MAX_SERIES_WORK = 3 * 10**7
 
 # The most work of _packed_quotient's divmod, on the scale of
 # schur._MAX_ALTERNANT_WORK: 10**10 steps, about 3 s of CPython 3.11.  Long
@@ -596,7 +605,10 @@ def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> Laure
     exponent above D // 2 being 1 at that precision, and the list is then
     mirrored to the D + 1 coefficients of R.  When D + 1 exceeds
     ``_MAX_DENSE_COEFFS`` the ratio raises ValueError before any list is
-    built.
+    built.  Each net factor with exponent at most D // 2 takes one pass
+    over the D // 2 + 1 slots per unit of its multiplicity, so a ratio
+    whose passes times slots exceed ``_MAX_SERIES_WORK`` raises ValueError
+    too, before the series starts.
     """
     num, den = list(num_exponents), list(den_exponents)
     if not all(_is_int(e) for e in num + den):
@@ -633,6 +645,11 @@ def q_ratio(num_exponents: Iterable[int], den_exponents: Iterable[int]) -> Laure
     if deg + 1 > _MAX_DENSE_COEFFS:
         raise ValueError(f"ratio of q-products has degree D = {deg} in q**{g}; its "
                          f"D + 1 coefficients exceed the limit of {_MAX_DENSE_COEFFS}")
+    half = deg // 2
+    work = sum(abs(k) for e, k in net.items() if e <= half) * (half + 1)
+    if work > _MAX_SERIES_WORK:
+        raise ValueError(f"ratio of q-products has degree D = {deg} in q**{g}; its series "
+                         f"would take {work} slot-passes, over the limit of {_MAX_SERIES_WORK}")
     coeffs = _dense_series(net, deg)
     return _canonical({shift + g * k: sign * c for k, c in enumerate(coeffs) if c})
 
@@ -722,7 +739,17 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     ``_MINORS_DET_MIN_BYTES`` is expanded by minors (``_minors_det``),
     which has no division and multiplies each large entry into a minor of
     the smaller rows; a smaller or larger one is eliminated by Bareiss.
-    When W >= 2 the expansion runs at q = Y and q = -Y instead of at X,
+    W and this choice of route use the row shifts alone.  The minors
+    route then also shifts column j by q**(-c_j), c_j the least exponent
+    left in the column after the row shifts (0 for an all-zero column), so
+    a power of q that every entry of a column shares is not packed: the
+    determinant of the shifted matrix has degree at most
+    S' = sum_i max_j (deg a_ij - v_i - c_j) <= S, its coefficients are
+    still bounded by B, since a shift does not change |a_ij|_1, and its
+    S' + 1 digits are unpacked from the exponent sum_i v_i + sum_j c_j.
+    Only this route shifts columns: on the small matrices that Bareiss takes,
+    computing the c_j costs more than the shorter entries save.  When
+    W >= 2 the expansion runs at q = Y and q = -Y instead of at X,
     Y = 2**(8*ceil(W/2)), on ints of about half the length
     (``_two_point_det``); Y**2 >= X, so B proves the recovered digits.  At
     W = 1 the halves would be no shorter, and X is kept.
@@ -757,39 +784,55 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     try:
         if size >= _PACKED_DET_MAX_BYTES:
             return _bareiss([list(row) for row in m], LaurentPoly.exact_div)
-        minors = n <= _MINORS_DET_MAX_ROWS and size >= _MINORS_DET_MIN_BYTES
-        if minors and width >= 2:
-            return _two_point_det(a, lows, span, width)
-        packed = [[_evaluate(t, low, width) for t in row] for row, low in zip(a, lows)]
-        value = _minors_det(packed) if minors else _bareiss(packed, _int_exact_div)
+        if n > _MINORS_DET_MAX_ROWS or size < _MINORS_DET_MIN_BYTES:
+            packed = [[_evaluate(t, low, width) for t in row] for row, low in zip(a, lows)]
+            return _unpack_poly(_bareiss(packed, _int_exact_div), sum(lows), span + 1, width)
+        # c_j, the least exponent of column j once the rows are shifted
+        cols = [min([min(t) - low for t, low in zip(col, lows) if t], default=0)
+                for col in zip(*a)]
+        span = sum(max(max(t) - low - c for t, c in zip(row, cols) if t)
+                   for row, low in zip(a, lows))
+        if width >= 2:
+            return _two_point_det(a, lows, cols, span, width)
+        value = _minors_det([[_evaluate(t, low + c, width) for t, c in zip(row, cols)]
+                             for row, low in zip(a, lows)])
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
-    return _unpack_poly(value, sum(lows), span + 1, width)
+    return _unpack_poly(value, sum(lows) + sum(cols), span + 1, width)
 
 
-def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], span: int,
-                   width: int) -> "LaurentPoly":
+def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], cols: list[int],
+                   span: int, width: int) -> "LaurentPoly":
     """det_fraction_free's minors route at q = Y and q = -Y, Y = 2**(8*half).
 
-    half = ceil(width / 2), so Y**2 >= 2**(8*width).  The shifted
-    determinant is D(q) = E(q**2) + q * O(q**2), and the two expansions give
+    Entry (i, j) is taken as q**(-lows[i] - cols[j]) * a[i][j], a
+    polynomial, and span bounds the degree of the determinant D(q) of those
+    shifted entries.  half = ceil(width / 2), so Y**2 >= 2**(8*width).  With
+    D(q) = E(q**2) + q * O(q**2), the two expansions give
     O(Y**2) = (D(Y) - D(-Y)) / (2Y) and E(Y**2) = D(-Y) + Y * O(Y**2); the
     division must be exact, else NotDivisible, and it also makes
     D(Y) + D(-Y) even.  The coefficients of E and O are those of D, below
     2**(8*width-1) <= Y**2 / 2, so their digits at width 2 * half are
-    exact and interleave to D.  Each entry is packed once by its even and
-    once by its odd coefficients, both at width 2 * half; no coefficient
-    has to fit in half bytes.
+    exact and interleave to D.  Each distinct entry, by identity, is
+    packed once per shift, by its even and by its odd coefficients, both
+    at width 2 * half; no coefficient has to fit in half bytes.  A
+    Toeplitz matrix of n rows with shared entries, such as
+    ``schur.h_determinant`` of a rectangle, packs 2n - 1 entries, not n**2.
     """
     half = (width + 1) // 2
     unit = 8 * half
+    points: dict[tuple[int, int], tuple[int, int]] = {}
     plus, minus = [], []
     for row, low in zip(a, lows):
         row_plus, row_minus = [], []
-        for terms in row:
-            even, odd = _evaluate_halves(terms, low, half)
-            row_plus.append(even + (odd << unit))
-            row_minus.append(even - (odd << unit))
+        for terms, c in zip(row, cols):
+            key = (id(terms), low + c)
+            pair = points.get(key)
+            if pair is None:
+                even, odd = _evaluate_halves(terms, low + c, half)
+                pair = points[key] = (even + (odd << unit), even - (odd << unit))
+            row_plus.append(pair[0])
+            row_minus.append(pair[1])
         plus.append(row_plus)
         minus.append(row_minus)
     at_minus = _minors_det(minus)
@@ -801,7 +844,7 @@ def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], span: int,
     coeffs = [0] * (span + 1)
     coeffs[0::2] = _unpack(even, span // 2 + 1, 2 * half)
     coeffs[1::2] = _unpack(odd, (span + 1) // 2, 2 * half)
-    low = sum(lows)
+    low = sum(lows) + sum(cols)
     return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
 
 

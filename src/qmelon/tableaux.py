@@ -44,6 +44,16 @@ def is_ssyt(t: Tableau, max_entry: int) -> bool:
     return True
 
 
+def _cells(sh: Partition, max_entry: int) -> list[tuple[int, int, int]]:
+    """Cells (r, c, stop) of sh in row-major order, stop - 1 the largest entry of the cell.
+
+    A cell with d cells below it in its column holds at most max_entry - d,
+    since the column strictly increases down to an entry of at most max_entry.
+    """
+    heights = [sum(1 for width in sh if width > c) for c in range(sh[0])]
+    return [(r, c, max_entry + 2 + r - heights[c]) for r in range(len(sh)) for c in range(sh[r])]
+
+
 def enumerate_ssyt(shape: Sequence[int], max_entry: int) -> Iterator[Tableau]:
     """All SSYT of the given shape with entries <= max_entry.
 
@@ -51,6 +61,20 @@ def enumerate_ssyt(shape: Sequence[int], max_entry: int) -> Iterator[Tableau]:
     appear in lexicographic order of the row-reading word.  A shape with
     more rows than max_entry yields nothing; the empty shape yields the
     single empty tableau.
+
+    Cell (r, c) takes values from the larger of its left neighbour and one
+    more than the cell above, up to u(r, c) = max_entry - (h_c - 1 - r),
+    h_c the length of column c; no tableau has a larger entry there.  The
+    search is output-sensitive: every partial filling it makes extends to
+    a tableau, so each node lies on the path to a tableau it yields, and
+    it visits at most 1 + count * cells nodes.  Proof: u increases by one
+    down a column and weakly along a row (h_c does not grow with c), and
+    1 <= u <= max_entry, since h_c <= len(shape) <= max_entry; so giving
+    every empty cell its u completes the filling to a tableau.  The cells
+    left of or above an empty cell are filled first in row-major order,
+    and a filled neighbour x of an empty cell y, to its left or above it,
+    holds at most u(x), which is at most u(y) to its left and below u(y)
+    above it.  The same argument shows that each cell's range is nonempty.
     """
     sh = strip(check_partition(shape))
     if not sh:
@@ -59,17 +83,17 @@ def enumerate_ssyt(shape: Sequence[int], max_entry: int) -> Iterator[Tableau]:
     if len(sh) > max_entry:
         return
     rows = [[0] * width for width in sh]
-    cells = [(r, c) for r in range(len(sh)) for c in range(sh[r])]
+    cells = _cells(sh, max_entry)
 
     def fill(idx: int) -> Iterator[Tableau]:
         if idx == len(cells):
             yield tuple(tuple(row) for row in rows)
             return
-        r, c = cells[idx]
+        r, c, stop = cells[idx]
         lo = rows[r][c - 1] if c > 0 else 1
         if r > 0:
             lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, max_entry + 1):
+        for v in range(lo, stop):
             rows[r][c] = v
             yield from fill(idx + 1)
         rows[r][c] = 0
@@ -89,6 +113,12 @@ def first_ssyt_with_counts(shape: Sequence[int], counts: Sequence[int]) -> Table
     is when the Kostka number is positive; counts with a negative entry
     never are.  Other counts are refused before the search, which could
     otherwise backtrack for a time exponential in the number of rows.
+
+    The search is that of ``enumerate_ssyt``, with the same upper bound on
+    each cell, and it skips a letter with no occurrences left.  The bound
+    drops only values that no tableau of the shape has in that cell, so
+    the result is the same; every partial filling still extends to a
+    tableau of the shape, though not always to one with these counts.
     """
     sh = strip(check_partition(shape))
     if sum(counts) != sum(sh):
@@ -97,19 +127,18 @@ def first_ssyt_with_counts(shape: Sequence[int], counts: Sequence[int]) -> Table
         return None
     if not sh:
         return ()
-    max_entry = len(counts)
     left = list(counts)
     rows = [[0] * width for width in sh]
-    cells = [(r, c) for r in range(len(sh)) for c in range(sh[r])]
+    cells = _cells(sh, len(counts))
 
     def fill(idx: int) -> Tableau | None:
         if idx == len(cells):
             return tuple(tuple(row) for row in rows)
-        r, c = cells[idx]
+        r, c, stop = cells[idx]
         lo = rows[r][c - 1] if c > 0 else 1
         if r > 0:
             lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, max_entry + 1):
+        for v in range(lo, stop):
             if left[v - 1] == 0:
                 continue
             left[v - 1] -= 1

@@ -500,6 +500,23 @@ def test_q_ratio_limit_is_on_the_coefficient_count(monkeypatch):
         q_ratio((11,), (1,))
 
 
+def test_q_ratio_refuses_past_the_series_pass_limit(monkeypatch):
+    # (1 - q**2)**2 * (1 - q**3): D = 7, so 4 slots and 3 passes, the
+    # factor of exponent 3 included; (1 - q**6)(1 - q**4) / ((1 - q)(1 - q**2))
+    # passes over its 4 slots only for the two denominators
+    monkeypatch.setattr(laurent, "_MAX_SERIES_WORK", 12)
+    assert q_ratio((2, 2, 3), ()) == LaurentPoly(ratio_oracle((2, 2, 3), ()))
+    assert q_ratio((6, 4), (1, 2)) == LaurentPoly(ratio_oracle((6, 4), (1, 2)))
+    monkeypatch.setattr(laurent, "_MAX_SERIES_WORK", 11)
+    with pytest.raises(ValueError, match=r"^ratio of q-products has degree D = 7 in q\*\*1; its "
+                                         r"series would take 12 slot-passes, over the limit of 11$"):
+        q_ratio((2, 2, 3), ())
+    assert q_ratio((6, 4), (1, 2)) == LaurentPoly(ratio_oracle((6, 4), (1, 2)))
+    monkeypatch.setattr(laurent, "_MAX_SERIES_WORK", 7)
+    with pytest.raises(ValueError, match="8 slot-passes, over the limit of 7$"):
+        q_ratio((6, 4), (1, 2))
+
+
 def series_calls(num, den):
     """The (net, deg) pairs q_ratio hands to its series; none when it raises first."""
     calls = []
@@ -655,6 +672,49 @@ def test_packed_det_by_both_routes_matches_permutation_expansion(route, rows):
     # the minors route expands once at width 1, else at q = Y and q = -Y
     expansions = 1 + (det_width(rows) >= 2)
     assert minors.call_count == (expansions if packed and route == "minors" else 0)
+
+
+@st.composite
+def shifted_matrix_st(draw):
+    """Matrices of 3 to 5 rows times q**v_i on row i and q**c_j on column j.
+
+    The shifts may be negative, and some matrices have an all-zero column,
+    so the minors route's column shifts meet each case they handle.
+    """
+    n = draw(st.integers(min_value=3, max_value=5))
+    rows = draw(st.lists(st.lists(det_entry_st, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    shifts = st.lists(st.integers(min_value=-40, max_value=40), min_size=n, max_size=n)
+    row_shifts, col_shifts = draw(shifts), draw(shifts)
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        rows = [row[:j] + [0] + row[j + 1:] for row in rows]
+    return [[LaurentPoly._coerce(x).shift(v + c) for x, c in zip(row, col_shifts)]
+            for row, v in zip(rows, row_shifts)]
+
+
+@pytest.mark.parametrize("route", sorted(PACKED_ROUTES))
+@settings(max_examples=80, deadline=None)
+@given(shifted_matrix_st())
+@example([[q(5) * 10**40, q(7), q(9)], [q(-3), q(-1) * 2, q(1) * 3],
+          [q(20) * 4, q(22) * 5 + q(30), q(24) * 6]])
+def test_packed_det_of_row_and_column_shifted_matrices(route, rows):
+    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", math.inf), \
+            mock.patch.multiple(laurent, **PACKED_ROUTES[route]):
+        det = det_fraction_free(PolyMatrix(rows))
+    assert det == perm_det(rows)
+
+
+def test_minors_route_unpacks_the_column_shifted_span():
+    # q**(2j) on column j: the row-shifted span is 3 * 4 = 12, the shifted
+    # one 0, so a 10**40 scalar matrix unpacks one digit
+    base = [[10**40, 1, 2], [3, 4 * 10**40, 5], [6, 7, 8 * 10**40]]
+    rows = [[q(2 * j) * x for j, x in enumerate(row)] for row in base]
+    unpacks = mock.Mock(wraps=laurent._unpack)
+    with mock.patch.multiple(laurent, _unpack=unpacks, **PACKED_ROUTES["minors"]):
+        det = det_fraction_free(PolyMatrix(rows))
+    assert det == perm_det(rows) == q(6) * det_fraction_free(PolyMatrix(base)).coeff(0)
+    assert sum(call.args[1] for call in unpacks.call_args_list) == 1
 
 
 def det_width(rows):

@@ -73,6 +73,19 @@ def test_gv_determinant_strips_zero_parts():
                 assert value == tableau_sum(padded, tuple(range(m))), (padded, m)
 
 
+@pytest.mark.parametrize("n, l, m", [(4, 5, 11), (5, 5, 10), (6, 5, 11), (6, 7, 10)])
+def test_h_determinant_packs_each_distinct_entry_once(n, l, m):
+    # entry (i, j) is the cached h(l - i + j): 2n - 1 distinct objects, and
+    # every row and column shift is 0, so the two-point route packs each once
+    evaluate = mock.Mock(wraps=laurent._evaluate_halves)
+    minors = mock.Mock(wraps=laurent._minors_det)
+    with mock.patch.multiple(laurent, _evaluate_halves=evaluate, _minors_det=minors):
+        value = h_determinant((l,) * n, m)
+    assert minors.call_count == 2
+    assert evaluate.call_count == 2 * n - 1
+    assert value == gv_determinant((l,) * n, m)
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_five_routes_agree_in_box(m):
     exps = tuple(range(m))

@@ -1,9 +1,11 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmelon import tableaux
 from qmelon.partitions import enumerate_in_box, strip
 from qmelon.tableaux import (
     count_ssyt,
@@ -108,3 +110,47 @@ def test_first_ssyt_refuses_exactly_the_unrealizable_counts():
     # a negative count is never realizable, even when the counts sum to the shape
     assert first_ssyt_with_counts((2, 1), (2, 2, -1)) is None
 
+
+
+def search_nodes(call):
+    """call()'s result and the number of frames of the inner search ``fill`` it made.
+
+    A generator frame reports a fresh "call" event at every resumption, so
+    the frames are collected in a set and each counts once.
+    """
+    frames = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "fill" and code.co_filename == tableaux.__file__:
+            frames.add(frame)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, len(frames)
+
+
+@pytest.mark.parametrize("shape,max_entry", [
+    ((1,), 3), ((2, 1), 3), ((3, 3), 2), ((3, 2, 2), 4), ((2, 2, 1, 1), 5),
+    ((4, 1), 3), ((7,) * 6, 6), ((3, 3, 3), 3), ((5, 3, 1), 4),
+])
+def test_enumeration_visits_only_prefixes_of_tableaux(shape, max_entry):
+    # every partial filling extends to a tableau, so the search visits
+    # exactly the prefixes of the row-reading words it yields
+    got, nodes = search_nodes(lambda: list(enumerate_ssyt(shape, max_entry)))
+    cells = sum(shape)
+    words = [sum(t, ()) for t in got]
+    assert nodes == len({w[:k] for w in words for k in range(cells + 1)})
+    assert nodes <= 1 + len(got) * cells
+    assert got == sorted(got) and all(is_ssyt(t, max_entry) for t in got)
+
+
+def test_first_ssyt_search_of_a_forced_filling_never_backtracks():
+    # the one tableau of 8**6 in 6 letters: one node per cell and the root
+    shape = (8,) * 6
+    found, nodes = search_nodes(lambda: first_ssyt_with_counts(shape, (8,) * 6))
+    assert found == tuple((v,) * 8 for v in range(1, 7))
+    assert nodes == 1 + sum(shape)
