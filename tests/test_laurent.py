@@ -693,11 +693,18 @@ def shifted_matrix_st(draw):
             for row, v in zip(rows, row_shifts)]
 
 
+# One entry object at row shifts 0 and -2, which must be packed once at
+# each shift
+SHARED = LaurentPoly({0: 10**40, 3: 7})
+
+
 @pytest.mark.parametrize("route", sorted(PACKED_ROUTES))
 @settings(max_examples=80, deadline=None)
 @given(shifted_matrix_st())
 @example([[q(5) * 10**40, q(7), q(9)], [q(-3), q(-1) * 2, q(1) * 3],
           [q(20) * 4, q(22) * 5 + q(30), q(24) * 6]])
+@example([[SHARED, SHARED, q(1)], [q(-2), SHARED, SHARED], [SHARED, 5, SHARED]])
+@example([[q(3), 0, q(5)], [0, q(4), 0], [q(3), q(4), -q(6)]])  # W = 1, c = (0, 0, 2)
 def test_packed_det_of_row_and_column_shifted_matrices(route, rows):
     with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", math.inf), \
             mock.patch.multiple(laurent, **PACKED_ROUTES[route]):
