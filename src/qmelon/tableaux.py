@@ -50,8 +50,15 @@ def _cells(sh: Partition, max_entry: int) -> list[tuple[int, int, int]]:
     A cell with d cells below it in its column holds at most max_entry - d,
     since the column strictly increases down to an entry of at most max_entry.
     """
-    heights = [sum(1 for width in sh if width > c) for c in range(sh[0])]
-    return [(r, c, max_entry + 2 + r - heights[c]) for r in range(len(sh)) for c in range(sh[r])]
+    cells = []
+    for r, width in enumerate(sh):
+        below = len(sh) - 1 - r
+        for c in range(width):
+            # rows r + 1 .. r + below are the ones that reach column c
+            while sh[r + below] <= c:
+                below -= 1
+            cells.append((r, c, max_entry + 1 - below))
+    return cells
 
 
 def enumerate_ssyt(shape: Sequence[int], max_entry: int) -> Iterator[Tableau]:
