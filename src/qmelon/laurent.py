@@ -130,10 +130,10 @@ _MAX_DENSE_COEFFS = 10**7
 # The most slot-passes of q_ratio's series: each net factor (1 - t**e)**k
 # with e <= D // 2 makes |k| passes over the D // 2 + 1 slots.  CPython
 # 3.11 takes 70 to 150 ns per slot-pass: closed_genfunc(30, 30, 30)
-# charges 1.8 * 10**7 in 1.2-1.8 s and is kept, (40, 40, 40) would charge
-# 7.7 * 10**7 for 11-12 s and is refused, and the count boxes of sides 8 to
-# 12 charge at most 1.9 * 10**5.
-_MAX_SERIES_WORK = 3 * 10**7
+# charges 1.8 * 10**7 in 1.2-1.9 s and is kept, (31, 31, 31) charges
+# 2.1 * 10**7 and is refused, (40, 40, 40) would charge 7.7 * 10**7 for
+# 11-12 s, and the count boxes of sides 8 to 12 charge at most 1.2 * 10**5.
+_MAX_SERIES_WORK = 2 * 10**7
 
 # The most work of _packed_quotient's divmod, on the scale of
 # schur._MAX_ALTERNANT_WORK: 10**10 steps, about 3 s of CPython 3.11.  Long
