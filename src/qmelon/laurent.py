@@ -28,7 +28,7 @@ two's-complement digit, and the digits are joined and read back with
 ``int.to_bytes``/``int.from_bytes``, so packing and unpacking are linear.
 A product is then one big-integer multiplication, and an exact quotient
 one big-integer ``divmod`` whose result is accepted only once it is
-proven; see :meth:`LaurentPoly.exact_div`.  The width is chosen so that
+proven; see ``_packed_quotient``.  The width is chosen so that
 every coefficient of the result lies in [-X/2, X/2), where signed base-X
 digits, and so the polynomial, are unique.  The packed kernels run only
 when the schoolbook's term pairs are at least ``_KRONECKER_CUTOFF`` times
@@ -57,13 +57,13 @@ shift.  Matrices whose packed determinant, W * S bytes, reaches
 ``_PACKED_DET_MAX_BYTES`` are eliminated by Bareiss on LaurentPoly
 entries.
 
-Callers that already hold two polynomials packed at one width divide them
-with ``_packed_quotient``: one ``divmod``, and only the quotient is
-unpacked.  It is kept when the width bounds it a priori or when the proof
-of ``_kronecker_div`` holds at that width; otherwise both operands are
-unpacked once and divided by :meth:`LaurentPoly.exact_div`.  The divmod is
-quadratic, so one whose predicted work passes ``_MAX_QUOTIENT_WORK`` is
-refused with ValueError before it runs.
+``_packed_quotient`` divides two polynomials packed at one width, for its
+callers and for :meth:`LaurentPoly.exact_div`: one ``divmod``, and only
+the quotient is unpacked.  It is kept when the width bounds it a priori or
+when an after-the-fact proof holds at that width; otherwise the digits are
+packed wider and divided again, at most three widths in all, before long
+division decides.  The divmod is quadratic, so each one whose predicted
+work passes ``_MAX_QUOTIENT_WORK`` is refused with ValueError first.
 """
 
 from __future__ import annotations
@@ -133,9 +133,11 @@ _MAX_DENSE_COEFFS = 10**7
 # charges 1.8 * 10**7 in 1.2-1.9 s and is kept, (31, 31, 31) charges
 # 2.1 * 10**7 and is refused, (40, 40, 40) would charge 7.7 * 10**7 for
 # 11-12 s, and the count boxes of sides 8 to 12 charge at most 1.2 * 10**5.
+# qanalogs.qbinomial charges k passes over its list: [500 choose 250]
+# 1.6 * 10**7 in 1.45 s, kept, and [600 choose 300] 2.7 * 10**7, refused.
 _MAX_SERIES_WORK = 2 * 10**7
 
-# The most work of _packed_quotient's divmod, on the scale of
+# The most work of each of _packed_quotient's divmods, on the scale of
 # schur._MAX_ALTERNANT_WORK: 10**10 steps, about 3 s of CPython 3.11.  Long
 # division is quadratic there, about 0.13 ns per byte of the quotient times
 # byte of the divisor, so a quarter of the product of the numerator's and
@@ -220,15 +222,16 @@ def _packed_quotient(num: int, den: int, low: int, width: int,
     and of B in [-X/2, X/2); the quotient's digit 0 is the exponent low.
     The powers of X that divide each are stripped, so the quotient is a
     polynomial, and one divmod gives Q(X); a remainder raises NotDivisible.
-    A divmod whose work, a quarter of the product of the two operands'
+    Every divmod whose work, a quarter of the product of the two operands'
     bytes, passes ``_MAX_QUOTIENT_WORK`` raises ValueError before it runs.
     Q's digits are its coefficients when the caller's width bounds them a
-    priori (num_max None).  Otherwise Q is proven after the fact, as in
-    ``_kronecker_div``: P = A - B*Q vanishes at X, and each coefficient of
-    P is at most num_max + den_norm * max|Q|, num_max bounding those of A
-    and den_norm the absolute sum of those of B; below X, that forces
-    P = 0.  When that bound is not below X, A and B are unpacked and
-    divided by ``LaurentPoly.exact_div``, which proves its own quotient.
+    priori (num_max None).  Otherwise Q is proven after the fact: P = A - B*Q
+    vanishes at X, and each coefficient of P is at most
+    num_max + den_norm * max|Q|, num_max bounding those of A and den_norm
+    the absolute sum of those of B; below X, that forces P = 0.  Else the
+    digits of A and B are packed again at the wider of the bound's width
+    and twice the last, at most three widths in all, and then
+    ``_long_div`` decides.
     """
     if not num:
         return _ZERO
@@ -236,21 +239,33 @@ def _packed_quotient(num: int, den: int, low: int, width: int,
     v_num, v_den = (((x & -x).bit_length() - 1) // unit for x in (num, den))
     num >>= unit * v_num
     den >>= unit * v_den
-    num_bytes, den_bytes = ((x.bit_length() + 7) // 8 for x in (num, den))
-    work = num_bytes * den_bytes // 4
-    if work > _MAX_QUOTIENT_WORK:
-        raise ValueError(f"a packed quotient of {num_bytes} by {den_bytes} bytes would take "
-                         f"{work} division steps, over the limit of {_MAX_QUOTIENT_WORK}")
-    quot, rem = divmod(num, den)
-    if rem:
-        raise NotDivisible("remainder in packed division")
     low += v_num - v_den
-    q = _unpack_poly(quot, low, quot.bit_length() // unit + 1, width)
-    if num_max is None or (num_max + den_norm * max(map(abs, q._terms.values()))
-                           ).bit_length() <= unit:
-        return q
-    return _unpack_poly(num, low + v_den, num.bit_length() // unit + 1, width).exact_div(
-        _unpack_poly(den, v_den, den.bit_length() // unit + 1, width))
+    coeffs = None
+    for _ in range(3):
+        if coeffs is not None:
+            num, den = (_pack(c, width) for c in coeffs)
+        num_bytes, den_bytes = ((x.bit_length() + 7) // 8 for x in (num, den))
+        work = num_bytes * den_bytes // 4
+        if work > _MAX_QUOTIENT_WORK:
+            raise ValueError(f"a packed quotient of {num_bytes} by {den_bytes} bytes would take "
+                             f"{work} division steps, over the limit of {_MAX_QUOTIENT_WORK}")
+        quot, rem = divmod(num, den)
+        if rem:
+            raise NotDivisible("remainder in packed division")
+        # a candidate's top digit may carry past quot's bit length
+        q = _unpack_poly(quot, low, quot.bit_length() // unit + 2, width)
+        if num_max is None:
+            return q
+        bound = num_max + den_norm * max(map(abs, q._terms.values()))
+        if bound.bit_length() <= unit:
+            return q
+        if coeffs is None:
+            coeffs = [_unpack(x, x.bit_length() // unit + 1, width) for x in (num, den)]
+        width = max(bound.bit_length() // 8 + 1, 2 * width)
+        unit = 8 * width
+    ca, cb = coeffs
+    return _long_div({low + i: c for i, c in enumerate(ca) if c},
+                     {i: c for i, c in enumerate(cb) if c})
 
 
 def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly":
@@ -265,43 +280,32 @@ def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly":
     return _unpack_poly(_pack(ca, width) * _pack(cb, width), low_a + low_b, digits, width)
 
 
-def _kronecker_div(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly | None":
-    """Quotient a / b of nonzero term dicts, or None when none is proven.
-
-    A candidate Q comes from one big-integer divmod of the packed operands
-    at X = 2**(8*width); then A(X) = B(X) * Q(X) exactly.  P = A - B*Q
-    vanishes at X, and when every coefficient of P is below X in absolute
-    value that forces P = 0, so B*Q = A holds as polynomials.  The width
-    fits both operands, guesses that the quotient's coefficients are no
-    larger than the dividend's and grows when the proof needs more.  None
-    means not divisible or not proven; the caller then runs long division.
-    """
-    digits = _span(a) - _span(b) + 1
-    if digits < 1:
-        return None
-    low_a, ca = _dense(a)
-    low_b, cb = _dense(b)
-    max_a = max(map(abs, ca))
-    max_b = max(map(abs, cb))
-    overlap = min(len(b), digits)  # products summed into one coefficient of B*Q
-    # both operands must pack: |c| < X/2 for every coefficient of A and of B
-    bits = max(max_a, max_b).bit_length() + overlap.bit_length() + 2
-    for _ in range(3):
-        width = bits // 8 + 1
-        quot, rem = divmod(_pack(ca, width), _pack(cb, width))
-        if rem:
-            return None
-        try:
-            q = _unpack_poly(quot, low_a - low_b, digits, width)
-        except OverflowError:
-            bits *= 2
-            continue
-        # bound on every coefficient of A - B*Q
-        bound = max_a + overlap * max_b * max(map(abs, q._terms.values()))
-        if bound.bit_length() <= 8 * width:
-            return q
-        bits = max(bound.bit_length(), 2 * bits)
-    return None
+def _long_div(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly":
+    """Quotient a / b of nonzero term dicts by long division; NotDivisible on a remainder."""
+    av, bv = min(a), min(b)
+    rem = {e - av: c for e, c in a.items()}
+    div = {e - bv: c for e, c in b.items()}
+    bdeg = max(div)
+    blead = div[bdeg]
+    quot: dict[int, int] = {}
+    while rem:
+        rdeg = max(rem)
+        if rdeg < bdeg:
+            raise NotDivisible("remainder after division")
+        rlead = rem[rdeg]
+        if rlead % blead != 0:
+            raise NotDivisible("leading coefficient not divisible")
+        t = rlead // blead
+        te = rdeg - bdeg
+        quot[te] = quot.get(te, 0) + t
+        for e, c in div.items():
+            k = e + te
+            v = rem.get(k, 0) - t * c
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return LaurentPoly({e + av - bv: c for e, c in quot.items()})
 
 
 class LaurentPoly:
@@ -442,9 +446,8 @@ class LaurentPoly:
         a, b = self._terms, o._terms
         if not a or not b:
             return _ZERO
-        pairs = len(a) * len(b)
-        if (pairs >= _KRONECKER_CUTOFF * (len(a) + len(b))
-                and pairs >= _KRONECKER_CUTOFF * (_span(a) + _span(b))):
+        # a span is at least the number of terms, so this also bounds those
+        if len(a) * len(b) >= _KRONECKER_CUTOFF * (_span(a) + _span(b)):
             return _kronecker_mul(a, b)
         terms: dict[int, int] = {}
         for e1, c1 in a.items():
@@ -482,12 +485,11 @@ class LaurentPoly:
 
         When the long division's term pairs (divisor terms times the
         expected quotient terms) reach ``_KRONECKER_CUTOFF`` times the
-        dividend's span, a candidate quotient comes from one big-integer
-        ``divmod`` of the packed operands, and it is returned only with a
-        proof that divisor * quotient equals self (see ``_kronecker_div``).
-        Every other case, including every case that is not divisible, runs
-        the long division, which decides and raises NotDivisible exactly as
-        it always has.
+        dividend's span, both operands are packed and divided by
+        ``_packed_quotient``, proven from max|self| and the divisor's
+        absolute sum; it raises ValueError for a divmod past
+        ``_MAX_QUOTIENT_WORK``.  Otherwise, and on a packed remainder, the
+        long division (``_long_div``) decides and raises NotDivisible.
         """
         if isinstance(other, int):
             other = LaurentPoly({0: other})
@@ -496,35 +498,21 @@ class LaurentPoly:
         if self.is_zero():
             return _ZERO
         a, b = self._terms, other._terms
-        pairs = len(b) * (len(a) - len(b) + 1)
-        if pairs >= _KRONECKER_CUTOFF * len(a) and pairs >= _KRONECKER_CUTOFF * _span(a):
-            quot = _kronecker_div(a, b)
-            if quot is not None:
-                return quot
-        av, bv = self.valuation(), other.valuation()
-        rem = {e - av: c for e, c in a.items()}
-        div = {e - bv: c for e, c in b.items()}
-        bdeg = max(div)
-        blead = div[bdeg]
-        quot: dict[int, int] = {}
-        while rem:
-            rdeg = max(rem)
-            if rdeg < bdeg:
-                raise NotDivisible("remainder after division")
-            rlead = rem[rdeg]
-            if rlead % blead != 0:
-                raise NotDivisible("leading coefficient not divisible")
-            t = rlead // blead
-            te = rdeg - bdeg
-            quot[te] = quot.get(te, 0) + t
-            for e, c in div.items():
-                k = e + te
-                v = rem.get(k, 0) - t * c
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        return LaurentPoly({e + av - bv: c for e, c in quot.items()})
+        digits = _span(a) - _span(b) + 1
+        if len(b) * (len(a) - len(b) + 1) >= _KRONECKER_CUTOFF * _span(a) and digits > 0:
+            low_a, ca = _dense(a)
+            low_b, cb = _dense(b)
+            max_a = max(map(abs, ca))
+            overlap = min(len(b), digits)  # products summed into one coefficient of B*Q
+            # both operands must pack: |c| < X/2 for every coefficient of A and of B
+            bits = max(max_a, max(map(abs, cb))).bit_length() + overlap.bit_length() + 2
+            width = bits // 8 + 1
+            try:
+                return _packed_quotient(_pack(ca, width), _pack(cb, width), low_a - low_b,
+                                        width, max_a, sum(map(abs, cb)))
+            except NotDivisible:
+                pass
+        return _long_div(a, b)
 
     # ---- comparison / hashing ----
 

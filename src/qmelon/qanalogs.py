@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
-from .laurent import _MAX_DENSE_COEFFS, LaurentPoly
+from .laurent import _MAX_DENSE_COEFFS, _MAX_SERIES_WORK, LaurentPoly
 from .partitions import check_int
 
 
@@ -30,7 +30,8 @@ def qbinomial(big: int, small: int) -> LaurentPoly:
     residue class mod i.  That prefix sum is the power series of the
     quotient, so the division was exact if and only if the i top slots it
     vacates read zero; anything else raises RuntimeError.  A list longer
-    than ``laurent._MAX_DENSE_COEFFS`` raises ValueError before it is built.
+    than ``laurent._MAX_DENSE_COEFFS``, or k passes over it past
+    ``laurent._MAX_SERIES_WORK`` slot-passes, raises ValueError first.
     """
     check_int(big, "upper index")
     check_int(small, "lower index")
@@ -44,6 +45,9 @@ def qbinomial(big: int, small: int) -> LaurentPoly:
     if length > _MAX_DENSE_COEFFS:
         raise ValueError(f"Gaussian binomial [{big} choose {small}] needs {length} "
                          f"coefficients, over the limit of {_MAX_DENSE_COEFFS}")
+    if small * length > _MAX_SERIES_WORK:
+        raise ValueError(f"Gaussian binomial [{big} choose {small}] would take {small * length} "
+                         f"slot-passes, over the limit of {_MAX_SERIES_WORK}")
     coeffs = [1] + [0] * (length - 1)
     deg = 0
     for i in range(1, small + 1):

@@ -178,7 +178,7 @@ def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     divided by the packed product of the two delta minors at that width
     (``laurent._packed_quotient``), and the quotient is proven from B and
     the divisor's absolute sum, at most len(a)! len(b)!; a quotient too
-    large for that proof is divided again by ``LaurentPoly.exact_div``.
+    large for that proof is divided again at a wider width.
     A remainder means corrupted arithmetic and raises RuntimeError; a
     repeated exponent raises DegeneratePoint.  Needs len(a) <= len(b).
 

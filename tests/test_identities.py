@@ -29,7 +29,7 @@ from qmelon.identities import (
     verify_zq_equals_w,
 )
 from qmelon.schur import DegeneratePoint, bialternant
-from test_laurent import exact_div_spy
+from test_laurent import long_div_spy, quotient_widths
 
 
 def test_binet_cauchy_trivial_point():
@@ -335,17 +335,19 @@ def pairing_inputs(draw):
 @example((3, (-4, -3), (-2, -1, 5)), False)
 @example((3, (-4, -3), (-2, -1, 5)), True)
 def test_schur_pairing_matches_per_lambda_oracle(case, forced):
-    # forced: the quotient proof is made to fail, so the fallback divides
+    # forced: the quotient proof is made to fail at the caller's width, so
+    # the quotient is divided again at a wider one
     m, a, b = case
     expected = pairing_oracle(m, a, b)
     if not forced:
         assert schur._schur_pairing(m, a, b) == expected
         return
     patch, widths = unproven(schur)
-    spy, divisions = exact_div_spy()
+    spy, slow = long_div_spy()
     with patch, spy:
         assert schur._schur_pairing(m, a, b) == expected
-    assert len(widths) == len(divisions) == (1 if a else 0)
+    assert len(widths) == (1 if a else 0)
+    assert all(len(divided) == 2 for divided in widths) and slow == []
 
 
 @pytest.mark.parametrize("a,b", [((1, 1), (0, 2)), ((0, 2), (3, 3)),
@@ -356,20 +358,13 @@ def test_schur_pairing_rejects_repeated_exponent(a, b):
 
 
 def unproven(module):
-    """Patch module's packed division so that its quotient proof always fails.
+    """Patch module's packed division so that its quotient proof fails at the caller's width.
 
-    A numerator bound of X leaves no room for the proof, so every quotient
-    goes to the fallback division; returns the patch and the list of the
-    widths it was called at.
+    A numerator bound of X leaves no room for the proof there, so every
+    quotient is divided again at a wider width; returns the patch and one
+    list per call of the widths it divided at.
     """
-    real = laurent._packed_quotient
-    widths = []
-
-    def forced(num, den, low, width, num_max, den_norm):
-        widths.append(width)
-        return real(num, den, low, width, 1 << 8 * width, den_norm)
-
-    return mock.patch.object(module, "_packed_quotient", forced), widths
+    return quotient_widths(module, forced=True)
 
 
 def test_schur_pairing_turns_a_corrupted_sum_into_an_error():
@@ -391,23 +386,22 @@ def test_schur_pairing_turns_a_corrupted_sum_into_an_error():
 
 
 def test_schur_pairing_corrupted_on_the_fallback_route_is_an_error():
-    # with the proof forced to fail the sum is unpacked and long-divided;
-    # one more in its lowest coefficient leaves a remainder there too
-    real_unpack = laurent._unpack_poly
+    # with the proof forced to fail the sum's digits are packed again at a
+    # wider width; one more in its lowest digit there leaves a remainder too
+    real_pack = laurent._pack
     patch, widths = unproven(schur)
-    unpacked = []
+    packed = []
 
-    def corrupted(value, low, digits, width):
-        unpacked.append(digits)
-        out = real_unpack(value, low, digits, width)
-        # the quotient is unpacked first, then the numerator, then the divisor
-        return out + LaurentPoly.q_power(low) if len(unpacked) == 2 else out
+    def corrupted(coeffs, width):
+        packed.append(width)
+        # the numerator is packed first, then the divisor
+        return real_pack(coeffs, width) + (len(packed) == 1)
 
-    with patch, mock.patch.object(laurent, "_unpack_poly", corrupted):
+    with mock.patch.object(laurent, "_pack", corrupted), patch:
         with pytest.raises(RuntimeError, match="^Schur pairing lost exactness$") as info:
             schur._schur_pairing(2, (0, 1), (1, 2))
     assert isinstance(info.value.__cause__, NotDivisible)
-    assert widths == [1] and len(unpacked) == 3
+    assert widths == [[1, 2]] and packed == [2, 2]
 
 
 @st.composite
@@ -438,33 +432,34 @@ def test_cauchy_det_matches_laurent_oracle(case, forced):
         assert identities._cauchy_det(m, a, b) == expected
         return
     patch, widths = unproven(identities)
-    spy, divisions = exact_div_spy()
+    spy, slow = long_div_spy()
     with patch, spy:
         assert identities._cauchy_det(m, a, b) == expected
-    assert len(widths) == len(divisions) == (1 if b else 0)
+    assert len(widths) == (1 if b else 0)
+    assert all(len(divided) == 2 for divided in widths) and slow == []
 
 
 def test_cauchy_det_takes_the_proven_route_on_the_golden_points():
     points = [pair for pairs in GOLDEN_POINTS.values() for pair in pairs]
     expected = [cauchy_det(2, a, b) for a, b in points]
-    spy, divisions = exact_div_spy()
-    with spy:
+    patch, widths = quotient_widths(identities)
+    with patch:
         assert [identities._cauchy_det(2, a, b) for a, b in points] == expected
-    assert divisions == []
+    assert len(widths) == len(points) and all(len(divided) == 1 for divided in widths)
 
 
 @pytest.mark.parametrize("verify,n,m", [(verify_q_binet_cauchy, 5, 5), (verify_kuperberg, 7, 7)])
 def test_quotient_past_the_numerator_width_is_divided_again(verify, n, m):
     # at these sizes the pairing (width 3) and the determinant side (width 5)
     # have quotient coefficients of 24 and 50 bits: the one-width candidate
-    # carries, so only a sound proof sends it to the fallback, and a report
-    # against the other side (closed_genfunc for Kuperberg) catches one that
-    # does not
-    spy, divisions = exact_div_spy()
-    with spy:
+    # carries, so only a sound proof widens it, and a report against the
+    # other side (closed_genfunc for Kuperberg) catches one that does not
+    pairing, pairing_widths = quotient_widths(schur)
+    cauchy, cauchy_widths = quotient_widths(identities)
+    with pairing, cauchy:
         report = verify(n, m)
     assert report.equal
-    assert divisions
+    assert any(len(divided) > 1 for divided in pairing_widths + cauchy_widths)
 
 
 def test_cauchy_det_turns_a_corrupted_entry_into_an_error():

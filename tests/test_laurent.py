@@ -14,7 +14,6 @@ from qmelon.laurent import (
     LaurentPoly,
     NotDivisible,
     PolyMatrix,
-    _kronecker_div,
     _kronecker_mul,
     det_fraction_free,
     q_ratio,
@@ -151,32 +150,86 @@ def test_kronecker_mul_matches_schoolbook(a, b):
     assert LaurentPoly(a) * LaurentPoly(b) == got
 
 
+def long_div_spy():
+    """A patch of laurent._long_div that records each call; returns it and the record."""
+    real = laurent._long_div
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    return mock.patch.object(laurent, "_long_div", spy), calls
+
+
+def packed_route():
+    """A patch that sends every exact_div whose quotient has a digit to the packed route."""
+    return mock.patch.object(laurent, "_KRONECKER_CUTOFF", -math.inf)
+
+
+def quotient_widths(module=laurent, forced=False):
+    """A patch of module's _packed_quotient that records the widths each call divides at.
+
+    A call divides at its caller's width first, then at each wider width
+    it packs both operands at; returns the patch and one list of widths per
+    call.  forced: a numerator bound of X leaves the proof no room at the
+    caller's width, so every quotient proven after the fact is widened.
+    """
+    real = laurent._packed_quotient
+    calls = []
+
+    def spy(num, den, low, width, num_max=None, den_norm=0):
+        widths = [width]
+        calls.append(widths)
+        real_pack = laurent._pack
+
+        def pack(coeffs, w):
+            if w != widths[-1]:
+                widths.append(w)
+            return real_pack(coeffs, w)
+
+        if forced and num_max is not None:
+            num_max = 1 << 8 * width
+        with mock.patch.object(laurent, "_pack", pack):
+            return real(num, den, low, width, num_max, den_norm)
+
+    return mock.patch.object(module, "_packed_quotient", spy), calls
+
+
 @settings(max_examples=200, deadline=None)
 @given(big_terms_st, big_terms_st)
 def test_kronecker_div_matches_long_division(p, r):
+    # every divisible pair is decided on the packed route, without long division
     a = naive_mul(p, r)
-    got = _kronecker_div(a, r)
-    assert got is not None
+    spy, slow = long_div_spy()
+    with packed_route(), spy:
+        got = LaurentPoly(a).exact_div(LaurentPoly(r))
     assert got._terms == naive_div(a, r) == p
-    assert LaurentPoly(a).exact_div(LaurentPoly(r)) == got
+    assert slow == []
 
 
 @settings(max_examples=200, deadline=None)
 @given(big_terms_st, big_terms_st, big_terms_st)
+# 2 q**-2 - 1 over -2 q**-1: the one-byte candidate 32767 has the digits
+# -1 and 128, so it takes three digits, one more than its bit length gives
+@example({-1: -1}, {-1: -2}, {0: -1})
 def test_kronecker_div_never_accepts_a_remainder(p, r, extra):
     a = naive_mul(p, r)
     for e, c in extra.items():
         a[e] = a.get(e, 0) + c
     a = {e: c for e, c in a.items() if c}
     assume(a)
+    spy, slow = long_div_spy()
     try:
         expected = naive_div(a, r)
     except NotDivisible as exc:
-        assert _kronecker_div(a, r) is None
-        with pytest.raises(NotDivisible, match=re.escape(str(exc))):
+        with packed_route(), spy, pytest.raises(NotDivisible, match=re.escape(str(exc))):
             LaurentPoly(a).exact_div(LaurentPoly(r))
+        assert slow
     else:
-        assert _kronecker_div(a, r)._terms == expected
+        with packed_route(), spy:
+            assert LaurentPoly(a).exact_div(LaurentPoly(r))._terms == expected
+        assert slow == []
 
 
 def test_kronecker_div_widens_for_a_large_quotient():
@@ -187,21 +240,51 @@ def test_kronecker_div_widens_for_a_large_quotient():
     for divisor in ({0: 1, 1: 1}, {-3: 1, -2: 1}):
         dividend = naive_mul(quotient, divisor)
         assert max(map(abs, dividend.values())) == big
-        assert _kronecker_div(dividend, divisor)._terms == quotient
+        spy, slow = long_div_spy()
+        patch, widths = quotient_widths()
+        with packed_route(), spy, patch:
+            assert LaurentPoly(dividend).exact_div(LaurentPoly(divisor))._terms == quotient
+        [[first, *wider]] = widths
+        assert len(wider) == 1 and wider[0] > first and slow == []
 
 
 def test_large_non_divisible_dividend_raises():
     divisor = {e - 10: (-3) ** e * 10**30 + e for e in range(60)}
     dividend = naive_mul({e: 7**e - 5 for e in range(80)}, divisor)
     dividend[17] += 1
-    assert _kronecker_div(dividend, divisor) is None
     with pytest.raises(NotDivisible) as oracle:
         naive_div(dividend, divisor)
-    with pytest.raises(NotDivisible, match=re.escape(str(oracle.value))):
+    spy, slow = long_div_spy()
+    patch, widths = quotient_widths()
+    with spy, patch, pytest.raises(NotDivisible, match=re.escape(str(oracle.value))):
         LaurentPoly(dividend).exact_div(LaurentPoly(divisor))
+    # the packed divmod leaves a remainder, and long division decides
+    assert len(widths) == len(slow) == 1
     dividend[17] -= 1
-    assert LaurentPoly(dividend).exact_div(LaurentPoly(divisor)) == LaurentPoly(
-        {e: 7**e - 5 for e in range(80)})
+    with spy, patch:
+        assert LaurentPoly(dividend).exact_div(LaurentPoly(divisor)) == LaurentPoly(
+            {e: 7**e - 5 for e in range(80)})
+    assert len(widths) == len(slow) + 1 == 2
+
+
+def test_exact_div_refuses_a_divmod_past_the_quotient_limit():
+    # (1 - q)**2 divides 1 - 2 q**200 + q**400 on the packed route at one
+    # byte, 400 by 2 bytes (work 200); the tent quotient, up to 200, carries
+    # there, so the proof widens to two bytes: 800 by 4 bytes (work 800)
+    tent = naive_mul({e: 1 for e in range(200)}, {e: 1 for e in range(200)})
+    dividend, divisor = LaurentPoly({0: 1, 200: -2, 400: 1}), LaurentPoly({0: 1, 1: -2, 2: 1})
+    patch, widths = quotient_widths()
+    with packed_route(), patch, mock.patch.object(laurent, "_MAX_QUOTIENT_WORK", 800):
+        assert dividend.exact_div(divisor)._terms == tent
+    assert widths == [[1, 2]]
+    message = ("a packed quotient of 800 by 4 bytes would take 800 division steps, "
+               "over the limit of 799")
+    with packed_route(), mock.patch.object(laurent, "_MAX_QUOTIENT_WORK", 799):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dividend.exact_div(divisor)
+    with packed_route(), mock.patch.object(laurent, "_MAX_QUOTIENT_WORK", 199):
+        with pytest.raises(ValueError, match="^a packed quotient of 400 by 2 bytes "):
+            dividend.exact_div(divisor)
 
 
 @settings(deadline=None, max_examples=100)
@@ -220,18 +303,6 @@ def test_unpack_inverts_pack_at_every_width(case):
                 laurent._unpack(1 << (8 * width * len(coeffs)), len(coeffs), width)
 
 
-def exact_div_spy():
-    """A patch of LaurentPoly.exact_div that records each call; returns it and the record."""
-    real = LaurentPoly.exact_div
-    calls = []
-
-    def spy(self, other):
-        calls.append((self, other))
-        return real(self, other)
-
-    return mock.patch.object(LaurentPoly, "exact_div", spy), calls
-
-
 def packed_at(terms: dict, low: int, width: int) -> int:
     """terms at q = X = 2**(8*width) times X**(-low); every exponent is at least low."""
     return sum(c << (8 * width * (e - low)) for e, c in terms.items())
@@ -247,7 +318,7 @@ small_terms_st = st.dictionaries(st.integers(min_value=-6, max_value=6),
        st.integers(min_value=0, max_value=3))
 def test_packed_quotient_matches_long_division(p, r, pad_a, pad_b):
     # powers of X below both operands are stripped; the width holds A and B,
-    # so the a-priori route, the proven route and its fallback all give p
+    # so the a-priori route, the proven route and its widening all give p
     assume(p and r)
     a = naive_mul(p, r)
     bound = max(map(abs, a.values()))
@@ -257,10 +328,12 @@ def test_packed_quotient_matches_long_division(p, r, pad_a, pad_b):
     den = packed_at(r, min(r) - pad_b, width)
     low = min(a) - pad_a - (min(r) - pad_b)
     proven = bound + norm * max(map(abs, p.values())) < 1 << 8 * width
-    spy, slow = exact_div_spy()
-    with spy:
+    spy, slow = long_div_spy()
+    patch, widths = quotient_widths()
+    with spy, patch:
         assert laurent._packed_quotient(num, den, low, width, bound, norm)._terms == p
-        assert bool(slow) != proven
+        [divided] = widths
+        assert (len(divided) == 1) == proven and slow == []
         if proven:
             assert laurent._packed_quotient(num, den, low, width)._terms == p
     if len(r) > 1:
@@ -272,26 +345,41 @@ def test_packed_quotient_proof_rejects_a_carried_digit():
     # (1 - q)**2 times the tent (1 + ... + q**199)**2 is 1 - 2 q**200 + q**400:
     # A and B fit in one byte, but the tent's middle coefficients, up to 200,
     # carry into the next digit, so the one-byte candidate is wrong and only
-    # the proof keeps it out
+    # the proof keeps it out; at two bytes the tent is proven
     tent = naive_mul({e: 1 for e in range(200)}, {e: 1 for e in range(200)})
     num = packed_at({0: 1, 200: -2, 400: 1}, 0, 1)
     den = packed_at({0: 1, 1: -2, 2: 1}, 0, 1)
     assert laurent._packed_quotient(num, den, 0, 1)._terms != tent
-    spy, slow = exact_div_spy()
-    with spy:
+    spy, slow = long_div_spy()
+    patch, widths = quotient_widths()
+    with spy, patch:
         assert laurent._packed_quotient(num, den, 0, 1, 2, 4)._terms == tent
-    assert len(slow) == 1
+    assert widths == [[1, 2]] and slow == []
+
+
+def test_packed_quotient_widens_to_the_width_of_its_bound():
+    # 100 (1 + q**3000) / (1 + q) is 100 times the alternating 1 - q + ...,
+    # whose absolute sum 300,000 fails the proof at one byte: the bound,
+    # 100 + 300,000, takes three bytes, more than twice the last width
+    ones = {e: 100 * (-1) ** e for e in range(3000)}
+    num = packed_at(naive_mul(ones, {0: 1, 1: 1}), 0, 1)
+    den = packed_at(ones, 0, 1)
+    patch, widths = quotient_widths()
+    with patch:
+        assert laurent._packed_quotient(num, den, 0, 1, 100, 300000)._terms == {0: 1, 1: 1}
+    assert widths == [[1, 3]]
 
 
 def test_kronecker_div_packs_a_divisor_wider_than_the_dividend():
     # the pack width has to fit the divisor's coefficients, not only the dividend's
     dividend = {e: 1 for e in range(200)}
     divisor = {e: 10**30 for e in range(20)}
-    assert _kronecker_div(dividend, divisor) is None
     with pytest.raises(NotDivisible) as oracle:
         naive_div(dividend, divisor)
-    with pytest.raises(NotDivisible, match=re.escape(str(oracle.value))):
+    spy, slow = long_div_spy()
+    with packed_route(), spy, pytest.raises(NotDivisible, match=re.escape(str(oracle.value))):
         LaurentPoly(dividend).exact_div(LaurentPoly(divisor))
+    assert slow
     # prod (1 + q**a) divides prod (1 - q**(2a)), and its coefficients, near
     # 2**40 / 40**1.5, are over 10**6 times those of the dividend
     divisor, quotient = {0: 1}, {e: 1 for e in range(1500)}
@@ -300,8 +388,10 @@ def test_kronecker_div_packs_a_divisor_wider_than_the_dividend():
         quotient = naive_mul(quotient, {0: 1, a: -1})
     dividend = naive_mul(divisor, quotient)
     assert max(map(abs, divisor.values())) > 10**6 * max(map(abs, dividend.values()))
-    assert _kronecker_div(dividend, divisor)._terms == quotient
-    assert LaurentPoly(dividend).exact_div(LaurentPoly(divisor))._terms == quotient
+    spy, slow = long_div_spy()
+    with packed_route(), spy:
+        assert LaurentPoly(dividend).exact_div(LaurentPoly(divisor))._terms == quotient
+    assert slow == []
 
 
 @pytest.mark.parametrize("terms", [{0: True}, {True: 3}, {2: False}, {False: 0}])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmelon import qanalogs
+from qmelon import laurent, qanalogs
 from qmelon.laurent import LaurentPoly, q_ratio
 from qmelon.qanalogs import h_complete, qbinomial
 
@@ -140,6 +140,27 @@ def test_qbinomial_limit_is_on_the_buffer_length():
                                              r"over the limit of 50$"):
             qbinomial(50, 1)
     assert qbinomial(50, 1) == qint(50)
+
+
+def test_qbinomial_refuses_past_the_pass_limit():
+    # [10 choose 4] makes 4 steps over a list of 4 * 7 + 1 = 29 slots
+    qbinomial.cache_clear()
+    with mock.patch.object(qanalogs, "_MAX_SERIES_WORK", 116):
+        assert qbinomial(10, 4) == qbinomial_product_oracle(10, 4)
+        assert qbinomial(10, 6) == qbinomial(10, 4)
+    qbinomial.cache_clear()
+    with mock.patch.object(qanalogs, "_MAX_SERIES_WORK", 115):
+        with pytest.raises(ValueError, match=r"^Gaussian binomial \[10 choose 4\] would take 116 "
+                                             r"slot-passes, over the limit of 115$"):
+            qbinomial(10, 6)
+        assert qbinomial(10, 3) == qbinomial_product_oracle(10, 3)
+    qbinomial.cache_clear()
+    # at the real limit: [600 choose 300] charges 300 * 90,301 slot-passes,
+    # and [2000 choose 1000], a list of 10**6 slots, 1000 passes over it
+    for big, passes in ((600, 27090300), (2000, 1001001000)):
+        with pytest.raises(ValueError, match=f"would take {passes} slot-passes, over the "
+                                             f"limit of {laurent._MAX_SERIES_WORK}$"):
+            qbinomial(big, big // 2)
 
 
 def test_qbinomial_result_does_not_depend_on_the_cache():

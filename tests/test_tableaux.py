@@ -1,5 +1,7 @@
 import itertools
 import sys
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,26 @@ def test_known_counts():
     assert count_ssyt((1,), 5) == 5
     assert count_ssyt((), 3) == 1
     assert count_ssyt((1, 1, 1), 2) == 0
+
+
+def test_count_ssyt_refuses_past_the_tableau_cell_limit():
+    # (3, 2) in 4 letters has 60 tableaux of 5 cells
+    with mock.patch.object(tableaux, "_MAX_SSYT_CELLS", 300):
+        assert count_ssyt((3, 2, 0), 4) == len(brute_ssyt((3, 2), 4)) == 60
+        # more rows than letters counts 0, with no count to charge: Weyl's
+        # product does not apply there, and raises on some of those shapes
+        assert count_ssyt((1, 1, 1, 1, 1), 4) == count_ssyt((1,) * 6, 2) == 0
+        assert count_ssyt((2, 1), 0) == 0
+        assert count_ssyt((), 0) == 1
+    with mock.patch.object(tableaux, "_MAX_SSYT_CELLS", 299):
+        with pytest.raises(ValueError, match=r"^shape \(3, 2\) in 4 letters has 60 tableaux of "
+                                             r"5 cells, 300 tableau-cells over the limit of 299$"):
+            count_ssyt((3, 2), 4)
+    # (12**4 6**4) in 8 letters: 9,343,620 tableaux of 72 cells, refused at once
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r" 9343620 tableaux of 72 cells, 672740640 "):
+        count_ssyt((12,) * 4 + (6,) * 4, 8)
+    assert time.process_time() - start < 0.5
 
 
 def test_first_ssyt_with_counts():
