@@ -15,9 +15,8 @@ last step, laurent._packed_quotient, which proves the quotient it returns.
 
 The q-binomial determinant and the det forms of the watermelon suite come
 from laurent.det_fraction_free, which expands a large packed matrix of
-few rows by minors (laurent._minors_det), at q = Y and at q = -Y when
-its width allows, recovering the even and the odd coefficients from the
-two values.  That is a Laplace expansion like the pairing's
+few rows by minors (laurent._minors_det), at q = Y and at q = -Y,
+recovering the even and the odd coefficients from the two values.  That is a Laplace expansion like the pairing's
 schur._maximal_minors, but separate code: it takes arbitrary int entries
 in a row order by size and returns one determinant, where
 _maximal_minors shifts monomials and returns every maximal minor.

@@ -39,23 +39,22 @@ evaluates the lower half of the ratio as a truncated dense power series
 and mirrors it, the ratio being palindromic up to sign.
 
 :func:`det_fraction_free` applies the substitution once per matrix, not
-once per operation.  Each row is shifted by q**(-v_i) to polynomials, and
-every entry is evaluated at X = 2**(8*W).  The determinant of those plain
-ints comes from Bareiss elimination, whose divisions are exact, and only
-the final integer is unpacked.  Its S + 1 digits are the determinant, S
-being the sum of the row spans, because W is chosen with 2**(8*W-1)
-above B = prod_i sum_j |a_ij|_1, a bound on every coefficient of the
-shifted determinant.  A matrix of at most ``_MINORS_DET_MAX_ROWS`` rows
-and large entries is instead expanded by a division-free Laplace
-expansion over column sets, twice, at q = Y and q = -Y with
-Y = 2**(8*ceil(W/2)): the sum and the difference of the two values give
-the even and the odd coefficients as two integers of half the length,
-each unpacked at width 2 * ceil(W/2), and Y**2 > 2B keeps the same a
-priori proof.  That route also shifts each column by the power of q all
-its row-shifted entries share, and packs each distinct entry once per
-shift.  Matrices whose packed determinant, W * S bytes, reaches
-``_PACKED_DET_MAX_BYTES`` are eliminated by Bareiss on LaurentPoly
-entries.
+once per operation.  Each row is shifted by q**(-v_i) and each column by
+q**(-c_j) to polynomials, and every entry is evaluated at X = 2**(8*W).
+The determinant of those plain ints comes from Bareiss elimination, whose
+divisions are exact, and only the final integer is unpacked.  Its S' + 1
+digits are the determinant, S' <= S being the sum of the shifted row
+spans, because W is chosen with 2**(8*W-1) above B = prod_i sum_j
+|a_ij|_1, a bound on every coefficient of the shifted determinant.  A
+matrix of at most ``_MINORS_DET_MAX_ROWS`` rows and large entries is
+instead expanded by a division-free Laplace expansion over column sets,
+twice, at q = Y and q = -Y with Y = 2**(8*ceil(W/2)): the sum and the
+difference of the two values give the even and the odd coefficients as
+two integers of half the length, each unpacked at width 2 * ceil(W/2),
+and Y**2 > 2B keeps the same a priori proof.  That route packs each
+distinct entry once per shift.  Matrices whose packed determinant, W * S
+bytes, reaches ``_PACKED_DET_MAX_BYTES`` are eliminated by Bareiss on
+LaurentPoly entries.
 
 ``_packed_quotient`` divides two polynomials packed at one width, for its
 callers and for :meth:`LaurentPoly.exact_div`: one ``divmod``, and only
@@ -63,7 +62,7 @@ the quotient is unpacked.  It is kept when the width bounds it a priori or
 when an after-the-fact proof holds at that width; otherwise the digits are
 packed wider and divided again, at most three widths in all, before long
 division decides.  The divmod is quadratic, so each one whose predicted
-work passes ``_MAX_QUOTIENT_WORK`` is refused with ValueError first.
+work passes ``_MAX_BIGINT_WORK`` is refused with ValueError first.
 """
 
 from __future__ import annotations
@@ -80,6 +79,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 class NotDivisible(ArithmeticError):
     """Exact polynomial division left a remainder."""
+
+
+class _PackedRemainder(NotDivisible):
+    """A packed divmod left a remainder, before any long division ran."""
 
 
 # The Kronecker kernels run when the schoolbook's term pairs are at least
@@ -101,17 +104,16 @@ _PACKED_DET_MAX_BYTES = 12000
 
 # A packed matrix of at most _MINORS_DET_MAX_ROWS rows whose packed
 # determinant, W * S bytes, reaches _MINORS_DET_MIN_BYTES is expanded by
-# minors (_minors_det), any other one eliminated (_bareiss).  CPython 3.11,
-# minors time over Bareiss time on the packed matrices of genfunc_det_forms,
-# the q-binomial determinants and monomial alternants: 1.2-2.3 at 3 rows
-# and 1.0-1.8 at 4 and 5 rows below 250 bytes (the verify grid's are at
-# most 228), 0.6-1.1 from 350 to 510 bytes, 0.26-0.9 from 512 bytes up
-# to 6 rows (genfunc-boxes: 1.8 K to 5.4 K bytes, 4 to 6 rows), 0.1-1.2 at
-# 7 and 8 rows and 0.05-0.74 at 9 to 12 (the det forms up to (10, 3, 2)).
-# Dense matrices of small entries are the slow end, and they lose more with
-# every row, as the n * 2**(n-1) products of the expansion outgrow the
-# n**3 / 3 pivot steps: monomial alternants read 1.3 at 6 to 8 rows, 1.7
-# at 9, 2.7 at 10, 4.2 at 12 and 10 at 15 (1.1 K to 14 K bytes).
+# minors at q = Y and q = -Y (_two_point_det), any other one eliminated
+# (_bareiss).  CPython 3.11, two-point time over Bareiss time on the packed
+# matrices of genfunc_det_forms (n of 3 to 6, l up to 5, m up to 6) and
+# monomial alternants of 3 to 10 rows: 0.98-2.75 below 250 bytes,
+# 0.66-1.64 from 250 to 511, 0.49-1.18 from 512 to 1 K and 0.33-0.94 from
+# 1 K to 8 K bytes at 4 to 7 rows; alternants read 0.6-2.1 at 8 rows, 0.7-1.6 at 9 and 1.0-2.2 at 10,
+# as the n * 2**(n-1) products of the expansion outgrow the n**3 / 3 pivot
+# steps.  The verify grid's 44 packed determinants per pass, of 3 and 4
+# rows and at most 228 bytes, take 3.1 ms by Bareiss and 4.5 ms at q = +-Y
+# (best of 200 interleaved runs).
 _MINORS_DET_MAX_ROWS = 10
 _MINORS_DET_MIN_BYTES = 512
 
@@ -137,14 +139,15 @@ _MAX_DENSE_COEFFS = 10**7
 # 1.6 * 10**7 in 1.45 s, kept, and [600 choose 300] 2.7 * 10**7, refused.
 _MAX_SERIES_WORK = 2 * 10**7
 
-# The most work of each of _packed_quotient's divmods, on the scale of
-# schur._MAX_ALTERNANT_WORK: 10**10 steps, about 3 s of CPython 3.11.  Long
-# division is quadratic there, about 0.13 ns per byte of the quotient times
-# byte of the divisor, so a quarter of the product of the numerator's and
-# the divisor's bytes is charged: bialternant((1,), (0, 10**5)) divides
-# 200,000 by 100,000 bytes, 5.0 * 10**9 steps, in 1.2 s, and (0, 10**6)
-# would take minutes for 5.0 * 10**11 steps.
-_MAX_QUOTIENT_WORK = 10**10
+# The most big-integer work of one step, about 3 s of CPython 3.11: each
+# of _packed_quotient's divmods, schur's alternants and pairings, and the
+# passes of planepartitions.zq charge their predicted byte steps against it
+# before they run.  Long division is quadratic, about 0.13 ns per byte of
+# the quotient times byte of the divisor, so a divmod charges a quarter of
+# the product of the numerator's and the divisor's bytes:
+# bialternant((1,), (0, 10**5)) divides 200,000 by 100,000 bytes, 5.0 * 10**9
+# steps, in 1.2 s, and (0, 10**6) would take minutes for 5.0 * 10**11 steps.
+_MAX_BIGINT_WORK = 10**10
 
 # struct codes of the native signed C integers, by their size in bytes.  A
 # cast reads the machine's byte order and the digits are little-endian, so
@@ -221,9 +224,10 @@ def _packed_quotient(num: int, den: int, low: int, width: int,
     num = A(X) and den = B(X) at X = 2**(8*width), every coefficient of A
     and of B in [-X/2, X/2); the quotient's digit 0 is the exponent low.
     The powers of X that divide each are stripped, so the quotient is a
-    polynomial, and one divmod gives Q(X); a remainder raises NotDivisible.
+    polynomial, and one divmod gives Q(X); a remainder raises NotDivisible
+    (``_PackedRemainder``) at once.
     Every divmod whose work, a quarter of the product of the two operands'
-    bytes, passes ``_MAX_QUOTIENT_WORK`` raises ValueError before it runs.
+    bytes, passes ``_MAX_BIGINT_WORK`` raises ValueError before it runs.
     Q's digits are its coefficients when the caller's width bounds them a
     priori (num_max None).  Otherwise Q is proven after the fact: P = A - B*Q
     vanishes at X, and each coefficient of P is at most
@@ -246,12 +250,12 @@ def _packed_quotient(num: int, den: int, low: int, width: int,
             num, den = (_pack(c, width) for c in coeffs)
         num_bytes, den_bytes = ((x.bit_length() + 7) // 8 for x in (num, den))
         work = num_bytes * den_bytes // 4
-        if work > _MAX_QUOTIENT_WORK:
+        if work > _MAX_BIGINT_WORK:
             raise ValueError(f"a packed quotient of {num_bytes} by {den_bytes} bytes would take "
-                             f"{work} division steps, over the limit of {_MAX_QUOTIENT_WORK}")
+                             f"{work} division steps, over the limit of {_MAX_BIGINT_WORK}")
         quot, rem = divmod(num, den)
         if rem:
-            raise NotDivisible("remainder in packed division")
+            raise _PackedRemainder("remainder in packed division")
         # a candidate's top digit may carry past quot's bit length
         q = _unpack_poly(quot, low, quot.bit_length() // unit + 2, width)
         if num_max is None:
@@ -488,8 +492,9 @@ class LaurentPoly:
         dividend's span, both operands are packed and divided by
         ``_packed_quotient``, proven from max|self| and the divisor's
         absolute sum; it raises ValueError for a divmod past
-        ``_MAX_QUOTIENT_WORK``.  Otherwise, and on a packed remainder, the
-        long division (``_long_div``) decides and raises NotDivisible.
+        ``_MAX_BIGINT_WORK``.  Otherwise, and on a packed remainder, the
+        long division (``_long_div``) decides and raises NotDivisible; it
+        runs at most once, since ``_packed_quotient`` may end in it too.
         """
         if isinstance(other, int):
             other = LaurentPoly({0: other})
@@ -510,7 +515,7 @@ class LaurentPoly:
             try:
                 return _packed_quotient(_pack(ca, width), _pack(cb, width), low_a - low_b,
                                         width, max_a, sum(map(abs, cb)))
-            except NotDivisible:
+            except _PackedRemainder:
                 pass
         return _long_div(a, b)
 
@@ -710,38 +715,30 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     Larger matrices are evaluated once at q = X = 2**(8*W) and computed
     over the integers, and only the final integer is unpacked (Kronecker
     substitution applied to the whole matrix).  Row i is first multiplied
-    by q**(-v_i), v_i the least exponent in the row, so every entry is a
-    polynomial and the determinant of the shifted matrix is a polynomial
-    of degree at most S, the sum of the row spans; the shift comes back
-    at the end.  Evaluation at X is a ring homomorphism, so the integer
-    determinant is det(M)(X).  By the Leibniz expansion the coefficients
-    of the shifted determinant are at most B = prod_i sum_j |a_ij|_1 in
-    absolute value, |a|_1 being the sum of the absolute coefficients of a.
-    W is the least width with 2**(8*W-1) > B, so every coefficient is one
-    signed base-X digit and the S + 1 unpacked digits are det(M) exactly;
-    this a-priori bound is the proof, whichever integer routine ran.  The
-    packed route runs while the packed determinant, W * S bytes, is below
-    ``_PACKED_DET_MAX_BYTES``; larger matrices are eliminated with
-    LaurentPoly entries, where B overshoots the true coefficients most and
-    the quadratic big-integer divmod would lose.  On the packed route a
-    matrix of at most ``_MINORS_DET_MAX_ROWS`` rows whose W * S reaches
-    ``_MINORS_DET_MIN_BYTES`` is expanded by minors (``_minors_det``),
-    which has no division and multiplies each large entry into a minor of
-    the smaller rows; a smaller or larger one is eliminated by Bareiss.
-    W and this choice of route use the row shifts alone.  The minors
-    route then also shifts column j by q**(-c_j), c_j the least exponent
-    left in the column after the row shifts (0 for an all-zero column), so
-    a power of q that every entry of a column shares is not packed: the
-    determinant of the shifted matrix has degree at most
-    S' = sum_i max_j (deg a_ij - v_i - c_j) <= S, its coefficients are
-    still bounded by B, since a shift does not change |a_ij|_1, and its
-    S' + 1 digits are unpacked from the exponent sum_i v_i + sum_j c_j.
-    Only this route shifts columns: on the small matrices that Bareiss takes,
-    computing the c_j costs more than the shorter entries save.  When
-    W >= 2 the expansion runs at q = Y and q = -Y instead of at X,
-    Y = 2**(8*ceil(W/2)), on ints of about half the length
-    (``_two_point_det``); Y**2 >= X, so B proves the recovered digits.  At
-    W = 1 the halves would be no shorter, and X is kept.
+    by q**(-v_i), v_i the least exponent in the row, and column j by
+    q**(-c_j), c_j the least exponent left in the column after the row
+    shifts (0 for an all-zero column), so every entry is a polynomial and
+    a power of q that a whole column shares is not packed.  The shifted
+    determinant has degree at most S' = sum_i max_j (deg a_ij - v_i - c_j),
+    at most S, the sum of the row spans, and the shifts come back at the
+    end.  Evaluation at X is a ring homomorphism, so the integer
+    determinant is its value at X.  By the Leibniz expansion its
+    coefficients are at most B = prod_i sum_j |a_ij|_1 in absolute value,
+    |a|_1 being the sum of the absolute coefficients of a, which no shift
+    changes.  W is the least width with 2**(8*W-1) > B, so every
+    coefficient is one signed base-X digit and the S' + 1 unpacked digits
+    are det(M) exactly; this a-priori bound is the proof, whichever
+    integer routine ran.  The packed route runs while the packed
+    determinant, W * S bytes, is below ``_PACKED_DET_MAX_BYTES``; larger
+    matrices are eliminated with LaurentPoly entries, where B overshoots
+    the true coefficients most and the quadratic big-integer divmod would
+    lose.  On the packed route a matrix of at most ``_MINORS_DET_MAX_ROWS``
+    rows whose W * S reaches ``_MINORS_DET_MIN_BYTES`` is expanded by
+    minors, which has no division and multiplies each large entry into a
+    minor of the smaller rows, at q = Y and q = -Y, Y = 2**(8*ceil(W/2)),
+    on ints of about half the length (``_two_point_det``); Y**2 > 2B, so B
+    proves the recovered digits.  A smaller or larger one is eliminated by
+    Bareiss.  W and this choice of route use the row shifts alone.
 
     In both rings every Bareiss division is exact by Sylvester's identity,
     for any nonzero pivot; a remainder would mean corrupted arithmetic, so
@@ -773,18 +770,15 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     try:
         if size >= _PACKED_DET_MAX_BYTES:
             return _bareiss([list(row) for row in m], LaurentPoly.exact_div)
-        if n > _MINORS_DET_MAX_ROWS or size < _MINORS_DET_MIN_BYTES:
-            packed = [[_evaluate(t, low, width) for t in row] for row, low in zip(a, lows)]
-            return _unpack_poly(_bareiss(packed, _int_exact_div), sum(lows), span + 1, width)
         # c_j, the least exponent of column j once the rows are shifted
         cols = [min([min(t) - low for t, low in zip(col, lows) if t], default=0)
                 for col in zip(*a)]
         span = sum(max(max(t) - low - c for t, c in zip(row, cols) if t)
                    for row, low in zip(a, lows))
-        if width >= 2:
+        if n <= _MINORS_DET_MAX_ROWS and size >= _MINORS_DET_MIN_BYTES:
             return _two_point_det(a, lows, cols, span, width)
-        value = _minors_det([[_evaluate(t, low + c, width) for t, c in zip(row, cols)]
-                             for row, low in zip(a, lows)])
+        value = _bareiss([[_evaluate(t, low + c, width) for t, c in zip(row, cols)]
+                          for row, low in zip(a, lows)], _int_exact_div)
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
     return _unpack_poly(value, sum(lows) + sum(cols), span + 1, width)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Sequence
 
-from .laurent import LaurentPoly, _unpack_poly
+from .laurent import _MAX_BIGINT_WORK, LaurentPoly, _unpack_poly
 from .partitions import Partition, check_box, check_int, enumerate_in_box, strip
 from .paths import (
     Watermelon,
@@ -47,14 +47,6 @@ from .paths import (
 from .tableaux import Tableau, letter_counts
 
 PlanePartition = tuple[tuple[int, ...], ...]
-
-# The most state slots zq may fill: C(rows + height, rows) states, each a
-# packed int of rows * height * columns + 1 digits.  With CPython 3.11 on
-# a 2-core VM, 8x8x8 (6.6 M slots) took 1.9 s and 189 MB peak RSS
-# in-process and 9x9x9 (35.5 M slots) 16 s and 1.2 GB, about 30 bytes per
-# slot; 10x10x10 has 185 M slots, about 4 GB.  zq refuses more slots than
-# this before it builds any state.
-_MAX_ZQ_SLOTS = 5 * 10**7
 
 
 class BoxMismatch(ValueError):
@@ -145,23 +137,37 @@ def zq(n: int, l: int, m: int) -> LaurentPoly:
     shortest sides span the states and the longest counts the columns.
     A polynomial is packed into one Python int, a digit of whole bytes
     per coefficient, so q**|nu| is a shift.
-    Equals MacMahon's product ``closed_genfunc(n, l, m)`` exactly.  A box
-    of more than ``_MAX_ZQ_SLOTS`` state slots is refused with a ValueError.
+    Equals MacMahon's product ``closed_genfunc(n, l, m)`` exactly.
+    The C(rows + height, rows) states hold ``slots`` digits of ``size``
+    bytes; each of the columns - 1 passes adds at most rows int pairs per
+    state and shifts every state.  So (columns - 1) * (rows + 1) * slots *
+    size bounds the bytes the passes touch, and a box that charges more
+    than ``laurent._MAX_BIGINT_WORK`` (at one byte per digit, when that
+    alone passes it) is refused with a ValueError before any state is
+    built.  CPython 3.11 takes 0.1 to 0.5 ns per unit: 8x8x8 charges
+    5.0 * 10**9 in 1.6 to 2.3 s and (1, 1, 20000) 3.2 * 10**9 in 0.3 to
+    0.5 s; 9x9x9 would charge 4.5 * 10**10 for 16.5 s and 1.2 GB.  Peak
+    memory, about slots * size bytes, is at most the charge over
+    (columns - 1) * (rows + 1).
     """
     n, l, m = check_box(n, l, m)
     rows, height, columns = sorted((n, l, m))
+    count = comb(rows + height, rows)
     digits = rows * height * columns + 1
-    slots = comb(rows + height, rows) * digits
-    if slots > _MAX_ZQ_SLOTS:
-        raise ValueError(f"zq of the box {n}x{l}x{m} needs {slots} state slots; "
-                         f"the limit is {_MAX_ZQ_SLOTS}")
+    slots = count * digits
+    work = (columns - 1) * (rows + 1) * slots
+    if work <= _MAX_BIGINT_WORK:
+        # A chain of columns is fixed by its multiset of states, so no
+        # coefficient exceeds the multiset count, which is below
+        # 2**(8*size - 1): a signed digit of `size` bytes holds it.
+        size = comb(count + columns - 1, columns).bit_length() // 8 + 1
+        work *= size
+    if work > _MAX_BIGINT_WORK:
+        raise ValueError(f"zq of the box {n}x{l}x{m} needs {work} byte steps, {columns - 1} "
+                         f"passes over {slots} state slots; the limit is {_MAX_BIGINT_WORK}")
     states = list(enumerate_in_box(rows, height))
     weights = [sum(nu) for nu in states]
     steps = _containment_steps(states, weights, height)
-    # A chain of columns is fixed by its multiset of states, so no
-    # coefficient exceeds the multiset count, which is below 2**(8*size - 1):
-    # a signed digit of `size` bytes holds it.
-    size = comb(len(states) + columns - 1, columns).bit_length() // 8 + 1
     width = 8 * size
     f = [1 << (w * width) for w in weights]
     for _ in range(columns - 1):

@@ -33,11 +33,11 @@ of every interface; it shares nothing with the pairing but the unpacking.
 
 ``bialternant`` refuses a quotient whose degree span passes
 ``laurent._MAX_DENSE_COEFFS`` and an alternant of more than
-``_MAX_ALTERNANT_WORK`` steps, and ``_schur_pairing`` a box sum of more
-than ``laurent._MAX_DENSE_COEFFS`` packed bytes or more than
-``_MAX_ALTERNANT_WORK`` minor steps, before any polynomial is built; the
-packed quotient both end in refuses a divmod past
-``laurent._MAX_QUOTIENT_WORK`` before it runs.
+``laurent._MAX_BIGINT_WORK`` steps, and ``_schur_pairing`` a box sum of
+more than ``laurent._MAX_DENSE_COEFFS`` packed bytes or more than
+``laurent._MAX_BIGINT_WORK`` minor steps, before any polynomial is built;
+the packed quotient both end in refuses a divmod past that same limit
+before it runs.
 ``tableau_sum`` refuses a branching and unpacking of more than
 ``_MAX_BRANCHING_STEPS`` steps before it sweeps the level that passes the
 limit.
@@ -52,6 +52,7 @@ from operator import sub
 from typing import Sequence
 
 from .laurent import (
+    _MAX_BIGINT_WORK,
     _MAX_DENSE_COEFFS,
     LaurentPoly,
     NotDivisible,
@@ -83,9 +84,6 @@ def _require_distinct(exponents: Sequence[int]) -> None:
 # 12 rows, 0.61-0.84 at 14 (0.33-0.46 s) and 1.02-1.18 at 15 (0.9-1.3 s).
 _MINORS_MAX_ROWS = 14
 
-# The most work of an alternant, about 3 s of CPython 3.11; see _alternant.
-_MAX_ALTERNANT_WORK = 10**10
-
 
 def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tuple[int, int]:
     """The alternant det(q**(a_j * e_k)), e = lam + delta, at q**a, packed.
@@ -106,9 +104,9 @@ def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tupl
     # n * 2**(n-1) minor steps, or n**3 Bareiss steps of a product and a division,
     # 31-47 times as slow per byte at 14-15 rows, at the width of n**n < 2**(n bits(n))
     work = span * ((n << n >> 1) * width if minor else 32 * n**3 * (n * n.bit_length() // 8 + 1))
-    if work > _MAX_ALTERNANT_WORK:
+    if work > _MAX_BIGINT_WORK:
         raise ValueError(f"shape {strip(lam)} in {n} letters would take {work} alternant "
-                         f"steps, over the limit of {_MAX_ALTERNANT_WORK}")
+                         f"steps, over the limit of {_MAX_BIGINT_WORK}")
     if minor:
         value = _maximal_minors(exponents, columns, width)[(1 << n) - 1]
         # the minor lists its columns increasing, the alternant decreasing
@@ -187,7 +185,7 @@ def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     both sides plus one digit; when those digits times W pass
     ``laurent._MAX_DENSE_COEFFS`` bytes, ValueError is raised before any
     minor is built.  It is raised likewise when the two DPs' predicted
-    work passes ``_MAX_ALTERNANT_WORK``: their states, (1 + 2**k) times
+    work passes ``laurent._MAX_BIGINT_WORK``: their states, (1 + 2**k) times
     the sum of C(m + len(a), j) over j <= len(a), each visiting
     m + len(b) columns, times those bytes, as ``_alternant`` charges.
     """
@@ -208,9 +206,9 @@ def _schur_pairing(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     # b side's any of its k fixed columns besides; each visits m + nb columns
     states = (1 + (1 << k)) * sum(comb(m + na, j) for j in range(na + 1))
     work = states * (m + nb) * size
-    if work > _MAX_ALTERNANT_WORK:
+    if work > _MAX_BIGINT_WORK:
         raise ValueError(f"the Schur pairing over the {m}**{na} box at {tuple(a)} and {tuple(b)} "
-                         f"would take {work} minor steps, over the limit of {_MAX_ALTERNANT_WORK}")
+                         f"would take {work} minor steps, over the limit of {_MAX_BIGINT_WORK}")
     minors_a = _maximal_minors(a, range(m + na), width)
     minors_b = _maximal_minors(b, range(m + nb), width, fixed=k)
     below = (1 << k) - 1
@@ -247,9 +245,9 @@ def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     (lam_i - lam_j + j - i) / (j - i) (Weyl); a width that holds that and
     N! makes the quotient's digits its coefficients.  A remainder raises
     RuntimeError; a quotient spanning more than ``laurent._MAX_DENSE_COEFFS``
-    exponents, or an alternant of more than ``_MAX_ALTERNANT_WORK`` steps,
-    raises ValueError before any work, and a quotient past
-    ``laurent._MAX_QUOTIENT_WORK`` before its divmod.
+    exponents, or an alternant of more than ``laurent._MAX_BIGINT_WORK``
+    steps, raises ValueError before any work, and a quotient past that
+    limit before its divmod.
     """
     _require_distinct(exponents)
     lam = strip(check_partition(lam))

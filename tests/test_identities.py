@@ -378,11 +378,13 @@ def test_schur_pairing_turns_a_corrupted_sum_into_an_error():
         return real(num + 1, den, *args)
 
     assert schur._schur_pairing(2, (0, 1), (1, 2)) == pairing_oracle(2, (0, 1), (1, 2))
-    with mock.patch.object(schur, "_packed_quotient", corrupted):
+    # the packed remainder is an error at once, with no long division
+    spy, slow = long_div_spy()
+    with mock.patch.object(schur, "_packed_quotient", corrupted), spy:
         with pytest.raises(RuntimeError, match="^Schur pairing lost exactness$") as info:
             schur._schur_pairing(2, (0, 1), (1, 2))
     assert isinstance(info.value.__cause__, NotDivisible)
-    assert len(sums) == 1
+    assert len(sums) == 1 and slow == []
 
 
 def test_schur_pairing_corrupted_on_the_fallback_route_is_an_error():
@@ -547,9 +549,9 @@ def test_pairing_work_limit_is_checked_before_any_minor():
     # m = 2, a = (1, 2) and b = (0, 1, 3): k = 1, W = 1 (B = 72), 3 * 3 +
     # 4 * 4 + 1 digits, (1 + 2) * (1 + 4 + 6) states visiting 5 columns
     work = 3 * 11 * 5 * 26
-    with mock.patch.object(schur, "_MAX_ALTERNANT_WORK", work):
+    with mock.patch.object(schur, "_MAX_BIGINT_WORK", work):
         assert schur._schur_pairing(2, (1, 2), (0, 1, 3)) == cauchy_det(2, (1, 2), (0, 1, 3))
-    with mock.patch.object(schur, "_MAX_ALTERNANT_WORK", work - 1), \
+    with mock.patch.object(schur, "_MAX_BIGINT_WORK", work - 1), \
             mock.patch.object(schur, "_maximal_minors") as minors:
         with pytest.raises(ValueError, match=f"would take {work} minor steps, over the limit"):
             schur._schur_pairing(2, (1, 2), (0, 1, 3))

@@ -225,7 +225,9 @@ def test_kronecker_div_never_accepts_a_remainder(p, r, extra):
     except NotDivisible as exc:
         with packed_route(), spy, pytest.raises(NotDivisible, match=re.escape(str(exc))):
             LaurentPoly(a).exact_div(LaurentPoly(r))
-        assert slow
+        # one long division, whether after a packed remainder or at the end
+        # of _packed_quotient's widths
+        assert len(slow) == 1
     else:
         with packed_route(), spy:
             assert LaurentPoly(a).exact_div(LaurentPoly(r))._terms == expected
@@ -274,15 +276,15 @@ def test_exact_div_refuses_a_divmod_past_the_quotient_limit():
     tent = naive_mul({e: 1 for e in range(200)}, {e: 1 for e in range(200)})
     dividend, divisor = LaurentPoly({0: 1, 200: -2, 400: 1}), LaurentPoly({0: 1, 1: -2, 2: 1})
     patch, widths = quotient_widths()
-    with packed_route(), patch, mock.patch.object(laurent, "_MAX_QUOTIENT_WORK", 800):
+    with packed_route(), patch, mock.patch.object(laurent, "_MAX_BIGINT_WORK", 800):
         assert dividend.exact_div(divisor)._terms == tent
     assert widths == [[1, 2]]
     message = ("a packed quotient of 800 by 4 bytes would take 800 division steps, "
                "over the limit of 799")
-    with packed_route(), mock.patch.object(laurent, "_MAX_QUOTIENT_WORK", 799):
+    with packed_route(), mock.patch.object(laurent, "_MAX_BIGINT_WORK", 799):
         with pytest.raises(ValueError, match=f"^{message}$"):
             dividend.exact_div(divisor)
-    with packed_route(), mock.patch.object(laurent, "_MAX_QUOTIENT_WORK", 199):
+    with packed_route(), mock.patch.object(laurent, "_MAX_BIGINT_WORK", 199):
         with pytest.raises(ValueError, match="^a packed quotient of 400 by 2 bytes "):
             dividend.exact_div(divisor)
 
@@ -759,9 +761,8 @@ def test_packed_det_by_both_routes_matches_permutation_expansion(route, rows):
     assert det == perm_det([[LaurentPoly.const(x) if isinstance(x, int) else x
                              for x in row] for row in rows])
     packed = len(rows) >= 3 and all(any(row) for row in rows)
-    # the minors route expands once at width 1, else at q = Y and q = -Y
-    expansions = 1 + (det_width(rows) >= 2)
-    assert minors.call_count == (expansions if packed and route == "minors" else 0)
+    # the minors route expands at q = Y and q = -Y, at every width
+    assert minors.call_count == (2 if packed and route == "minors" else 0)
 
 
 @st.composite
@@ -800,6 +801,54 @@ def test_packed_det_of_row_and_column_shifted_matrices(route, rows):
             mock.patch.multiple(laurent, **PACKED_ROUTES[route]):
         det = det_fraction_free(PolyMatrix(rows))
     assert det == perm_det(rows)
+
+
+def shifted_span(rows):
+    """S' and the column shifts c_j of det_fraction_free's packed routes."""
+    terms = [[LaurentPoly._coerce(x)._terms for x in row] for row in rows]
+    lows = [min(e for t in row for e in t) for row in terms]
+    cols = [min([min(t) - low for t, low in zip(col, lows) if t], default=0)
+            for col in zip(*terms)]
+    return sum(max(max(t) - low - c for t, c in zip(row, cols) if t)
+               for row, low in zip(terms, lows)), cols
+
+
+@st.composite
+def wide_sparse_matrix_st(draw):
+    """Matrices of 3 to 5 rows, width 1 and W * S >= 512, with column shifts.
+
+    Each row holds two terms +-q**e, e up to 300, so every row norm is at
+    most 2 and B at most 32; row i is shifted by q**v_i and column j by
+    q**c_j, which spreads the rows far apart.  The column shifts shorten
+    the span: S' < S.
+    """
+    n = draw(st.integers(min_value=3, max_value=5))
+    rows = [[0] * n for _ in range(n)]
+    for row in rows:
+        for _ in range(2):
+            row[draw(st.integers(min_value=0, max_value=n - 1))] += (
+                draw(st.sampled_from([-1, 1])) * q(draw(st.integers(min_value=0, max_value=300))))
+    shifts = st.lists(st.integers(min_value=-400, max_value=400), min_size=n, max_size=n)
+    row_shifts, col_shifts = draw(shifts), draw(shifts)
+    rows = [[LaurentPoly._coerce(x).shift(v + c) for x, c in zip(row, col_shifts)]
+            for row, v in zip(rows, row_shifts)]
+    assume(all(any(row) for row in rows))
+    assume(det_span(rows) >= 512 and shifted_span(rows)[0] < det_span(rows))
+    return rows
+
+
+@pytest.mark.parametrize("route", sorted(PACKED_ROUTES))
+@settings(max_examples=60, deadline=None)
+@given(wide_sparse_matrix_st())
+def test_width_one_sparse_matrices_by_both_routes_match_permutation_expansion(route, rows):
+    # both packed routes shift the columns and unpack S' + 1 digits, the
+    # minors route as even and odd halves
+    assert det_width(rows) == 1
+    unpacks = mock.Mock(wraps=laurent._unpack)
+    with mock.patch.multiple(laurent, _unpack=unpacks, **PACKED_ROUTES[route]):
+        det = det_fraction_free(PolyMatrix(rows))
+    assert det == perm_det(rows)
+    assert sum(call.args[1] for call in unpacks.call_args_list) == shifted_span(rows)[0] + 1
 
 
 def test_minors_route_unpacks_the_column_shifted_span():
@@ -856,18 +905,19 @@ def test_two_point_det_detects_a_corrupted_expansion(call, offset):
     assert len(calls) == 2
 
 
-def test_width_one_keeps_the_one_point_route():
-    # B = 2 and 127 give W = 1, one expansion at X = 2**8; B = 128 gives
-    # W = 2 and two expansions at Y = 2**8 and -Y
-    for corner, expansions in ((1, 1), (126, 1), (127, 2)):
+def test_width_one_takes_the_two_point_route():
+    # B = 2, 126 and 127 give W = 1 and B = 128 gives W = 2; each is
+    # expanded at q = Y and q = -Y, Y = 2**8, and no entry is evaluated at
+    # one point
+    for corner in (1, 125, 126, 127):
         rows = [[corner, 0, q(600)], [0, 1, 0], [0, 0, 1]]
+        assert det_width(rows) == 1 + (corner == 127)
         minors = mock.Mock(wraps=laurent._minors_det)
         evaluate = mock.Mock(wraps=laurent._evaluate)
         with mock.patch.multiple(laurent, _minors_det=minors, _evaluate=evaluate):
             det = det_fraction_free(PolyMatrix(rows))
         assert det == corner
-        assert minors.call_count == expansions
-        assert evaluate.call_count == (9 if expansions == 1 else 0)
+        assert minors.call_count == 2 and evaluate.call_count == 0
 
 
 def test_minors_det_folds_the_sign_of_the_row_order():
@@ -891,9 +941,9 @@ def test_minors_route_thresholds():
             assert det_fraction_free(m) == det
         return minors.call_count
 
-    # width 1 (B = 2) and one row of span s: W * S = s bytes; one expansion
-    # at X = 2**8
-    assert expanded(PolyMatrix([[1, 0, q(512)], [0, 1, 0], [0, 0, 1]])) == 1
+    # width 1 (B = 2) and one row of span s: W * S = s bytes; expanded at
+    # q = Y and q = -Y
+    assert expanded(PolyMatrix([[1, 0, q(512)], [0, 1, 0], [0, 0, 1]])) == 2
     assert expanded(PolyMatrix([[1, 0, q(511)], [0, 1, 0], [0, 0, 1]])) == 0
     # width 5 (B = n**n) and spans of 1485 and 1980 digits: only the one
     # within the row limit is expanded, at q = Y and q = -Y

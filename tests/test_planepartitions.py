@@ -120,25 +120,42 @@ def test_zq_refuses_an_oversized_box_before_building_states(monkeypatch):
     def no_states(*args):
         raise StatesBuilt
     monkeypatch.setattr(planepartitions, "enumerate_in_box", no_states)
-    # C(20, 10) = 184,756 states of 1,001 digits each
-    with pytest.raises(ValueError, match="^zq of the box 10x10x10 needs 184940756 "
-                                         "state slots; the limit is 50000000$"):
+    # 8 passes of 10 int pairs per state over C(18, 9) = 48,620 states of 730
+    # digits of 16 bytes
+    with pytest.raises(ValueError, match="^zq of the box 9x9x9 needs 45430528000 byte steps, "
+                                         "8 passes over 35492600 state slots; the limit is "
+                                         "10000000000$"):
+        zq(9, 9, 9)
+    # 9 * 11 * 184,940,756 slot-passes are past the limit at one byte per digit
+    with pytest.raises(ValueError, match="^zq of the box 10x10x10 needs 18309134844 byte steps, "
+                                         "9 passes over 184940756 state slots; "):
         zq(10, 10, 10)
-    with pytest.raises(ValueError, match="^zq of the box 12x10x9 needs"):
-        zq(12, 10, 9)
-    # 8x8x8 (6.6 M slots) and 9x9x9 (35.5 M) pass the check and go on to build
-    for box in ((8, 8, 8), (9, 9, 9)):
+    for box in ((12, 10, 9), (1, 1, 40000), (1, 1, 10**6)):
+        with pytest.raises(ValueError, match=f"^zq of the box {'x'.join(map(str, box))} needs"):
+            zq(*box)
+    # 7x7x7, 8x8x8 (5.0 * 10**9), 8x8x9 (7.5 * 10**9) and (1, 1, 20000)
+    # (3.2 * 10**9) pass the check and go on to build
+    for box in ((7, 7, 7), (8, 8, 8), (8, 8, 9), (1, 1, 20000)):
         with pytest.raises(StatesBuilt):
             zq(*box)
 
 
-def test_zq_slot_limit_boundary(monkeypatch):
+def test_zq_work_limit_boundary(monkeypatch):
     # the states span the two shortest sides: C(2 + 3, 2) = 10 states of
-    # 2 * 3 * 4 + 1 = 25 digits
-    monkeypatch.setattr(planepartitions, "_MAX_ZQ_SLOTS", 250)
+    # 2 * 3 * 4 + 1 = 25 digits of 2 bytes (C(13, 4) = 715 chains), and the
+    # 3 passes add 2 int pairs per state and shift it: 3 * 3 * 250 * 2
+    monkeypatch.setattr(planepartitions, "_MAX_BIGINT_WORK", 4500)
     assert zq(4, 2, 3) == closed_genfunc(4, 2, 3)
-    monkeypatch.setattr(planepartitions, "_MAX_ZQ_SLOTS", 249)
-    with pytest.raises(ValueError, match="needs 250 state slots; the limit is 249$"):
+    monkeypatch.setattr(planepartitions, "_MAX_BIGINT_WORK", 4499)
+    with pytest.raises(ValueError, match="needs 4500 byte steps, 3 passes over 250 state slots; "
+                                         "the limit is 4499$"):
+        zq(4, 2, 3)
+    # past the limit at 2250 slot-passes, the digits are charged at one byte
+    # and the chains are not counted
+    monkeypatch.setattr(planepartitions, "_MAX_BIGINT_WORK", 2249)
+    monkeypatch.setattr(planepartitions, "comb", lambda n, k: math.comb(n, k) if k == 2 else None)
+    with pytest.raises(ValueError, match="needs 2250 byte steps, 3 passes over 250 state slots; "
+                                         "the limit is 2249$"):
         zq(4, 2, 3)
 
 

@@ -359,9 +359,9 @@ def test_bialternant_quotient_is_charged_before_its_divmod(monkeypatch):
     # product is 5000 steps, met exactly at the limit and refused one below,
     # before the divmod runs
     want = LaurentPoly({0: 1, 100: 1})
-    monkeypatch.setattr(laurent, "_MAX_QUOTIENT_WORK", 5000)
+    monkeypatch.setattr(laurent, "_MAX_BIGINT_WORK", 5000)
     assert bialternant((1,), (0, 100)) == want
-    monkeypatch.setattr(laurent, "_MAX_QUOTIENT_WORK", 4999)
+    monkeypatch.setattr(laurent, "_MAX_BIGINT_WORK", 4999)
     monkeypatch.setattr(laurent, "divmod", None, raising=False)
     with pytest.raises(ValueError, match="^a packed quotient of 200 by 100 bytes would take "
                                          "5000 division steps, over the limit of 4999$"):
@@ -398,9 +398,9 @@ def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
             work = alternant_work(n, lam, point, cutoff > n)
             rows = [[LaurentPoly.q_power(x * (part + n - 1 - k)) for k, part in enumerate(lam)]
                     for x in point]
-            monkeypatch.setattr(schur, "_MAX_ALTERNANT_WORK", work)
+            monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work)
             assert alternant(point, lam) == perm_det(rows)
-            monkeypatch.setattr(schur, "_MAX_ALTERNANT_WORK", work - 1)
+            monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work - 1)
             monkeypatch.setattr(schur, "_maximal_minors", None)
             monkeypatch.setattr(schur, "det_fraction_free", None)
             with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} in {n} "
