@@ -14,12 +14,14 @@ factor.  Both sides are packed ints at X = 2**(8W) and share only their
 last step, laurent._packed_quotient, which proves the quotient it returns.
 
 The q-binomial determinant and the det forms of the watermelon suite come
-from laurent.det_fraction_free, which expands a large packed matrix of
-few rows by minors (laurent._minors_det), at q = Y and at q = -Y,
-recovering the even and the odd coefficients from the two values.  That is a Laplace expansion like the pairing's
-schur._maximal_minors, but separate code: it takes arbitrary int entries
-in a row order by size and returns one determinant, where
-_maximal_minors shifts monomials and returns every maximal minor.
+from laurent.det_fraction_free, which evaluates a packed matrix at q = Y
+and at q = -Y and recovers the even and the odd coefficients from the two
+integer determinants; a large matrix of few rows is expanded by minors
+(laurent._minors_det), any other eliminated by Bareiss.  That expansion
+is a Laplace expansion like the pairing's schur._maximal_minors, but
+separate code: it takes arbitrary int entries in a row order by size and
+returns one determinant, where _maximal_minors shifts monomials and
+returns every maximal minor.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ def _cauchy_det(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     row i after them is (sum_{t<c} q^{(a_i+b_j)t})_j, c = m + len(b).  The
     quotient by V(a) V(b) is shifted by -k * sum(a).
 
-    Everything is an int at X = 2**(8W), as in ``det_fraction_free``:
-    row r is multiplied by q**(-L_r), L_r its least exponent, so a monomial
+    Everything is an int at X = 2**(8W), each row shifted as in
+    ``det_fraction_free``: row r is multiplied by q**(-L_r), L_r its least exponent, so a monomial
     is a shift and a geometric sum of step d is c digits 1 spaced |d|
     apart, shifted by (c - 1) * min(d, 0) - L_r.  Bareiss runs on those
     ints.  By Leibniz the shifted determinant's coefficients are at most

@@ -20,8 +20,8 @@ coefficients.
 Large operands go through Kronecker substitution (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution",
 J. Symbolic Comput. 2009): the single-point form for products and
-quotients, the two-point form at q = +Y and q = -Y for the minors route of
-determinants (see below).  A polynomial with dense coefficients
+quotients, the two-point form at q = +Y and q = -Y for determinants (see
+below).  A polynomial with dense coefficients
 c_0 .. c_(n-1) is packed into the one integer sum c_i * X**i with
 X = 2**(8*width): every coefficient becomes a ``width``-byte
 two's-complement digit, and the digits are joined and read back with
@@ -39,22 +39,13 @@ evaluates the lower half of the ratio as a truncated dense power series
 and mirrors it, the ratio being palindromic up to sign.
 
 :func:`det_fraction_free` applies the substitution once per matrix, not
-once per operation.  Each row is shifted by q**(-v_i) and each column by
-q**(-c_j) to polynomials, and every entry is evaluated at X = 2**(8*W).
-The determinant of those plain ints comes from Bareiss elimination, whose
-divisions are exact, and only the final integer is unpacked.  Its S' + 1
-digits are the determinant, S' <= S being the sum of the shifted row
-spans, because W is chosen with 2**(8*W-1) above B = prod_i sum_j
-|a_ij|_1, a bound on every coefficient of the shifted determinant.  A
-matrix of at most ``_MINORS_DET_MAX_ROWS`` rows and large entries is
-instead expanded by a division-free Laplace expansion over column sets,
-twice, at q = Y and q = -Y with Y = 2**(8*ceil(W/2)): the sum and the
-difference of the two values give the even and the odd coefficients as
-two integers of half the length, each unpacked at width 2 * ceil(W/2),
-and Y**2 > 2B keeps the same a priori proof.  That route packs each
-distinct entry once per shift.  Matrices whose packed determinant, W * S
-bytes, reaches ``_PACKED_DET_MAX_BYTES`` are eliminated by Bareiss on
-LaurentPoly entries.
+once per operation: its rows and columns are shifted to polynomials,
+every entry is evaluated at q = Y and q = -Y, and the two integer
+determinants, expanded by minors or eliminated by Bareiss, give the even
+and the odd coefficients (``_two_point_det``), proven by an a-priori
+bound.  A matrix of monomial rows, of zero span, is not packed, and one
+whose packed determinant would reach ``_PACKED_DET_MAX_BYTES`` bytes is
+eliminated on LaurentPoly entries.
 
 ``_packed_quotient`` divides two polynomials packed at one width, for its
 callers and for :meth:`LaurentPoly.exact_div`: one ``divmod``, and only
@@ -70,6 +61,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
+from functools import partial
 from itertools import accumulate
 from math import gcd, prod
 from operator import sub
@@ -93,27 +85,28 @@ class _PackedRemainder(NotDivisible):
 # so square operands break even near 16 x 16 terms and win 4x at 70 x 70.
 _KRONECKER_CUTOFF = 8
 
-# det_fraction_free eliminates over packed integers while the packed
-# determinant, W * S bytes, is below this; see its docstring.  CPython 3.11,
-# packed time over LaurentPoly time on the two det forms of
-# genfunc_det_forms: 0.23-0.68 up to 8 K bytes (every box of the
-# benchmark), 0.73-0.97 from 9 K to 13 K, 1.01-1.44 from 13.6 K to 15.5 K,
-# and 1.6-1.9 at 8 x 8 x 8 (28-35 K), where the quadratic big-integer
-# divmod dominates.  Monomial alternants of 14 rows read 0.8-0.9 at 8-10 K.
+# det_fraction_free packs a matrix while its packed determinant, W * S
+# bytes, is below this; see its docstring.  CPython 3.11, packed time (at
+# q = +-Y) over LaurentPoly time, best of 2: the two det forms of
+# genfunc_det_forms read 0.17-0.41 from 6 K to 11 K bytes, 0.2-0.6 from
+# 11 K to 14 K and 0.4-1.04 from 14 K to 35 K (8 x 8 x 8), monomial
+# alternants of 11 to 14 rows 0.54-0.83 from 6 K to 11 K, 0.6-0.9 at 12
+# rows from 15 K to 17 K and 1.2-1.9 at 14 rows from 19 K to 31 K.
 _PACKED_DET_MAX_BYTES = 12000
 
 # A packed matrix of at most _MINORS_DET_MAX_ROWS rows whose packed
 # determinant, W * S bytes, reaches _MINORS_DET_MIN_BYTES is expanded by
-# minors at q = Y and q = -Y (_two_point_det), any other one eliminated
-# (_bareiss).  CPython 3.11, two-point time over Bareiss time on the packed
-# matrices of genfunc_det_forms (n of 3 to 6, l up to 5, m up to 6) and
-# monomial alternants of 3 to 10 rows: 0.98-2.75 below 250 bytes,
-# 0.66-1.64 from 250 to 511, 0.49-1.18 from 512 to 1 K and 0.33-0.94 from
-# 1 K to 8 K bytes at 4 to 7 rows; alternants read 0.6-2.1 at 8 rows, 0.7-1.6 at 9 and 1.0-2.2 at 10,
-# as the n * 2**(n-1) products of the expansion outgrow the n**3 / 3 pivot
-# steps.  The verify grid's 44 packed determinants per pass, of 3 and 4
-# rows and at most 228 bytes, take 3.1 ms by Bareiss and 4.5 ms at q = +-Y
-# (best of 200 interleaved runs).
+# minors (_minors_det), any other one eliminated (_bareiss), both at q = +-Y.
+# CPython 3.11, minors time over Bareiss time, best of 5 below 2 K bytes
+# and of 2 above, median (range) on genfunc_det_forms (n of 3 to 6, l up
+# to 5, m up to 6) and monomial alternants of 3 to 10 rows: 1.17
+# (0.82-1.76) below 250 bytes, 1.07 (0.75-1.54) from 250 to 511, 0.95
+# (0.83-1.70) from 512 to 1 K and 0.66 (0.39-1.27) from 1 K to 8 K at 3 to
+# 7 rows; alternants of 1 K to 8 K read 0.96 at 8 rows, 1.66 at 9 and 1.44
+# at 10, as the n * 2**(n-1) products of the expansion outgrow the n**3 / 3
+# pivot steps.  The verify grid's 44 determinants of 3 and 4 rows per pass,
+# at most 228 bytes, 20 of them of zero span and not packed, take 3.3-3.7
+# ms, and 3.8-4.3 ms with this floor at 0 (best of 7).
 _MINORS_DET_MAX_ROWS = 10
 _MINORS_DET_MIN_BYTES = 512
 
@@ -712,33 +705,28 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     constants, so ``det_fraction_free(PolyMatrix(rows)).coeff(0)`` is the
     integer determinant of ``rows``.  Sizes below 3 are expanded directly.
 
-    Larger matrices are evaluated once at q = X = 2**(8*W) and computed
-    over the integers, and only the final integer is unpacked (Kronecker
-    substitution applied to the whole matrix).  Row i is first multiplied
-    by q**(-v_i), v_i the least exponent in the row, and column j by
-    q**(-c_j), c_j the least exponent left in the column after the row
-    shifts (0 for an all-zero column), so every entry is a polynomial and
-    a power of q that a whole column shares is not packed.  The shifted
-    determinant has degree at most S' = sum_i max_j (deg a_ij - v_i - c_j),
-    at most S, the sum of the row spans, and the shifts come back at the
-    end.  Evaluation at X is a ring homomorphism, so the integer
-    determinant is its value at X.  By the Leibniz expansion its
-    coefficients are at most B = prod_i sum_j |a_ij|_1 in absolute value,
-    |a|_1 being the sum of the absolute coefficients of a, which no shift
-    changes.  W is the least width with 2**(8*W-1) > B, so every
-    coefficient is one signed base-X digit and the S' + 1 unpacked digits
-    are det(M) exactly; this a-priori bound is the proof, whichever
-    integer routine ran.  The packed route runs while the packed
-    determinant, W * S bytes, is below ``_PACKED_DET_MAX_BYTES``; larger
-    matrices are eliminated with LaurentPoly entries, where B overshoots
-    the true coefficients most and the quadratic big-integer divmod would
-    lose.  On the packed route a matrix of at most ``_MINORS_DET_MAX_ROWS``
-    rows whose W * S reaches ``_MINORS_DET_MIN_BYTES`` is expanded by
-    minors, which has no division and multiplies each large entry into a
-    minor of the smaller rows, at q = Y and q = -Y, Y = 2**(8*ceil(W/2)),
-    on ints of about half the length (``_two_point_det``); Y**2 > 2B, so B
-    proves the recovered digits.  A smaller or larger one is eliminated by
-    Bareiss.  W and this choice of route use the row shifts alone.
+    Larger matrices are shifted: row i by q**(-v_i), v_i the least
+    exponent in the row.  When the row spans sum to S = 0, every entry is
+    c_ij * q**v_i and the determinant is q**(sum v_i) det(c_ij), eliminated
+    on the ints c_ij with no packing.  Otherwise column j is shifted by
+    q**(-c_j), c_j the least exponent left in it (0 for an all-zero
+    column), so every entry is a polynomial and a power of q that a whole
+    column shares is not packed; the determinant D of the shifted entries
+    has degree at most S' = sum_i max_j (deg a_ij - v_i - c_j) <= S.  By
+    the Leibniz expansion its coefficients are at most
+    B = prod_i sum_j |a_ij|_1, |a|_1 the sum of the absolute coefficients
+    of a, which no shift changes, and W is the least width with
+    2**(8*W-1) > B.  While the packed determinant, W * S bytes, is below
+    ``_PACKED_DET_MAX_BYTES``, ``_two_point_det`` evaluates the entries at
+    q = Y and q = -Y, Y = 2**(8*ceil(W/2)), and recovers D from the two
+    integer determinants; Y**2 > 2B proves its digits, whichever integer
+    routine ran.  A matrix of at most ``_MINORS_DET_MAX_ROWS`` rows whose
+    W * S reaches ``_MINORS_DET_MIN_BYTES`` is expanded by minors, which
+    has no division and multiplies each large entry into a minor of the
+    smaller rows, any other eliminated by Bareiss; W and this choice use
+    the row shifts alone.  Larger matrices are eliminated with LaurentPoly
+    entries, where B overshoots the true coefficients most and the
+    quadratic big-integer divmod would lose.
 
     In both rings every Bareiss division is exact by Sylvester's identity,
     for any nonzero pivot; a remainder would mean corrupted arithmetic, so
@@ -764,10 +752,15 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
         low = min(map(min, row_terms))
         lows.append(low)
         span += max(map(max, row_terms)) - low
-    bound = prod(sum(sum(map(abs, t.values())) for t in row) for row in a)
-    width = bound.bit_length() // 8 + 1
-    size = width * span
     try:
+        if not span:
+            # every entry is c_ij * q**v_i, so D = q**(sum v_i) * det(c_ij)
+            value = _bareiss([[t.get(low, 0) for t in row] for row, low in zip(a, lows)],
+                             _int_exact_div)
+            return _canonical({sum(lows): value}) if value else _ZERO
+        bound = prod(sum(sum(map(abs, t.values())) for t in row) for row in a)
+        width = bound.bit_length() // 8 + 1
+        size = width * span
         if size >= _PACKED_DET_MAX_BYTES:
             return _bareiss([list(row) for row in m], LaurentPoly.exact_div)
         # c_j, the least exponent of column j once the rows are shifted
@@ -775,25 +768,24 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
                 for col in zip(*a)]
         span = sum(max(max(t) - low - c for t, c in zip(row, cols) if t)
                    for row, low in zip(a, lows))
-        if n <= _MINORS_DET_MAX_ROWS and size >= _MINORS_DET_MIN_BYTES:
-            return _two_point_det(a, lows, cols, span, width)
-        value = _bareiss([[_evaluate(t, low + c, width) for t, c in zip(row, cols)]
-                          for row, low in zip(a, lows)], _int_exact_div)
+        minors = n <= _MINORS_DET_MAX_ROWS and size >= _MINORS_DET_MIN_BYTES
+        det = _minors_det if minors else partial(_bareiss, exact_div=_int_exact_div)
+        return _two_point_det(a, lows, cols, span, width, det)
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
-    return _unpack_poly(value, sum(lows) + sum(cols), span + 1, width)
 
 
 def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], cols: list[int],
-                   span: int, width: int) -> "LaurentPoly":
-    """det_fraction_free's minors route at q = Y and q = -Y, Y = 2**(8*half).
+                   span: int, width: int, det: Callable[[list[list[int]]], int]) -> "LaurentPoly":
+    """det_fraction_free's packed determinant, from its values at q = Y and q = -Y.
 
     Entry (i, j) is taken as q**(-lows[i] - cols[j]) * a[i][j], a
     polynomial, and span bounds the degree of the determinant D(q) of those
-    shifted entries.  half = ceil(width / 2), so Y**2 >= 2**(8*width).  With
-    D(q) = E(q**2) + q * O(q**2), the two expansions give
-    O(Y**2) = (D(Y) - D(-Y)) / (2Y) and E(Y**2) = D(-Y) + Y * O(Y**2); the
-    division must be exact, else NotDivisible, and it also makes
+    shifted entries.  Y = 2**(8*half), half = ceil(width / 2), so
+    Y**2 >= 2**(8*width).  The integer routine ``det``, exact on any int
+    matrix, gives D(Y) and D(-Y).  With D(q) = E(q**2) + q * O(q**2), they
+    give O(Y**2) = (D(Y) - D(-Y)) / (2Y) and E(Y**2) = D(-Y) + Y * O(Y**2);
+    the division must be exact, else NotDivisible, and it also makes
     D(Y) + D(-Y) even.  The coefficients of E and O are those of D, below
     2**(8*width-1) <= Y**2 / 2, so their digits at width 2 * half are
     exact and interleave to D.  Each distinct entry, by identity, is
@@ -818,8 +810,8 @@ def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], cols: list
             row_minus.append(pair[1])
         plus.append(row_plus)
         minus.append(row_minus)
-    at_minus = _minors_det(minus)
-    twice_odd = _minors_det(plus) - at_minus
+    at_minus = det(minus)
+    twice_odd = det(plus) - at_minus
     if twice_odd & ((2 << unit) - 1):
         raise NotDivisible("remainder in the two-point recovery")
     odd = twice_odd >> (unit + 1)
@@ -845,14 +837,6 @@ def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int
     k = val - low
     return (_pack(coeffs[k & 1::2], 2 * half) << unit * ((k + 1) // 2),
             _pack(coeffs[1 - (k & 1)::2], 2 * half) << unit * (k // 2))
-
-
-def _evaluate(terms: Mapping[int, int], low: int, width: int) -> int:
-    """The value of q**(-low) * terms at q = 2**(8*width); every exponent is at least low."""
-    if len(terms) < 2:
-        return sum(c << (8 * width * (e - low)) for e, c in terms.items())
-    val, coeffs = _dense(terms)
-    return _pack(coeffs, width) << (8 * width * (val - low))
 
 
 def _int_exact_div(num: int, den: int) -> int:

@@ -122,6 +122,13 @@ def enumerate_box(n: int, l: int, m: int) -> Iterator[PlanePartition]:
     yield from fill(0)
 
 
+def _count_text(x: int) -> str:
+    """x in decimal, or past 1000 bits a power of ten below it: log10(2) > 0.30102."""
+    if x.bit_length() <= 1000:
+        return str(x)
+    return f"more than 10**{(x.bit_length() - 1) * 30102 // 100000}"
+
+
 def zq(n: int, l: int, m: int) -> LaurentPoly:
     """Volume generating function of the box, by a transfer matrix over columns.
 
@@ -163,8 +170,9 @@ def zq(n: int, l: int, m: int) -> LaurentPoly:
         size = comb(count + columns - 1, columns).bit_length() // 8 + 1
         work *= size
     if work > _MAX_BIGINT_WORK:
-        raise ValueError(f"zq of the box {n}x{l}x{m} needs {work} byte steps, {columns - 1} "
-                         f"passes over {slots} state slots; the limit is {_MAX_BIGINT_WORK}")
+        raise ValueError(f"zq of the box {n}x{l}x{m} needs {_count_text(work)} byte steps, "
+                         f"{columns - 1} passes over {_count_text(slots)} state slots; "
+                         f"the limit is {_MAX_BIGINT_WORK}")
     states = list(enumerate_in_box(rows, height))
     weights = [sum(nu) for nu in states]
     steps = _containment_steps(states, weights, height)

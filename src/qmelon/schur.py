@@ -57,7 +57,8 @@ from .laurent import (
     LaurentPoly,
     NotDivisible,
     PolyMatrix,
-    _evaluate,
+    _dense,
+    _pack,
     _packed_quotient,
     _unpack_poly,
     det_fraction_free,
@@ -113,7 +114,8 @@ def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tupl
         return low, -value if n & 2 else value
     det = det_fraction_free(PolyMatrix(
         [[LaurentPoly.q_power(x * e) for e in reversed(columns)] for x in exponents]))
-    return low, _evaluate(dict(det.terms()), low, width)
+    low, coeffs = _dense(det._terms) if det else (low, [])
+    return low, _pack(coeffs, width)
 
 
 def _maximal_minors(exponents: Sequence[int], columns: Sequence[int], width: int,
@@ -376,13 +378,18 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
     other; past that, a running sum per state would cost the line's length
     squared, so the state at f_i takes the sum of its line up to f_i at
     once, by halves (``_stacked``), and the states below f_i are dropped.
-    The new last coordinate's factor x_r**mu_r, the same along every line,
-    then waits for the sweeps, so the dropped states never carry it.  The
-    next level, and the targets at the end, read only the shapes of their
-    own bounds.  A state is one int, its coordinates digits in base
-    hi_1 + 1, so v - e_i is one subtraction.  Coordinates past len(hi) are
-    0 and are not kept, and one whose bounds are equal is not swept, so a
-    long alphabet does not build long states.
+    Every state below f_i lies on a line that reaches f_i, so the sums at
+    f_i drop them all: its coordinate i - 1 (i > 1), not yet turned, is at
+    least level r - 1's lower bound there, which is f_i, and hi_i >= f_i,
+    while the sweeps of later coordinates drop states by those coordinates
+    alone, so whole lines of i.  The new last coordinate's factor
+    x_r**mu_r, the same along every line, then waits for the sweeps, so
+    the dropped states never carry it.  The next level, and the targets at
+    the end, read only the shapes of their own bounds.  A state is one
+    int, its coordinates digits in base hi_1 + 1, so v - e_i is one
+    subtraction.  Coordinates past len(hi) are 0 and are not kept, and one
+    whose bounds are equal is not swept, so a long alphabet does not build
+    long states.
 
     With a ``limit``, each level is charged as its states are generated,
     before any of them is swept.  A visit is ``_VISIT_STEPS`` steps plus a
@@ -498,10 +505,6 @@ def _tableau_series(exponents: Sequence[int], lo: Sequence[int], hi: Sequence[in
                 else:
                     continue
                 rising.append(key)
-            if len(series) > len(rising):
-                # states below the floor on a line that never reaches it
-                series = {key: series[key] for key in rising}
-                get = series.get
             states = rising
         if late:
             series = {key: value << shift * (key % radix) for key, value in series.items()}

@@ -217,6 +217,15 @@ def test_oversized_zq_box_is_a_usage_error(capsys):
     assert "state slots" in err and "Traceback" not in err
 
 
+def test_huge_zq_box_prints_its_own_refusal(capsys):
+    # its slot count has about 60,000 digits, past what str() converts
+    code, out, err = run_main(capsys, "count", "--what", "zq",
+                              "--n", "100000", "--l", "100000", "--m", "100000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: zq of the box 100000x100000x100000 needs ")
+
+
 def test_verify_small_suite(capsys):
     code, out, _ = run_main(capsys, "verify", "--suite", "qbinet",
                             "--max-n", "2", "--max-m", "2")

@@ -741,6 +741,11 @@ TWO_POINT_ROWS = [
     [[300 * q(1), 1, 0], [-1, q(4), 2], [0, 0, -1]],
     [[q(2) * 10**5, q(1), -1], [3, 0, q(3) * -5], [1, q(1), -q(1)]],
 ]
+# Matrices of width 1 and positive span, (W, S) = (1, 2) and (1, 3)
+WIDTH_ONE_ROWS = [
+    [[1, q(2), 0], [0, -1, 0], [1, 0, 1]],
+    [[q(-1), 0, 1], [0, 1 - q(2), 0], [1, 0, -1]],
+]
 
 
 @pytest.mark.parametrize("route", sorted(PACKED_ROUTES))
@@ -752,17 +757,25 @@ TWO_POINT_ROWS = [
 @example(TWO_POINT_ROWS[1])
 @example(TWO_POINT_ROWS[2])
 @example(TWO_POINT_ROWS[3])
+@example(WIDTH_ONE_ROWS[0])
+@example(WIDTH_ONE_ROWS[1])
 def test_packed_det_by_both_routes_matches_permutation_expansion(route, rows):
-    # every matrix packed, then expanded by minors always or never
+    # every matrix of positive span packed, then expanded by minors always
+    # or never
     minors = mock.Mock(wraps=laurent._minors_det)
+    unpacks = mock.Mock(wraps=laurent._unpack)
     with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", math.inf), \
-            mock.patch.multiple(laurent, _minors_det=minors, **PACKED_ROUTES[route]):
+            mock.patch.multiple(laurent, _minors_det=minors, _unpack=unpacks,
+                                **PACKED_ROUTES[route]):
         det = det_fraction_free(PolyMatrix(rows))
     assert det == perm_det([[LaurentPoly.const(x) if isinstance(x, int) else x
                              for x in row] for row in rows])
-    packed = len(rows) >= 3 and all(any(row) for row in rows)
-    # the minors route expands at q = Y and q = -Y, at every width
+    packed = len(rows) >= 3 and all(any(row) for row in rows) and det_span(rows) > 0
+    # both routes evaluate at q = Y and q = -Y, at every width, and unpack
+    # the even and the odd coefficients; a matrix of zero span is not packed
     assert minors.call_count == (2 if packed and route == "minors" else 0)
+    if len(rows) >= 3:
+        assert unpacks.call_count == (2 if packed else 0)
 
 
 @st.composite
@@ -881,6 +894,8 @@ def det_span(rows):
 def test_two_point_cases_cover_both_parities():
     assert {(det_width(rows) & 1, det_span(rows) & 1) for rows in TWO_POINT_ROWS} == {
         (0, 0), (0, 1), (1, 0), (1, 1)}
+    assert all(det_width(rows) >= 2 for rows in TWO_POINT_ROWS)
+    assert {(det_width(rows), det_span(rows) & 1) for rows in WIDTH_ONE_ROWS} == {(1, 0), (1, 1)}
 
 
 @pytest.mark.parametrize("call", [0, 1])
@@ -907,17 +922,16 @@ def test_two_point_det_detects_a_corrupted_expansion(call, offset):
 
 def test_width_one_takes_the_two_point_route():
     # B = 2, 126 and 127 give W = 1 and B = 128 gives W = 2; each is
-    # expanded at q = Y and q = -Y, Y = 2**8, and no entry is evaluated at
-    # one point
+    # recovered once from its expansions at q = Y and q = -Y, Y = 2**8
     for corner in (1, 125, 126, 127):
         rows = [[corner, 0, q(600)], [0, 1, 0], [0, 0, 1]]
         assert det_width(rows) == 1 + (corner == 127)
         minors = mock.Mock(wraps=laurent._minors_det)
-        evaluate = mock.Mock(wraps=laurent._evaluate)
-        with mock.patch.multiple(laurent, _minors_det=minors, _evaluate=evaluate):
+        two_point = mock.Mock(wraps=laurent._two_point_det)
+        with mock.patch.multiple(laurent, _minors_det=minors, _two_point_det=two_point):
             det = det_fraction_free(PolyMatrix(rows))
         assert det == corner
-        assert minors.call_count == 2 and evaluate.call_count == 0
+        assert minors.call_count == 2 and two_point.call_count == 1
 
 
 def test_minors_det_folds_the_sign_of_the_row_order():
@@ -976,21 +990,61 @@ def test_det_over_the_cutoff_does_not_pack():
 def test_packed_det_unpacks_once(rows):
     m = alternant_matrix(tuple(range(rows)), (2, 1))
     unpacks = mock.Mock(wraps=laurent._unpack)
-    with mock.patch.object(laurent, "_unpack", unpacks):
+    minors = mock.Mock(wraps=laurent._minors_det)
+    with mock.patch.multiple(laurent, _unpack=unpacks, _minors_det=minors):
         det = det_fraction_free(m)
-    # 8 rows take the minors route at q = Y and -Y, which unpacks the even
-    # and the odd coefficients; the others are eliminated and unpack once
-    assert unpacks.call_count == (2 if rows == 8 else 1)
+    # 8 rows are expanded by minors at q = Y and -Y, the others eliminated
+    # there; either way each of the S' + 1 digits is unpacked once, as an
+    # even or an odd coefficient
+    assert minors.call_count == (2 if rows == 8 else 0)
+    assert unpacks.call_count == 2
+    assert sum(call.args[1] for call in unpacks.call_args_list) == shifted_span(list(m))[0] + 1
     with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", 0):
         assert det_fraction_free(m) == det
 
 
 def test_packed_det_of_integers_is_one_digit():
+    # an integer matrix has zero span: its determinant is one coefficient,
+    # eliminated on the ints themselves
+    packs = mock.Mock(wraps=laurent._pack)
     unpacks = mock.Mock(wraps=laurent._unpack)
-    with mock.patch.object(laurent, "_unpack", unpacks):
+    with mock.patch.multiple(laurent, _pack=packs, _unpack=unpacks):
         det = det_fraction_free(PolyMatrix([[2, 0, 1], [1, 3, 0], [0, 1, 10**50]]))
     assert det == LaurentPoly.const(6 * 10**50 + 1)
-    assert unpacks.call_args.args[1] == 1
+    assert packs.call_count == 0 and unpacks.call_count == 0
+
+
+# Matrices of monomial rows, c_ij * q**v_i: distinct and negative degrees,
+# a zero entry, and a singular matrix of two proportional rows
+ZERO_SPAN_ROWS = [
+    [[q(-3) * 2, q(-3) * -5, q(-3)], [q(7) * 10**60, q(7) * 3, q(7) * -1],
+     [q(0) * 4, 9, -2]],
+    [[q(2) * 3, 0, q(2) * 7, q(2)], [-1, 2, 0, 5], [q(-9) * 6, q(-9), q(-9) * 2, 0],
+     [q(4), q(4) * 10**30, q(4) * -3, q(4) * 2]],
+    [[q(5), q(5) * 2, q(5) * 3], [q(-1) * 2, q(-1) * 4, q(-1) * 6], [q(1), 0, q(1) * 8]],
+]
+
+
+@pytest.mark.parametrize("rows", ZERO_SPAN_ROWS, ids=["degrees", "zero entry", "singular"])
+def test_zero_span_det_is_not_packed(rows):
+    assert det_span(rows) == 0
+    packs = mock.Mock(wraps=laurent._pack)
+    unpacks = mock.Mock(wraps=laurent._unpack)
+    with mock.patch.multiple(laurent, _pack=packs, _unpack=unpacks):
+        det = det_fraction_free(PolyMatrix(rows))
+    assert det == perm_det(rows)
+    assert packs.call_count == 0 and unpacks.call_count == 0
+
+
+def test_zero_span_det_detects_a_corrupted_division():
+    # the second pivot step divides by the first pivot, 2: a numerator off
+    # by one leaves a remainder
+    real = laurent._int_exact_div
+    rows = [[q(-1) * 2, q(-1), q(-1)], [q(3), q(3) * 3, q(3)], [1, 1, 4]]
+    with mock.patch.object(laurent, "_int_exact_div", lambda num, den: real(num + 1, den)):
+        with pytest.raises(RuntimeError, match="^fraction-free elimination lost exactness$") as info:
+            det_fraction_free(PolyMatrix(rows))
+    assert isinstance(info.value.__cause__, NotDivisible)
 
 
 def test_det_edge_cases():

@@ -116,6 +116,15 @@ class StatesBuilt(Exception):
     pass
 
 
+def test_count_text_bounds_a_long_count_below():
+    assert planepartitions._count_text(2**1000 - 1) == str(2**1000 - 1)
+    # 2**13301 is just below 10**4004, which log10(2) rounded up to 0.30103 would give
+    for x in (2**1000, 10**302 - 1, 2**13301, 3 * 10**60000):
+        text = planepartitions._count_text(x)
+        k = int(text.removeprefix("more than 10**"))
+        assert text == f"more than 10**{k}" and 10**k < x < 10**(k + 3)
+
+
 def test_zq_refuses_an_oversized_box_before_building_states(monkeypatch):
     def no_states(*args):
         raise StatesBuilt
@@ -133,6 +142,11 @@ def test_zq_refuses_an_oversized_box_before_building_states(monkeypatch):
     for box in ((12, 10, 9), (1, 1, 40000), (1, 1, 10**6)):
         with pytest.raises(ValueError, match=f"^zq of the box {'x'.join(map(str, box))} needs"):
             zq(*box)
+    # C(2 * 10**5, 10**5) states: counts too long to print are bounded below
+    with pytest.raises(ValueError, match=r"^zq of the box 100000x100000x100000 needs more than "
+                                         r"10\*\*\d+ byte steps, 99999 passes over more than "
+                                         r"10\*\*\d+ state slots; the limit is 10000000000$"):
+        zq(100000, 100000, 100000)
     # 7x7x7, 8x8x8 (5.0 * 10**9), 8x8x9 (7.5 * 10**9) and (1, 1, 20000)
     # (3.2 * 10**9) pass the check and go on to build
     for box in ((7, 7, 7), (8, 8, 8), (8, 8, 9), (1, 1, 20000)):
