@@ -14,14 +14,15 @@ factor.  Both sides are packed ints at X = 2**(8W) and share only their
 last step, laurent._packed_quotient, which proves the quotient it returns.
 
 The q-binomial determinant and the det forms of the watermelon suite come
-from laurent.det_fraction_free, which evaluates a packed matrix at q = Y
-and at q = -Y and recovers the even and the odd coefficients from the two
-integer determinants; a large matrix of few rows is expanded by minors
-(laurent._minors_det), any other eliminated by Bareiss.  That expansion
-is a Laplace expansion like the pairing's schur._maximal_minors, but
-separate code: it takes arbitrary int entries in a row order by size and
-returns one determinant, where _maximal_minors shifts monomials and
-returns every maximal minor.
+from laurent.det_fraction_free, which evaluates a packed matrix of any
+size at q = Y and at q = -Y and recovers the even and the odd
+coefficients from the two integer determinants; a large matrix of few
+rows is expanded by minors (laurent._minors_det), any other eliminated by
+laurent._bareiss, the integer elimination _cauchy_det runs too.  That
+expansion is a Laplace expansion like the pairing's
+schur._maximal_minors, but separate code: it takes arbitrary int entries
+in a row order by size and returns one determinant, where
+_maximal_minors shifts monomials and returns every maximal minor.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .laurent import (
     NotDivisible,
     PolyMatrix,
     _bareiss,
-    _int_exact_div,
     _packed_quotient,
     det_fraction_free,
 )
@@ -186,7 +186,7 @@ def _cauchy_det(m: int, a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
                     sign = -sign
                 divisor *= (1 << unit * abs(y - x)) - 1
     try:
-        det = _bareiss(rows, _int_exact_div)
+        det = _bareiss(rows)
         return _packed_quotient(sign * det, divisor, shift - k * sum(a), width, bound, norm)
     except NotDivisible as exc:
         raise RuntimeError("Cauchy determinant lost exactness") from exc

@@ -43,9 +43,10 @@ once per operation: its rows and columns are shifted to polynomials,
 every entry is evaluated at q = Y and q = -Y, and the two integer
 determinants, expanded by minors or eliminated by Bareiss, give the even
 and the odd coefficients (``_two_point_det``), proven by an a-priori
-bound.  A matrix of monomial rows, of zero span, is not packed, and one
-whose packed determinant would reach ``_PACKED_DET_MAX_BYTES`` bytes is
-eliminated on LaurentPoly entries.
+bound.  A matrix of monomial rows, of zero span, is not packed but
+eliminated on its coefficients, so every determinant of 3 rows or more is
+computed on ints.  The integer routine's work is charged against
+``_MAX_BIGINT_WORK`` before any entry is packed.
 
 ``_packed_quotient`` divides two polynomials packed at one width, for its
 callers and for :meth:`LaurentPoly.exact_div`: one ``divmod``, and only
@@ -61,9 +62,8 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
-from functools import partial
 from itertools import accumulate
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import sub
 from struct import calcsize
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -85,15 +85,6 @@ class _PackedRemainder(NotDivisible):
 # so square operands break even near 16 x 16 terms and win 4x at 70 x 70.
 _KRONECKER_CUTOFF = 8
 
-# det_fraction_free packs a matrix while its packed determinant, W * S
-# bytes, is below this; see its docstring.  CPython 3.11, packed time (at
-# q = +-Y) over LaurentPoly time, best of 2: the two det forms of
-# genfunc_det_forms read 0.17-0.41 from 6 K to 11 K bytes, 0.2-0.6 from
-# 11 K to 14 K and 0.4-1.04 from 14 K to 35 K (8 x 8 x 8), monomial
-# alternants of 11 to 14 rows 0.54-0.83 from 6 K to 11 K, 0.6-0.9 at 12
-# rows from 15 K to 17 K and 1.2-1.9 at 14 rows from 19 K to 31 K.
-_PACKED_DET_MAX_BYTES = 12000
-
 # A packed matrix of at most _MINORS_DET_MAX_ROWS rows whose packed
 # determinant, W * S bytes, reaches _MINORS_DET_MIN_BYTES is expanded by
 # minors (_minors_det), any other one eliminated (_bareiss), both at q = +-Y.
@@ -104,9 +95,12 @@ _PACKED_DET_MAX_BYTES = 12000
 # (0.83-1.70) from 512 to 1 K and 0.66 (0.39-1.27) from 1 K to 8 K at 3 to
 # 7 rows; alternants of 1 K to 8 K read 0.96 at 8 rows, 1.66 at 9 and 1.44
 # at 10, as the n * 2**(n-1) products of the expansion outgrow the n**3 / 3
-# pivot steps.  The verify grid's 44 determinants of 3 and 4 rows per pass,
-# at most 228 bytes, 20 of them of zero span and not packed, take 3.3-3.7
-# ms, and 3.8-4.3 ms with this floor at 0 (best of 7).
+# pivot steps.  On genfunc_det_forms of 9 and 10 rows, from 0.1 K to 35 K
+# bytes, it reads 0.22-1.22 (median 0.70, 20 matrices, the form 2 ones
+# above 20 K bytes over 1), so the limit stays at 10.  The verify grid's
+# 44 determinants of 3 and 4 rows per pass, at most 228 bytes, 20 of them
+# of zero span and not packed, take 3.3-3.7 ms, and 3.8-4.3 ms with this
+# floor at 0 (best of 7).
 _MINORS_DET_MAX_ROWS = 10
 _MINORS_DET_MIN_BYTES = 512
 
@@ -133,11 +127,12 @@ _MAX_DENSE_COEFFS = 10**7
 _MAX_SERIES_WORK = 2 * 10**7
 
 # The most big-integer work of one step, about 3 s of CPython 3.11: each
-# of _packed_quotient's divmods, schur's alternants and pairings, and the
-# passes of planepartitions.zq charge their predicted byte steps against it
-# before they run.  Long division is quadratic, about 0.13 ns per byte of
-# the quotient times byte of the divisor, so a divmod charges a quarter of
-# the product of the numerator's and the divisor's bytes:
+# of _packed_quotient's divmods, det_fraction_free's integer determinants,
+# schur's alternants and pairings, and the passes of planepartitions.zq
+# charge their predicted byte steps against it before they run.  Long
+# division is quadratic, about 0.13 ns per byte of the quotient times byte
+# of the divisor, so a divmod charges a quarter of the product of the
+# numerator's and the divisor's bytes:
 # bialternant((1,), (0, 10**5)) divides 200,000 by 100,000 bytes, 5.0 * 10**9
 # steps, in 1.2 s, and (0, 10**6) would take minutes for 5.0 * 10**11 steps.
 _MAX_BIGINT_WORK = 10**10
@@ -716,21 +711,21 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     the Leibniz expansion its coefficients are at most
     B = prod_i sum_j |a_ij|_1, |a|_1 the sum of the absolute coefficients
     of a, which no shift changes, and W is the least width with
-    2**(8*W-1) > B.  While the packed determinant, W * S bytes, is below
-    ``_PACKED_DET_MAX_BYTES``, ``_two_point_det`` evaluates the entries at
-    q = Y and q = -Y, Y = 2**(8*ceil(W/2)), and recovers D from the two
-    integer determinants; Y**2 > 2B proves its digits, whichever integer
-    routine ran.  A matrix of at most ``_MINORS_DET_MAX_ROWS`` rows whose
-    W * S reaches ``_MINORS_DET_MIN_BYTES`` is expanded by minors, which
-    has no division and multiplies each large entry into a minor of the
-    smaller rows, any other eliminated by Bareiss; W and this choice use
-    the row shifts alone.  Larger matrices are eliminated with LaurentPoly
-    entries, where B overshoots the true coefficients most and the
-    quadratic big-integer divmod would lose.
+    2**(8*W-1) > B.  ``_two_point_det`` evaluates the entries at q = Y
+    and q = -Y, Y = 2**(8*ceil(W/2)), and recovers D from the two integer
+    determinants; Y**2 > 2B proves its digits, whichever integer routine
+    ran.  A matrix of at most ``_MINORS_DET_MAX_ROWS`` rows whose W * S
+    reaches ``_MINORS_DET_MIN_BYTES`` is expanded by minors, which has no
+    division and multiplies each large entry into a minor of the smaller
+    rows, any other eliminated by Bareiss; W and this choice use the row
+    shifts alone.  With M = W * S' bytes, the expansion is charged
+    2**n * M * isqrt(M) steps and the elimination n**3 * M**2 // 512, and
+    a matrix whose charge passes ``_MAX_BIGINT_WORK`` raises ValueError
+    before any entry is packed.
 
-    In both rings every Bareiss division is exact by Sylvester's identity,
-    for any nonzero pivot; a remainder would mean corrupted arithmetic, so
-    it is converted into a hard internal error.  Pivoting takes the first
+    Every Bareiss division is exact by Sylvester's identity, for any
+    nonzero pivot; a remainder would mean corrupted arithmetic, so it is
+    converted into a hard internal error.  Pivoting takes the first
     nonzero entry in column order with a full row swap and sign tracking;
     an all-zero pivot column, or an all-zero row, gives 0.
     """
@@ -755,22 +750,31 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     try:
         if not span:
             # every entry is c_ij * q**v_i, so D = q**(sum v_i) * det(c_ij)
-            value = _bareiss([[t.get(low, 0) for t in row] for row, low in zip(a, lows)],
-                             _int_exact_div)
+            value = _bareiss([[t.get(low, 0) for t in row] for row, low in zip(a, lows)])
             return _canonical({sum(lows): value}) if value else _ZERO
         bound = prod(sum(sum(map(abs, t.values())) for t in row) for row in a)
         width = bound.bit_length() // 8 + 1
-        size = width * span
-        if size >= _PACKED_DET_MAX_BYTES:
-            return _bareiss([list(row) for row in m], LaurentPoly.exact_div)
+        minors = n <= _MINORS_DET_MAX_ROWS and width * span >= _MINORS_DET_MIN_BYTES
         # c_j, the least exponent of column j once the rows are shifted
         cols = [min([min(t) - low for t, low in zip(col, lows) if t], default=0)
                 for col in zip(*a)]
         span = sum(max(max(t) - low - c for t, c in zip(row, cols) if t)
                    for row, low in zip(a, lows))
-        minors = n <= _MINORS_DET_MAX_ROWS and size >= _MINORS_DET_MIN_BYTES
-        det = _minors_det if minors else partial(_bareiss, exact_div=_int_exact_div)
-        return _two_point_det(a, lows, cols, span, width, det)
+        size = width * span
+        # 2**n states of the expansion, each a Karatsuba product of about
+        # M * sqrt(M), or n**3 pivot steps whose quadratic divmods take
+        # about M**2 / 512 each.  CPython 3.11, best of 2, on 84 matrices
+        # of 4.7 K to 451 K bytes (genfunc_det_forms of 3 to 14 rows, hdet
+        # and gvdet of 3 to 12, monomial alternants of 15 to 18): 0.06-0.69
+        # ns per minor step, median 0.36 (0.3-0.52 on the det forms of 3 to
+        # 5 rows, lowest on banded h matrices of 10 rows), and 0.07-0.67 ns
+        # per elimination step, median 0.26; so the limit is 0.6 to 7 s.
+        work = (size * isqrt(size) << n) if minors else n**3 * size * size // 512
+        if work > _MAX_BIGINT_WORK:
+            raise ValueError(f"a packed determinant of {n} rows and {size} bytes would take "
+                             f"{work} {'minor' if minors else 'elimination'} steps, "
+                             f"over the limit of {_MAX_BIGINT_WORK}")
+        return _two_point_det(a, lows, cols, span, width, _minors_det if minors else _bareiss)
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
 
@@ -879,19 +883,20 @@ def _minors_det(a: list[list[int]]) -> int:
     return -value if odd else value
 
 
-def _bareiss(a: list[list], exact_div: Callable) -> object:
-    """Determinant of the n x n list a, n >= 1, by Bareiss elimination in place.
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of the n x n int list a, n >= 1, by Bareiss elimination in place.
 
-    The entries are ints or LaurentPolys; exact_div(num, den) returns the
-    quotient in their ring and raises NotDivisible on a remainder.
+    Each step divides by the last pivot through ``_int_exact_div``, which
+    raises NotDivisible on a remainder.
     """
+    exact_div = _int_exact_div
     n = len(a)
     sign = 1
     prev = None
     for k in range(n - 1):
         piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return a[k][k]  # the zero of the ring
+            return 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign

@@ -151,16 +151,24 @@ def zq(n: int, l: int, m: int) -> LaurentPoly:
     size bounds the bytes the passes touch, and a box that charges more
     than ``laurent._MAX_BIGINT_WORK`` (at one byte per digit, when that
     alone passes it) is refused with a ValueError before any state is
-    built.  CPython 3.11 takes 0.1 to 0.5 ns per unit: 8x8x8 charges
-    5.0 * 10**9 in 1.6 to 2.3 s and (1, 1, 20000) 3.2 * 10**9 in 0.3 to
-    0.5 s; 9x9x9 would charge 4.5 * 10**10 for 16.5 s and 1.2 GB.  Peak
+    built.  When 2**rows, a lower bound on the states, already gives more
+    than 1000 bits of slots, the charge is taken from that bound, which the
+    message prints as a power of ten below it.  CPython 3.11 takes 0.1 to
+    0.5 ns per unit: 8x8x8 charges 5.0 * 10**9 in 1.6 to 2.3 s and
+    (1, 1, 20000) 3.2 * 10**9 in 0.3 to 0.5 s; 9x9x9 would charge
+    4.5 * 10**10 for 16.5 s and 1.2 GB.  Peak
     memory, about slots * size bytes, is at most the charge over
     (columns - 1) * (rows + 1).
     """
     n, l, m = check_box(n, l, m)
     rows, height, columns = sorted((n, l, m))
-    count = comb(rows + height, rows)
     digits = rows * height * columns + 1
+    # rows <= height, so C(rows + height, rows) >= 2**rows; a box refused
+    # on that bound alone is refused without the binomial
+    if (digits << rows).bit_length() > 1000:
+        count = 1 << rows
+    else:
+        count = comb(rows + height, rows)
     slots = count * digits
     work = (columns - 1) * (rows + 1) * slots
     if work <= _MAX_BIGINT_WORK:

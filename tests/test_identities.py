@@ -486,8 +486,8 @@ def test_cauchy_det_turns_a_corrupted_entry_into_an_error():
 def test_cauchy_det_turns_a_corrupted_determinant_into_an_error():
     real = identities._bareiss
 
-    def corrupted(rows, exact_div):
-        return real(rows, exact_div) + 1
+    def corrupted(rows):
+        return real(rows) + 1
 
     with mock.patch.object(identities, "_bareiss", corrupted):
         with pytest.raises(RuntimeError, match="^Cauchy determinant lost exactness$") as info:
@@ -509,10 +509,9 @@ def test_verify_grid_determinants_are_eliminated_not_expanded():
     eliminated = []
     real = laurent._bareiss
 
-    def spy(rows, exact_div):
-        if exact_div is laurent._int_exact_div:
-            eliminated.append(len(rows))
-        return real(rows, exact_div)
+    def spy(rows):
+        eliminated.append(len(rows))
+        return real(rows)
 
     with mock.patch.multiple(laurent, _minors_det=minors, _bareiss=spy):
         reports = run_cases(build_cases("all", None, None, None, None))

@@ -709,14 +709,10 @@ def det_matrix_st(draw):
     return rows
 
 
-@pytest.mark.parametrize("cutoff", [0, math.inf], ids=["laurent", "packed"])
 @settings(max_examples=60, deadline=None)
 @given(det_matrix_st())
-def test_bareiss_in_both_rings_matches_permutation_expansion(cutoff, rows):
-    # the size cutoff at 0 keeps every matrix on LaurentPoly entries, at
-    # infinity it packs every one
-    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", cutoff):
-        det = det_fraction_free(PolyMatrix(rows))
+def test_det_of_mixed_entries_matches_permutation_expansion(rows):
+    det = det_fraction_free(PolyMatrix(rows))
     assert det == perm_det([[LaurentPoly.const(x) if isinstance(x, int) else x
                              for x in row] for row in rows])
 
@@ -764,9 +760,8 @@ def test_packed_det_by_both_routes_matches_permutation_expansion(route, rows):
     # or never
     minors = mock.Mock(wraps=laurent._minors_det)
     unpacks = mock.Mock(wraps=laurent._unpack)
-    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", math.inf), \
-            mock.patch.multiple(laurent, _minors_det=minors, _unpack=unpacks,
-                                **PACKED_ROUTES[route]):
+    with mock.patch.multiple(laurent, _minors_det=minors, _unpack=unpacks,
+                             **PACKED_ROUTES[route]):
         det = det_fraction_free(PolyMatrix(rows))
     assert det == perm_det([[LaurentPoly.const(x) if isinstance(x, int) else x
                              for x in row] for row in rows])
@@ -810,8 +805,7 @@ SHARED = LaurentPoly({0: 10**40, 3: 7})
 @example([[SHARED, SHARED, q(1)], [q(-2), SHARED, SHARED], [SHARED, 5, SHARED]])
 @example([[q(3), 0, q(5)], [0, q(4), 0], [q(3), q(4), -q(6)]])  # W = 1, c = (0, 0, 2)
 def test_packed_det_of_row_and_column_shifted_matrices(route, rows):
-    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", math.inf), \
-            mock.patch.multiple(laurent, **PACKED_ROUTES[route]):
+    with mock.patch.multiple(laurent, **PACKED_ROUTES[route]):
         det = det_fraction_free(PolyMatrix(rows))
     assert det == perm_det(rows)
 
@@ -940,8 +934,7 @@ def test_minors_det_folds_the_sign_of_the_row_order():
     # (1, 2, 0), a 3-cycle, and (1, 0, 2), a transposition
     for rows in ([[10**90, 5, 7], [1, 2, 3], [4, 10**30, 6]],
                  [[4, 10**30, 6], [1, 2, 3], [10**90, 5, 7]]):
-        assert laurent._minors_det(rows) == laurent._bareiss(
-            [list(row) for row in rows], laurent._int_exact_div)
+        assert laurent._minors_det(rows) == laurent._bareiss([list(row) for row in rows])
 
 
 def test_minors_route_thresholds():
@@ -965,25 +958,35 @@ def test_minors_route_thresholds():
     assert expanded(alternant_matrix(tuple(range(0, 33, 3)), (2, 1))) == 0
 
 
+@pytest.mark.parametrize("route,work,kind", [
+    ("minors", 2**3 * 611 * 24, "minor"),
+    ("bareiss", 3**3 * 611**2 // 512, "elimination"),
+])
+def test_packed_det_work_limit_is_charged_before_packing(route, work, kind):
+    # B = 5 * 3 * 6 = 90, so W = 1; the row spans 600 + 10 + 7 shrink to
+    # S' = 600 + 7 + 4 once column 2 is shifted by q**-3, so M = W * S' =
+    # 611 bytes, charged 2**n * M * isqrt(M) by minors and n**3 * M**2 // 512
+    # by Bareiss
+    rows = [[1 + q(600), 2, q(7)], [0, 1, q(3) + q(10)], [5, 0, q(7)]]
+    assert (det_width(rows), det_span(rows), shifted_span(rows)[0]) == (1, 617, 611)
+    packs = mock.Mock(wraps=laurent._pack)
+    with mock.patch.multiple(laurent, _pack=packs, **PACKED_ROUTES[route]):
+        with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work):
+            assert det_fraction_free(PolyMatrix(rows)) == perm_det(rows)
+        assert packs.call_count > 0
+        packs.reset_mock()
+        with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work - 1):
+            with pytest.raises(ValueError, match=f"^a packed determinant of 3 rows and 611 bytes "
+                                                 f"would take {work} {kind} steps, over the limit "
+                                                 f"of {work - 1}$"):
+                det_fraction_free(PolyMatrix(rows))
+    assert packs.call_count == 0
+
+
 def alternant_matrix(exponents, lam):
     n = len(exponents)
     powers = [part + n - 1 - k for k, part in enumerate(lam + (0,) * (n - len(lam)))]
     return PolyMatrix([[LaurentPoly.q_power(x * e) for e in powers] for x in exponents])
-
-
-def test_det_over_the_cutoff_does_not_pack():
-    # the per-operation kernels keep to the schoolbook here, so a _pack call
-    # could only come from packing the matrix
-    m = alternant_matrix(tuple(range(0, 36, 3)), (3, 2, 1))
-    packs = mock.Mock(wraps=laurent._pack)
-    unpacks = mock.Mock(wraps=laurent._unpack)
-    with mock.patch.object(laurent, "_KRONECKER_CUTOFF", math.inf), \
-            mock.patch.object(laurent, "_pack", packs), \
-            mock.patch.object(laurent, "_unpack", unpacks):
-        det = det_fraction_free(m)
-    assert packs.call_count == 0 and unpacks.call_count == 0
-    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", math.inf):
-        assert det_fraction_free(m) == det
 
 
 @pytest.mark.parametrize("rows", [3, 5, 8, 12])
@@ -999,7 +1002,7 @@ def test_packed_det_unpacks_once(rows):
     assert minors.call_count == (2 if rows == 8 else 0)
     assert unpacks.call_count == 2
     assert sum(call.args[1] for call in unpacks.call_args_list) == shifted_span(list(m))[0] + 1
-    with mock.patch.object(laurent, "_PACKED_DET_MAX_BYTES", 0):
+    with mock.patch.multiple(laurent, **PACKED_ROUTES["bareiss" if rows == 8 else "minors"]):
         assert det_fraction_free(m) == det
 
 

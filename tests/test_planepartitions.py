@@ -142,11 +142,19 @@ def test_zq_refuses_an_oversized_box_before_building_states(monkeypatch):
     for box in ((12, 10, 9), (1, 1, 40000), (1, 1, 10**6)):
         with pytest.raises(ValueError, match=f"^zq of the box {'x'.join(map(str, box))} needs"):
             zq(*box)
-    # C(2 * 10**5, 10**5) states: counts too long to print are bounded below
-    with pytest.raises(ValueError, match=r"^zq of the box 100000x100000x100000 needs more than "
-                                         r"10\*\*\d+ byte steps, 99999 passes over more than "
-                                         r"10\*\*\d+ state slots; the limit is 10000000000$"):
-        zq(100000, 100000, 100000)
+    # C(2 * 10**5, 10**5) and C(2 * 10**6, 10**6) states: counts too long to
+    # print are bounded below, by 2**rows states, without the binomial
+    with monkeypatch.context() as patch:
+        patch.setattr(planepartitions, "comb", None)
+        with pytest.raises(ValueError, match=r"^zq of the box 100000x100000x100000 needs more than "
+                                             r"10\*\*\d+ byte steps, 99999 passes over more than "
+                                             r"10\*\*\d+ state slots; the limit is 10000000000$"):
+            zq(100000, 100000, 100000)
+        with pytest.raises(ValueError, match=r"^zq of the box 1000000x1000000x1000000 needs more "
+                                             r"than 10\*\*\d+ byte steps, 999999 passes over more "
+                                             r"than 10\*\*\d+ state slots; the limit is "
+                                             r"10000000000$"):
+            zq(1000000, 1000000, 1000000)
     # 7x7x7, 8x8x8 (5.0 * 10**9), 8x8x9 (7.5 * 10**9) and (1, 1, 20000)
     # (3.2 * 10**9) pass the check and go on to build
     for box in ((7, 7, 7), (8, 8, 8), (8, 8, 9), (1, 1, 20000)):
