@@ -45,8 +45,9 @@ determinants, expanded by minors or eliminated by Bareiss, give the even
 and the odd coefficients (``_two_point_det``), proven by an a-priori
 bound.  A matrix of monomial rows, of zero span, is not packed but
 eliminated on its coefficients, so every determinant of 3 rows or more is
-computed on ints.  The integer routine's work is charged against
-``_MAX_BIGINT_WORK`` before any entry is packed.
+computed on ints.  The integer routine's work, predicted from bounds on
+the degrees of the minors it builds (``_det_work``), is charged against
+``_MAX_BIGINT_WORK`` before any entry is packed or eliminated.
 
 ``_packed_quotient`` divides two polynomials packed at one width, for its
 callers and for :meth:`LaurentPoly.exact_div`: one ``divmod``, and only
@@ -126,10 +127,11 @@ _MAX_DENSE_COEFFS = 10**7
 # 1.6 * 10**7 in 1.45 s, kept, and [600 choose 300] 2.7 * 10**7, refused.
 _MAX_SERIES_WORK = 2 * 10**7
 
-# The most big-integer work of one step, about 3 s of CPython 3.11: each
-# of _packed_quotient's divmods, det_fraction_free's integer determinants,
-# schur's alternants and pairings, and the passes of planepartitions.zq
-# charge their predicted byte steps against it before they run.  Long
+# The most big-integer work of one step, about 3 s of CPython 3.11 (3.4 to
+# 11.5 s for a determinant, see _det_work): each of _packed_quotient's
+# divmods, det_fraction_free's integer determinants, schur's alternants
+# and pairings, and the passes of planepartitions.zq charge their predicted
+# byte steps against it before they run.  Long
 # division is quadratic, about 0.13 ns per byte of the quotient times byte
 # of the divisor, so a divmod charges a quarter of the product of the
 # numerator's and the divisor's bytes:
@@ -718,10 +720,10 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     reaches ``_MINORS_DET_MIN_BYTES`` is expanded by minors, which has no
     division and multiplies each large entry into a minor of the smaller
     rows, any other eliminated by Bareiss; W and this choice use the row
-    shifts alone.  With M = W * S' bytes, the expansion is charged
-    2**n * M * isqrt(M) steps and the elimination n**3 * M**2 // 512, and
-    a matrix whose charge passes ``_MAX_BIGINT_WORK`` raises ValueError
-    before any entry is packed.
+    shifts alone.  Every matrix of 3 rows or more, of zero span too, is
+    charged by ``_det_work`` from the degrees of its shifted entries, and
+    one whose charge passes ``_MAX_BIGINT_WORK`` raises ValueError before
+    any entry is packed or eliminated.
 
     Every Bareiss division is exact by Sylvester's identity, for any
     nonzero pivot; a remainder would mean corrupted arithmetic, so it is
@@ -747,36 +749,98 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
         low = min(map(min, row_terms))
         lows.append(low)
         span += max(map(max, row_terms)) - low
-    try:
-        if not span:
-            # every entry is c_ij * q**v_i, so D = q**(sum v_i) * det(c_ij)
-            value = _bareiss([[t.get(low, 0) for t in row] for row, low in zip(a, lows)])
-            return _canonical({sum(lows): value}) if value else _ZERO
-        bound = prod(sum(sum(map(abs, t.values())) for t in row) for row in a)
-        width = bound.bit_length() // 8 + 1
-        minors = n <= _MINORS_DET_MAX_ROWS and width * span >= _MINORS_DET_MIN_BYTES
+    bound = prod([sum([abs(c) for t in row for c in t.values()]) for row in a])
+    width = bound.bit_length() // 8 + 1
+    if span:
         # c_j, the least exponent of column j once the rows are shifted
         cols = [min([min(t) - low for t, low in zip(col, lows) if t], default=0)
                 for col in zip(*a)]
-        span = sum(max(max(t) - low - c for t, c in zip(row, cols) if t)
-                   for row, low in zip(a, lows))
-        size = width * span
-        # 2**n states of the expansion, each a Karatsuba product of about
-        # M * sqrt(M), or n**3 pivot steps whose quadratic divmods take
-        # about M**2 / 512 each.  CPython 3.11, best of 2, on 84 matrices
-        # of 4.7 K to 451 K bytes (genfunc_det_forms of 3 to 14 rows, hdet
-        # and gvdet of 3 to 12, monomial alternants of 15 to 18): 0.06-0.69
-        # ns per minor step, median 0.36 (0.3-0.52 on the det forms of 3 to
-        # 5 rows, lowest on banded h matrices of 10 rows), and 0.07-0.67 ns
-        # per elimination step, median 0.26; so the limit is 0.6 to 7 s.
-        work = (size * isqrt(size) << n) if minors else n**3 * size * size // 512
-        if work > _MAX_BIGINT_WORK:
-            raise ValueError(f"a packed determinant of {n} rows and {size} bytes would take "
-                             f"{work} {'minor' if minors else 'elimination'} steps, "
-                             f"over the limit of {_MAX_BIGINT_WORK}")
-        return _two_point_det(a, lows, cols, span, width, _minors_det if minors else _bareiss)
+        # a zero entry's degree, below any that a potential can reach
+        absent = -span - 1
+        degrees = [[max(t) - low - c if t else absent for t, c in zip(row, cols)]
+                   for row, low in zip(a, lows)]
+    else:
+        # every entry is c_ij * q**v_i, of degree 0 once its row is shifted
+        degrees = [[0] * n] * n
+    minors, size, work = _det_work(degrees, width, span)
+    if work > _MAX_BIGINT_WORK:
+        raise ValueError(f"a determinant of {n} rows and {size} bytes would take {work} "
+                         f"{'minor' if minors else 'elimination'} steps, "
+                         f"over the limit of {_MAX_BIGINT_WORK}")
+    try:
+        if not span:
+            # D = q**(sum v_i) * det(c_ij)
+            value = _bareiss([[t.get(low, 0) for t in row] for row, low in zip(a, lows)])
+            return _canonical({sum(lows): value}) if value else _ZERO
+        shifted = sum(map(max, degrees))
+        return _two_point_det(a, lows, cols, shifted, width, _minors_det if minors else _bareiss)
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
+
+
+def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, int, int]:
+    """(minors, M, work): det_fraction_free's integer routine and its charge.
+
+    degrees[i][j] is the degree of entry (i, j) once its row and its column
+    are shifted, and below -S for a zero entry, every row holding a
+    nonzero one (at zero span every degree may be 0).  width is W and span
+    the row-shifted S >= S'.  Potentials with degrees[i][j] <= u_i + v_j
+    on every nonzero entry bound the degree of the minor on rows I and
+    columns J by the sum of u over I and of v over J, whichever permutation
+    of the Leibniz expansion wins: u_i starts at the row's largest degree,
+    v_j is then the least that holds column j, and u_i the least that
+    holds row i.  A Toeplitz
+    matrix such as ``schur.h_determinant``'s has u_i + v_j equal to its
+    degrees, so its banded minors are charged their own degrees, not the
+    row spans.  M = W * (d + 1) bytes, the determinant's d + 1
+    coefficients at width W, d = sum(u) + sum(v) >= deg D; d < 0 only when
+    every permutation meets a zero entry, and M is then W.
+
+    The expansion by minors (``minors`` True, as det_fraction_free's
+    docstring chooses it) is charged 2**n * M * isqrt(M) steps: 2**n
+    states, each a Karatsuba product of about M * sqrt(M).  Bareiss is
+    charged as ``_packed_quotient`` charges a divmod, a quarter of the
+    product of the numerator's and the divisor's bytes, summed over its
+    divisions, with the rows in their order (a row swap, which only a
+    vanishing leading minor makes, is not foreseen).  Step k, 0 < k < n - 1,
+    divides m*m numerators, m = n - 1 - k, by the leading minor of order k,
+    and each quotient is a minor of order k + 2 on the leading k + 1 rows
+    and columns, row i and column j; a minor of degree at most e is taken
+    as half * (e + 2) bytes at q = +-Y, half = ceil(W/2), and a numerator
+    as its quotient's bytes plus its divisor's.
+
+    CPython 3.11, one run with the limit lifted: 0.34-1.15 ns per minor
+    step (median 0.76) on 27 matrices of 7.9 K to 430 K bytes, from
+    genfunc_det_forms of 3 to 10 rows and hdet and gvdet of 3 and 6, and
+    0.44-0.92 ns per elimination step (median 0.65) on 39, genfunc_det_forms
+    of 8 to 16 rows (banded h matrices among them), the h matrix of
+    (1**20) and monomial alternants of 15 to 18 rows; so the limit is 3.4
+    to 11.5 s of elimination.
+    """
+    n = len(degrees)
+    # 0 <= u_i <= S' and -S' <= v_j <= 0, so no zero entry sets a maximum
+    # but an all-zero column's, whose v_j is taken as 0
+    u = list(map(max, degrees))
+    v = [max(map(sub, col, u)) for col in zip(*degrees)]
+    v = [0 if y < -span else y for y in v]
+    u = [max(map(sub, row, v)) for row in degrees]
+    tail = sum(u) + sum(v)
+    # negative only when no permutation avoids a zero entry, and D = 0
+    size = width * (max(tail, 0) + 1)
+    minors = 0 < span and n <= _MINORS_DET_MAX_ROWS and width * span >= _MINORS_DET_MIN_BYTES
+    if minors:
+        return True, size, size * isqrt(size) << n
+    half = (width + 1) // 2
+    work = lead = 0
+    for k in range(n - 1):
+        tail -= u[k] + v[k]
+        if k:
+            m = n - 1 - k
+            prev = half * (max(lead, 0) + 2)
+            quotients = half * max(0, m * m * (lead + u[k] + v[k] + 2) + m * tail)
+            work += (quotients + m * m * prev) * prev // 4
+        lead += u[k] + v[k]
+    return False, size, work
 
 
 def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], cols: list[int],

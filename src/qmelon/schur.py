@@ -58,6 +58,7 @@ from .laurent import (
     NotDivisible,
     PolyMatrix,
     _dense,
+    _det_work,
     _pack,
     _packed_quotient,
     _unpack_poly,
@@ -93,18 +94,28 @@ def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tupl
     (ValueError if it has more).  Returns (low, value): value is q**(-low)
     times the alternant, a polynomial, at q = 2**(8*width); the width must
     hold n!, which bounds its coefficients.  A repeated exponent gives 0.
-    Up to ``_MINORS_MAX_ROWS`` rows it is one maximal minor, above that a
-    Bareiss elimination, and its work is predicted as their big-int steps
-    times the bytes of the packed value.
+    Up to ``_MINORS_MAX_ROWS`` rows it is one maximal minor, whose work is
+    predicted as its n * 2**(n-1) big-int steps times the bytes of the
+    packed value; above that it is ``det_fraction_free`` of the monomial
+    matrix, charged as that charges it (``laurent._det_work``) before the
+    matrix is built.
     """
     n = len(exponents)
     columns = [part + k for k, part in enumerate(reversed(pad(lam, n)))]
     span = (columns[-1] - columns[0]) * sum(map(abs, exponents)) if n else 0
-    low = sum(x * columns[0 if x >= 0 else -1] for x in exponents)
+    lows = [x * columns[0 if x >= 0 else -1] for x in exponents]
+    low = sum(lows)
     minor = n <= _MINORS_MAX_ROWS
-    # n * 2**(n-1) minor steps, or n**3 Bareiss steps of a product and a division,
-    # 31-47 times as slow per byte at 14-15 rows, at the width of n**n < 2**(n bits(n))
-    work = span * ((n << n >> 1) * width if minor else 32 * n**3 * (n * n.bit_length() // 8 + 1))
+    if minor:
+        work = span * (n << n >> 1) * width
+    else:
+        # the row and column shifts of det_fraction_free, and its width of
+        # n**n, the product of the rows' absolute sums
+        cols = [min(x * e - row_low for x, row_low in zip(exponents, lows))
+                for e in reversed(columns)]
+        degrees = [[x * e - row_low - c for e, c in zip(reversed(columns), cols)]
+                   for x, row_low in zip(exponents, lows)]
+        work = _det_work(degrees, (n**n).bit_length() // 8 + 1, span)[2]
     if work > _MAX_BIGINT_WORK:
         raise ValueError(f"shape {strip(lam)} in {n} letters would take {work} alternant "
                          f"steps, over the limit of {_MAX_BIGINT_WORK}")

@@ -134,6 +134,14 @@ def test_watermelon_suite(n, m, k):
     ]
 
 
+def test_watermelon_suite_of_the_14x1x1_box():
+    # 14 paths of one step: the h determinant of 14 rows is banded, and its
+    # elimination is charged the degrees of its minors, not the row spans
+    reports = verify_watermelon_suite(14, 1, 13)
+    assert len(reports) == 5
+    assert all(r.equal and r.error is None for r in reports)
+
+
 def test_watermelon_suite_computes_each_side_once(monkeypatch):
     calls = {"watermelon_genfunc": 0, "closed_genfunc": 0}
 

@@ -18,6 +18,7 @@ from qmelon.laurent import (
     det_fraction_free,
     q_ratio,
 )
+from qmelon.paths import closed_genfunc, genfunc_det_forms
 
 
 def naive_mul(a: dict, b: dict) -> dict:
@@ -959,14 +960,17 @@ def test_minors_route_thresholds():
 
 
 @pytest.mark.parametrize("route,work,kind", [
-    ("minors", 2**3 * 611 * 24, "minor"),
-    ("bareiss", 3**3 * 611**2 // 512, "elimination"),
+    ("minors", 2**3 * 605 * 24, "minor"),
+    ("bareiss", (606 + 602) * 602 // 4, "elimination"),
 ])
 def test_packed_det_work_limit_is_charged_before_packing(route, work, kind):
-    # B = 5 * 3 * 6 = 90, so W = 1; the row spans 600 + 10 + 7 shrink to
-    # S' = 600 + 7 + 4 once column 2 is shifted by q**-3, so M = W * S' =
-    # 611 bytes, charged 2**n * M * isqrt(M) by minors and n**3 * M**2 // 512
-    # by Bareiss
+    # B = 5 * 3 * 6 = 90, so W = 1, half = 1.  Once column 2 is shifted by
+    # q**-3, the degrees are [[600, 0, 4], [-, 0, 7], [0, -, 4]]: row
+    # maxima u = (600, 7, 4), then v = (0, -7, 0), and u stays, so
+    # d = 604 and M = W * (d + 1) = 605 bytes.  Minors: 2**n * M * isqrt(M).
+    # Bareiss divides once, at step 1, the order-3 minor of degree at most
+    # 600 + 7 - 7 + 4 = 604 (606 bytes) by the pivot of degree 600 (602
+    # bytes): a quarter of (606 + 602) * 602.
     rows = [[1 + q(600), 2, q(7)], [0, 1, q(3) + q(10)], [5, 0, q(7)]]
     assert (det_width(rows), det_span(rows), shifted_span(rows)[0]) == (1, 617, 611)
     packs = mock.Mock(wraps=laurent._pack)
@@ -976,11 +980,50 @@ def test_packed_det_work_limit_is_charged_before_packing(route, work, kind):
         assert packs.call_count > 0
         packs.reset_mock()
         with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work - 1):
-            with pytest.raises(ValueError, match=f"^a packed determinant of 3 rows and 611 bytes "
+            with pytest.raises(ValueError, match=f"^a determinant of 3 rows and 605 bytes "
                                                  f"would take {work} {kind} steps, over the limit "
                                                  f"of {work - 1}$"):
                 det_fraction_free(PolyMatrix(rows))
     assert packs.call_count == 0
+
+
+def test_zero_span_det_is_charged_before_elimination():
+    # an int matrix: every degree is 0, so the one division of step 1 is
+    # charged 2 * half bytes for the quotient and for the pivot; W = 7
+    # (B = 3 * 2 * 10**15 * 3), half = 4, and M = W * (0 + 1)
+    rows = [[2, 1, 0], [10**15, 7, 10**15 - 7], [1, 1, 1]]
+    assert det_width(rows) == 7 and det_span(rows) == 0
+    work = (8 + 8) * 8 // 4
+    bareiss = mock.Mock(wraps=laurent._bareiss)
+    with mock.patch.multiple(laurent, _bareiss=bareiss):
+        with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work):
+            assert det_fraction_free(PolyMatrix(rows)) == perm_det(rows)
+        assert bareiss.call_count == 1
+        with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work - 1):
+            with pytest.raises(ValueError, match=f"^a determinant of 3 rows and 7 bytes would "
+                                                 f"take {work} elimination steps"):
+                det_fraction_free(PolyMatrix(rows))
+    assert bareiss.call_count == 1
+
+
+def test_bareiss_charge_follows_the_degrees_of_the_minors():
+    # The h matrix of the 14x1x1 box, h(1 - i + j) in 15 variables, is
+    # Hessenberg and Toeplitz: its shifted row spans sum to 1470 degrees,
+    # but u_i + v_j is its degree 14 * (1 - i + j), so d = 14 * 14 and
+    # each minor of the elimination is charged its own degree.  It takes
+    # about 0.2 s; charged n**3 * M**2 / 512 by the row spans, it was refused.
+    charges = []
+    real = laurent._det_work
+
+    def spy(degrees, width, span):
+        charges.append(real(degrees, width, span))
+        return charges[-1]
+
+    with mock.patch.object(laurent, "_det_work", spy):
+        assert genfunc_det_forms(14, 1, 1, form=2) == closed_genfunc(14, 1, 1)
+    [(minors, size, work)] = charges
+    assert (minors, size) == (False, 30 * (14 * 14 + 1))
+    assert work < laurent._MAX_BIGINT_WORK // 20
 
 
 def alternant_matrix(exponents, lam):

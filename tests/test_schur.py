@@ -379,12 +379,16 @@ def test_bialternant_quotient_budget_at_the_measured_points():
 
 
 def alternant_work(n, lam, exponents, minors):
-    """The work _alternant predicts, from the widths of its two routes."""
+    """The work _alternant predicts: its minor's, or det_fraction_free's charge."""
     powers = [part + n - 1 - k for k, part in enumerate(lam + (0,) * (n - len(lam)))]
     span = (max(powers) - min(powers)) * sum(map(abs, exponents))
     if minors:
         return n * 2 ** (n - 1) * (math.factorial(n).bit_length() // 8 + 1) * span
-    return 32 * n**3 * (n * n.bit_length() // 8 + 1) * span
+    rows = [[x * e for e in powers] for x in exponents]
+    lows = [min(row) for row in rows]
+    cols = [min(x - low for x, low in zip(col, lows)) for col in zip(*rows)]
+    degrees = [[x - low - c for x, c in zip(row, cols)] for row, low in zip(rows, lows)]
+    return laurent._det_work(degrees, (n**n).bit_length() // 8 + 1, span)[2]
 
 
 @pytest.mark.parametrize("cutoff", [0, 99])
@@ -409,6 +413,44 @@ def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
                 alternant(point, lam)
             monkeypatch.undo()
             monkeypatch.setattr(schur, "_MINORS_MAX_ROWS", cutoff)
+
+
+class Eliminated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("lam, n, accepted", [
+    ((3, 2, 1), 18, True), ((5, 5, 5), 18, True), ((3, 2, 1), 19, False), ((2, 1), 20, False)])
+def test_bareiss_alternant_is_charged_once(monkeypatch, lam, n, accepted):
+    # above the minors cutoff the alternant is det_fraction_free of its
+    # monomial matrix, and _alternant charges that determinant's own
+    # charge: the 18-letter ones, 3-5 s of elimination, are accepted by
+    # both, the longer ones refused before the matrix is built
+    charges = []
+    real = laurent._det_work
+
+    def spy(degrees, width, span):
+        charges.append(real(degrees, width, span))
+        return charges[-1]
+
+    def stop(*args):
+        raise Eliminated
+
+    monkeypatch.setattr(schur, "_det_work", spy)
+    monkeypatch.setattr(laurent, "_det_work", spy)
+    monkeypatch.setattr(laurent, "_two_point_det", stop)
+    if accepted:
+        with pytest.raises(Eliminated):
+            bialternant(lam, tuple(range(n)))
+        [first, second] = charges
+        assert first == second and first[2] <= laurent._MAX_BIGINT_WORK
+    else:
+        monkeypatch.setattr(schur, "det_fraction_free", None)
+        with pytest.raises(ValueError, match=f"^shape {re.escape(str(lam))} in {n} letters "
+                                             f"would take \\d+ alternant steps"):
+            bialternant(lam, tuple(range(n)))
+        [(minors, size, work)] = charges
+        assert work > laurent._MAX_BIGINT_WORK
 
 
 def test_alternant_budget_accepts_the_measured_cases():
