@@ -789,12 +789,12 @@ def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, in
     columns J by the sum of u over I and of v over J, whichever permutation
     of the Leibniz expansion wins: u_i starts at the row's largest degree,
     v_j is then the least that holds column j, and u_i the least that
-    holds row i.  A Toeplitz
-    matrix such as ``schur.h_determinant``'s has u_i + v_j equal to its
-    degrees, so its banded minors are charged their own degrees, not the
-    row spans.  M = W * (d + 1) bytes, the determinant's d + 1
-    coefficients at width W, d = sum(u) + sum(v) >= deg D; d < 0 only when
-    every permutation meets a zero entry, and M is then W.
+    holds row i.  A Toeplitz matrix such as ``schur.h_determinant``'s has
+    u_i + v_j equal to its degrees, so its banded minors are charged their
+    own degrees, not the row spans.  M = W * (d + 1) bytes, the
+    determinant's d + 1 coefficients at width W, d = sum(u) + sum(v) >=
+    deg D; d < 0 only when every permutation meets a zero entry, and M is
+    then W.
 
     The expansion by minors (``minors`` True, as det_fraction_free's
     docstring chooses it) is charged 2**n * M * isqrt(M) steps: 2**n

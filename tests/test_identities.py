@@ -119,7 +119,9 @@ def test_deviation_rejects_bad_k():
         verify_deviation_binet_cauchy(3, 1, 1, (0, 0), (1, 2, 3))
 
 
-@pytest.mark.parametrize("n,m,k", [(1, 1, 0), (2, 2, 0), (3, 2, 1), (2, 2, 2)])
+# (14, 1, 13): 14 paths of one step, whose h determinant of 14 rows is
+# banded and is charged the degrees of its minors, not its row spans
+@pytest.mark.parametrize("n,m,k", [(1, 1, 0), (2, 2, 0), (3, 2, 1), (2, 2, 2), (14, 1, 13)])
 def test_watermelon_suite(n, m, k):
     reports = verify_watermelon_suite(n, m, k)
     assert len(reports) == 5
@@ -132,14 +134,6 @@ def test_watermelon_suite(n, m, k):
         "watermelon-product-vs-h-det",
         "watermelon-product-vs-specialization",
     ]
-
-
-def test_watermelon_suite_of_the_14x1x1_box():
-    # 14 paths of one step: the h determinant of 14 rows is banded, and its
-    # elimination is charged the degrees of its minors, not the row spans
-    reports = verify_watermelon_suite(14, 1, 13)
-    assert len(reports) == 5
-    assert all(r.equal and r.error is None for r in reports)
 
 
 def test_watermelon_suite_computes_each_side_once(monkeypatch):

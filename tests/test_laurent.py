@@ -1010,8 +1010,8 @@ def test_bareiss_charge_follows_the_degrees_of_the_minors():
     # The h matrix of the 14x1x1 box, h(1 - i + j) in 15 variables, is
     # Hessenberg and Toeplitz: its shifted row spans sum to 1470 degrees,
     # but u_i + v_j is its degree 14 * (1 - i + j), so d = 14 * 14 and
-    # each minor of the elimination is charged its own degree.  It takes
-    # about 0.2 s; charged n**3 * M**2 / 512 by the row spans, it was refused.
+    # each minor of the elimination is charged its own degree; it takes
+    # about 0.2 s
     charges = []
     real = laurent._det_work
 
