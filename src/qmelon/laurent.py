@@ -43,7 +43,9 @@ once per operation: its rows and columns are shifted to polynomials,
 every entry is evaluated at q = Y and q = -Y, and the two integer
 determinants, expanded by minors or eliminated by Bareiss, give the even
 and the odd coefficients (``_two_point_det``), proven by an a-priori
-bound.  A matrix of monomial rows, of zero span, is not packed but
+bound: the Leibniz bound, or the value D(1) at q = 1 when the caller has
+proven the coefficients nonnegative, as for a matrix of path weights.
+A matrix of monomial rows, of zero span, is not packed but
 eliminated on its coefficients, so every determinant of 3 rows or more is
 computed on ints.  The integer routine's work, predicted from bounds on
 the degrees of the minors it builds (``_det_work``), is charged against
@@ -90,18 +92,21 @@ _KRONECKER_CUTOFF = 8
 # determinant, W * S bytes, reaches _MINORS_DET_MIN_BYTES is expanded by
 # minors (_minors_det), any other one eliminated (_bareiss), both at q = +-Y.
 # CPython 3.11, minors time over Bareiss time, best of 5 below 2 K bytes
-# and of 2 above, median (range) on genfunc_det_forms (n of 3 to 6, l up
-# to 5, m up to 6) and monomial alternants of 3 to 10 rows: 1.17
+# and of 2 above, median (range).  genfunc_det_forms (n of 3 to 6, l up to
+# 5, m up to 6, both forms, 240 matrices), packed at the width of their
+# value at q = 1: 1.20 (1.03-1.43) below 250 bytes, 1.11 (1.00-1.32) from
+# 250 to 511, 0.91 (0.77-1.23) from 512 to 1 K and 0.80 (0.63-0.89) from
+# 1 K to 8 K.  Those of 9 and 10 rows (l and m up to 3, 36 matrices, 0.4 K
+# to 2.7 K bytes) read 0.64-1.36, median 0.86, so the limit stays at 10.
+# Monomial alternants, signed and packed at the Leibniz width, read 1.17
 # (0.82-1.76) below 250 bytes, 1.07 (0.75-1.54) from 250 to 511, 0.95
 # (0.83-1.70) from 512 to 1 K and 0.66 (0.39-1.27) from 1 K to 8 K at 3 to
-# 7 rows; alternants of 1 K to 8 K read 0.96 at 8 rows, 1.66 at 9 and 1.44
-# at 10, as the n * 2**(n-1) products of the expansion outgrow the n**3 / 3
-# pivot steps.  On genfunc_det_forms of 9 and 10 rows, from 0.1 K to 35 K
-# bytes, it reads 0.22-1.22 (median 0.70, 20 matrices, the form 2 ones
-# above 20 K bytes over 1), so the limit stays at 10.  The verify grid's
-# 44 determinants of 3 and 4 rows per pass, at most 228 bytes, 20 of them
-# of zero span and not packed, take 3.3-3.7 ms, and 3.8-4.3 ms with this
-# floor at 0 (best of 7).
+# 7 rows; of 1 K to 8 K they read 0.96 at 8 rows, 1.66 at 9 and 1.44 at
+# 10, as the n * 2**(n-1) products of the expansion outgrow the n**3 / 3
+# pivot steps.  The verify grid's 44 determinants of 3 and 4 rows per
+# pass, at most 228 bytes at the Leibniz width, 20 of them of zero span
+# and not packed, took 3.3-3.7 ms, and 3.8-4.3 ms with this floor at 0
+# (best of 7).
 _MINORS_DET_MAX_ROWS = 10
 _MINORS_DET_MIN_BYTES = 512
 
@@ -695,7 +700,7 @@ class PolyMatrix:
         return iter(self._rows)
 
 
-def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
+def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPoly:
     """Determinant by fraction-free (Bareiss) elimination or expansion by minors.
 
     Integer matrices go through it too: PolyMatrix embeds ints as
@@ -712,18 +717,27 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     has degree at most S' = sum_i max_j (deg a_ij - v_i - c_j) <= S.  By
     the Leibniz expansion its coefficients are at most
     B = prod_i sum_j |a_ij|_1, |a|_1 the sum of the absolute coefficients
-    of a, which no shift changes, and W is the least width with
-    2**(8*W-1) > B.  ``_two_point_det`` evaluates the entries at q = Y
-    and q = -Y, Y = 2**(8*ceil(W/2)), and recovers D from the two integer
-    determinants; Y**2 > 2B proves its digits, whichever integer routine
-    ran.  A matrix of at most ``_MINORS_DET_MAX_ROWS`` rows whose W * S
-    reaches ``_MINORS_DET_MIN_BYTES`` is expanded by minors, which has no
+    of a, which no shift changes.  A caller that has proven D to have
+    nonnegative coefficients, as the Lindstrom-Gessel-Viennot lemma does
+    for a matrix of path weights, passes ``_nonnegative=True``; every
+    coefficient is then at most D(1), and B is D(1) = det M(1), eliminated
+    by ``_bareiss`` on the entries' coefficient sums, no shift changing
+    it; B <= 0 disproves the flag and raises RuntimeError.  W is the least
+    width with 2**(8*W-1) > B.  ``_two_point_det`` evaluates the entries
+    at q = Y and q = -Y, Y = 2**(8*ceil(W/2)), and recovers D from the two
+    integer determinants; Y**2 > 2B proves its digits, whichever integer
+    routine ran, and an entry's own coefficients may be wider.  With the
+    flag, a tripwire also requires every recovered coefficient to be
+    nonnegative and their sum to be D(1), else RuntimeError.  A matrix of
+    at most ``_MINORS_DET_MAX_ROWS`` rows whose W * S reaches
+    ``_MINORS_DET_MIN_BYTES`` is expanded by minors, which has no
     division and multiplies each large entry into a minor of the smaller
     rows, any other eliminated by Bareiss; W and this choice use the row
     shifts alone.  Every matrix of 3 rows or more, of zero span too, is
     charged by ``_det_work`` from the degrees of its shifted entries, and
     one whose charge passes ``_MAX_BIGINT_WORK`` raises ValueError before
-    any entry is packed or eliminated.
+    any entry is packed or eliminated; so is the elimination of det M(1),
+    as a matrix of zero span at the Leibniz width.
 
     Every Bareiss division is exact by Sylvester's identity, for any
     nonzero pivot; a remainder would mean corrupted arithmetic, so it is
@@ -751,31 +765,50 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
         span += max(map(max, row_terms)) - low
     bound = prod([sum([abs(c) for t in row for c in t.values()]) for row in a])
     width = bound.bit_length() // 8 + 1
-    if span:
-        # c_j, the least exponent of column j once the rows are shifted
-        cols = [min([min(t) - low for t, low in zip(col, lows) if t], default=0)
-                for col in zip(*a)]
-        # a zero entry's degree, below any that a potential can reach
-        absent = -span - 1
-        degrees = [[max(t) - low - c if t else absent for t, c in zip(row, cols)]
-                   for row, low in zip(a, lows)]
-    else:
-        # every entry is c_ij * q**v_i, of degree 0 once its row is shifted
-        degrees = [[0] * n] * n
-    minors, size, work = _det_work(degrees, width, span)
-    if work > _MAX_BIGINT_WORK:
-        raise ValueError(f"a determinant of {n} rows and {size} bytes would take {work} "
-                         f"{'minor' if minors else 'elimination'} steps, "
-                         f"over the limit of {_MAX_BIGINT_WORK}")
+    if not span or _nonnegative:
+        # every entry is c_ij * q**v_i at zero span, of degree 0 once its
+        # row is shifted; det M(1), eliminated first when the flag is set,
+        # is such a matrix too
+        _charge(n, *_det_work([[0] * n] * n, width, 0))
     try:
         if not span:
             # D = q**(sum v_i) * det(c_ij)
             value = _bareiss([[t.get(low, 0) for t in row] for row, low in zip(a, lows)])
             return _canonical({sum(lows): value}) if value else _ZERO
-        shifted = sum(map(max, degrees))
-        return _two_point_det(a, lows, cols, shifted, width, _minors_det if minors else _bareiss)
+        if _nonnegative:
+            bound = _bareiss([[sum(t.values()) for t in row] for row in a])
+            if bound <= 0:
+                raise RuntimeError(f"a determinant flagged nonnegative has the value {bound} "
+                                   f"at q = 1")
+            width = bound.bit_length() // 8 + 1
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
+    # c_j, the least exponent of column j once the rows are shifted
+    cols = [min([min(t) - low for t, low in zip(col, lows) if t], default=0)
+            for col in zip(*a)]
+    # a zero entry's degree, below any that a potential can reach
+    absent = -span - 1
+    degrees = [[max(t) - low - c if t else absent for t, c in zip(row, cols)]
+               for row, low in zip(a, lows)]
+    minors, size, work = _det_work(degrees, width, span)
+    _charge(n, minors, size, work)
+    shifted = sum(map(max, degrees))
+    try:
+        det = _two_point_det(a, lows, cols, shifted, width, _minors_det if minors else _bareiss)
+    except (NotDivisible, OverflowError) as exc:
+        raise RuntimeError("fraction-free elimination lost exactness") from exc
+    if _nonnegative and (min(det._terms.values(), default=0) < 0
+                         or sum(det._terms.values()) != bound):
+        raise RuntimeError("a determinant flagged nonnegative lost exactness")
+    return det
+
+
+def _charge(n: int, minors: bool, size: int, work: int) -> None:
+    """Refuse a determinant whose ``_det_work`` charge passes ``_MAX_BIGINT_WORK``."""
+    if work > _MAX_BIGINT_WORK:
+        raise ValueError(f"a determinant of {n} rows and {size} bytes would take {work} "
+                         f"{'minor' if minors else 'elimination'} steps, "
+                         f"over the limit of {_MAX_BIGINT_WORK}")
 
 
 def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, int, int]:
@@ -783,8 +816,9 @@ def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, in
 
     degrees[i][j] is the degree of entry (i, j) once its row and its column
     are shifted, and below -S for a zero entry, every row holding a
-    nonzero one (at zero span every degree may be 0).  width is W and span
-    the row-shifted S >= S'.  Potentials with degrees[i][j] <= u_i + v_j
+    nonzero one (at zero span every degree may be 0).  width is W, from
+    the Leibniz bound or from D(1) (see det_fraction_free), and span the
+    row-shifted S >= S'.  Potentials with degrees[i][j] <= u_i + v_j
     on every nonzero entry bound the degree of the minor on rows I and
     columns J by the sum of u over I and of v over J, whichever permutation
     of the Leibniz expansion wins: u_i starts at the row's largest degree,
@@ -807,7 +841,10 @@ def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, in
     and each quotient is a minor of order k + 2 on the leading k + 1 rows
     and columns, row i and column j; a minor of degree at most e is taken
     as half * (e + 2) bytes at q = +-Y, half = ceil(W/2), and a numerator
-    as its quotient's bytes plus its divisor's.
+    as its quotient's bytes plus its divisor's.  At the width of D(1), the
+    coefficients of an entry, and so of a minor, may pass Y: no
+    coefficient has to fit in half bytes, and a value then carries the
+    few bytes of its carries beyond its charge.
 
     CPython 3.11, one run with the limit lifted: 0.34-1.15 ns per minor
     step (median 0.76) on 27 matrices of 7.9 K to 430 K bytes, from
@@ -858,7 +895,9 @@ def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], cols: list
     2**(8*width-1) <= Y**2 / 2, so their digits at width 2 * half are
     exact and interleave to D.  Each distinct entry, by identity, is
     packed once per shift, by its even and by its odd coefficients, both
-    at width 2 * half; no coefficient has to fit in half bytes.  A
+    at width 2 * half; no coefficient has to fit in half bytes, nor in
+    2 * half bytes, since ``_evaluate_halves`` splits a wider one into
+    limbs, so an entry may be wider than D when width is that of D(1).  A
     Toeplitz matrix of n rows with shared entries, such as
     ``schur.h_determinant`` of a rectangle, packs 2n - 1 entries, not n**2.
     """
@@ -892,7 +931,10 @@ def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], cols: list
 
 
 def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int, int]:
-    """(E(Y**2), O(Y**2)) for q**(-low) * terms = E(q**2) + q * O(q**2), Y = 2**(8*half)."""
+    """(E(Y**2), O(Y**2)) for q**(-low) * terms = E(q**2) + q * O(q**2), Y = 2**(8*half).
+
+    The coefficients may be of any size: see ``_pack_wide``.
+    """
     unit = 16 * half
     if not terms:
         return 0, 0
@@ -903,8 +945,30 @@ def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int
         return (0, c << unit * (k // 2)) if k & 1 else (c << unit * (k // 2), 0)
     val, coeffs = _dense(terms)
     k = val - low
-    return (_pack(coeffs[k & 1::2], 2 * half) << unit * ((k + 1) // 2),
-            _pack(coeffs[1 - (k & 1)::2], 2 * half) << unit * (k // 2))
+    return (_pack_wide(coeffs[k & 1::2], 2 * half) << unit * ((k + 1) // 2),
+            _pack_wide(coeffs[1 - (k & 1)::2], 2 * half) << unit * (k // 2))
+
+
+def _pack_wide(coeffs: list[int], width: int) -> int:
+    """sum c_i * X**i with X = 2**(8*width), for coefficients of any size.
+
+    One ``_pack`` when every |c_i| < X/2; otherwise the coefficients are
+    split into signed base-X limbs, c_i = sum_k l_ik * X**k with every
+    l_ik in [-X/2, X/2), and limb k is packed and added times X**k.
+    """
+    try:
+        return _pack(coeffs, width)
+    except OverflowError:
+        pass
+    unit = 8 * width
+    sign, mask = 1 << (unit - 1), (1 << unit) - 1
+    value = shift = 0
+    while any(coeffs):
+        limbs = [((c + sign) & mask) - sign for c in coeffs]
+        value += _pack(limbs, width) << shift
+        coeffs = [(c - d) >> unit for c, d in zip(coeffs, limbs)]
+        shift += unit
+    return value
 
 
 def _int_exact_div(num: int, den: int) -> int:

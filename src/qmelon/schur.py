@@ -570,6 +570,16 @@ def h_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
 
     Zero parts are stripped first: their trailing block of the matrix is
     unitriangular, so it does not change the determinant.
+
+    The determinant has nonnegative coefficients, so ``det_fraction_free``
+    packs it at the width of its value at q = 1.  Entry (i, j) is the
+    weight sum of the north-east lattice paths from S_j = (-j, 1) to
+    T_i = (lam_i - i, m), an east step at height y weighing q**(y-1): the
+    lam_i - i + j east steps choose their heights as a multiset, which is
+    h(lam_i - i + j) at (1, q, ..., q**(m-1)).  The sources lie on y = 1
+    and the sinks on y = m in the same order (lam_i - i decreases), so by
+    the Lindstrom-Gessel-Viennot lemma the determinant is the weight sum of
+    the nonintersecting families joining S_i to T_i, each a power of q.
     """
     lam = strip(check_partition(lam))
     n = len(lam)
@@ -578,7 +588,7 @@ def h_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one()
     entries = [[h_complete(lam[i] - (i + 1) + (j + 1), m) for j in range(n)] for i in range(n)]
-    return det_fraction_free(PolyMatrix(entries))
+    return det_fraction_free(PolyMatrix(entries), _nonnegative=True)
 
 
 def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
@@ -586,6 +596,18 @@ def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
 
     Entry (i, j) is q**((j-1)(lam_i + j - i)) * [lam_i + m - i choose m - j]
     over the nonzero parts of lam; requires m >= their number.
+
+    The determinant has nonnegative coefficients, so ``det_fraction_free``
+    packs it at the width of its value at q = 1.  Entry (i, j) is the
+    weight sum of the north-east lattice paths from A_j = (-j, j - 1) to
+    T_i = (lam_i - i, m - 1), an east step at height y weighing q**y: such
+    a path has lam_i + j - i east steps and m - j north steps, and its
+    weights sum to q**((j-1)(lam_i + j - i)) times the Gaussian binomial.
+    Every path stays in the strip x + y >= -1, y <= m - 1, whose boundary
+    meets A_1, ..., A_n on the line x + y = -1 and then T_n, ..., T_1 on
+    the line y = m - 1, so by the Lindstrom-Gessel-Viennot lemma the
+    determinant is the weight sum of the nonintersecting families joining
+    A_i to T_i, each a power of q.
     """
     lam = strip(check_partition(lam))
     n = len(lam)
@@ -595,5 +617,5 @@ def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
         raise ValueError(f"need at least {n} variables for {lam}")
     rows = [[qbinomial(lam[i - 1] + m - i, m - j).shift((j - 1) * (lam[i - 1] + j - i))
              for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return det_fraction_free(PolyMatrix(rows))
+    return det_fraction_free(PolyMatrix(rows), _nonnegative=True)
 

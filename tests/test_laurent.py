@@ -1010,8 +1010,10 @@ def test_bareiss_charge_follows_the_degrees_of_the_minors():
     # The h matrix of the 14x1x1 box, h(1 - i + j) in 15 variables, is
     # Hessenberg and Toeplitz: its shifted row spans sum to 1470 degrees,
     # but u_i + v_j is its degree 14 * (1 - i + j), so d = 14 * 14 and
-    # each minor of the elimination is charged its own degree; it takes
-    # about 0.2 s
+    # each minor of the elimination is charged its own degree.  Its
+    # determinant has nonnegative coefficients, so the width is that of
+    # det M(1) = 15, the box's plane partitions: W = 1, where the Leibniz
+    # bound, which charges the elimination of M(1) first, gives W = 30
     charges = []
     real = laurent._det_work
 
@@ -1021,9 +1023,117 @@ def test_bareiss_charge_follows_the_degrees_of_the_minors():
 
     with mock.patch.object(laurent, "_det_work", spy):
         assert genfunc_det_forms(14, 1, 1, form=2) == closed_genfunc(14, 1, 1)
-    [(minors, size, work)] = charges
-    assert (minors, size) == (False, 30 * (14 * 14 + 1))
+    total = closed_genfunc(14, 1, 1).eval_at_one()
+    width = total.bit_length() // 8 + 1
+    [at_one, (minors, size, work)] = charges
+    assert at_one[1] == 30 * (0 + 1)
+    assert (total, width) == (15, 1)
+    assert (minors, size) == (False, width * (14 * 14 + 1))
     assert work < laurent._MAX_BIGINT_WORK // 20
+
+
+@pytest.mark.parametrize("route,work,kind", [
+    ("minors", 2**3 * 601 * 24, "minor"),
+    ("bareiss", (602 + 602) * 602 // 4, "elimination"),
+])
+def test_nonnegative_det_is_charged_at_the_width_of_its_value_at_one(route, work, kind):
+    # Upper triangular, so D = (1 + q**600) * q**7 and D(1) = 2: W = 1,
+    # where the Leibniz bound 202 * 601 * 1 gives W = 3.  The degrees are
+    # [[600, 0, 7], [-, 0, 10], [-, -, 0]]: u = (600, 10, 0), v = (0, -10,
+    # 0), d = 600 and M = 601 bytes.  Minors: 2**n * M * isqrt(M); Bareiss
+    # divides once, the order-3 minor of degree 600 (602 bytes at half = 1)
+    # by the pivot of degree 600.  det M(1) is eliminated first, charged as
+    # a matrix of zero span at W = 3: one division of 2 * half = 4 bytes by
+    # 4 bytes, 8 steps.
+    rows = [[1 + q(600), 200, q(7)], [0, 1, (q(3) + q(10)) * 300], [0, 0, q(7)]]
+    assert (det_width(rows), det_span(rows)) == (3, 610)
+    m = PolyMatrix(rows)
+    packs = mock.Mock(wraps=laurent._pack)
+    bareiss = mock.Mock(wraps=laurent._bareiss)
+    with mock.patch.multiple(laurent, _pack=packs, _bareiss=bareiss, **PACKED_ROUTES[route]):
+        with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work):
+            assert det_fraction_free(m, _nonnegative=True) == perm_det(rows)
+        assert packs.call_count > 0
+        packs.reset_mock()
+        bareiss.reset_mock()
+        with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work - 1):
+            with pytest.raises(ValueError, match=f"^a determinant of 3 rows and 601 bytes "
+                                                 f"would take {work} {kind} steps, over the limit "
+                                                 f"of {work - 1}$"):
+                det_fraction_free(m, _nonnegative=True)
+        assert packs.call_count == 0 and bareiss.call_count == 1
+        bareiss.reset_mock()
+        with mock.patch.object(laurent, "_MAX_BIGINT_WORK", 7):
+            with pytest.raises(ValueError, match="^a determinant of 3 rows and 3 bytes would "
+                                                 "take 8 elimination steps"):
+                det_fraction_free(m, _nonnegative=True)
+        assert bareiss.call_count == 0
+
+
+def test_nonnegative_det_of_a_path_matrix_packs_at_its_value_at_one():
+    # (14,5,1) form 2, the h matrix of 14 rows, has the Leibniz width 41,
+    # and form 1, the gv matrix of the same polynomial, 22; both are packed
+    # at the width of D(1) = C(19, 5) = 11,628, the box's plane partitions:
+    # W = 2
+    widths = []
+    real = laurent._two_point_det
+
+    def spy(a, lows, cols, span, width, det):
+        widths.append(width)
+        return real(a, lows, cols, span, width, det)
+
+    want = closed_genfunc(14, 5, 1)
+    with mock.patch.object(laurent, "_two_point_det", spy):
+        assert [genfunc_det_forms(14, 5, 1, form=f) for f in (1, 2)] == [want, want]
+    assert want.eval_at_one() == math.comb(19, 5)
+    assert widths == [2, 2]
+
+
+@pytest.mark.parametrize("rows,value", [
+    # det M(1) = 0: a monomial alternant, signed, whose rows all meet at q = 1
+    ([[q(x * e) for e in (3, 1, 0)] for x in (0, 1, 2)], 0),
+    # det M(1) = -1
+    ([[1, 0, 0], [0, 1, 0], [0, 0, q(1) - 2]], -1),
+])
+def test_nonnegative_det_refuses_a_value_at_one_below_one(rows, value):
+    assert det_fraction_free(PolyMatrix(rows)).eval_at_one() == value
+    with pytest.raises(RuntimeError, match=f"^a determinant flagged nonnegative has the value "
+                                           f"{value} at q = 1$"):
+        det_fraction_free(PolyMatrix(rows), _nonnegative=True)
+
+
+@pytest.mark.parametrize("corner", [2 - q(1), 10**6 - (10**6 - 1) * q(1)])
+def test_nonnegative_det_tripwire_fires_on_a_signed_matrix(corner):
+    # D = corner and D(1) = 1, so W = 1: 2 - q is recovered and has a
+    # negative coefficient; 10**6 does not fit in 2 bytes, so its digits
+    # are lost
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, corner]]
+    assert det_fraction_free(PolyMatrix(rows)) == corner
+    with pytest.raises(RuntimeError, match="lost exactness$"):
+        det_fraction_free(PolyMatrix(rows), _nonnegative=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_terms_st, st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=3))
+def test_evaluate_halves_of_wide_coefficients_is_a_horner_evaluation(terms, pad, half):
+    # q**(-low) * terms = P(q) = E(q**2) + q * O(q**2), so P(Y) = E + Y * O
+    # and P(-Y) = E - Y * O at Y**2; coefficients of 10**120 are wider than
+    # any unit here, and those that all fit take one _pack per half
+    low = min(terms) - pad
+    y = 1 << 8 * half
+
+    def horner(point):
+        value = 0
+        for e in range(max(terms), low - 1, -1):
+            value = value * point + terms.get(e, 0)
+        return value
+
+    packs = mock.Mock(wraps=laurent._pack)
+    with mock.patch.object(laurent, "_pack", packs):
+        even, odd = laurent._evaluate_halves(terms, low, half)
+    assert (even + y * odd, even - y * odd) == (horner(y), horner(-y))
+    if len(terms) > 1 and max(map(abs, terms.values())) < 1 << (16 * half - 1):
+        assert packs.call_count == 2
 
 
 def alternant_matrix(exponents, lam):

@@ -86,6 +86,32 @@ def test_h_determinant_packs_each_distinct_entry_once(n, l, m):
     assert value == gv_determinant((l,) * n, m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=7)
+       .map(lambda parts: tuple(sorted(parts, reverse=True))),
+       st.integers(min_value=0, max_value=5), st.booleans())
+@example((5,) * 7, 3, False)  # the 7 x 5 x 3 box
+@example((9, 9, 9), 1, True)  # the 3 x 9 x 1 box
+def test_path_determinants_flagged_nonnegative_equal_the_unflagged_route(lam, extra, rectangle):
+    # both determinants are packed at the width of their value at q = 1;
+    # the same matrices at the Leibniz width must agree
+    if rectangle:
+        lam = (lam[0],) * len(lam)
+    m = len(strip(lam)) + extra
+    matrices = []
+    real = laurent.det_fraction_free
+
+    def spy(matrix, **flag):
+        assert flag == {"_nonnegative": True}
+        matrices.append(matrix)
+        return real(matrix, **flag)
+
+    with mock.patch.object(schur, "det_fraction_free", spy):
+        values = [h_determinant(lam, m), gv_determinant(lam, m)]
+    assert values[0] == values[1] == principal_product(lam, m)
+    assert [real(matrix) for matrix in matrices] == values[:len(matrices)]
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_five_routes_agree_in_box(m):
     exps = tuple(range(m))
