@@ -816,7 +816,7 @@ def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, in
 
     degrees[i][j] is the degree of entry (i, j) once its row and its column
     are shifted, and below -S for a zero entry, every row holding a
-    nonzero one (at zero span every degree may be 0).  width is W, from
+    nonzero one (at zero span the degrees are not read).  width is W, from
     the Leibniz bound or from D(1) (see det_fraction_free), and span the
     row-shifted S >= S'.  Potentials with degrees[i][j] <= u_i + v_j
     on every nonzero entry bound the degree of the minor on rows I and
@@ -855,6 +855,12 @@ def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, in
     to 11.5 s of elimination.
     """
     n = len(degrees)
+    if not span:
+        # every minor is one coefficient, 2 * half bytes: step k divides
+        # m*m numerators of 4 * half bytes by 2 * half, 2 * (half * m)**2
+        # steps, summed over m = n - 2 .. 1
+        half = (width + 1) // 2
+        return False, width, half * half * (n - 2) * (n - 1) * (2 * n - 3) // 3
     # 0 <= u_i <= S' and -S' <= v_j <= 0, so no zero entry sets a maximum
     # but an all-zero column's, whose v_j is taken as 0
     u = list(map(max, degrees))

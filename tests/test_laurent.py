@@ -1006,6 +1006,15 @@ def test_zero_span_det_is_charged_before_elimination():
     assert bareiss.call_count == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 11, 16, 25])
+@pytest.mark.parametrize("width", [1, 2, 7, 30])
+def test_zero_span_charge_is_the_elimination_charge_of_zero_degrees(n, width):
+    # at zero span the charge is summed in closed form; at a span of 1 and
+    # W < 512 the same zero degrees go through the Bareiss loop
+    flat = [[0] * n] * n
+    assert laurent._det_work(flat, width, 0) == laurent._det_work(flat, width, 1)
+
+
 def test_bareiss_charge_follows_the_degrees_of_the_minors():
     # The h matrix of the 14x1x1 box, h(1 - i + j) in 15 variables, is
     # Hessenberg and Toeplitz: its shifted row spans sum to 1470 degrees,
