@@ -737,7 +737,8 @@ def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPo
     charged by ``_det_work`` from the degrees of its shifted entries, and
     one whose charge passes ``_MAX_BIGINT_WORK`` raises ValueError before
     any entry is packed or eliminated; so is the elimination of det M(1),
-    as a matrix of zero span at the Leibniz width.
+    as the integer matrix of zero span it is, at the width of its own
+    Leibniz bound, which is at most B and is computed in place of B.
 
     Every Bareiss division is exact by Sylvester's identity, for any
     nonzero pivot; a remainder would mean corrupted arithmetic, so it is
@@ -763,12 +764,18 @@ def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPo
         low = min(map(min, row_terms))
         lows.append(low)
         span += max(map(max, row_terms)) - low
-    bound = prod([sum([abs(c) for t in row for c in t.values()]) for row in a])
+    if _nonnegative:
+        # M(1), the entries' coefficient sums, bounded by its own Leibniz
+        # product, which is at most B
+        at_one = [[sum(t.values()) for t in row] for row in a]
+        bound = prod([sum(map(abs, row)) for row in at_one])
+    else:
+        bound = prod([sum([abs(c) for t in row for c in t.values()]) for row in a])
     width = bound.bit_length() // 8 + 1
     if not span or _nonnegative:
         # every entry is c_ij * q**v_i at zero span, of degree 0 once its
-        # row is shifted; det M(1), eliminated first when the flag is set,
-        # is such a matrix too
+        # row is shifted; M(1), eliminated first when the flag is set, is
+        # such a matrix too
         _charge(n, *_det_work([[0] * n] * n, width, 0))
     try:
         if not span:
@@ -776,7 +783,7 @@ def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPo
             value = _bareiss([[t.get(low, 0) for t in row] for row, low in zip(a, lows)])
             return _canonical({sum(lows): value}) if value else _ZERO
         if _nonnegative:
-            bound = _bareiss([[sum(t.values()) for t in row] for row in a])
+            bound = _bareiss(at_one)
             if bound <= 0:
                 raise RuntimeError(f"a determinant flagged nonnegative has the value {bound} "
                                    f"at q = 1")
@@ -798,7 +805,7 @@ def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPo
     except (NotDivisible, OverflowError) as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
     if _nonnegative and (min(det._terms.values(), default=0) < 0
-                         or sum(det._terms.values()) != bound):
+                         or det.eval_at_one() != bound):
         raise RuntimeError("a determinant flagged nonnegative lost exactness")
     return det
 

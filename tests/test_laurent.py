@@ -1022,7 +1022,8 @@ def test_bareiss_charge_follows_the_degrees_of_the_minors():
     # each minor of the elimination is charged its own degree.  Its
     # determinant has nonnegative coefficients, so the width is that of
     # det M(1) = 15, the box's plane partitions: W = 1, where the Leibniz
-    # bound, which charges the elimination of M(1) first, gives W = 30
+    # bound gives W = 30; M(1)'s own Leibniz bound is the same, as every
+    # coefficient is positive, and charges the elimination of M(1) first
     charges = []
     real = laurent._det_work
 
@@ -1052,8 +1053,8 @@ def test_nonnegative_det_is_charged_at_the_width_of_its_value_at_one(route, work
     # 0), d = 600 and M = 601 bytes.  Minors: 2**n * M * isqrt(M); Bareiss
     # divides once, the order-3 minor of degree 600 (602 bytes at half = 1)
     # by the pivot of degree 600.  det M(1) is eliminated first, charged as
-    # a matrix of zero span at W = 3: one division of 2 * half = 4 bytes by
-    # 4 bytes, 8 steps.
+    # a matrix of zero span at the width of its Leibniz bound 203 * 601 * 1,
+    # W = 3: one division of 2 * half = 4 bytes by 4 bytes, 8 steps.
     rows = [[1 + q(600), 200, q(7)], [0, 1, (q(3) + q(10)) * 300], [0, 0, q(7)]]
     assert (det_width(rows), det_span(rows)) == (3, 610)
     m = PolyMatrix(rows)
