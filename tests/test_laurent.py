@@ -1048,7 +1048,7 @@ def test_bareiss_charge_follows_the_degrees_of_the_minors():
 ])
 def test_nonnegative_det_is_charged_at_the_width_of_its_value_at_one(route, work, kind):
     # Upper triangular, so D = (1 + q**600) * q**7 and D(1) = 2: W = 1,
-    # where the Leibniz bound 202 * 601 * 1 gives W = 3.  The degrees are
+    # where the Leibniz bound 203 * 601 * 1 gives W = 3.  The degrees are
     # [[600, 0, 7], [-, 0, 10], [-, -, 0]]: u = (600, 10, 0), v = (0, -10,
     # 0), d = 600 and M = 601 bytes.  Minors: 2**n * M * isqrt(M); Bareiss
     # divides once, the order-3 minor of degree 600 (602 bytes at half = 1)
