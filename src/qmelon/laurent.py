@@ -185,7 +185,7 @@ def _halves(digits: int, width: int) -> int:
 
 def _pack(coeffs: list[int], width: int) -> int:
     """sum c_i * X**i with X = 2**(8*width); needs |c_i| < X/2."""
-    raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+    raw = b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
     h = _halves(len(coeffs), width)
     return (int.from_bytes(raw, "little") ^ h) - h
 
@@ -850,22 +850,34 @@ def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, in
     as half * (e + 2) bytes at q = +-Y, half = ceil(W/2), and a numerator
     as its quotient's bytes plus its divisor's.  At the width of D(1), the
     coefficients of an entry, and so of a minor, may pass Y: no
-    coefficient has to fit in half bytes, and a value then carries the
-    few bytes of its carries beyond its charge.
+    coefficient has to fit in half bytes, and a value is then wider than
+    its charge by its carries, which are not charged; the second
+    calibration below is taken at that width, carries included.
 
-    CPython 3.11, one run with the limit lifted: 0.34-1.15 ns per minor
-    step (median 0.76) on 27 matrices of 7.9 K to 430 K bytes, from
-    genfunc_det_forms of 3 to 10 rows and hdet and gvdet of 3 and 6, and
-    0.44-0.92 ns per elimination step (median 0.65) on 39, genfunc_det_forms
-    of 8 to 16 rows (banded h matrices among them), the h matrix of
-    (1**20) and monomial alternants of 15 to 18 rows; so the limit is 3.4
-    to 11.5 s of elimination.
+    CPython 3.11, one run with the limit lifted, at the Leibniz width:
+    0.34-1.15 ns per minor step (median 0.76) on 27 matrices of 7.9 K to
+    430 K bytes, from genfunc_det_forms of 3 to 10 rows and hdet and gvdet
+    of 3 and 6, and 0.44-0.92 ns per elimination step (median 0.65) on 39,
+    genfunc_det_forms of 8 to 16 rows (banded h matrices among them), the
+    h matrix of (1**20) and monomial alternants of 15 to 18 rows; so the
+    limit is 3.4 to 11.5 s of elimination.  At the width of D(1), timing
+    det_fraction_free alone, best of 2: 0.21-0.84 ns per minor step
+    (median 0.58) on 30 h and gv matrices of 3.5 K to 406 K bytes, from
+    genfunc_det_forms of 4 to 10 rows and hdet and gvdet of 3 to 8, the
+    largest hdet of (20**6) in 60 variables, 9.3 * 10**9 steps in 7.0 s;
+    and 0.52-0.91 ns per elimination step (median 0.64) on the 8 of at
+    least 10**8 steps among 10 genfunc_det_forms of 12 to 16 rows (those
+    of (14, 5, 1), 3.6 * 10**7 steps in 0.05 s, read 1.24 and 1.29).  So
+    the limit stays within 2.1 to 9.1 s there.
     """
     n = len(degrees)
     if not span:
         # every minor is one coefficient, 2 * half bytes: step k divides
         # m*m numerators of 4 * half bytes by 2 * half, 2 * (half * m)**2
-        # steps, summed over m = n - 2 .. 1
+        # steps, summed over m = n - 2 .. 1.  The loop below gives the same
+        # sum; this takes 1 us where it takes 9-11 us at 3 and 4 rows
+        # (CPython 3.11), and every monomial matrix and every M(1) of a
+        # nonnegative determinant is charged here
         half = (width + 1) // 2
         return False, width, half * half * (n - 2) * (n - 1) * (2 * n - 3) // 3
     # 0 <= u_i <= S' and -S' <= v_j <= 0, so no zero entry sets a maximum
@@ -946,7 +958,8 @@ def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], cols: list
 def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int, int]:
     """(E(Y**2), O(Y**2)) for q**(-low) * terms = E(q**2) + q * O(q**2), Y = 2**(8*half).
 
-    The coefficients may be of any size: see ``_pack_wide``.
+    The coefficients may be of any size: a half that does not fit in
+    2 * half bytes is packed by ``_pack_limbs``.
     """
     unit = 16 * half
     if not terms:
@@ -958,21 +971,21 @@ def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int
         return (0, c << unit * (k // 2)) if k & 1 else (c << unit * (k // 2), 0)
     val, coeffs = _dense(terms)
     k = val - low
-    return (_pack_wide(coeffs[k & 1::2], 2 * half) << unit * ((k + 1) // 2),
-            _pack_wide(coeffs[1 - (k & 1)::2], 2 * half) << unit * (k // 2))
+    evens, odds = coeffs[k & 1::2], coeffs[1 - (k & 1)::2]
+    try:
+        even, odd = _pack(evens, 2 * half), _pack(odds, 2 * half)
+    except OverflowError:
+        even, odd = _pack_limbs(evens, 2 * half), _pack_limbs(odds, 2 * half)
+    return even << unit * ((k + 1) // 2), odd << unit * (k // 2)
 
 
-def _pack_wide(coeffs: list[int], width: int) -> int:
+def _pack_limbs(coeffs: list[int], width: int) -> int:
     """sum c_i * X**i with X = 2**(8*width), for coefficients of any size.
 
-    One ``_pack`` when every |c_i| < X/2; otherwise the coefficients are
-    split into signed base-X limbs, c_i = sum_k l_ik * X**k with every
-    l_ik in [-X/2, X/2), and limb k is packed and added times X**k.
+    The coefficients are split into signed base-X limbs,
+    c_i = sum_k l_ik * X**k with every l_ik in [-X/2, X/2), and limb k is
+    packed by ``_pack`` and added times X**k.
     """
-    try:
-        return _pack(coeffs, width)
-    except OverflowError:
-        pass
     unit = 8 * width
     sign, mask = 1 << (unit - 1), (1 << unit) - 1
     value = shift = 0
@@ -1035,10 +1048,10 @@ def _bareiss(a: list[list[int]]) -> int:
     sign = 1
     prev = None
     for k in range(n - 1):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
+        if not a[k][k]:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return 0
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         row_k = a[k]

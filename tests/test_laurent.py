@@ -938,6 +938,16 @@ def test_minors_det_folds_the_sign_of_the_row_order():
         assert laurent._minors_det(rows) == laurent._bareiss([list(row) for row in rows])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 7]), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_int_bareiss_pivots_past_zero_leading_entries(rows):
+    # mostly zero entries, so leading entries vanish and rows are swapped,
+    # and some pivot columns are all zero
+    assert laurent._bareiss([list(row) for row in rows]) == perm_det(rows).coeff(0)
+
+
 def test_minors_route_thresholds():
     minors = mock.Mock(wraps=laurent._minors_det)
 
