@@ -27,12 +27,13 @@ X = 2**(8*width): every coefficient becomes a ``width``-byte
 two's-complement digit, and the digits are joined and read back with
 ``int.to_bytes``/``int.from_bytes``, so packing and unpacking are linear.
 A product is then one big-integer multiplication, and an exact quotient
-one big-integer ``divmod`` whose result is accepted only once it is
-proven; see ``_packed_quotient``.  The width is chosen so that
-every coefficient of the result lies in [-X/2, X/2), where signed base-X
-digits, and so the polynomial, are unique.  The packed kernels run only
-when the schoolbook's term pairs are at least ``_KRONECKER_CUTOFF`` times
-the dense span to pack; small or sparse operands keep the schoolbook
+one big-integer ``divmod``, whose result is accepted only once it is
+proven and whose remainder proves that there is none; see
+``_packed_quotient``.  The width is chosen so that every coefficient of
+the result lies in [-X/2, X/2), where signed base-X digits, and so the
+polynomial, are unique.  The packed kernels run only when the
+schoolbook's term pairs are at least ``_KRONECKER_CUTOFF`` times the
+dense span to pack; small or sparse operands keep the schoolbook
 multiplication and the long division.  :func:`q_ratio` decides
 exactness from cyclotomic factor counts before any arithmetic, then
 evaluates the lower half of the ratio as a truncated dense power series
@@ -57,7 +58,8 @@ the quotient is unpacked.  It is kept when the width bounds it a priori or
 when an after-the-fact proof holds at that width; otherwise the digits are
 packed wider and divided again, at most three widths in all, before long
 division decides.  The divmod is quadratic, so each one whose predicted
-work passes ``_MAX_BIGINT_WORK`` is refused with ValueError first.
+work passes ``_MAX_BIGINT_WORK`` is refused with ValueError first, and
+long division once its count passes ``_MAX_SERIES_WORK``.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 class NotDivisible(ArithmeticError):
     """Exact polynomial division left a remainder."""
-
-
-class _PackedRemainder(NotDivisible):
-    """A packed divmod left a remainder, before any long division ran."""
 
 
 # The Kronecker kernels run when the schoolbook's term pairs are at least
@@ -98,15 +96,12 @@ _KRONECKER_CUTOFF = 8
 # 250 to 511, 0.91 (0.77-1.23) from 512 to 1 K and 0.80 (0.63-0.89) from
 # 1 K to 8 K.  Those of 9 and 10 rows (l and m up to 3, 36 matrices, 0.4 K
 # to 2.7 K bytes) read 0.64-1.36, median 0.86, so the limit stays at 10.
-# Monomial alternants, signed and packed at the Leibniz width, read 1.17
-# (0.82-1.76) below 250 bytes, 1.07 (0.75-1.54) from 250 to 511, 0.95
-# (0.83-1.70) from 512 to 1 K and 0.66 (0.39-1.27) from 1 K to 8 K at 3 to
-# 7 rows; of 1 K to 8 K they read 0.96 at 8 rows, 1.66 at 9 and 1.44 at
-# 10, as the n * 2**(n-1) products of the expansion outgrow the n**3 / 3
-# pivot steps.  The verify grid's 44 determinants of 3 and 4 rows per
-# pass, at most 228 bytes at the Leibniz width, 20 of them of zero span
-# and not packed, took 3.3-3.7 ms, and 3.8-4.3 ms with this floor at 0
-# (best of 7).
+# Monomial alternants, slower by minors at 9 and 10 rows (1.66 and 1.44
+# from 1 K to 8 K bytes), never reach this rule: schur takes those of up to
+# 14 rows as maximal minors, and sends only larger ones here, to Bareiss.
+# The verify grid's 44 determinants of 3 and 4 rows per pass, at most 228
+# bytes at the Leibniz width, 20 of them of zero span and not packed, took
+# 3.3-3.7 ms, and 3.8-4.3 ms with this floor at 0 (best of 7).
 _MINORS_DET_MAX_ROWS = 10
 _MINORS_DET_MIN_BYTES = 512
 
@@ -130,18 +125,22 @@ _MAX_DENSE_COEFFS = 10**7
 # 11-12 s, and the count boxes of sides 8 to 12 charge at most 1.2 * 10**5.
 # qanalogs.qbinomial charges k passes over its list: [500 choose 250]
 # 1.6 * 10**7 in 1.45 s, kept, and [600 choose 300] 2.7 * 10**7, refused.
+# _long_div charges each quotient term 1 step per remainder term its scan
+# reads, 22-33 ns, and _UPDATE_STEPS per divisor term it updates, 0.5-0.9
+# us (least squares over 12 sparse divisions, CPython 3.11): 0.4-0.8 s.
 _MAX_SERIES_WORK = 2 * 10**7
+_UPDATE_STEPS = 24
 
-# The most big-integer work of one step, about 3 s of CPython 3.11 (3.4 to
+# The most big-integer work of one step, about 3 s of CPython 3.11 (2.1 to
 # 11.5 s for a determinant, see _det_work): each of _packed_quotient's
 # divmods, det_fraction_free's integer determinants, schur's alternants
 # and pairings, and the passes of planepartitions.zq charge their predicted
-# byte steps against it before they run.  Long
-# division is quadratic, about 0.13 ns per byte of the quotient times byte
-# of the divisor, so a divmod charges a quarter of the product of the
-# numerator's and the divisor's bytes:
-# bialternant((1,), (0, 10**5)) divides 200,000 by 100,000 bytes, 5.0 * 10**9
-# steps, in 1.2 s, and (0, 10**6) would take minutes for 5.0 * 10**11 steps.
+# byte steps against it before they run.  CPython's divmod is quadratic,
+# about 0.13 ns per byte of the quotient times byte of the divisor, so a
+# divmod charges a quarter of the product of the numerator's and the
+# divisor's bytes: bialternant((1,), (0, 10**5)) divides 200,000 by 100,000
+# bytes, 5.0 * 10**9 steps, in 1.2 s, and (0, 10**6) would take minutes for
+# 5.0 * 10**11 steps.
 _MAX_BIGINT_WORK = 10**10
 
 # struct codes of the native signed C integers, by their size in bytes.  A
@@ -219,8 +218,9 @@ def _packed_quotient(num: int, den: int, low: int, width: int,
     num = A(X) and den = B(X) at X = 2**(8*width), every coefficient of A
     and of B in [-X/2, X/2); the quotient's digit 0 is the exponent low.
     The powers of X that divide each are stripped, so the quotient is a
-    polynomial, and one divmod gives Q(X); a remainder raises NotDivisible
-    (``_PackedRemainder``) at once.
+    polynomial, and one divmod gives Q(X).  A remainder raises NotDivisible
+    at once, as a proof: q -> X is a ring homomorphism, and A = B * Q would
+    make A(X) = B(X) * Q(X).
     Every divmod whose work, a quarter of the product of the two operands'
     bytes, passes ``_MAX_BIGINT_WORK`` raises ValueError before it runs.
     Q's digits are its coefficients when the caller's width bounds them a
@@ -250,7 +250,7 @@ def _packed_quotient(num: int, den: int, low: int, width: int,
                              f"{work} division steps, over the limit of {_MAX_BIGINT_WORK}")
         quot, rem = divmod(num, den)
         if rem:
-            raise _PackedRemainder("remainder in packed division")
+            raise NotDivisible("remainder in packed division")
         # a candidate's top digit may carry past quot's bit length
         q = _unpack_poly(quot, low, quot.bit_length() // unit + 2, width)
         if num_max is None:
@@ -280,14 +280,22 @@ def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly":
 
 
 def _long_div(a: Mapping[int, int], b: Mapping[int, int]) -> "LaurentPoly":
-    """Quotient a / b of nonzero term dicts by long division; NotDivisible on a remainder."""
+    """Quotient a / b of nonzero term dicts by long division; NotDivisible on a remainder.
+
+    ValueError once its charge, see ``_UPDATE_STEPS``, passes ``_MAX_SERIES_WORK``.
+    """
     av, bv = min(a), min(b)
     rem = {e - av: c for e, c in a.items()}
     div = {e - bv: c for e, c in b.items()}
     bdeg = max(div)
     blead = div[bdeg]
     quot: dict[int, int] = {}
+    steps = 0
     while rem:
+        steps += len(rem) + _UPDATE_STEPS * len(div)
+        if steps > _MAX_SERIES_WORK:
+            raise ValueError(f"a long division of {len(a)} by {len(b)} terms would take {steps} "
+                             f"or more steps, over the limit of {_MAX_SERIES_WORK}")
         rdeg = max(rem)
         if rdeg < bdeg:
             raise NotDivisible("remainder after division")
@@ -486,10 +494,8 @@ class LaurentPoly:
         expected quotient terms) reach ``_KRONECKER_CUTOFF`` times the
         dividend's span, both operands are packed and divided by
         ``_packed_quotient``, proven from max|self| and the divisor's
-        absolute sum; it raises ValueError for a divmod past
-        ``_MAX_BIGINT_WORK``.  Otherwise, and on a packed remainder, the
-        long division (``_long_div``) decides and raises NotDivisible; it
-        runs at most once, since ``_packed_quotient`` may end in it too.
+        absolute sum, else by ``_long_div``.  Either raises NotDivisible on
+        a remainder, and ValueError past its work limit.
         """
         if isinstance(other, int):
             other = LaurentPoly({0: other})
@@ -507,11 +513,8 @@ class LaurentPoly:
             # both operands must pack: |c| < X/2 for every coefficient of A and of B
             bits = max(max_a, max(map(abs, cb))).bit_length() + overlap.bit_length() + 2
             width = bits // 8 + 1
-            try:
-                return _packed_quotient(_pack(ca, width), _pack(cb, width), low_a - low_b,
-                                        width, max_a, sum(map(abs, cb)))
-            except _PackedRemainder:
-                pass
+            return _packed_quotient(_pack(ca, width), _pack(cb, width), low_a - low_b,
+                                    width, max_a, sum(map(abs, cb)))
         return _long_div(a, b)
 
     # ---- comparison / hashing ----

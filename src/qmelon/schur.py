@@ -35,9 +35,10 @@ of every interface; it shares nothing with the pairing but the unpacking.
 ``laurent._MAX_DENSE_COEFFS`` and an alternant of more than
 ``laurent._MAX_BIGINT_WORK`` steps, and ``_schur_pairing`` a box sum of
 more than ``laurent._MAX_DENSE_COEFFS`` packed bytes or more than
-``laurent._MAX_BIGINT_WORK`` minor steps, before any polynomial is built;
-the packed quotient both end in refuses a divmod past that same limit
-before it runs.
+``laurent._MAX_BIGINT_WORK`` minor steps, before any polynomial is built
+(a Bareiss alternant by a lower bound, then by ``det_fraction_free``'s
+charge before any entry is packed); the packed quotient both end in
+refuses a divmod past that same limit before it runs.
 ``tableau_sum`` refuses a branching and unpacking of more than
 ``_MAX_BRANCHING_STEPS`` steps before it sweeps the level that passes the
 limit.
@@ -97,25 +98,20 @@ def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tupl
     Up to ``_MINORS_MAX_ROWS`` rows it is one maximal minor, whose work is
     predicted as its n * 2**(n-1) big-int steps times the bytes of the
     packed value; above that it is ``det_fraction_free`` of the monomial
-    matrix, charged as that charges it (``laurent._det_work``) before the
-    matrix is built.
+    matrix, which charges it once, and a lower bound of that charge, the
+    elimination of n x n constants, is charged before the matrix is built.
     """
     n = len(exponents)
     columns = [part + k for k, part in enumerate(reversed(pad(lam, n)))]
     span = (columns[-1] - columns[0]) * sum(map(abs, exponents)) if n else 0
-    lows = [x * columns[0 if x >= 0 else -1] for x in exponents]
-    low = sum(lows)
+    low = sum(x * columns[0 if x >= 0 else -1] for x in exponents)
     minor = n <= _MINORS_MAX_ROWS
     if minor:
         work = span * (n << n >> 1) * width
     else:
-        # the row and column shifts of det_fraction_free, and its width of
-        # n**n, the product of the rows' absolute sums
-        cols = [min(x * e - row_low for x, row_low in zip(exponents, lows))
-                for e in reversed(columns)]
-        degrees = [[x * e - row_low - c for e, c in zip(reversed(columns), cols)]
-                   for x, row_low in zip(exponents, lows)]
-        work = _det_work(degrees, (n**n).bit_length() // 8 + 1, span)[2]
+        # every minor holds a coefficient, so eliminating n x n constants at
+        # det_fraction_free's width of n**n bounds its charge from below
+        work = _det_work([[0] * n] * n, (n**n).bit_length() // 8 + 1, 0)[2]
     if work > _MAX_BIGINT_WORK:
         raise ValueError(f"shape {strip(lam)} in {n} letters would take {work} alternant "
                          f"steps, over the limit of {_MAX_BIGINT_WORK}")
@@ -259,8 +255,8 @@ def bialternant(lam: Sequence[int], exponents: Sequence[int]) -> LaurentPoly:
     N! makes the quotient's digits its coefficients.  A remainder raises
     RuntimeError; a quotient spanning more than ``laurent._MAX_DENSE_COEFFS``
     exponents, or an alternant of more than ``laurent._MAX_BIGINT_WORK``
-    steps, raises ValueError before any work, and a quotient past that
-    limit before its divmod.
+    steps, raises ValueError before it is computed, and a quotient past
+    that limit before its divmod.
     """
     _require_distinct(exponents)
     lam = strip(check_partition(lam))

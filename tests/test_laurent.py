@@ -1,6 +1,7 @@
 import itertools
 import math
-import re
+import random
+import time
 from unittest import mock
 
 import pytest
@@ -221,14 +222,20 @@ def test_kronecker_div_never_accepts_a_remainder(p, r, extra):
     a = {e: c for e, c in a.items() if c}
     assume(a)
     spy, slow = long_div_spy()
+    patch, widths = quotient_widths()
     try:
         expected = naive_div(a, r)
-    except NotDivisible as exc:
-        with packed_route(), spy, pytest.raises(NotDivisible, match=re.escape(str(exc))):
+    except NotDivisible:
+        with packed_route(), spy, patch, pytest.raises(NotDivisible):
             LaurentPoly(a).exact_div(LaurentPoly(r))
-        # one long division, whether after a packed remainder or at the end
-        # of _packed_quotient's widths
-        assert len(slow) == 1
+        if widths:
+            # a packed remainder is the proof: long division runs only
+            # once _packed_quotient's three widths have run out
+            [divided] = widths
+            assert slow == [] or (len(slow) == 1 and len(divided) == 3)
+        else:
+            # the quotient has no digit to pack, and long division decides
+            assert len(slow) == 1
     else:
         with packed_route(), spy:
             assert LaurentPoly(a).exact_div(LaurentPoly(r))._terms == expected
@@ -255,19 +262,20 @@ def test_large_non_divisible_dividend_raises():
     divisor = {e - 10: (-3) ** e * 10**30 + e for e in range(60)}
     dividend = naive_mul({e: 7**e - 5 for e in range(80)}, divisor)
     dividend[17] += 1
-    with pytest.raises(NotDivisible) as oracle:
+    with pytest.raises(NotDivisible):
         naive_div(dividend, divisor)
     spy, slow = long_div_spy()
     patch, widths = quotient_widths()
-    with spy, patch, pytest.raises(NotDivisible, match=re.escape(str(oracle.value))):
+    with spy, patch, pytest.raises(NotDivisible, match="^remainder in packed division$"):
         LaurentPoly(dividend).exact_div(LaurentPoly(divisor))
-    # the packed divmod leaves a remainder, and long division decides
-    assert len(widths) == len(slow) == 1
+    # the packed divmod leaves a remainder, which proves that there is no
+    # quotient: no long division runs
+    assert len(widths) == 1 and slow == []
     dividend[17] -= 1
     with spy, patch:
         assert LaurentPoly(dividend).exact_div(LaurentPoly(divisor)) == LaurentPoly(
             {e: 7**e - 5 for e in range(80)})
-    assert len(widths) == len(slow) + 1 == 2
+    assert len(widths) == 2 and slow == []
 
 
 def test_exact_div_refuses_a_divmod_past_the_quotient_limit():
@@ -288,6 +296,42 @@ def test_exact_div_refuses_a_divmod_past_the_quotient_limit():
     with packed_route(), mock.patch.object(laurent, "_MAX_BIGINT_WORK", 199):
         with pytest.raises(ValueError, match="^a packed quotient of 400 by 2 bytes "):
             dividend.exact_div(divisor)
+
+
+def test_long_division_is_charged_as_it_runs(monkeypatch):
+    # q**3 - 1 over q - 1 takes three quotient terms, each scanning a
+    # remainder of two terms and updating the divisor's two, at 24 steps an
+    # update: exact at the limit, and one below it refused as the third
+    # term is charged
+    steps = 3 * (2 + 2 * 24)
+    dividend, divisor = LaurentPoly({0: -1, 3: 1}), LaurentPoly({0: -1, 1: 1})
+    monkeypatch.setattr(laurent, "_MAX_SERIES_WORK", steps)
+    assert dividend.exact_div(divisor) == LaurentPoly({0: 1, 1: 1, 2: 1})
+    monkeypatch.setattr(laurent, "_MAX_SERIES_WORK", steps - 1)
+    with pytest.raises(ValueError, match=f"^a long division of 2 by 2 terms would take {steps} "
+                                         f"or more steps, over the limit of {steps - 1}$"):
+        dividend.exact_div(divisor)
+
+
+def sparse_pair(rng, quotient_terms, divisor_terms, span):
+    """A random sparse quotient and divisor over span exponents, and their product."""
+    quotient = {rng.randrange(span): rng.randint(1, 10**6) for _ in range(quotient_terms)}
+    divisor = {rng.randrange(span): rng.randint(1, 10**6) for _ in range(divisor_terms)}
+    return naive_mul(quotient, divisor), divisor, quotient
+
+
+def test_long_division_budget_at_the_measured_points():
+    # a 1,000-term quotient by a 10-term divisor, 5.5 * 10**6 steps, is kept;
+    # at 3,000 terms the scans alone pass 2 * 10**7, and the call is refused
+    # after about that much work instead of running for 1.6 s
+    rng = random.Random(61)
+    dividend, divisor, quotient = sparse_pair(rng, 1000, 10, 3 * 10**5)
+    assert LaurentPoly(dividend).exact_div(LaurentPoly(divisor))._terms == quotient
+    dividend, divisor, quotient = sparse_pair(rng, 3000, 10, 3 * 10**5)
+    start = time.process_time()
+    with pytest.raises(ValueError, match=f"^a long division of {len(dividend)} by "):
+        LaurentPoly(dividend).exact_div(LaurentPoly(divisor))
+    assert time.process_time() - start < 1.5
 
 
 @settings(deadline=None, max_examples=100)
@@ -377,12 +421,15 @@ def test_kronecker_div_packs_a_divisor_wider_than_the_dividend():
     # the pack width has to fit the divisor's coefficients, not only the dividend's
     dividend = {e: 1 for e in range(200)}
     divisor = {e: 10**30 for e in range(20)}
-    with pytest.raises(NotDivisible) as oracle:
+    with pytest.raises(NotDivisible):
         naive_div(dividend, divisor)
     spy, slow = long_div_spy()
-    with packed_route(), spy, pytest.raises(NotDivisible, match=re.escape(str(oracle.value))):
+    patch, widths = quotient_widths()
+    with packed_route(), spy, patch, pytest.raises(NotDivisible):
         LaurentPoly(dividend).exact_div(LaurentPoly(divisor))
-    assert slow
+    # one divmod at a width that holds 10**30 decides, with no long division
+    [[width]] = widths
+    assert 10**30 < 1 << 8 * width - 1 and slow == []
     # prod (1 + q**a) divides prod (1 - q**(2a)), and its coefficients, near
     # 2**40 / 40**1.5, are over 10**6 times those of the dividend
     divisor, quotient = {0: 1}, {e: 1 for e in range(1500)}

@@ -404,41 +404,91 @@ def test_bialternant_quotient_budget_at_the_measured_points():
     assert time.perf_counter() - start < 1.0
 
 
-def alternant_work(n, lam, exponents, minors):
-    """The work _alternant predicts: its minor's, or det_fraction_free's charge."""
+def minor_work(n, lam, exponents):
+    """The work _alternant charges one maximal minor."""
     powers = [part + n - 1 - k for k, part in enumerate(lam + (0,) * (n - len(lam)))]
     span = (max(powers) - min(powers)) * sum(map(abs, exponents))
-    if minors:
-        return n * 2 ** (n - 1) * (math.factorial(n).bit_length() // 8 + 1) * span
+    return n * 2 ** (n - 1) * (math.factorial(n).bit_length() // 8 + 1) * span
+
+
+def bareiss_charge(n, lam, exponents):
+    """det_fraction_free's charge of the alternant's monomial matrix: (minors, bytes, work)."""
+    powers = [part + n - 1 - k for k, part in enumerate(lam + (0,) * (n - len(lam)))]
+    span = (max(powers) - min(powers)) * sum(map(abs, exponents))
     rows = [[x * e for e in powers] for x in exponents]
     lows = [min(row) for row in rows]
     cols = [min(x - low for x, low in zip(col, lows)) for col in zip(*rows)]
     degrees = [[x - low - c for x, c in zip(row, cols)] for row, low in zip(rows, lows)]
-    return laurent._det_work(degrees, (n**n).bit_length() // 8 + 1, span)[2]
+    return laurent._det_work(degrees, (n**n).bit_length() // 8 + 1, span)
+
+
+def lower_charge(n):
+    """_alternant's charge above the minors cutoff: n x n constants at the width of n**n."""
+    return laurent._det_work([[0] * n] * n, (n**n).bit_length() // 8 + 1, 0)[2]
 
 
 @pytest.mark.parametrize("cutoff", [0, 99])
 def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
-    # the limit is met exactly at the predicted work on both routes; one
-    # below it, the call is refused before any minor or matrix is built
+    # the limit is met exactly at the charged work on both routes; one below
+    # it, the call is refused before any minor or matrix is built, or, on
+    # the Bareiss route, before any entry is packed
     monkeypatch.setattr(schur, "_MINORS_MAX_ROWS", cutoff)
     for point in [(7, 0, 3, -2), (-1, 4, 2)]:
         n = len(point)
         for lam in enumerate_in_box(n, 2):
-            work = alternant_work(n, lam, point, cutoff > n)
             rows = [[LaurentPoly.q_power(x * (part + n - 1 - k)) for k, part in enumerate(lam)]
                     for x in point]
-            monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work)
-            assert alternant(point, lam) == perm_det(rows)
-            monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work - 1)
-            monkeypatch.setattr(schur, "_maximal_minors", None)
-            monkeypatch.setattr(schur, "det_fraction_free", None)
+            if cutoff > n:
+                work = minor_work(n, lam, point)
+                monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work)
+                assert alternant(point, lam) == perm_det(rows)
+                monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work - 1)
+                monkeypatch.setattr(schur, "_maximal_minors", None)
+            else:
+                # _alternant charges its lower bound, det_fraction_free the
+                # matrix's own degrees, once
+                _, size, work = bareiss_charge(n, lam, point)
+                lower = lower_charge(n)
+                assert lower <= work
+                charges = []
+                real = laurent._det_work
+
+                def spy(degrees, width, span):
+                    charges.append(span)
+                    return real(degrees, width, span)
+
+                monkeypatch.setattr(laurent, "_det_work", spy)
+                monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", lower)
+                monkeypatch.setattr(laurent, "_MAX_BIGINT_WORK", work)
+                assert alternant(point, lam) == perm_det(rows)
+                monkeypatch.setattr(laurent, "_MAX_BIGINT_WORK", work - 1)
+                monkeypatch.setattr(laurent, "_two_point_det", None)
+                with pytest.raises(ValueError, match=f"^a determinant of {n} rows and {size} bytes "
+                                                     f"would take {work} elimination steps, over "
+                                                     f"the limit of {work - 1}$"):
+                    alternant(point, lam)
+                assert len(charges) == 2 and all(charges)
+                work = lower
+                monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work - 1)
+                monkeypatch.setattr(schur, "det_fraction_free", None)
             with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} in {n} "
                                                  f"letters would take {work} alternant steps, "
                                                  f"over the limit of {work - 1}$"):
                 alternant(point, lam)
             monkeypatch.undo()
             monkeypatch.setattr(schur, "_MINORS_MAX_ROWS", cutoff)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=15, max_value=60).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(min_value=-200, max_value=200), min_size=n, max_size=n, unique=True),
+    st.lists(st.integers(min_value=0, max_value=8), max_size=n))))
+def test_alternant_lower_bound_is_below_the_exact_charge(case):
+    # every Bareiss step divides minors of at least one coefficient, so the
+    # charge of n x n constants never passes that of the monomial matrix
+    point, parts = case
+    n = len(point)
+    assert lower_charge(n) <= bareiss_charge(n, tuple(sorted(parts, reverse=True)), point)[2]
 
 
 class Eliminated(Exception):
@@ -448,16 +498,17 @@ class Eliminated(Exception):
 @pytest.mark.parametrize("lam, n, accepted", [
     ((3, 2, 1), 18, True), ((5, 5, 5), 18, True), ((3, 2, 1), 19, False), ((2, 1), 20, False)])
 def test_bareiss_alternant_is_charged_once(monkeypatch, lam, n, accepted):
-    # above the minors cutoff the alternant is det_fraction_free of its
-    # monomial matrix, and _alternant charges that determinant's own
-    # charge: the 18-letter ones, 3-5 s of elimination, are accepted by
-    # both, the longer ones refused before the matrix is built
+    # above the minors cutoff _alternant charges the elimination of n x n
+    # constants, and det_fraction_free then charges the monomial matrix
+    # once, from its degrees: the 18-letter ones, 3-5 s of elimination,
+    # are accepted, the longer ones refused before any entry is packed,
+    # at the step counts _alternant charged them before it had a bound
     charges = []
     real = laurent._det_work
 
     def spy(degrees, width, span):
-        charges.append(real(degrees, width, span))
-        return charges[-1]
+        charges.append((span, real(degrees, width, span)))
+        return charges[-1][1]
 
     def stop(*args):
         raise Eliminated
@@ -468,15 +519,15 @@ def test_bareiss_alternant_is_charged_once(monkeypatch, lam, n, accepted):
     if accepted:
         with pytest.raises(Eliminated):
             bialternant(lam, tuple(range(n)))
-        [first, second] = charges
-        assert first == second and first[2] <= laurent._MAX_BIGINT_WORK
     else:
-        monkeypatch.setattr(schur, "det_fraction_free", None)
-        with pytest.raises(ValueError, match=f"^shape {re.escape(str(lam))} in {n} letters "
-                                             f"would take \\d+ alternant steps"):
+        steps = {19: 12021137478, 20: 17525291193}[n]
+        with pytest.raises(ValueError, match=f"^a determinant of {n} rows and \\d+ bytes would "
+                                             f"take {steps} elimination steps, over the limit "
+                                             f"of 10000000000$"):
             bialternant(lam, tuple(range(n)))
-        [(minors, size, work)] = charges
-        assert work > laurent._MAX_BIGINT_WORK
+    [(zero, lower), (span, exact)] = charges
+    assert zero == 0 < span and lower[2] <= exact[2]
+    assert (exact[2] <= laurent._MAX_BIGINT_WORK) == accepted
 
 
 def test_alternant_budget_accepts_the_measured_cases():
