@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -60,20 +59,16 @@ def _fail_usage(message: str) -> int:
 # ---------------------------------------------------------------- schur
 
 def cmd_schur(args) -> int:
-    try:
-        lam = parse_partition(args.shape)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    lam = strip(lam)
-    m = args.vars if args.vars is not None else max(1, len(lam))
-    if m < len(lam):
-        return _fail_usage(f"shape has {len(lam)} parts but only {m} variables")
     algs = list(_SCHUR_ROUTES) if args.alg == "all" else [args.alg]
     try:
+        lam = strip(parse_partition(args.shape))
+        m = args.vars if args.vars is not None else max(1, len(lam))
+        if m < len(lam):
+            return _fail_usage(f"shape has {len(lam)} parts but only {m} variables")
         values = {name: _SCHUR_ROUTES[name](lam, m) for name in algs}
     except ValueError as exc:
         return _fail_usage(str(exc))
-    agree = len({tuple(map(tuple, p.to_pairs())) for p in values.values()}) == 1
+    agree = len(set(values.values())) == 1
     if args.format == "json":
         payload = {
             "shape": list(lam),
@@ -82,13 +77,12 @@ def cmd_schur(args) -> int:
             "agree": agree,
         }
         print(json.dumps(payload, sort_keys=True))
+    elif len(values) == 1:
+        print(str(next(iter(values.values()))))
     else:
-        if len(values) == 1:
-            print(str(next(iter(values.values()))))
-        else:
-            for name, value in values.items():
-                print(f"{name}: {value}")
-            print(f"verdict: {'OK' if agree else 'DISAGREE'}")
+        for name, value in values.items():
+            print(f"{name}: {value}")
+        print(f"verdict: {'OK' if agree else 'DISAGREE'}")
     return 0 if agree else 1
 
 
@@ -186,25 +180,25 @@ def cmd_verify(args) -> int:
 
 def cmd_count(args) -> int:
     n, l, m = args.n, args.l, args.m
+    route = {"number": count_deviation, "genfunc": closed_genfunc, "zq": zq}[args.what]
     try:
-        if args.what == "number":
-            value = count_deviation(n, l, m)
-        elif args.what == "genfunc":
-            value = closed_genfunc(n, l, m)
-        else:
-            value = zq(n, l, m)
+        value = route(n, l, m)
     except (ValueError, ArithmeticError) as exc:
         return _fail_usage(str(exc))
+    if args.what == "number" and hasattr(sys, "set_int_max_str_digits"):
+        # count_deviation charges the decimal form: the digit limit is lifted for it alone
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        value = str(value)
+        sys.set_int_max_str_digits(digits)
     if args.format == "json":
         # the keys of json.dumps(..., sort_keys=True), the value written directly
-        wire = value if isinstance(value, int) else value._wire_json()
+        wire = value if args.what == "number" else value._wire_json()
         print(f'{{"l": {l}, "m": {m}, "n": {n}, "value": {wire}, "what": "{args.what}"}}')
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "l", "m", "what", "value"])
-        writer.writerow([n, l, m, args.what, str(value)])
-        sys.stdout.write(buf.getvalue())
+        writer.writerow([n, l, m, args.what, value])
     else:
         print(str(value))
     return 0

@@ -308,15 +308,19 @@ def _weyl_dim(lam: tuple[int, ...], n: int) -> int:
     pairs of two nonzero parts give l_i - l_j over (p - 1 - i)! in all.  Per
     part that is C(l_i + n - 1, lam_i) over the falling factorial
     (l_i + p - 1) ... (lam_i + 1), so a long alphabet builds no large
-    factorial.  Memoized: the watermelon width bound asks for the same
-    shapes on every call with the same box.
+    factorial; p parts make C(p, 2) pairs, and a remainder raises
+    RuntimeError.  Memoized: watermelon width bounds ask for the same shapes.
     """
     parts = len(lam) - lam.count(0)
     shifted = list(map(sub, lam, range(parts)))
     value = prod(starmap(sub, combinations(shifted, 2)))
     for x, part in zip(shifted, lam):
         value *= comb(x + n - 1, part)
-    return value // prod(perm(x + parts - 1, parts - 1 - i) for i, x in enumerate(shifted))
+    value, rem = divmod(value, prod(perm(x + parts - 1, parts - 1 - i)
+                                    for i, x in enumerate(shifted)))
+    if rem:
+        raise RuntimeError("Weyl's product lost exactness")
+    return value
 
 
 # The most steps tableau_sum may take, counted as in _tableau_series.  A

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 
 from qmelon import cli, schur
 from qmelon.cli import main
+from qmelon.laurent import LaurentPoly
 from qmelon.paths import closed_genfunc, count_deviation
 from qmelon.planepartitions import zq
 
@@ -60,6 +62,23 @@ def test_schur_all_agrees(capsys):
     assert len(lines) == 6
 
 
+def test_schur_all_compares_the_polynomials(capsys, monkeypatch):
+    # the verdict converts no coefficient to text: only the JSON payload does
+    monkeypatch.setattr(LaurentPoly, "to_pairs", None)
+    code, out, _ = run_main(capsys, "schur", "--shape", "[2,1]", "--vars", "3",
+                            "--alg", "all")
+    assert code == 0 and out.splitlines()[-1] == "verdict: OK"
+    monkeypatch.undo()
+    product = cli._SCHUR_ROUTES["product"]
+    monkeypatch.setitem(cli._SCHUR_ROUTES, "product", lambda lam, m: product(lam, m) + 1)
+    code, out, _ = run_main(capsys, "schur", "--shape", "[2,1]", "--vars", "3",
+                            "--alg", "all")
+    assert code == 1 and out.splitlines()[-1] == "verdict: DISAGREE"
+    code, out, _ = run_main(capsys, "schur", "--shape", "[2,1]", "--vars", "3",
+                            "--alg", "all", "--format", "json")
+    assert code == 1 and json.loads(out)["agree"] is False
+
+
 def test_schur_single_default(capsys):
     code, out, _ = run_main(capsys, "schur", "--shape", "[]", "--vars", "1")
     assert code == 0
@@ -84,6 +103,7 @@ def test_schur_parse_error(capsys):
 def test_schur_not_enough_vars(capsys):
     code, _, err = run_main(capsys, "schur", "--shape", "[2,1,1]", "--vars", "2")
     assert code == 2
+    assert err == "error: shape has 3 parts but only 2 variables\n"
 
 
 def test_schur_single_alg_runs_only_that_route(capsys, monkeypatch):
@@ -155,6 +175,46 @@ def test_count_json_is_json_dumps_byte_for_byte(capsys, what, box):
     assert code == 0
     assert out == json.dumps({"n": n, "l": l, "m": m, "what": what, "value": wire},
                              sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int-to-str digit limit, where the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_count_number_past_the_int_str_digit_limit(capsys, fmt, default_digit_limit):
+    # 30,678 digits, past the default limit of 4,300; the limit is lifted for
+    # the conversion alone
+    code, out, err = run_main(capsys, "count", "--n", "300", "--l", "300", "--m", "300",
+                              "--format", fmt)
+    assert code == 0 and err == ""
+    digits = str(decimal.Decimal(count_deviation(300, 300, 300)))
+    assert len(digits) == 30678
+    assert out == {"text": f"{digits}\n",
+                   "json": f'{{"l": 300, "m": 300, "n": 300, "value": {digits}, '
+                           f'"what": "number"}}\n',
+                   "csv": f"n,l,m,what,value\n300,300,300,number,{digits}\n"}[fmt]
+    if default_digit_limit is not None:
+        assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+@pytest.mark.parametrize("sides", [("1000", "1000", "1000"), ("1", "1000000000", "1000000000"),
+                                   ("1" + "0" * 200,) * 3])
+def test_huge_count_is_one_usage_error_at_once(capsys, sides):
+    start = time.process_time()
+    code, out, err = run_main(capsys, "count", "--n", sides[0], "--l", sides[1],
+                              "--m", sides[2])
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_count_negative(capsys):

@@ -2,7 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from box_oracle import box_terms
@@ -12,7 +14,6 @@ from qmelon.cli import _melon_point_lists, main
 from qmelon.laurent import LaurentPoly
 from qmelon.partitions import enumerate_in_box, strip, weight
 from qmelon.paths import (
-    NonIntegral,
     Watermelon,
     b_phase_points,
     c_phase_points,
@@ -250,10 +251,68 @@ def test_count_deviation_is_the_exact_int(box):
 
 
 def test_count_deviation_raises_on_a_remainder(monkeypatch):
-    # (1 + 2) / 2 over a single hook of 2: the remainder is not dropped
-    monkeypatch.setattr(paths, "_hooks", lambda n, m: [2])
-    with pytest.raises(NonIntegral, match=r"^count for \(1, 1, 1\) is not an integer$"):
+    # the box 1 x 1 x 1 is Weyl's C(2, 1) = 2 over a divisor of 1: with a
+    # divisor of 3, the remainder is not dropped
+    monkeypatch.setattr(schur, "perm", lambda n, k: 3)
+    schur._weyl_dim.cache_clear()
+    with pytest.raises(RuntimeError, match=r"^Weyl's product lost exactness$"):
         count_deviation(1, 1, 1)
+
+
+# Every box with sides in this set and at most 2 * 10**6 cells: 508 boxes,
+# closed under permuting the sides.
+WEYL_GRID = [box for box in itertools.product((0, 1, 2, 3, 10, 30, 100, 200), repeat=3)
+             if math.prod(box) <= 2 * 10**6]
+
+
+@cache
+def sorted_box_oracle(sides: tuple[int, int, int]) -> Fraction:
+    # the double product over the two shortest sides has the fewest factors
+    n, m, l = sides
+    return count_oracle(n, l, m)
+
+
+@pytest.mark.parametrize("box", WEYL_GRID)
+def test_count_deviation_is_the_double_product_in_every_side_order(box):
+    want = sorted_box_oracle(tuple(sorted(box)))
+    for sides in itertools.permutations(box):
+        assert count_deviation(*sides) == want
+
+
+@pytest.mark.parametrize("box", [(1000, 1, 1), (1, 1, 10**6), (200, 10, 200)])
+def test_count_deviation_sorts_the_sides(box):
+    # unsorted, Weyl's product of (1,) * 1000 multiplies C(1000, 2) pairs,
+    # about 40 s; the hook product of (1, 1, 10**6) ran past a minute
+    schur._weyl_dim.cache_clear()
+    start = time.process_time()
+    value = count_deviation(*box)
+    assert time.process_time() - start < 0.5
+    assert value == sorted_box_oracle(tuple(sorted(box)))
+
+
+def test_count_deviation_work_limit_boundary(monkeypatch):
+    # 10 x 20 x 30: at most 200 * log2(e * 50 / 20) = 552.9 bits, so 70
+    # bytes and 2 * 70**2 = 9800 steps, charged before the product runs
+    want = sorted_box_oracle((10, 20, 30))
+    monkeypatch.setattr(paths, "_MAX_BIGINT_WORK", 9800)
+    for sides in itertools.permutations((10, 20, 30)):
+        assert count_deviation(*sides) == want
+    monkeypatch.setattr(paths, "_MAX_BIGINT_WORK", 9799)
+    monkeypatch.setattr(paths, "_weyl_dim", None)
+    for sides in itertools.permutations((10, 20, 30)):
+        with pytest.raises(ValueError, match=r"^the count of the box 10x20x30 has up to 70 "
+                                             r"bytes, 9800 steps, over the limit of 9799$"):
+            count_deviation(*sides)
+
+
+@pytest.mark.parametrize("box", [(1000, 1000, 1000), (1, 10**9, 10**9), (10**9, 10**9, 1)])
+def test_count_deviation_refuses_a_huge_count_at_once(box, monkeypatch):
+    monkeypatch.setattr(paths, "_weyl_dim", None)
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"^the count of the box \d+x\d+x\d+ has up to \d+ "
+                                         r"bytes, \d+ steps, over the limit of 10000000000$"):
+        count_deviation(*box)
+    assert time.process_time() - start < 0.5
 
 
 @pytest.mark.parametrize("box", [(-1, 2, 2), (2, -1, 2), (2, 2, -1)])
