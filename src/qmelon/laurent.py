@@ -40,17 +40,22 @@ evaluates the lower half of the ratio as a truncated dense power series
 and mirrors it, the ratio being palindromic up to sign.
 
 :func:`det_fraction_free` applies the substitution once per matrix, not
-once per operation: its rows and columns are shifted to polynomials,
-every entry is evaluated at q = Y and q = -Y, and the two integer
-determinants, expanded by minors or eliminated by Bareiss, give the even
-and the odd coefficients (``_two_point_det``), proven by an a-priori
-bound: the Leibniz bound, or the value D(1) at q = 1 when the caller has
-proven the coefficients nonnegative, as for a matrix of path weights.
-A matrix of monomial rows, of zero span, is not packed but
-eliminated on its coefficients, so every determinant of 3 rows or more is
-computed on ints.  The integer routine's work, predicted from bounds on
-the degrees of the minors it builds (``_det_work``), is charged against
-``_MAX_BIGINT_WORK`` before any entry is packed or eliminated.
+once per operation, through ``_det_core``, which reads four facts of each
+entry: its valuation, its degree, its |a|_1 (or its value at q = 1) and
+its values at q = Y and q = -Y.  The rows and columns are shifted to
+polynomials, and the two integer determinants at q = +-Y, expanded by
+minors or eliminated by Bareiss, give the even and the odd coefficients
+(``_two_point_det``), proven by an a-priori bound: the Leibniz bound, or
+the value D(1) at q = 1 when the caller has proven the coefficients
+nonnegative, as for a matrix of path weights.  A matrix of monomial rows,
+of zero span, is eliminated on its coefficients, so every determinant of 3
+rows or more is computed on ints.  The integer routine's work, predicted
+from bounds on the degrees of the minors it builds (``_det_work``), is
+charged against ``_MAX_BIGINT_WORK`` before any entry is evaluated.
+``det_fraction_free`` reads the facts off each entry's coefficients and
+packs them; a caller that knows them in closed form feeds the core
+directly and builds no coefficient list (``qanalogs._qbinomial_det`` for
+Gaussian binomials, ``schur._alternant`` for monomials).
 
 ``_packed_quotient`` divides two polynomials packed at one width, for its
 callers and for :meth:`LaurentPoly.exact_div`: one ``divmod``, and only
@@ -67,6 +72,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
+from functools import partial
 from itertools import accumulate
 from math import gcd, isqrt, prod
 from operator import sub
@@ -133,14 +139,16 @@ _UPDATE_STEPS = 24
 
 # The most big-integer work of one step, about 3 s of CPython 3.11 (2.1 to
 # 11.5 s for a determinant, see _det_work): each of _packed_quotient's
-# divmods, det_fraction_free's integer determinants, schur's alternants
-# and pairings, and the passes of planepartitions.zq charge their predicted
-# byte steps against it before they run.  CPython's divmod is quadratic,
-# about 0.13 ns per byte of the quotient times byte of the divisor, so a
-# divmod charges a quarter of the product of the numerator's and the
-# divisor's bytes: bialternant((1,), (0, 10**5)) divides 200,000 by 100,000
-# bytes, 5.0 * 10**9 steps, in 1.2 s, and (0, 10**6) would take minutes for
-# 5.0 * 10**11 steps.
+# divmods, _det_core's integer determinants, schur's alternants and
+# pairings, qanalogs' q-binomial chains and the passes of planepartitions.zq
+# charge their predicted byte steps against it before they run (a chain
+# step took 0.38-0.75 ns on 9 chains of r = 199 to 100,000 at 4- to 40-byte
+# points, so a chain at the limit would take 3.8-7.5 s).  CPython's divmod
+# is quadratic, about 0.13 ns per byte of the quotient times byte of the
+# divisor, so a divmod charges a quarter of the product of the numerator's
+# and the divisor's bytes: bialternant((1,), (0, 10**5)) divides 200,000 by
+# 100,000 bytes, 5.0 * 10**9 steps, in 1.2 s, and (0, 10**6) would take
+# minutes for 5.0 * 10**11 steps.
 _MAX_BIGINT_WORK = 10**10
 
 # struct codes of the native signed C integers, by their size in bytes.  A
@@ -709,39 +717,12 @@ def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPo
     Integer matrices go through it too: PolyMatrix embeds ints as
     constants, so ``det_fraction_free(PolyMatrix(rows)).coeff(0)`` is the
     integer determinant of ``rows``.  Sizes below 3 are expanded directly.
-
-    Larger matrices are shifted: row i by q**(-v_i), v_i the least
-    exponent in the row.  When the row spans sum to S = 0, every entry is
-    c_ij * q**v_i and the determinant is q**(sum v_i) det(c_ij), eliminated
-    on the ints c_ij with no packing.  Otherwise column j is shifted by
-    q**(-c_j), c_j the least exponent left in it (0 for an all-zero
-    column), so every entry is a polynomial and a power of q that a whole
-    column shares is not packed; the determinant D of the shifted entries
-    has degree at most S' = sum_i max_j (deg a_ij - v_i - c_j) <= S.  By
-    the Leibniz expansion its coefficients are at most
-    B = prod_i sum_j |a_ij|_1, |a|_1 the sum of the absolute coefficients
-    of a, which no shift changes.  A caller that has proven D to have
-    nonnegative coefficients, as the Lindstrom-Gessel-Viennot lemma does
-    for a matrix of path weights, passes ``_nonnegative=True``; every
-    coefficient is then at most D(1), and B is D(1) = det M(1), eliminated
-    by ``_bareiss`` on the entries' coefficient sums, no shift changing
-    it; B <= 0 disproves the flag and raises RuntimeError.  W is the least
-    width with 2**(8*W-1) > B.  ``_two_point_det`` evaluates the entries
-    at q = Y and q = -Y, Y = 2**(8*ceil(W/2)), and recovers D from the two
-    integer determinants; Y**2 > 2B proves its digits, whichever integer
-    routine ran, and an entry's own coefficients may be wider.  With the
-    flag, a tripwire also requires every recovered coefficient to be
-    nonnegative and their sum to be D(1), else RuntimeError.  A matrix of
-    at most ``_MINORS_DET_MAX_ROWS`` rows whose W * S reaches
-    ``_MINORS_DET_MIN_BYTES`` is expanded by minors, which has no
-    division and multiplies each large entry into a minor of the smaller
-    rows, any other eliminated by Bareiss; W and this choice use the row
-    shifts alone.  Every matrix of 3 rows or more, of zero span too, is
-    charged by ``_det_work`` from the degrees of its shifted entries, and
-    one whose charge passes ``_MAX_BIGINT_WORK`` raises ValueError before
-    any entry is packed or eliminated; so is the elimination of det M(1),
-    as the integer matrix of zero span it is, at the width of its own
-    Leibniz bound, which is at most B and is computed in place of B.
+    Larger matrices go to ``_det_core``, fed each entry's valuation,
+    degree and |a|_1, the sum of its absolute coefficients, or its value
+    at q = 1 when a caller has proven the determinant to have nonnegative
+    coefficients, as the Lindstrom-Gessel-Viennot lemma does for a matrix
+    of path weights (``_nonnegative=True``); its values at q = +-Y are
+    packed from its coefficients by ``_evaluate_matrix``.
 
     Every Bareiss division is exact by Sylvester's identity, for any
     nonzero pivot; a remainder would mean corrupted arithmetic, so it is
@@ -759,23 +740,77 @@ def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPo
     if n == 2:
         return m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
     a = [[x._terms for x in row] for row in m]
-    lows, span = [], 0
-    for row in a:
-        row_terms = [t for t in row if t]
-        if not row_terms:
-            return _ZERO
-        low = min(map(min, row_terms))
-        lows.append(low)
-        span += max(map(max, row_terms)) - low
     if _nonnegative:
-        # M(1), the entries' coefficient sums, bounded by its own Leibniz
-        # product, which is at most B
-        at_one = [[sum(t.values()) for t in row] for row in a]
+        facts = [[(min(t), max(t), sum(t.values())) if t else None for t in row] for row in a]
+    else:
+        facts = [[(min(t), max(t), sum(map(abs, t.values()))) if t else None for t in row]
+                 for row in a]
+    return _det_core(facts, partial(_evaluate_matrix, a), _nonnegative)
+
+
+# lows, cols, half -> the shifted entries' values at q = Y and at q = -Y
+_Values = Callable[[list[int], list[int], int], tuple[list[list[int]], list[list[int]]]]
+
+
+def _det_core(facts: list[list[tuple[int, int, int] | None]], values: _Values,
+              nonnegative: bool = False) -> LaurentPoly:
+    """The determinant of n >= 1 rows from four facts per entry.
+
+    facts[i][j] is None for a zero entry, else (v, d, w): the entry's
+    valuation v, its degree d, and w, its |a|_1 or, with ``nonnegative``,
+    its value a(1) at q = 1.  values(lows, cols, half) gives the matrices
+    of the entries' values at q = Y and at q = -Y, Y = 2**(8*half), each
+    entry (i, j) taken as q**(-lows[i] - cols[j]) * a_ij, a polynomial.
+    Nothing else of an entry is read, so a caller that knows these facts
+    in closed form builds no coefficient list (``qanalogs._qbinomial_det``,
+    ``schur._alternant``).
+
+    Row i is shifted by q**(-v_i), v_i its least valuation.  When the row
+    spans sum to S = 0, every entry is c_ij * q**v_i and the determinant
+    is q**(sum v_i) det(c_ij), eliminated on the ints c_ij, the values at
+    any point of the row-shifted entries.  Otherwise column j is shifted
+    by q**(-c_j), c_j the least valuation left in it (0 for an all-zero
+    column), so every entry is a polynomial and a power of q that a whole
+    column shares is not evaluated; the determinant D of the shifted
+    entries has degree at most S' = sum_i max_j (deg a_ij - v_i - c_j) <=
+    S.  By the Leibniz expansion its coefficients are at most
+    B = prod_i sum_j |a_ij|_1, which no shift changes.  With
+    ``nonnegative``, every coefficient is at most D(1), and B is
+    D(1) = det M(1), eliminated by ``_bareiss`` on the values a_ij(1);
+    B <= 0 disproves the flag and raises RuntimeError.  W is the least
+    width with 2**(8*W-1) > B.  ``_two_point_det`` recovers D from the two
+    integer determinants at q = Y and q = -Y, Y = 2**(8*ceil(W/2)); Y**2 >
+    2B proves its digits, whichever integer routine ran, and an entry's
+    own coefficients may be wider.  With the flag, a tripwire also requires
+    every recovered coefficient to be nonnegative and their sum to be
+    D(1), else RuntimeError.  A matrix of at most ``_MINORS_DET_MAX_ROWS``
+    rows whose W * S reaches ``_MINORS_DET_MIN_BYTES`` is expanded by
+    minors, which has no division and multiplies each large entry into a
+    minor of the smaller rows, any other eliminated by Bareiss; W and this
+    choice use the row shifts alone.  Every matrix, of zero span too, is
+    charged by ``_det_work`` from the degrees of its shifted entries, and
+    one whose charge passes ``_MAX_BIGINT_WORK`` raises ValueError before
+    ``values`` is called; so is the elimination of det M(1), as the integer
+    matrix of zero span it is, at the width of its own Leibniz bound,
+    which is at most B and is computed in place of B.
+    """
+    n = len(facts)
+    lows, span = [], 0
+    for row in facts:
+        present = [f for f in row if f]
+        if not present:
+            return _ZERO
+        low = min(present)[0]
+        lows.append(low)
+        span += max([f[1] for f in present]) - low
+    if nonnegative:
+        # M(1), bounded by its own Leibniz product, which is at most B
+        at_one = [[f[2] if f else 0 for f in row] for row in facts]
         bound = prod([sum(map(abs, row)) for row in at_one])
     else:
-        bound = prod([sum([abs(c) for t in row for c in t.values()]) for row in a])
+        bound = prod([sum([f[2] for f in row if f]) for row in facts])
     width = bound.bit_length() // 8 + 1
-    if not span or _nonnegative:
+    if not span or nonnegative:
         # every entry is c_ij * q**v_i at zero span, of degree 0 once its
         # row is shifted; M(1), eliminated first when the flag is set, is
         # such a matrix too
@@ -783,9 +818,9 @@ def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPo
     try:
         if not span:
             # D = q**(sum v_i) * det(c_ij)
-            value = _bareiss([[t.get(low, 0) for t in row] for row, low in zip(a, lows)])
+            value = _bareiss(values(lows, [0] * n, 1)[0])
             return _canonical({sum(lows): value}) if value else _ZERO
-        if _nonnegative:
+        if nonnegative:
             bound = _bareiss(at_one)
             if bound <= 0:
                 raise RuntimeError(f"a determinant flagged nonnegative has the value {bound} "
@@ -793,22 +828,23 @@ def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPo
             width = bound.bit_length() // 8 + 1
     except NotDivisible as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
-    # c_j, the least exponent of column j once the rows are shifted
-    cols = [min([min(t) - low for t, low in zip(col, lows) if t], default=0)
-            for col in zip(*a)]
+    # c_j, the least valuation of column j once the rows are shifted
+    cols = [min([f[0] - low for f, low in zip(col, lows) if f], default=0)
+            for col in zip(*facts)]
     # a zero entry's degree, below any that a potential can reach
     absent = -span - 1
-    degrees = [[max(t) - low - c if t else absent for t, c in zip(row, cols)]
-               for row, low in zip(a, lows)]
+    degrees = [[f[1] - low - c if f else absent for f, c in zip(row, cols)]
+               for row, low in zip(facts, lows)]
     minors, size, work = _det_work(degrees, width, span)
     _charge(n, minors, size, work)
-    shifted = sum(map(max, degrees))
     try:
-        det = _two_point_det(a, lows, cols, shifted, width, _minors_det if minors else _bareiss)
+        plus, minus = values(lows, cols, (width + 1) // 2)
+        det = _two_point_det(plus, minus, sum(lows) + sum(cols), sum(map(max, degrees)), width,
+                             _minors_det if minors else _bareiss)
     except (NotDivisible, OverflowError) as exc:
         raise RuntimeError("fraction-free elimination lost exactness") from exc
-    if _nonnegative and (min(det._terms.values(), default=0) < 0
-                         or det.eval_at_one() != bound):
+    if nonnegative and (min(det._terms.values(), default=0) < 0
+                        or det.eval_at_one() != bound):
         raise RuntimeError("a determinant flagged nonnegative lost exactness")
     return det
 
@@ -822,12 +858,12 @@ def _charge(n: int, minors: bool, size: int, work: int) -> None:
 
 
 def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, int, int]:
-    """(minors, M, work): det_fraction_free's integer routine and its charge.
+    """(minors, M, work): _det_core's integer routine and its charge.
 
     degrees[i][j] is the degree of entry (i, j) once its row and its column
     are shifted, and below -S for a zero entry, every row holding a
     nonzero one (at zero span the degrees are not read).  width is W, from
-    the Leibniz bound or from D(1) (see det_fraction_free), and span the
+    the Leibniz bound or from D(1) (see ``_det_core``), and span the
     row-shifted S >= S'.  Potentials with degrees[i][j] <= u_i + v_j
     on every nonzero entry bound the degree of the minor on rows I and
     columns J by the sum of u over I and of v over J, whichever permutation
@@ -840,7 +876,7 @@ def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, in
     deg D; d < 0 only when every permutation meets a zero entry, and M is
     then W.
 
-    The expansion by minors (``minors`` True, as det_fraction_free's
+    The expansion by minors (``minors`` True, as ``_det_core``'s
     docstring chooses it) is charged 2**n * M * isqrt(M) steps: 2**n
     states, each a Karatsuba product of about M * sqrt(M).  Bareiss is
     charged as ``_packed_quotient`` charges a divmod, a quarter of the
@@ -908,43 +944,23 @@ def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, in
     return False, size, work
 
 
-def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], cols: list[int],
-                   span: int, width: int, det: Callable[[list[list[int]]], int]) -> "LaurentPoly":
-    """det_fraction_free's packed determinant, from its values at q = Y and q = -Y.
+def _two_point_det(plus: list[list[int]], minus: list[list[int]], low: int, span: int,
+                   width: int, det: Callable[[list[list[int]]], int]) -> "LaurentPoly":
+    """``_det_core``'s determinant, from its values at q = Y and q = -Y.
 
-    Entry (i, j) is taken as q**(-lows[i] - cols[j]) * a[i][j], a
-    polynomial, and span bounds the degree of the determinant D(q) of those
-    shifted entries.  Y = 2**(8*half), half = ceil(width / 2), so
-    Y**2 >= 2**(8*width).  The integer routine ``det``, exact on any int
+    plus and minus hold the shifted entries' values at q = Y and q = -Y,
+    Y = 2**(8*half), half = ceil(width / 2), so Y**2 >= 2**(8*width); the
+    determinant D(q) of those entries has degree at most span, and the
+    result is q**low * D.  The integer routine ``det``, exact on any int
     matrix, gives D(Y) and D(-Y).  With D(q) = E(q**2) + q * O(q**2), they
     give O(Y**2) = (D(Y) - D(-Y)) / (2Y) and E(Y**2) = D(-Y) + Y * O(Y**2);
     the division must be exact, else NotDivisible, and it also makes
     D(Y) + D(-Y) even.  The coefficients of E and O are those of D, below
     2**(8*width-1) <= Y**2 / 2, so their digits at width 2 * half are
-    exact and interleave to D.  Each distinct entry, by identity, is
-    packed once per shift, by its even and by its odd coefficients, both
-    at width 2 * half; no coefficient has to fit in half bytes, nor in
-    2 * half bytes, since ``_evaluate_halves`` splits a wider one into
-    limbs, so an entry may be wider than D when width is that of D(1).  A
-    Toeplitz matrix of n rows with shared entries, such as
-    ``schur.h_determinant`` of a rectangle, packs 2n - 1 entries, not n**2.
+    exact and interleave to D.
     """
     half = (width + 1) // 2
     unit = 8 * half
-    points: dict[tuple[int, int], tuple[int, int]] = {}
-    plus, minus = [], []
-    for row, low in zip(a, lows):
-        row_plus, row_minus = [], []
-        for terms, c in zip(row, cols):
-            key = (id(terms), low + c)
-            pair = points.get(key)
-            if pair is None:
-                even, odd = _evaluate_halves(terms, low + c, half)
-                pair = points[key] = (even + (odd << unit), even - (odd << unit))
-            row_plus.append(pair[0])
-            row_minus.append(pair[1])
-        plus.append(row_plus)
-        minus.append(row_minus)
     at_minus = det(minus)
     twice_odd = det(plus) - at_minus
     if twice_odd & ((2 << unit) - 1):
@@ -954,8 +970,48 @@ def _two_point_det(a: list[list[Mapping[int, int]]], lows: list[int], cols: list
     coeffs = [0] * (span + 1)
     coeffs[0::2] = _unpack(even, span // 2 + 1, 2 * half)
     coeffs[1::2] = _unpack(odd, (span + 1) // 2, 2 * half)
-    low = sum(lows) + sum(cols)
     return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
+
+
+def _evaluate_matrix(a: list[list[Mapping[int, int]]], lows: list[int], cols: list[int],
+                     half: int) -> tuple[list[list[int]], list[list[int]]]:
+    """``det_fraction_free``'s values of q**(-lows[i] - cols[j]) * a[i][j] at q = +-Y.
+
+    Y = 2**(8*half).  A monomial is one shift.  Each distinct entry of two
+    terms or more, by identity, is packed once per shift, by its even and
+    by its odd coefficients, both at width 2 * half; no coefficient has to
+    fit in half bytes, nor in 2 * half bytes, since ``_evaluate_halves``
+    splits a wider one into limbs, so an entry may be wider than the
+    determinant when the width is that of D(1).  A Toeplitz matrix of n
+    rows with shared entries packs 2n - 1 entries, not n**2.
+    """
+    unit = 8 * half
+    points: dict[tuple[int, int], tuple[int, int]] = {}
+    plus, minus = [], []
+    for row, low in zip(a, lows):
+        row_plus, row_minus = [], []
+        for terms, c in zip(row, cols):
+            if len(terms) > 1:
+                key = (id(terms), low + c)
+                pair = points.get(key)
+                if pair is None:
+                    even, odd = _evaluate_halves(terms, low + c, half)
+                    pair = points[key] = (even + (odd << unit), even - (odd << unit))
+                row_plus.append(pair[0])
+                row_minus.append(pair[1])
+            elif terms:
+                # coeff * q**k at q = +-Y
+                [(e, coeff)] = terms.items()
+                k = e - low - c
+                value = coeff << unit * k
+                row_plus.append(value)
+                row_minus.append(-value if k & 1 else value)
+            else:
+                row_plus.append(0)
+                row_minus.append(0)
+        plus.append(row_plus)
+        minus.append(row_minus)
+    return plus, minus
 
 
 def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int, int]:
@@ -965,13 +1021,6 @@ def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int
     2 * half bytes is packed by ``_pack_limbs``.
     """
     unit = 16 * half
-    if not terms:
-        return 0, 0
-    if len(terms) == 1:
-        # c * q**k = c * (q**2)**(k // 2), times q when k is odd
-        [(e, c)] = terms.items()
-        k = e - low
-        return (0, c << unit * (k // 2)) if k & 1 else (c << unit * (k // 2), 0)
     val, coeffs = _dense(terms)
     k = val - low
     evens, odds = coeffs[k & 1::2], coeffs[1 - (k & 1)::2]

@@ -36,8 +36,8 @@ of every interface; it shares nothing with the pairing but the unpacking.
 ``laurent._MAX_BIGINT_WORK`` steps, and ``_schur_pairing`` a box sum of
 more than ``laurent._MAX_DENSE_COEFFS`` packed bytes or more than
 ``laurent._MAX_BIGINT_WORK`` minor steps, before any polynomial is built
-(a Bareiss alternant by a lower bound, then by ``det_fraction_free``'s
-charge before any entry is packed); the packed quotient both end in
+(a Bareiss alternant by a lower bound, then by ``laurent._det_core``'s
+exact charge before any entry exists); the packed quotient both end in
 refuses a divmod past that same limit before it runs.
 ``tableau_sum`` refuses a branching and unpacking of more than
 ``_MAX_BRANCHING_STEPS`` steps before it sweeps the level that passes the
@@ -46,7 +46,7 @@ limit.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, starmap
 from math import comb, factorial, perm, prod
 from operator import sub
@@ -59,6 +59,7 @@ from .laurent import (
     NotDivisible,
     PolyMatrix,
     _dense,
+    _det_core,
     _det_work,
     _pack,
     _packed_quotient,
@@ -67,7 +68,7 @@ from .laurent import (
     q_ratio,
 )
 from .partitions import Partition, check_partition, n_statistic, pad, strip
-from .qanalogs import h_complete, qbinomial
+from .qanalogs import _qbinomial_det, h_complete, qbinomial
 
 GeometricPoint = tuple[int, ...]
 
@@ -97,20 +98,25 @@ def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tupl
     hold n!, which bounds its coefficients.  A repeated exponent gives 0.
     Up to ``_MINORS_MAX_ROWS`` rows it is one maximal minor, whose work is
     predicted as its n * 2**(n-1) big-int steps times the bytes of the
-    packed value; above that it is ``det_fraction_free`` of the monomial
-    matrix, which charges it once, and a lower bound of that charge, the
-    elimination of n x n constants, is charged before the matrix is built.
+    packed value; above that it is ``laurent._det_core`` of the monomial
+    matrix, fed each entry q**(x * e) as its valuation and degree x * e and
+    its |a|_1 of 1 (so a Leibniz width from n**n), and its values at
+    q = +-Y as shifts of 1, so the matrix's exact charge runs before any
+    entry exists, and no PolyMatrix is built.  A lower bound of that
+    charge, the elimination of n x n constants, is charged before the
+    facts are listed.
     """
     n = len(exponents)
     columns = [part + k for k, part in enumerate(reversed(pad(lam, n)))]
-    span = (columns[-1] - columns[0]) * sum(map(abs, exponents)) if n else 0
     low = sum(x * columns[0 if x >= 0 else -1] for x in exponents)
     minor = n <= _MINORS_MAX_ROWS
     if minor:
+        span = (columns[-1] - columns[0]) * sum(map(abs, exponents)) if n else 0
         work = span * (n << n >> 1) * width
     else:
         # every minor holds a coefficient, so eliminating n x n constants at
-        # det_fraction_free's width of n**n bounds its charge from below
+        # the Leibniz width of n**n bounds the exact charge from below, at
+        # no cost: a long alphabet is refused before its n**2 facts exist
         work = _det_work([[0] * n] * n, (n**n).bit_length() // 8 + 1, 0)[2]
     if work > _MAX_BIGINT_WORK:
         raise ValueError(f"shape {strip(lam)} in {n} letters would take {work} alternant "
@@ -119,10 +125,23 @@ def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tupl
         value = _maximal_minors(exponents, columns, width)[(1 << n) - 1]
         # the minor lists its columns increasing, the alternant decreasing
         return low, -value if n & 2 else value
-    det = det_fraction_free(PolyMatrix(
-        [[LaurentPoly.q_power(x * e) for e in reversed(columns)] for x in exponents]))
+    powers = columns[::-1]
+    det = _det_core([[(x * e, x * e, 1) for e in powers] for x in exponents],
+                    partial(_monomial_values, exponents, powers))
     low, coeffs = _dense(det._terms) if det else (low, [])
     return low, _pack(coeffs, width)
+
+
+def _monomial_values(exponents: Sequence[int], powers: Sequence[int], lows: list[int],
+                     cols: list[int], half: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Values of q**(x * e - lows[j] - cols[k]) at q = +-2**(8*half), x_j and e_k given."""
+    unit = 8 * half
+    plus, minus = [], []
+    for x, low in zip(exponents, lows):
+        shifts = [x * e - low - c for e, c in zip(powers, cols)]
+        plus.append([1 << unit * k for k in shifts])
+        minus.append([-(1 << unit * k) if k & 1 else 1 << unit * k for k in shifts])
+    return plus, minus
 
 
 def _maximal_minors(exponents: Sequence[int], columns: Sequence[int], width: int,
@@ -571,15 +590,28 @@ def h_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
     Zero parts are stripped first: their trailing block of the matrix is
     unitriangular, so it does not change the determinant.
 
-    The determinant has nonnegative coefficients, so ``det_fraction_free``
-    packs it at the width of its value at q = 1.  Entry (i, j) is the
-    weight sum of the north-east lattice paths from S_j = (-j, 1) to
-    T_i = (lam_i - i, m), an east step at height y weighing q**(y-1): the
-    lam_i - i + j east steps choose their heights as a multiset, which is
-    h(lam_i - i + j) at (1, q, ..., q**(m-1)).  The sources lie on y = 1
-    and the sinks on y = m in the same order (lam_i - i decreases), so by
-    the Lindstrom-Gessel-Viennot lemma the determinant is the weight sum of
-    the nonintersecting families joining S_i to T_i, each a power of q.
+    Entry (i, j) is the weight sum of the north-east lattice paths from
+    S_j = (-j, 1) to T_i = (lam_i - i, m), an east step at height y
+    weighing q**(y-1): the c = lam_i - i + j east steps choose their
+    heights as a multiset, which is h(c) = [m - 1 + c choose c] at
+    (1, q, ..., q**(m-1)).  The sources lie on y = 1 and the sinks on y = m
+    in the same order (lam_i - i decreases), so by the
+    Lindstrom-Gessel-Viennot lemma the determinant is the weight sum of the
+    nonintersecting families joining S_i to T_i, each a power of q.  It
+    has nonnegative coefficients, so it is computed at the width of its
+    value at q = 1.
+
+    From 3 rows no entry is built (``qanalogs._qbinomial_det``).  The
+    determinant reads four facts of each entry: valuation 0, degree
+    k * r with k = min(c, m - 1) and r = m - 1 + c - k, value C(m - 1 + c,
+    c) at q = 1, and its values at q = +-Y.  Those come from the chain
+    [r + i choose i] = [r + i - 1 choose i - 1] (1 - q**(r + i)) / (1 - q**i)
+    over the paths of r north and i east steps, run on ints at each point.
+    Every division by the two-term 1 - y**i is exact, since each link of
+    the chain is a Gaussian binomial, a polynomial with integer
+    coefficients, and it is checked by multiplying back; a mismatch raises
+    RuntimeError.  Below 3 rows the Gaussian binomials are built and
+    expanded directly.
     """
     lam = strip(check_partition(lam))
     n = len(lam)
@@ -587,8 +619,12 @@ def h_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
         raise ValueError(f"shape {lam} needs more than {m} letters")
     if n == 0:
         return LaurentPoly.one()
-    entries = [[h_complete(lam[i] - (i + 1) + (j + 1), m) for j in range(n)] for i in range(n)]
-    return det_fraction_free(PolyMatrix(entries), _nonnegative=True)
+    if n < 3:
+        entries = [[h_complete(lam[i] - i + j, m) for j in range(n)] for i in range(n)]
+        return det_fraction_free(PolyMatrix(entries), _nonnegative=True)
+    # h(c) in m variables is [m - 1 + c choose c]
+    return _qbinomial_det([[(0, m - 1 + lam[i] - i + j, lam[i] - i + j) for j in range(n)]
+                           for i in range(n)], _nonnegative=True)
 
 
 def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
@@ -597,17 +633,24 @@ def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
     Entry (i, j) is q**((j-1)(lam_i + j - i)) * [lam_i + m - i choose m - j]
     over the nonzero parts of lam; requires m >= their number.
 
-    The determinant has nonnegative coefficients, so ``det_fraction_free``
-    packs it at the width of its value at q = 1.  Entry (i, j) is the
-    weight sum of the north-east lattice paths from A_j = (-j, j - 1) to
-    T_i = (lam_i - i, m - 1), an east step at height y weighing q**y: such
-    a path has lam_i + j - i east steps and m - j north steps, and its
-    weights sum to q**((j-1)(lam_i + j - i)) times the Gaussian binomial.
-    Every path stays in the strip x + y >= -1, y <= m - 1, whose boundary
-    meets A_1, ..., A_n on the line x + y = -1 and then T_n, ..., T_1 on
-    the line y = m - 1, so by the Lindstrom-Gessel-Viennot lemma the
-    determinant is the weight sum of the nonintersecting families joining
-    A_i to T_i, each a power of q.
+    Entry (i, j) is the weight sum of the north-east lattice paths from
+    A_j = (-j, j - 1) to T_i = (lam_i - i, m - 1), an east step at height y
+    weighing q**y: such a path has lam_i + j - i east steps and m - j north
+    steps, and its weights sum to q**((j-1)(lam_i + j - i)) times the
+    Gaussian binomial.  Every path stays in the strip x + y >= -1,
+    y <= m - 1, whose boundary meets A_1, ..., A_n on the line x + y = -1
+    and then T_n, ..., T_1 on the line y = m - 1, so by the
+    Lindstrom-Gessel-Viennot lemma the determinant is the weight sum of the
+    nonintersecting families joining A_i to T_i, each a power of q.  It
+    has nonnegative coefficients, so it is computed at the width of its
+    value at q = 1.
+
+    From 3 rows no entry is built (``qanalogs._qbinomial_det``): entry
+    q**s [A choose b], s = (j-1)(lam_i + j - i), has valuation s, degree
+    s + k * r with k = min(b, A - b) and r = A - k, value C(A, b) at q = 1,
+    and values at q = +-Y read off the chain of r, as ``h_determinant``
+    describes, times (+-Y)**s once the shifts are taken out.  Below 3 rows
+    the Gaussian binomials are built and expanded directly.
     """
     lam = strip(check_partition(lam))
     n = len(lam)
@@ -615,7 +658,11 @@ def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
         return LaurentPoly.one()
     if m < n:
         raise ValueError(f"need at least {n} variables for {lam}")
-    rows = [[qbinomial(lam[i - 1] + m - i, m - j).shift((j - 1) * (lam[i - 1] + j - i))
-             for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return det_fraction_free(PolyMatrix(rows), _nonnegative=True)
+    entries = [[((j - 1) * (lam[i - 1] + j - i), lam[i - 1] + m - i, m - j)
+                for j in range(1, n + 1)] for i in range(1, n + 1)]
+    if n < 3:
+        return det_fraction_free(PolyMatrix([[qbinomial(big, small).shift(s)
+                                              for s, big, small in row] for row in entries]),
+                                 _nonnegative=True)
+    return _qbinomial_det(entries, _nonnegative=True)
 

@@ -267,6 +267,19 @@ def test_oversized_alternant_is_a_usage_error(capsys, monkeypatch):
                         r"over the limit of 10000000000\n", err)
 
 
+def test_alternant_past_its_exact_charge_is_a_usage_error(capsys, monkeypatch):
+    # 140 letters pass the lower bound; the exact charge of the monomial
+    # matrix, 9.3 * 10**19 steps, refuses it before any entry is built
+    monkeypatch.setattr(schur, "PolyMatrix", None)
+    monkeypatch.setattr(schur, "_monomial_values", lambda *args: pytest.fail("evaluated"))
+    code, out, err = run_main(capsys, "schur", "--shape", "[1]", "--vars", "140",
+                              "--alg", "bialternant")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: a determinant of 140 rows and 170275125 bytes would take "
+                   "93409893115552848492 elimination steps, over the limit of 10000000000\n")
+
+
 def test_oversized_zq_box_is_a_usage_error(capsys):
     # 185 M state slots, refused before any state is built
     code, out, err = run_main(capsys, "count", "--what", "zq",

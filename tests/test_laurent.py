@@ -1139,15 +1139,15 @@ def test_nonnegative_det_is_charged_at_the_width_of_its_value_at_one(route, work
 
 def test_nonnegative_det_of_a_path_matrix_packs_at_its_value_at_one():
     # (14,5,1) form 2, the h matrix of 14 rows, has the Leibniz width 41,
-    # and form 1, the gv matrix of the same polynomial, 22; both are packed
-    # at the width of D(1) = C(19, 5) = 11,628, the box's plane partitions:
-    # W = 2
+    # and form 1, the gv matrix of the same polynomial, 22; both are
+    # evaluated at the width of D(1) = C(19, 5) = 11,628, the box's plane
+    # partitions: W = 2, from the entries' binomial coefficients
     widths = []
     real = laurent._two_point_det
 
-    def spy(a, lows, cols, span, width, det):
+    def spy(plus, minus, low, span, width, det):
         widths.append(width)
-        return real(a, lows, cols, span, width, det)
+        return real(plus, minus, low, span, width, det)
 
     want = closed_genfunc(14, 5, 1)
     with mock.patch.object(laurent, "_two_point_det", spy):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmelon import laurent, qanalogs
+from qmelon import laurent, qanalogs, schur
 from qmelon.laurent import LaurentPoly, q_ratio
 from qmelon.qanalogs import h_complete, qbinomial
 
@@ -192,3 +192,90 @@ def test_h_complete_edges():
         h_complete(1, 0)
     with pytest.raises(ValueError):
         h_complete(0, -1)
+
+
+def at(poly: LaurentPoly, y: int) -> int:
+    return sum(c * y**e for e, c in poly.terms())
+
+
+@pytest.mark.parametrize("half", [1, 2, 3, 5])
+def test_qbinomial_chain_is_the_gaussian_binomials_at_plus_and_minus_y(half):
+    # every [A choose k] with A <= 40, at widths whose points Y = 2**(8*half)
+    # are below, at and above the binomials' largest coefficients
+    y = 1 << 8 * half
+    for r in range(41):
+        at_plus, at_minus = qanalogs._qbinomial_chain(r, 40 - r, half)
+        assert len(at_plus) == len(at_minus) == 41 - r
+        for i, (plus, minus) in enumerate(zip(at_plus, at_minus)):
+            assert (plus, minus) == (at(qbinomial(r + i, i), y), at(qbinomial(r + i, i), -y))
+
+
+@pytest.mark.parametrize("shift", [2, 8, 24])
+@pytest.mark.parametrize("negative", [False, True])
+def test_div_one_minus_is_exact_or_raises(shift, negative):
+    t = -(1 << shift) if negative else 1 << shift
+    for quot in (0, 1, -1, 12345, -(1 << 200) + 7, (1 << 1000) - 1):
+        assert qanalogs._div_one_minus(quot * (1 - t), shift, negative) == quot
+    with pytest.raises(RuntimeError, match="^Gaussian binomial chain lost exactness$"):
+        qanalogs._div_one_minus(12345 * (1 - t) + 1, shift, negative)
+
+
+def test_qbinomial_chain_multiplies_back_each_quotient():
+    # a quotient off by one at step 3 is no Gaussian binomial, so the next
+    # step's product is no multiple of 1 - y**4
+    real = qanalogs._div_one_minus
+    calls = []
+
+    def corrupted(num, shift, negative):
+        calls.append(shift)
+        quot = real(num, shift, negative)
+        return quot + 1 if len(calls) == 3 else quot
+
+    with mock.patch.object(qanalogs, "_div_one_minus", corrupted):
+        with pytest.raises(RuntimeError, match="^Gaussian binomial chain lost exactness$"):
+            schur.h_determinant((6, 6, 6), 8)
+    assert len(calls) == 4
+
+
+def test_path_determinant_tripwire_sees_a_corrupted_chain_value():
+    # h((6, 6, 6)) in 8 variables reads [7 + i choose i] at i = 4 to 8 off
+    # the one chain r = 7; its last value plus 2 at both points is the
+    # entry [15 choose 8] + 2, a polynomial, so the two-point recovery
+    # holds and only the tripwire's sum sees the change
+    real = qanalogs._qbinomial_chain
+
+    def corrupted(r, k, half):
+        at_plus, at_minus = real(r, k, half)
+        return at_plus[:-1] + [at_plus[-1] + 2], at_minus[:-1] + [at_minus[-1] + 2]
+
+    with mock.patch.object(qanalogs, "_qbinomial_chain", corrupted):
+        with pytest.raises(RuntimeError, match="^a determinant flagged nonnegative lost "
+                                               "exactness$"):
+            schur.h_determinant((6, 6, 6), 8)
+    assert schur.h_determinant((6, 6, 6), 8) == schur.principal_product((6, 6, 6), 8)
+
+
+def test_qbinomial_chain_is_charged_before_it_runs():
+    # [399 + i choose i] to i = 8 at 9-byte points: 2 * 8 * 9 * 9 * 8 * 399
+    work = 2 * 8 * (400).bit_length() * 9 * 8 * 399
+    assert work == 4136832
+    with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work):
+        at_plus, at_minus = qanalogs._qbinomial_chain(399, 8, 9)
+    assert at_plus[-1] == at(qbinomial(407, 8), 1 << 72)
+    with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work - 1), \
+            mock.patch.object(qanalogs, "_div_one_minus", None):
+        with pytest.raises(ValueError, match=rf"^the Gaussian binomial chain \[399 \+ i choose i\] "
+                                             rf"to i = 8 at 9-byte points would take {work} "
+                                             rf"steps, over the limit of {work - 1}$"):
+            qanalogs._qbinomial_chain(399, 8, 9)
+
+
+def test_huge_path_determinant_is_refused_before_any_chain():
+    # [2, 2, 2] in 10**5 variables: entries of degree up to 4 * 99,999, whose
+    # determinant's charge refuses it before a chain or a binomial is built
+    with mock.patch.object(qanalogs, "_qbinomial_chain", None), \
+            mock.patch.object(qanalogs, "qbinomial", None):
+        for route in (schur.h_determinant, schur.gv_determinant):
+            with pytest.raises(ValueError, match="^a determinant of 3 rows and .* minor steps, "
+                                                 "over the limit of 10000000000$"):
+                route((2, 2, 2), 10**5)

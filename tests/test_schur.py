@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmelon import laurent, schur
-from qmelon.laurent import LaurentPoly
+from qmelon import laurent, qanalogs, schur
+from qmelon.laurent import LaurentPoly, PolyMatrix, det_fraction_free
 from qmelon.partitions import enumerate_in_box, strip, weight
 from qmelon.paths import watermelon_genfunc
 from qmelon.qanalogs import qbinomial
@@ -75,15 +75,73 @@ def test_gv_determinant_strips_zero_parts():
 
 @pytest.mark.parametrize("n, l, m", [(4, 5, 11), (5, 5, 10), (6, 5, 11), (6, 7, 10)])
 def test_h_determinant_packs_each_distinct_entry_once(n, l, m):
-    # entry (i, j) is the cached h(l - i + j): 2n - 1 distinct objects, and
-    # every row and column shift is 0, so the two-point route packs each once
-    evaluate = mock.Mock(wraps=laurent._evaluate_halves)
-    minors = mock.Mock(wraps=laurent._minors_det)
-    with mock.patch.multiple(laurent, _evaluate_halves=evaluate, _minors_det=minors):
+    # entry (i, j) is h(c) = [m - 1 + c choose c], c = l - i + j, so with
+    # k = min(c, m - 1) every c below m lies on the one chain r = m - 1,
+    # and each larger c (10, 11 and 12 in 10 variables) on a chain of its
+    # own; every row and column shift is 0, so each chain value is an
+    # entry as it is, and no Gaussian binomial is built, packed or scanned
+    spies = {name: mock.Mock(wraps=getattr(laurent, name))
+             for name in ("_evaluate_halves", "_dense", "_minors_det")}
+    chain = mock.Mock(wraps=qanalogs._qbinomial_chain)
+    built = mock.Mock(wraps=qbinomial)
+    with mock.patch.multiple(laurent, **spies), \
+            mock.patch.multiple(qanalogs, _qbinomial_chain=chain, qbinomial=built), \
+            mock.patch.object(schur, "qbinomial", built):
         value = h_determinant((l,) * n, m)
-    assert minors.call_count == 2
-    assert evaluate.call_count == 2 * n - 1
-    assert value == gv_determinant((l,) * n, m)
+    assert chain.call_count == (4 if (n, l, m) == (6, 7, 10) else 1)
+    assert spies["_minors_det"].call_count == 2
+    assert spies["_evaluate_halves"].call_count == spies["_dense"].call_count == 0
+    assert built.call_count == 0
+    assert value == gv_determinant((l,) * n, m) == principal_product((l,) * n, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=3, max_size=7)
+       .map(lambda parts: tuple(sorted(parts, reverse=True))),
+       st.integers(min_value=0, max_value=5), st.booleans())
+@example((9, 9, 9, 9, 9, 9, 9), 5, True)  # the 7 x 9 x 5 box, in 12 variables
+def test_qbinomial_det_equals_det_fraction_free_of_its_gaussian_binomials(lam, extra, flagged):
+    # the h and gv matrices (gv's twisted shifts included), flagged and
+    # unflagged, of 3 to 7 rows in at most 12 variables: the chains at
+    # q = +-Y against the Gaussian binomials' coefficients
+    m = len(lam) + extra
+    for route in (h_determinant, gv_determinant):
+        matrix = PolyMatrix(path_matrix(route, lam, m))
+        want = det_fraction_free(matrix, _nonnegative=flagged)
+        assert qanalogs._qbinomial_det(path_triples(route, lam, m), _nonnegative=flagged) == want
+        assert route(lam, m) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=6).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(st.integers(min_value=-4, max_value=12),
+                       st.integers(min_value=0, max_value=12),
+                       st.integers(min_value=-1, max_value=13)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@example([[(0, 3, 1)] * 3] * 3)  # equal rows: D = 0
+@example([[(0, 3, 4)] * 3] * 3)  # no nonzero entry
+def test_qbinomial_det_of_any_triples(entries):
+    # signed in general: zero entries where b < 0 or b > A, negative and
+    # repeated shifts, the Leibniz width
+    matrix = PolyMatrix([[qbinomial(big, small).shift(s) for s, big, small in row]
+                         for row in entries])
+    assert qanalogs._qbinomial_det(entries) == det_fraction_free(matrix)
+
+
+def path_triples(route, lam, m):
+    """The entries of h_determinant or gv_determinant as triples (s, A, b)."""
+    n = len(lam)
+    if route is h_determinant:
+        return [[(0, m - 1 + lam[i] - i + j, lam[i] - i + j) for j in range(n)]
+                for i in range(n)]
+    return [[(j * (lam[i] + j - i), lam[i] + m - 1 - i, m - 1 - j) for j in range(n)]
+            for i in range(n)]
+
+
+def path_matrix(route, lam, m):
+    """The entries of h_determinant or gv_determinant as Gaussian binomials."""
+    return [[qbinomial(big, small).shift(s) for s, big, small in row]
+            for row in path_triples(route, lam, m)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,13 +365,13 @@ def test_alternant_matches_permutation_expansion(case):
 def test_bialternant_on_both_sides_of_the_minors_cutoff(monkeypatch, extra):
     n = schur._MINORS_MAX_ROWS + extra
     sizes = []
-    original = schur.det_fraction_free
+    original = schur._det_core
 
-    def counted(matrix):
-        sizes.append(matrix.rows)
-        return original(matrix)
+    def counted(facts, values):
+        sizes.append(len(facts))
+        return original(facts, values)
 
-    monkeypatch.setattr(schur, "det_fraction_free", counted)
+    monkeypatch.setattr(schur, "_det_core", counted)
     # centred on 0, the point has half the span of (0, ..., n-1); S_lam is
     # homogeneous of degree |lam|, so shifting the point shifts the value
     point = tuple(range(-(n // 2), n - n // 2))
@@ -430,8 +488,7 @@ def lower_charge(n):
 @pytest.mark.parametrize("cutoff", [0, 99])
 def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
     # the limit is met exactly at the charged work on both routes; one below
-    # it, the call is refused before any minor or matrix is built, or, on
-    # the Bareiss route, before any entry is packed
+    # it, the call is refused before any minor or entry is built
     monkeypatch.setattr(schur, "_MINORS_MAX_ROWS", cutoff)
     for point in [(7, 0, 3, -2), (-1, 4, 2)]:
         n = len(point)
@@ -445,8 +502,9 @@ def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
                 monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work - 1)
                 monkeypatch.setattr(schur, "_maximal_minors", None)
             else:
-                # _alternant charges its lower bound, det_fraction_free the
-                # matrix's own degrees, once
+                # _alternant charges its lower bound, laurent._det_core the
+                # matrix's own degrees, once, from facts: no PolyMatrix is
+                # built, and no entry is evaluated before the charge
                 _, size, work = bareiss_charge(n, lam, point)
                 lower = lower_charge(n)
                 assert lower <= work
@@ -458,11 +516,13 @@ def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
                     return real(degrees, width, span)
 
                 monkeypatch.setattr(laurent, "_det_work", spy)
+                monkeypatch.setattr(schur, "PolyMatrix", None)
                 monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", lower)
                 monkeypatch.setattr(laurent, "_MAX_BIGINT_WORK", work)
                 assert alternant(point, lam) == perm_det(rows)
                 monkeypatch.setattr(laurent, "_MAX_BIGINT_WORK", work - 1)
-                monkeypatch.setattr(laurent, "_two_point_det", None)
+                monkeypatch.setattr(schur, "_monomial_values",
+                                    lambda *args: pytest.fail("an entry was evaluated"))
                 with pytest.raises(ValueError, match=f"^a determinant of {n} rows and {size} bytes "
                                                      f"would take {work} elimination steps, over "
                                                      f"the limit of {work - 1}$"):
@@ -470,7 +530,7 @@ def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
                 assert len(charges) == 2 and all(charges)
                 work = lower
                 monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work - 1)
-                monkeypatch.setattr(schur, "det_fraction_free", None)
+                monkeypatch.setattr(schur, "_det_core", None)
             with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} in {n} "
                                                  f"letters would take {work} alternant steps, "
                                                  f"over the limit of {work - 1}$"):
@@ -495,11 +555,38 @@ class Eliminated(Exception):
     pass
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=15, max_value=60).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(min_value=-200, max_value=200), min_size=n, max_size=n, unique=True),
+    st.lists(st.integers(min_value=0, max_value=8), max_size=n))))
+def test_alternant_is_charged_as_its_monomial_matrix(case):
+    # _alternant feeds laurent._det_core the facts of each q**(x * e) in
+    # closed form; the charge is the one det_fraction_free computes from
+    # the built matrix's coefficients
+    point, parts = case
+    n = len(point)
+    lam = tuple(sorted(parts, reverse=True)) + (0,) * (n - len(parts))
+    charges = []
+    real = laurent._det_work
+
+    def stop(degrees, width, span):
+        charges.append(real(degrees, width, span))
+        raise Eliminated
+
+    with mock.patch.object(laurent, "_det_work", stop):
+        with pytest.raises(Eliminated):
+            schur._alternant(point, lam, 1)
+        with pytest.raises(Eliminated):
+            det_fraction_free(PolyMatrix([[LaurentPoly.q_power(x * (part + n - 1 - k))
+                                           for k, part in enumerate(lam)] for x in point]))
+    assert charges[0] == charges[1] == bareiss_charge(n, lam, point)
+
+
 @pytest.mark.parametrize("lam, n, accepted", [
     ((3, 2, 1), 18, True), ((5, 5, 5), 18, True), ((3, 2, 1), 19, False), ((2, 1), 20, False)])
 def test_bareiss_alternant_is_charged_once(monkeypatch, lam, n, accepted):
     # above the minors cutoff _alternant charges the elimination of n x n
-    # constants, and det_fraction_free then charges the monomial matrix
+    # constants, and laurent._det_core then charges the monomial matrix
     # once, from its degrees: the 18-letter ones, 3-5 s of elimination,
     # are accepted, the longer ones refused before any entry is packed,
     # at the step counts _alternant charged them before it had a bound
