@@ -711,18 +711,15 @@ class PolyMatrix:
         return iter(self._rows)
 
 
-def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPoly:
+def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     """Determinant by fraction-free (Bareiss) elimination or expansion by minors.
 
     Integer matrices go through it too: PolyMatrix embeds ints as
     constants, so ``det_fraction_free(PolyMatrix(rows)).coeff(0)`` is the
-    integer determinant of ``rows``.  Sizes below 3 are expanded directly.
-    Larger matrices go to ``_det_core``, fed each entry's valuation,
-    degree and |a|_1, the sum of its absolute coefficients, or its value
-    at q = 1 when a caller has proven the determinant to have nonnegative
-    coefficients, as the Lindstrom-Gessel-Viennot lemma does for a matrix
-    of path weights (``_nonnegative=True``); its values at q = +-Y are
-    packed from its coefficients by ``_evaluate_matrix``.
+    integer determinant of ``rows``.  ``_det_core`` is fed each entry's
+    valuation, degree and |a|_1, the sum of its absolute coefficients, and
+    its values at q = +-Y, packed from its coefficients by
+    ``_evaluate_matrix``.
 
     Every Bareiss division is exact by Sylvester's identity, for any
     nonzero pivot; a remainder would mean corrupted arithmetic, so it is
@@ -740,12 +737,9 @@ def det_fraction_free(m: PolyMatrix, *, _nonnegative: bool = False) -> LaurentPo
     if n == 2:
         return m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
     a = [[x._terms for x in row] for row in m]
-    if _nonnegative:
-        facts = [[(min(t), max(t), sum(t.values())) if t else None for t in row] for row in a]
-    else:
-        facts = [[(min(t), max(t), sum(map(abs, t.values()))) if t else None for t in row]
-                 for row in a]
-    return _det_core(facts, partial(_evaluate_matrix, a), _nonnegative)
+    facts = [[(min(t), max(t), sum(map(abs, t.values()))) if t else None for t in row]
+             for row in a]
+    return _det_core(facts, partial(_evaluate_matrix, a))
 
 
 # lows, cols, half -> the shifted entries' values at q = Y and at q = -Y
@@ -900,7 +894,7 @@ def _det_work(degrees: list[list[int]], width: int, span: int) -> tuple[bool, in
     genfunc_det_forms of 8 to 16 rows (banded h matrices among them), the
     h matrix of (1**20) and monomial alternants of 15 to 18 rows; so the
     limit is 3.4 to 11.5 s of elimination.  At the width of D(1), timing
-    det_fraction_free alone, best of 2: 0.21-0.84 ns per minor step
+    the determinant alone, best of 2: 0.21-0.84 ns per minor step
     (median 0.58) on 30 h and gv matrices of 3.5 K to 406 K bytes, from
     genfunc_det_forms of 4 to 10 rows and hdet and gvdet of 3 to 8, the
     largest hdet of (20**6) in 60 variables, 9.3 * 10**9 steps in 7.0 s;
@@ -977,28 +971,20 @@ def _evaluate_matrix(a: list[list[Mapping[int, int]]], lows: list[int], cols: li
                      half: int) -> tuple[list[list[int]], list[list[int]]]:
     """``det_fraction_free``'s values of q**(-lows[i] - cols[j]) * a[i][j] at q = +-Y.
 
-    Y = 2**(8*half).  A monomial is one shift.  Each distinct entry of two
-    terms or more, by identity, is packed once per shift, by its even and
-    by its odd coefficients, both at width 2 * half; no coefficient has to
-    fit in half bytes, nor in 2 * half bytes, since ``_evaluate_halves``
-    splits a wider one into limbs, so an entry may be wider than the
-    determinant when the width is that of D(1).  A Toeplitz matrix of n
-    rows with shared entries packs 2n - 1 entries, not n**2.
+    Y = 2**(8*half).  A monomial is one shift.  An entry of two terms or
+    more is packed by its even and by its odd coefficients, both at width
+    2 * half: at the Leibniz width W, each coefficient is at most
+    |a_ij|_1 <= B < 2**(8*W-1) <= Y**2 / 2, so it fits in one digit.
     """
     unit = 8 * half
-    points: dict[tuple[int, int], tuple[int, int]] = {}
     plus, minus = [], []
     for row, low in zip(a, lows):
         row_plus, row_minus = [], []
         for terms, c in zip(row, cols):
             if len(terms) > 1:
-                key = (id(terms), low + c)
-                pair = points.get(key)
-                if pair is None:
-                    even, odd = _evaluate_halves(terms, low + c, half)
-                    pair = points[key] = (even + (odd << unit), even - (odd << unit))
-                row_plus.append(pair[0])
-                row_minus.append(pair[1])
+                even, odd = _evaluate_halves(terms, low + c, half)
+                row_plus.append(even + (odd << unit))
+                row_minus.append(even - (odd << unit))
             elif terms:
                 # coeff * q**k at q = +-Y
                 [(e, coeff)] = terms.items()
@@ -1017,36 +1003,15 @@ def _evaluate_matrix(a: list[list[Mapping[int, int]]], lows: list[int], cols: li
 def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int, int]:
     """(E(Y**2), O(Y**2)) for q**(-low) * terms = E(q**2) + q * O(q**2), Y = 2**(8*half).
 
-    The coefficients may be of any size: a half that does not fit in
-    2 * half bytes is packed by ``_pack_limbs``.
+    Every coefficient must lie in [-Y**2/2, Y**2/2), else ``_pack`` raises
+    OverflowError.
     """
     unit = 16 * half
     val, coeffs = _dense(terms)
     k = val - low
-    evens, odds = coeffs[k & 1::2], coeffs[1 - (k & 1)::2]
-    try:
-        even, odd = _pack(evens, 2 * half), _pack(odds, 2 * half)
-    except OverflowError:
-        even, odd = _pack_limbs(evens, 2 * half), _pack_limbs(odds, 2 * half)
+    even = _pack(coeffs[k & 1::2], 2 * half)
+    odd = _pack(coeffs[1 - (k & 1)::2], 2 * half)
     return even << unit * ((k + 1) // 2), odd << unit * (k // 2)
-
-
-def _pack_limbs(coeffs: list[int], width: int) -> int:
-    """sum c_i * X**i with X = 2**(8*width), for coefficients of any size.
-
-    The coefficients are split into signed base-X limbs,
-    c_i = sum_k l_ik * X**k with every l_ik in [-X/2, X/2), and limb k is
-    packed by ``_pack`` and added times X**k.
-    """
-    unit = 8 * width
-    sign, mask = 1 << (unit - 1), (1 << unit) - 1
-    value = shift = 0
-    while any(coeffs):
-        limbs = [((c + sign) & mask) - sign for c in coeffs]
-        value += _pack(limbs, width) << shift
-        coeffs = [(c - d) >> unit for c, d in zip(coeffs, limbs)]
-        shift += unit
-    return value
 
 
 def _int_exact_div(num: int, den: int) -> int:

@@ -3,10 +3,11 @@
 Everything returns a LaurentPoly.  A Gaussian binomial is built on one
 dense list of ints and wrapped once; every division in that loop is exact
 and checked.  Gaussian binomials are memoized, which is safe because
-results are immutable and recomputation is idempotent.  A determinant of
-twisted Gaussian binomials builds none of them: ``_qbinomial_det`` feeds
-``laurent._det_core`` their closed-form facts and their values at
-q = +-Y, from one chain of ints per ``_qbinomial_chain``.
+results are immutable and recomputation is idempotent.  Every determinant
+of twisted Gaussian binomials is ``_qbinomial_det``, which but for the
+smallest (see there) builds none of them: it feeds ``laurent._det_core``
+their closed-form facts and their values at q = +-Y, from one chain of
+ints per ``_qbinomial_chain``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from math import comb
 from operator import sub
 
 from . import laurent
-from .laurent import _MAX_DENSE_COEFFS, _MAX_SERIES_WORK, LaurentPoly, _det_core
+from .laurent import (
+    _MAX_DENSE_COEFFS,
+    _MAX_SERIES_WORK,
+    LaurentPoly,
+    PolyMatrix,
+    _det_core,
+    det_fraction_free,
+)
 from .partitions import check_int
 
 
@@ -86,19 +94,26 @@ def h_complete(r: int, m: int) -> LaurentPoly:
 
 def _qbinomial_det(entries: list[list[tuple[int, int, int]]], *,
                    _nonnegative: bool = False) -> LaurentPoly:
-    """det(q**s_ij * [A_ij choose b_ij]) of the triples entries[i][j] = (s, A, b), A >= 0.
+    """det(q**s_ij * [A_ij choose b_ij]) of the n x n triples entries[i][j] = (s, A, b), A >= 0.
 
-    No Gaussian binomial is built.  ``laurent._det_core`` reads four facts
-    of an entry, and each is known in closed form: with k = min(b, A - b)
-    and r = A - k, the entry is 0 outside 0 <= b <= A, and otherwise has
-    valuation s, degree s + k * r, and value C(A, b) at q = 1, which is
-    also its |a|_1, its coefficients being positive.  So the Leibniz
-    width, and det M(1) with ``_nonnegative`` (which the caller sets only
-    with a proof, as ``laurent.det_fraction_free``'s callers do), follow
+    Below 3 rows, 0 included, the entries are built, q**s * [A choose b]
+    and 0 outside 0 <= b <= A, and ``laurent.det_fraction_free`` expands
+    them directly, several times faster than the core at 1 row (CPython
+    3.11); the flag is not read there.  From 3 rows no Gaussian binomial
+    is built.  ``laurent._det_core`` reads four facts of an entry, and
+    each is known in closed form: with k = min(b, A - b) and r = A - k,
+    the entry is 0 outside 0 <= b <= A, and otherwise has valuation s,
+    degree s + k * r, and value C(A, b) at q = 1, which is also its |a|_1,
+    its coefficients being positive.  So the Leibniz width, and det M(1)
+    with ``_nonnegative`` (which the caller sets only with a proof, as
+    ``schur.h_determinant`` and ``schur.gv_determinant`` have), follow
     from binomial coefficients, and the charge runs before any value is
     computed.  The values at q = +-Y are those of ``_qbinomial_chain`` at
     r, step k, times the power of +-Y that the entry's shifts leave.
     """
+    if len(entries) < 3:
+        return det_fraction_free(PolyMatrix([[qbinomial(big, small).shift(s)
+                                              for s, big, small in row] for row in entries]))
     facts, keys = [], []
     for row in entries:
         row_facts, row_keys = [], []

@@ -57,18 +57,17 @@ from .laurent import (
     _MAX_DENSE_COEFFS,
     LaurentPoly,
     NotDivisible,
-    PolyMatrix,
     _dense,
     _det_core,
     _det_work,
     _pack,
     _packed_quotient,
     _unpack_poly,
-    det_fraction_free,
+    det_fraction_free,  # noqa: F401  kept for perfbench's TRACE_PROBE, which checks this binding
     q_ratio,
 )
 from .partitions import Partition, check_partition, n_statistic, pad, strip
-from .qanalogs import _qbinomial_det, h_complete, qbinomial
+from .qanalogs import _qbinomial_det
 
 GeometricPoint = tuple[int, ...]
 
@@ -601,17 +600,16 @@ def h_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
     has nonnegative coefficients, so it is computed at the width of its
     value at q = 1.
 
-    From 3 rows no entry is built (``qanalogs._qbinomial_det``).  The
-    determinant reads four facts of each entry: valuation 0, degree
-    k * r with k = min(c, m - 1) and r = m - 1 + c - k, value C(m - 1 + c,
-    c) at q = 1, and its values at q = +-Y.  Those come from the chain
+    The determinant is ``qanalogs._qbinomial_det``, which reads four facts
+    of each entry: valuation 0, degree k * r with k = min(c, m - 1) and
+    r = m - 1 + c - k, value C(m - 1 + c, c) at q = 1, and its values at
+    q = +-Y.  Those come from the chain
     [r + i choose i] = [r + i - 1 choose i - 1] (1 - q**(r + i)) / (1 - q**i)
     over the paths of r north and i east steps, run on ints at each point.
     Every division by the two-term 1 - y**i is exact, since each link of
     the chain is a Gaussian binomial, a polynomial with integer
     coefficients, and it is checked by multiplying back; a mismatch raises
-    RuntimeError.  Below 3 rows the Gaussian binomials are built and
-    expanded directly.
+    RuntimeError.
     """
     lam = strip(check_partition(lam))
     n = len(lam)
@@ -619,9 +617,6 @@ def h_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
         raise ValueError(f"shape {lam} needs more than {m} letters")
     if n == 0:
         return LaurentPoly.one()
-    if n < 3:
-        entries = [[h_complete(lam[i] - i + j, m) for j in range(n)] for i in range(n)]
-        return det_fraction_free(PolyMatrix(entries), _nonnegative=True)
     # h(c) in m variables is [m - 1 + c choose c]
     return _qbinomial_det([[(0, m - 1 + lam[i] - i + j, lam[i] - i + j) for j in range(n)]
                            for i in range(n)], _nonnegative=True)
@@ -645,12 +640,11 @@ def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
     has nonnegative coefficients, so it is computed at the width of its
     value at q = 1.
 
-    From 3 rows no entry is built (``qanalogs._qbinomial_det``): entry
-    q**s [A choose b], s = (j-1)(lam_i + j - i), has valuation s, degree
-    s + k * r with k = min(b, A - b) and r = A - k, value C(A, b) at q = 1,
-    and values at q = +-Y read off the chain of r, as ``h_determinant``
-    describes, times (+-Y)**s once the shifts are taken out.  Below 3 rows
-    the Gaussian binomials are built and expanded directly.
+    The determinant is ``qanalogs._qbinomial_det``: entry q**s [A choose
+    b], s = (j-1)(lam_i + j - i), has valuation s, degree s + k * r with
+    k = min(b, A - b) and r = A - k, value C(A, b) at q = 1, and values at
+    q = +-Y read off the chain of r, as ``h_determinant`` describes, times
+    (+-Y)**s once the shifts are taken out.
     """
     lam = strip(check_partition(lam))
     n = len(lam)
@@ -658,11 +652,7 @@ def gv_determinant(lam: Sequence[int], m: int) -> LaurentPoly:
         return LaurentPoly.one()
     if m < n:
         raise ValueError(f"need at least {n} variables for {lam}")
-    entries = [[((j - 1) * (lam[i - 1] + j - i), lam[i - 1] + m - i, m - j)
-                for j in range(1, n + 1)] for i in range(1, n + 1)]
-    if n < 3:
-        return det_fraction_free(PolyMatrix([[qbinomial(big, small).shift(s)
-                                              for s, big, small in row] for row in entries]),
-                                 _nonnegative=True)
-    return _qbinomial_det(entries, _nonnegative=True)
+    return _qbinomial_det([[((j - 1) * (lam[i - 1] + j - i), lam[i - 1] + m - i, m - j)
+                            for j in range(1, n + 1)] for i in range(1, n + 1)],
+                          _nonnegative=True)
 

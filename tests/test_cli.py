@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from qmelon import cli, schur
+from qmelon import cli, laurent, schur
 from qmelon.cli import main
 from qmelon.laurent import LaurentPoly
 from qmelon.paths import closed_genfunc, count_deviation
@@ -270,7 +270,7 @@ def test_oversized_alternant_is_a_usage_error(capsys, monkeypatch):
 def test_alternant_past_its_exact_charge_is_a_usage_error(capsys, monkeypatch):
     # 140 letters pass the lower bound; the exact charge of the monomial
     # matrix, 9.3 * 10**19 steps, refuses it before any entry is built
-    monkeypatch.setattr(schur, "PolyMatrix", None)
+    monkeypatch.setattr(laurent.PolyMatrix, "__init__", None)
     monkeypatch.setattr(schur, "_monomial_values", lambda *args: pytest.fail("evaluated"))
     code, out, err = run_main(capsys, "schur", "--shape", "[1]", "--vars", "140",
                               "--alg", "bialternant")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cauchy_oracle import geometric_sum, vandermonde
 from series_oracle import full_series
-from qmelon import laurent
+from qmelon import laurent, qanalogs
 from qmelon.laurent import (
     LaurentPoly,
     NotDivisible,
@@ -1099,42 +1099,56 @@ def test_bareiss_charge_follows_the_degrees_of_the_minors():
     assert work < laurent._MAX_BIGINT_WORK // 20
 
 
+def gaussian_rows(entries):
+    """The matrix q**s * [A choose b] of the triples (s, A, b) of ``qanalogs._qbinomial_det``."""
+    return [[qanalogs.qbinomial(big, small).shift(s) for s, big, small in row]
+            for row in entries]
+
+
+# (0, 0, 1) is [0 choose 1] = 0
+Z = (0, 0, 1)
+
+
 @pytest.mark.parametrize("route,work,kind", [
     ("minors", 2**3 * 601 * 24, "minor"),
     ("bareiss", (602 + 602) * 602 // 4, "elimination"),
 ])
 def test_nonnegative_det_is_charged_at_the_width_of_its_value_at_one(route, work, kind):
-    # Upper triangular, so D = (1 + q**600) * q**7 and D(1) = 2: W = 1,
-    # where the Leibniz bound 203 * 601 * 1 gives W = 3.  The degrees are
-    # [[600, 0, 7], [-, 0, 10], [-, -, 0]]: u = (600, 10, 0), v = (0, -10,
-    # 0), d = 600 and M = 601 bytes.  Minors: 2**n * M * isqrt(M); Bareiss
-    # divides once, the order-3 minor of degree 600 (602 bytes at half = 1)
-    # by the pivot of degree 600.  det M(1) is eliminated first, charged as
-    # a matrix of zero span at the width of its Leibniz bound 203 * 601 * 1,
-    # W = 3: one division of 2 * half = 4 bytes by 4 bytes, 8 steps.
-    rows = [[1 + q(600), 200, q(7)], [0, 1, (q(3) + q(10)) * 300], [0, 0, q(7)]]
-    assert (det_width(rows), det_span(rows)) == (3, 610)
-    m = PolyMatrix(rows)
-    packs = mock.Mock(wraps=laurent._pack)
+    # [[q**600, 0, [12 choose 6]], [1, 1, q**3 [8 choose 4]], [0, 0, q**7]]:
+    # every permutation but the identity meets a zero, so D = q**607 and
+    # D(1) = 1: W = 1, where the Leibniz bound 925 * 72 * 1 gives W = 3.
+    # The degrees are [[600, -, 36], [0, 0, 19], [-, -, 0]]: u = (600, 19,
+    # 0), v = (0, -19, 0), d = 600 and M = 601 bytes.  Minors: 2**n * M *
+    # isqrt(M); Bareiss divides once, the order-3 minor of degree 600 (602
+    # bytes at half = 1) by the pivot of degree 600.  det M(1) is eliminated
+    # first, charged as a matrix of zero span at the width of its Leibniz
+    # bound, the same 925 * 72 * 1, W = 3: one division of 2 * half = 4
+    # bytes by 4 bytes, 8 steps.  No value is computed before both charges
+    entries = [[(600, 0, 0), Z, (0, 12, 6)], [(0, 0, 0), (0, 0, 0), (3, 8, 4)],
+               [Z, Z, (7, 0, 0)]]
+    rows = gaussian_rows(entries)
+    assert (det_width(rows), det_span(rows)) == (3, 619)
+    chains = mock.Mock(wraps=qanalogs._qbinomial_chain)
     bareiss = mock.Mock(wraps=laurent._bareiss)
-    with mock.patch.multiple(laurent, _pack=packs, _bareiss=bareiss, **PACKED_ROUTES[route]):
+    with mock.patch.multiple(laurent, _bareiss=bareiss, **PACKED_ROUTES[route]), \
+            mock.patch.object(qanalogs, "_qbinomial_chain", chains):
         with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work):
-            assert det_fraction_free(m, _nonnegative=True) == perm_det(rows)
-        assert packs.call_count > 0
-        packs.reset_mock()
+            assert qanalogs._qbinomial_det(entries, _nonnegative=True) == perm_det(rows) == q(607)
+        assert chains.call_count > 0
+        chains.reset_mock()
         bareiss.reset_mock()
         with mock.patch.object(laurent, "_MAX_BIGINT_WORK", work - 1):
             with pytest.raises(ValueError, match=f"^a determinant of 3 rows and 601 bytes "
                                                  f"would take {work} {kind} steps, over the limit "
                                                  f"of {work - 1}$"):
-                det_fraction_free(m, _nonnegative=True)
-        assert packs.call_count == 0 and bareiss.call_count == 1
+                qanalogs._qbinomial_det(entries, _nonnegative=True)
+        assert chains.call_count == 0 and bareiss.call_count == 1
         bareiss.reset_mock()
         with mock.patch.object(laurent, "_MAX_BIGINT_WORK", 7):
             with pytest.raises(ValueError, match="^a determinant of 3 rows and 3 bytes would "
                                                  "take 8 elimination steps"):
-                det_fraction_free(m, _nonnegative=True)
-        assert bareiss.call_count == 0
+                qanalogs._qbinomial_det(entries, _nonnegative=True)
+        assert chains.call_count == 0 and bareiss.call_count == 0
 
 
 def test_nonnegative_det_of_a_path_matrix_packs_at_its_value_at_one():
@@ -1157,35 +1171,36 @@ def test_nonnegative_det_of_a_path_matrix_packs_at_its_value_at_one():
 
 
 @pytest.mark.parametrize("rows,value", [
-    # det M(1) = 0: a monomial alternant, signed, whose rows all meet at q = 1
-    ([[q(x * e) for e in (3, 1, 0)] for x in (0, 1, 2)], 0),
-    # det M(1) = -1
-    ([[1, 0, 0], [0, 1, 0], [0, 0, q(1) - 2]], -1),
+    # [[1 + q, 1 + q], [1, q]] and a unit: D = q**2 - 1, D(1) = 0
+    ([[(0, 2, 1), (0, 2, 1), Z], [(0, 0, 0), (1, 0, 0), Z], [Z, Z, (0, 0, 0)]], 0),
+    # [[1, 1 + q], [1, 1]] and a unit: D = -q, D(1) = -1
+    ([[(0, 0, 0), (0, 2, 1), Z], [(0, 0, 0), (0, 0, 0), Z], [Z, Z, (0, 0, 0)]], -1),
 ])
 def test_nonnegative_det_refuses_a_value_at_one_below_one(rows, value):
-    assert det_fraction_free(PolyMatrix(rows)).eval_at_one() == value
+    assert qanalogs._qbinomial_det(rows).eval_at_one() == value
     with pytest.raises(RuntimeError, match=f"^a determinant flagged nonnegative has the value "
                                            f"{value} at q = 1$"):
-        det_fraction_free(PolyMatrix(rows), _nonnegative=True)
+        qanalogs._qbinomial_det(rows, _nonnegative=True)
 
 
-@pytest.mark.parametrize("corner", [2 - q(1), 10**6 - (10**6 - 1) * q(1)])
+@pytest.mark.parametrize("corner", [(2, 0, 0)])
 def test_nonnegative_det_tripwire_fires_on_a_signed_matrix(corner):
-    # D = corner and D(1) = 1, so W = 1: 2 - q is recovered and has a
-    # negative coefficient; 10**6 does not fit in 2 bytes, so its digits
-    # are lost
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, corner]]
-    assert det_fraction_free(PolyMatrix(rows)) == corner
-    with pytest.raises(RuntimeError, match="lost exactness$"):
-        det_fraction_free(PolyMatrix(rows), _nonnegative=True)
+    # [[1 + q, q**2], [1, 1]] and a unit: D = 1 + q - q**2 and D(1) = 1, so
+    # W = 1, and D is recovered with its negative coefficient
+    rows = [[(0, 2, 1), corner, Z], [(0, 0, 0), (0, 0, 0), Z], [Z, Z, (0, 0, 0)]]
+    assert qanalogs._qbinomial_det(rows) == 1 + q(1) - q(2)
+    with pytest.raises(RuntimeError, match="^a determinant flagged nonnegative lost exactness$"):
+        qanalogs._qbinomial_det(rows, _nonnegative=True)
 
 
 @settings(max_examples=200, deadline=None)
 @given(big_terms_st, st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=3))
+@example({0: 1, 3: -(1 << 47)}, 2, 3)  # the least coefficient that 6 bytes hold
+@example({0: 1, 1: 1 << 15}, 0, 1)  # the least that 2 bytes do not
 def test_evaluate_halves_of_wide_coefficients_is_a_horner_evaluation(terms, pad, half):
     # q**(-low) * terms = P(q) = E(q**2) + q * O(q**2), so P(Y) = E + Y * O
-    # and P(-Y) = E - Y * O at Y**2; coefficients of 10**120 are wider than
-    # any unit here, and those that all fit take one _pack per half
+    # and P(-Y) = E - Y * O at Y**2: one _pack per half, at 2 * half bytes,
+    # and a coefficient such as 10**120 that does not fit in them overflows
     low = min(terms) - pad
     y = 1 << 8 * half
 
@@ -1195,12 +1210,15 @@ def test_evaluate_halves_of_wide_coefficients_is_a_horner_evaluation(terms, pad,
             value = value * point + terms.get(e, 0)
         return value
 
+    if not all(-y * y // 2 <= c < y * y // 2 for c in terms.values()):
+        with pytest.raises(OverflowError):
+            laurent._evaluate_halves(terms, low, half)
+        return
     packs = mock.Mock(wraps=laurent._pack)
     with mock.patch.object(laurent, "_pack", packs):
         even, odd = laurent._evaluate_halves(terms, low, half)
     assert (even + y * odd, even - y * odd) == (horner(y), horner(-y))
-    if len(terms) > 1 and max(map(abs, terms.values())) < 1 << (16 * half - 1):
-        assert packs.call_count == 2
+    assert packs.call_count == 2
 
 
 def alternant_matrix(exponents, lam):

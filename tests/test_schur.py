@@ -85,8 +85,7 @@ def test_h_determinant_packs_each_distinct_entry_once(n, l, m):
     chain = mock.Mock(wraps=qanalogs._qbinomial_chain)
     built = mock.Mock(wraps=qbinomial)
     with mock.patch.multiple(laurent, **spies), \
-            mock.patch.multiple(qanalogs, _qbinomial_chain=chain, qbinomial=built), \
-            mock.patch.object(schur, "qbinomial", built):
+            mock.patch.multiple(qanalogs, _qbinomial_chain=chain, qbinomial=built):
         value = h_determinant((l,) * n, m)
     assert chain.call_count == (4 if (n, l, m) == (6, 7, 10) else 1)
     assert spies["_minors_det"].call_count == 2
@@ -103,17 +102,18 @@ def test_h_determinant_packs_each_distinct_entry_once(n, l, m):
 def test_qbinomial_det_equals_det_fraction_free_of_its_gaussian_binomials(lam, extra, flagged):
     # the h and gv matrices (gv's twisted shifts included), flagged and
     # unflagged, of 3 to 7 rows in at most 12 variables: the chains at
-    # q = +-Y against the Gaussian binomials' coefficients
+    # q = +-Y against the Gaussian binomials' coefficients, at the Leibniz
+    # width
     m = len(lam) + extra
     for route in (h_determinant, gv_determinant):
         matrix = PolyMatrix(path_matrix(route, lam, m))
-        want = det_fraction_free(matrix, _nonnegative=flagged)
+        want = det_fraction_free(matrix)
         assert qanalogs._qbinomial_det(path_triples(route, lam, m), _nonnegative=flagged) == want
         assert route(lam, m) == want
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=3, max_value=6).flatmap(lambda n: st.lists(
+@given(st.integers(min_value=0, max_value=6).flatmap(lambda n: st.lists(
     st.lists(st.tuples(st.integers(min_value=-4, max_value=12),
                        st.integers(min_value=0, max_value=12),
                        st.integers(min_value=-1, max_value=13)), min_size=n, max_size=n),
@@ -122,10 +122,14 @@ def test_qbinomial_det_equals_det_fraction_free_of_its_gaussian_binomials(lam, e
 @example([[(0, 3, 4)] * 3] * 3)  # no nonzero entry
 def test_qbinomial_det_of_any_triples(entries):
     # signed in general: zero entries where b < 0 or b > A, negative and
-    # repeated shifts, the Leibniz width
+    # repeated shifts, the Leibniz width; below 3 rows, the Gaussian
+    # binomials built and expanded directly
     matrix = PolyMatrix([[qbinomial(big, small).shift(s) for s, big, small in row]
                          for row in entries])
-    assert qanalogs._qbinomial_det(entries) == det_fraction_free(matrix)
+    core = mock.Mock(wraps=laurent._det_core)
+    with mock.patch.object(qanalogs, "_det_core", core):
+        assert qanalogs._qbinomial_det(entries) == det_fraction_free(matrix)
+    assert core.called == (len(entries) >= 3)
 
 
 def path_triples(route, lam, m):
@@ -150,24 +154,27 @@ def path_matrix(route, lam, m):
        st.integers(min_value=0, max_value=5), st.booleans())
 @example((5,) * 7, 3, False)  # the 7 x 5 x 3 box
 @example((9, 9, 9), 1, True)  # the 3 x 9 x 1 box
+@example((4,), 2, False)
+@example((3, 1), 1, False)
 def test_path_determinants_flagged_nonnegative_equal_the_unflagged_route(lam, extra, rectangle):
-    # both determinants are packed at the width of their value at q = 1;
-    # the same matrices at the Leibniz width must agree
+    # each determinant of 1 to 7 rows is one _qbinomial_det, flagged
+    # nonnegative, so packed from 3 rows at the width of its value at
+    # q = 1; the same triples unflagged, at the Leibniz width, must agree
     if rectangle:
         lam = (lam[0],) * len(lam)
     m = len(strip(lam)) + extra
-    matrices = []
-    real = laurent.det_fraction_free
+    calls = []
+    real = qanalogs._qbinomial_det
 
-    def spy(matrix, **flag):
-        assert flag == {"_nonnegative": True}
-        matrices.append(matrix)
-        return real(matrix, **flag)
+    def spy(entries, **flag):
+        calls.append((entries, flag))
+        return real(entries, **flag)
 
-    with mock.patch.object(schur, "det_fraction_free", spy):
+    with mock.patch.object(schur, "_qbinomial_det", spy):
         values = [h_determinant(lam, m), gv_determinant(lam, m)]
     assert values[0] == values[1] == principal_product(lam, m)
-    assert [real(matrix) for matrix in matrices] == values[:len(matrices)]
+    assert [flag for _, flag in calls] == [{"_nonnegative": True}] * (2 if strip(lam) else 0)
+    assert [real(entries) for entries, _ in calls] == values[:len(calls)]
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -516,7 +523,7 @@ def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
                     return real(degrees, width, span)
 
                 monkeypatch.setattr(laurent, "_det_work", spy)
-                monkeypatch.setattr(schur, "PolyMatrix", None)
+                monkeypatch.setattr(laurent.PolyMatrix, "__init__", None)
                 monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", lower)
                 monkeypatch.setattr(laurent, "_MAX_BIGINT_WORK", work)
                 assert alternant(point, lam) == perm_det(rows)
