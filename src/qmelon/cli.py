@@ -20,7 +20,7 @@ from functools import cache
 from typing import Sequence
 
 from .identities import GOLDEN_POINTS, report_json_line, run_cases
-from .partitions import enumerate_in_box, parse_partition, strip
+from .partitions import check_int, enumerate_in_box, parse_partition, strip
 from .paths import (
     Watermelon,
     b_phase_points,
@@ -29,7 +29,7 @@ from .paths import (
     count_deviation,
     watermelon_from_dict,
 )
-from .planepartitions import pp_from_dict, zq
+from .planepartitions import check_plane_partition, pp_from_dict, volume, zq
 from .schur import (
     bialternant,
     gv_determinant,
@@ -210,6 +210,23 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#17becf", "#8c564b", "#e377c2")
 
 
+# The most items a figure may draw: the cells of a boxed plane partition,
+# N * L, with three faces per unit cube in svg, or the N * M tableau cells
+# and N * (N + M) path vertices of a watermelon.  CPython 3.11, peak RSS of
+# the whole command: the ascii figure of the full 1000 x 1000 x 1 box
+# (10**6 cells) took 0.7 s and 42 MB, the svg of the full 300 x 300 x 3 box
+# (9 * 10**5 tiles and faces) 3.4 s and 382 MB, and both figures of the
+# watermelon N = 400, M = 800 (8 * 10**5) 0.9-1.1 s and 140-192 MB; the
+# svg of 1000 x 1000 x 1 (4 * 10**6) would take 15.5 s and 1.76 GB.
+_MAX_FIGURE_ITEMS = 10**6
+
+
+def _require_figure(items: int, what: str) -> None:
+    if items > _MAX_FIGURE_ITEMS:
+        raise ValueError(f"the figure would draw {items} {what}, over the limit of "
+                         f"{_MAX_FIGURE_ITEMS}")
+
+
 def _melon_point_lists(w: Watermelon) -> list[list[tuple[int, int]]]:
     """Glued path vertices in picture coordinates, interface at column 0.
 
@@ -342,11 +359,20 @@ def cmd_render(args) -> int:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("top-level JSON value must be an object")
+        # each figure is sized before any padding, tableau or picture exists
         if "parts" in data:
+            n, l = (max(check_int(data[key], key), 0) for key in ("N", "L"))
+            if args.style == "ascii":
+                _require_figure(n * l, "cells")
+            else:
+                _require_figure(n * l + 3 * volume(check_plane_partition(data["parts"])),
+                                "tiles and faces")
             full, n, l, m = pp_from_dict(data)
             out = _ascii_pp(full, n, l, m) if args.style == "ascii" \
                 else _svg_pp(full, n, l, m)
         elif "c_steps" in data:
+            n, m = (max(check_int(data[key], key), 0) for key in ("N", "M"))
+            _require_figure(n * m + n * (n + m), "tableau cells and path vertices")
             w = watermelon_from_dict(data)
             out = _ascii_watermelon(w) if args.style == "ascii" \
                 else _svg_watermelon(w)

@@ -16,14 +16,17 @@ last step, laurent._packed_quotient, which proves the quotient it returns.
 The q-binomial determinant and the det forms of the watermelon suite come
 from qanalogs._qbinomial_det, which reads each Gaussian binomial's
 valuation, degree and value at q = 1 in closed form and its values at
-q = Y and at q = -Y off one chain of ints, and laurent._det_core recovers
-the even and the odd coefficients from the two integer determinants; a
+q = Y and at q = -Y off one chain of ints, and laurent._det_core shifts
+those values by the rows' and columns' powers of q and recovers the even
+and the odd coefficients from the two integer determinants; a
 large matrix of few rows is expanded by minors (laurent._minors_det), any
 other eliminated by laurent._bareiss, the integer elimination _cauchy_det
 runs too.  That expansion is a Laplace expansion like the pairing's
 schur._maximal_minors, but separate code: it takes arbitrary int entries
 in a row order by size and returns one determinant, where
-_maximal_minors shifts monomials and returns every maximal minor.
+_maximal_minors shifts monomials and returns every maximal minor.  A
+bialternant past schur._MINORS_MAX_ROWS letters meets _qbinomial_det too,
+but its triples q**(x * e) * [0 choose 0] run chains of no step.
 """
 
 from __future__ import annotations

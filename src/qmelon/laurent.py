@@ -41,10 +41,12 @@ and mirrors it, the ratio being palindromic up to sign.
 
 :func:`det_fraction_free` applies the substitution once per matrix, not
 once per operation, through ``_det_core``, which reads four facts of each
-entry: its valuation, its degree, its |a|_1 (or its value at q = 1) and
-its values at q = Y and q = -Y.  The rows and columns are shifted to
-polynomials, and the two integer determinants at q = +-Y, expanded by
-minors or eliminated by Bareiss, give the even and the odd coefficients
+entry a: its valuation v, its degree, its |a|_1 (or its value at q = 1)
+and the values of q**(-v) * a at q = Y and q = -Y.  The core alone shifts
+the rows and columns to polynomials, taking each value times the power of
++-Y left by the entry's row and column shifts, and the two integer
+determinants at q = +-Y, expanded by minors or eliminated by Bareiss,
+give the even and the odd coefficients
 (``_two_point_det``), proven by an a-priori bound: the Leibniz bound, or
 the value D(1) at q = 1 when the caller has proven the coefficients
 nonnegative, as for a matrix of path weights.  A matrix of monomial rows,
@@ -52,10 +54,11 @@ of zero span, is eliminated on its coefficients, so every determinant of 3
 rows or more is computed on ints.  The integer routine's work, predicted
 from bounds on the degrees of the minors it builds (``_det_work``), is
 charged against ``_MAX_BIGINT_WORK`` before any entry is evaluated.
-``det_fraction_free`` reads the facts off each entry's coefficients and
-packs them; a caller that knows them in closed form feeds the core
-directly and builds no coefficient list (``qanalogs._qbinomial_det`` for
-Gaussian binomials, ``schur._alternant`` for monomials).
+The core has two feeders: ``det_fraction_free`` reads the facts off each
+entry's coefficients and packs them (``_evaluate_matrix``), and
+``qanalogs._qbinomial_det`` knows them in closed form for the Gaussian
+binomials q**s * [A choose b], the monomials of ``schur._alternant``
+among them, and builds no coefficient list.
 
 ``_packed_quotient`` divides two polynomials packed at one width, for its
 callers and for :meth:`LaurentPoly.exact_div`: one ``divmod``, and only
@@ -742,8 +745,8 @@ def det_fraction_free(m: PolyMatrix) -> LaurentPoly:
     return _det_core(facts, partial(_evaluate_matrix, a))
 
 
-# lows, cols, half -> the shifted entries' values at q = Y and at q = -Y
-_Values = Callable[[list[int], list[int], int], tuple[list[list[int]], list[list[int]]]]
+# half -> the values of q**(-v) * a, v the valuation of entry a, at q = Y and at q = -Y
+_Values = Callable[[int], tuple[list[list[int]], list[list[int]]]]
 
 
 def _det_core(facts: list[list[tuple[int, int, int] | None]], values: _Values,
@@ -752,22 +755,25 @@ def _det_core(facts: list[list[tuple[int, int, int] | None]], values: _Values,
 
     facts[i][j] is None for a zero entry, else (v, d, w): the entry's
     valuation v, its degree d, and w, its |a|_1 or, with ``nonnegative``,
-    its value a(1) at q = 1.  values(lows, cols, half) gives the matrices
-    of the entries' values at q = Y and at q = -Y, Y = 2**(8*half), each
-    entry (i, j) taken as q**(-lows[i] - cols[j]) * a_ij, a polynomial.
+    its value a(1) at q = 1.  values(half) gives the matrices of the
+    values of q**(-v) * a_ij at q = Y and at q = -Y, Y = 2**(8*half), 0
+    for a zero entry; the core applies every row and column shift itself.
     Nothing else of an entry is read, so a caller that knows these facts
-    in closed form builds no coefficient list (``qanalogs._qbinomial_det``,
-    ``schur._alternant``).
+    in closed form builds no coefficient list (``qanalogs._qbinomial_det``).
 
     Row i is shifted by q**(-v_i), v_i its least valuation.  When the row
     spans sum to S = 0, every entry is c_ij * q**v_i and the determinant
-    is q**(sum v_i) det(c_ij), eliminated on the ints c_ij, the values at
-    any point of the row-shifted entries.  Otherwise column j is shifted
-    by q**(-c_j), c_j the least valuation left in it (0 for an all-zero
-    column), so every entry is a polynomial and a power of q that a whole
-    column shares is not evaluated; the determinant D of the shifted
-    entries has degree at most S' = sum_i max_j (deg a_ij - v_i - c_j) <=
-    S.  By the Leibniz expansion its coefficients are at most
+    is q**(sum v_i) det(c_ij), eliminated on the ints c_ij, the values of
+    the entries at any point once their valuations are taken out.
+    Otherwise column j is shifted by q**(-c_j), c_j the least valuation
+    left in it (0 for an all-zero column), so every entry is a polynomial
+    and a power of q that a whole column shares is not evaluated: the
+    value of entry (i, j) at q = +-Y is that of q**(-v_ij) * a_ij times
+    (+-Y)**(v_ij - v_i - c_j), a shift that is negated at -Y when its
+    exponent is odd, one pass over the matrix.  The determinant D of the
+    shifted entries has degree at most
+    S' = sum_i max_j (deg a_ij - v_i - c_j) <= S.  By the Leibniz
+    expansion its coefficients are at most
     B = prod_i sum_j |a_ij|_1, which no shift changes.  With
     ``nonnegative``, every coefficient is at most D(1), and B is
     D(1) = det M(1), eliminated by ``_bareiss`` on the values a_ij(1);
@@ -812,7 +818,7 @@ def _det_core(facts: list[list[tuple[int, int, int] | None]], values: _Values,
     try:
         if not span:
             # D = q**(sum v_i) * det(c_ij)
-            value = _bareiss(values(lows, [0] * n, 1)[0])
+            value = _bareiss(values(1)[0])
             return _canonical({sum(lows): value}) if value else _ZERO
         if nonnegative:
             bound = _bareiss(at_one)
@@ -831,8 +837,18 @@ def _det_core(facts: list[list[tuple[int, int, int] | None]], values: _Values,
                for row, low in zip(facts, lows)]
     minors, size, work = _det_work(degrees, width, span)
     _charge(n, minors, size, work)
+    half = (width + 1) // 2
+    unit = 8 * half
     try:
-        plus, minus = values(lows, cols, (width + 1) // 2)
+        plus, minus = values(half)
+        # the shifted entry (i, j) is q**(v_ij - v_i - c_j) times the one evaluated
+        for row, row_plus, row_minus, low in zip(facts, plus, minus, lows):
+            for j, (f, c) in enumerate(zip(row, cols)):
+                k = f[0] - low - c if f else 0
+                if k:
+                    row_plus[j] <<= unit * k
+                    row_minus[j] = (-(row_minus[j] << unit * k) if k & 1
+                                    else row_minus[j] << unit * k)
         det = _two_point_det(plus, minus, sum(lows) + sum(cols), sum(map(max, degrees)), width,
                              _minors_det if minors else _bareiss)
     except (NotDivisible, OverflowError) as exc:
@@ -967,51 +983,42 @@ def _two_point_det(plus: list[list[int]], minus: list[list[int]], low: int, span
     return _canonical({low + k: c for k, c in enumerate(coeffs) if c})
 
 
-def _evaluate_matrix(a: list[list[Mapping[int, int]]], lows: list[int], cols: list[int],
+def _evaluate_matrix(a: list[list[Mapping[int, int]]],
                      half: int) -> tuple[list[list[int]], list[list[int]]]:
-    """``det_fraction_free``'s values of q**(-lows[i] - cols[j]) * a[i][j] at q = +-Y.
+    """``det_fraction_free``'s values of q**(-v) * a[i][j] at q = +-Y, v the entry's valuation.
 
-    Y = 2**(8*half).  A monomial is one shift.  An entry of two terms or
+    Y = 2**(8*half).  A monomial c * q**v is c.  An entry of two terms or
     more is packed by its even and by its odd coefficients, both at width
     2 * half: at the Leibniz width W, each coefficient is at most
     |a_ij|_1 <= B < 2**(8*W-1) <= Y**2 / 2, so it fits in one digit.
     """
     unit = 8 * half
     plus, minus = [], []
-    for row, low in zip(a, lows):
+    for row in a:
         row_plus, row_minus = [], []
-        for terms, c in zip(row, cols):
+        for terms in row:
             if len(terms) > 1:
-                even, odd = _evaluate_halves(terms, low + c, half)
+                even, odd = _evaluate_halves(terms, half)
                 row_plus.append(even + (odd << unit))
                 row_minus.append(even - (odd << unit))
-            elif terms:
-                # coeff * q**k at q = +-Y
-                [(e, coeff)] = terms.items()
-                k = e - low - c
-                value = coeff << unit * k
-                row_plus.append(value)
-                row_minus.append(-value if k & 1 else value)
             else:
-                row_plus.append(0)
-                row_minus.append(0)
+                # the coefficient of a monomial, 0 for a zero entry
+                value = sum(terms.values())
+                row_plus.append(value)
+                row_minus.append(value)
         plus.append(row_plus)
         minus.append(row_minus)
     return plus, minus
 
 
-def _evaluate_halves(terms: Mapping[int, int], low: int, half: int) -> tuple[int, int]:
-    """(E(Y**2), O(Y**2)) for q**(-low) * terms = E(q**2) + q * O(q**2), Y = 2**(8*half).
+def _evaluate_halves(terms: Mapping[int, int], half: int) -> tuple[int, int]:
+    """(E(Y**2), O(Y**2)) for q**(-v) * terms = E(q**2) + q * O(q**2), Y = 2**(8*half).
 
-    Every coefficient must lie in [-Y**2/2, Y**2/2), else ``_pack`` raises
-    OverflowError.
+    v = min(terms), the valuation.  Every coefficient must lie in
+    [-Y**2/2, Y**2/2), else ``_pack`` raises OverflowError.
     """
-    unit = 16 * half
-    val, coeffs = _dense(terms)
-    k = val - low
-    even = _pack(coeffs[k & 1::2], 2 * half)
-    odd = _pack(coeffs[1 - (k & 1)::2], 2 * half)
-    return even << unit * ((k + 1) // 2), odd << unit * (k // 2)
+    coeffs = _dense(terms)[1]
+    return _pack(coeffs[0::2], 2 * half), _pack(coeffs[1::2], 2 * half)
 
 
 def _int_exact_div(num: int, den: int) -> int:

@@ -77,17 +77,18 @@ def enumerate_in_box(n: int, m: int) -> Iterator[Partition]:
     """
     if n < 0 or m < 0:
         raise ValueError("box dimensions must be nonnegative")
-
-    def rec(prefix: list[int], remaining: int, bound: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield tuple(prefix)
+    # the next partition raises the last part below its bound, the part
+    # before it or m, and clears the parts after it
+    parts = [0] * n
+    while True:
+        yield tuple(parts)
+        i = n - 1
+        while i >= 0 and parts[i] == (parts[i - 1] if i else m):
+            i -= 1
+        if i < 0:
             return
-        for v in range(bound + 1):
-            prefix.append(v)
-            yield from rec(prefix, remaining - 1, v)
-            prefix.pop()
-
-    yield from rec([], n, m)
+        parts[i] += 1
+        parts[i + 1:] = [0] * (n - 1 - i)
 
 
 _PARTITION_RE = re.compile(r"^\[\s*(?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?\]$")

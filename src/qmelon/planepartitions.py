@@ -102,24 +102,19 @@ def enumerate_box(n: int, l: int, m: int) -> Iterator[PlanePartition]:
     if n == 0 or l == 0:
         yield tuple(() for _ in range(l))
         return
-    grid = [[0] * n for _ in range(l)]
-
-    def fill(pos: int) -> Iterator[PlanePartition]:
-        if pos == n * l:
-            yield tuple(tuple(row) for row in grid)
+    # the next matrix raises the last part below its bound, the least of m
+    # and of the parts left of it and above it, and clears the parts after it
+    parts = [0] * (n * l)
+    while True:
+        yield tuple(tuple(parts[i:i + n]) for i in range(0, n * l, n))
+        pos = n * l - 1
+        while pos >= 0 and parts[pos] == min(m, parts[pos - 1] if pos % n else m,
+                                             parts[pos - n] if pos >= n else m):
+            pos -= 1
+        if pos < 0:
             return
-        i, j = divmod(pos, n)
-        cap = m
-        if j > 0:
-            cap = min(cap, grid[i][j - 1])
-        if i > 0:
-            cap = min(cap, grid[i - 1][j])
-        for v in range(cap + 1):
-            grid[i][j] = v
-            yield from fill(pos + 1)
-        grid[i][j] = 0
-
-    yield from fill(0)
+        parts[pos] += 1
+        parts[pos + 1:] = [0] * (n * l - 1 - pos)
 
 
 def _count_text(x: int) -> str:

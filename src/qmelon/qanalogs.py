@@ -4,10 +4,11 @@ Everything returns a LaurentPoly.  A Gaussian binomial is built on one
 dense list of ints and wrapped once; every division in that loop is exact
 and checked.  Gaussian binomials are memoized, which is safe because
 results are immutable and recomputation is idempotent.  Every determinant
-of twisted Gaussian binomials is ``_qbinomial_det``, which but for the
-smallest (see there) builds none of them: it feeds ``laurent._det_core``
-their closed-form facts and their values at q = +-Y, from one chain of
-ints per ``_qbinomial_chain``.
+of twisted Gaussian binomials q**s * [A choose b], monomials (A = 0)
+among them, is ``_qbinomial_det``, which but for the smallest (see
+there) builds none of them: it feeds ``laurent._det_core`` their
+closed-form facts and the values of [A choose b] at q = +-Y, from one
+chain of ints per ``_qbinomial_chain``; the core applies every shift.
 """
 
 from __future__ import annotations
@@ -108,8 +109,10 @@ def _qbinomial_det(entries: list[list[tuple[int, int, int]]], *,
     with ``_nonnegative`` (which the caller sets only with a proof, as
     ``schur.h_determinant`` and ``schur.gv_determinant`` have), follow
     from binomial coefficients, and the charge runs before any value is
-    computed.  The values at q = +-Y are those of ``_qbinomial_chain`` at
-    r, step k, times the power of +-Y that the entry's shifts leave.
+    computed.  The values at q = +-Y of the entry over q**s are step k of
+    ``_qbinomial_chain`` at r.  A monomial q**s, the triple (s, 0, 0) of
+    ``schur._alternant``, has the facts (s, s, 1) and the value 1, from a
+    chain of no step.
     """
     if len(entries) < 3:
         return det_fraction_free(PolyMatrix([[qbinomial(big, small).shift(s)
@@ -121,7 +124,7 @@ def _qbinomial_det(entries: list[list[tuple[int, int, int]]], *,
             if 0 <= small <= big:
                 k = min(small, big - small)
                 row_facts.append((s, s + k * (big - k), comb(big, small)))
-                row_keys.append((s, big - k, k))
+                row_keys.append((big - k, k))
             else:
                 row_facts.append(None)
                 row_keys.append(None)
@@ -130,35 +133,20 @@ def _qbinomial_det(entries: list[list[tuple[int, int, int]]], *,
     return _det_core(facts, partial(_chain_values, keys), _nonnegative)
 
 
-def _chain_values(keys: list[list[tuple[int, int, int] | None]], lows: list[int],
-                  cols: list[int], half: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Values of q**(s - lows[i] - cols[j]) * [r + k choose k] at q = +-2**(8*half).
+def _chain_values(keys: list[list[tuple[int, int] | None]],
+                  half: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Values of [r + k choose k] at q = +-2**(8*half), for each key (r, k); 0 for None.
 
-    keys[i][j] is (s, r, k), or None for a zero entry.  One chain runs per
-    r, to the largest k asked of it.
+    One chain runs per r, to the largest k asked of it.
     """
-    unit = 8 * half
     longest: dict[int, int] = {}
     for row in keys:
         for key in row:
-            if key and longest.get(key[1], -1) < key[2]:
-                longest[key[1]] = key[2]
+            if key and longest.get(key[0], -1) < key[1]:
+                longest[key[0]] = key[1]
     chains = {r: _qbinomial_chain(r, k, half) for r, k in longest.items()}
-    plus, minus = [], []
-    for row, low in zip(keys, lows):
-        row_plus, row_minus = [], []
-        for key, c in zip(row, cols):
-            if key is None:
-                row_plus.append(0)
-                row_minus.append(0)
-                continue
-            s, r, k = key
-            at_plus, at_minus = chains[r]
-            e = s - low - c
-            row_plus.append(at_plus[k] << unit * e)
-            row_minus.append(-(at_minus[k] << unit * e) if e & 1 else at_minus[k] << unit * e)
-        plus.append(row_plus)
-        minus.append(row_minus)
+    plus = [[chains[key[0]][0][key[1]] if key else 0 for key in row] for row in keys]
+    minus = [[chains[key[0]][1][key[1]] if key else 0 for key in row] for row in keys]
     return plus, minus
 
 

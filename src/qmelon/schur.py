@@ -21,8 +21,10 @@ det(q**(a_j * e_k)), so the alternants of all shapes at one point are the
 maximal minors of one monomial matrix.  ``_maximal_minors`` computes them
 with one dynamic program over column sets, packed as ints; it gives
 ``bialternant`` both of its alternants up to ``_MINORS_MAX_ROWS`` rows,
-where fraction-free (Bareiss) elimination takes over, and
-``_schur_pairing`` every alternant of a box, its divisor included.
+where fraction-free (Bareiss) elimination takes over, the monomials
+q**(a_j * e_k) fed to ``qanalogs._qbinomial_det`` as the Gaussian
+binomials q**(a_j * e_k) * [0 choose 0], and ``_schur_pairing`` every
+alternant of a box, its divisor included.
 
 The branching rule runs on packed ints too.  ``_tableau_series`` builds
 the tableau series of every shape between two bounds, letter by letter:
@@ -37,7 +39,8 @@ of every interface; it shares nothing with the pairing but the unpacking.
 more than ``laurent._MAX_DENSE_COEFFS`` packed bytes or more than
 ``laurent._MAX_BIGINT_WORK`` minor steps, before any polynomial is built
 (a Bareiss alternant by a lower bound, then by ``laurent._det_core``'s
-exact charge before any entry exists); the packed quotient both end in
+exact charge, through ``qanalogs._qbinomial_det``, before any entry
+exists); the packed quotient both end in
 refuses a divmod past that same limit before it runs.
 ``tableau_sum`` refuses a branching and unpacking of more than
 ``_MAX_BRANCHING_STEPS`` steps before it sweeps the level that passes the
@@ -46,8 +49,8 @@ limit.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import combinations, starmap
+from functools import lru_cache
+from itertools import combinations, groupby, starmap
 from math import comb, factorial, perm, prod
 from operator import sub
 from typing import Sequence
@@ -58,7 +61,6 @@ from .laurent import (
     LaurentPoly,
     NotDivisible,
     _dense,
-    _det_core,
     _det_work,
     _pack,
     _packed_quotient,
@@ -97,13 +99,14 @@ def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tupl
     hold n!, which bounds its coefficients.  A repeated exponent gives 0.
     Up to ``_MINORS_MAX_ROWS`` rows it is one maximal minor, whose work is
     predicted as its n * 2**(n-1) big-int steps times the bytes of the
-    packed value; above that it is ``laurent._det_core`` of the monomial
-    matrix, fed each entry q**(x * e) as its valuation and degree x * e and
-    its |a|_1 of 1 (so a Leibniz width from n**n), and its values at
-    q = +-Y as shifts of 1, so the matrix's exact charge runs before any
-    entry exists, and no PolyMatrix is built.  A lower bound of that
-    charge, the elimination of n x n constants, is charged before the
-    facts are listed.
+    packed value; above that it is ``qanalogs._qbinomial_det`` of the
+    monomial matrix, each entry q**(x * e) the triple (x * e, 0, 0), that
+    is q**(x * e) * [0 choose 0]: ``laurent._det_core`` reads its valuation
+    and degree x * e and its |a|_1 of 1 (so a Leibniz width from n**n),
+    and its value 1 from a chain of no step, and shifts that 1 itself, so
+    the matrix's exact charge runs before any entry exists, and no
+    PolyMatrix is built.  A lower bound of that charge, the elimination of
+    n x n constants, is charged before the triples are listed.
     """
     n = len(exponents)
     columns = [part + k for k, part in enumerate(reversed(pad(lam, n)))]
@@ -125,22 +128,10 @@ def _alternant(exponents: Sequence[int], lam: Sequence[int], width: int) -> tupl
         # the minor lists its columns increasing, the alternant decreasing
         return low, -value if n & 2 else value
     powers = columns[::-1]
-    det = _det_core([[(x * e, x * e, 1) for e in powers] for x in exponents],
-                    partial(_monomial_values, exponents, powers))
+    # q**(x * e) is q**(x * e) * [0 choose 0]
+    det = _qbinomial_det([[(x * e, 0, 0) for e in powers] for x in exponents])
     low, coeffs = _dense(det._terms) if det else (low, [])
     return low, _pack(coeffs, width)
-
-
-def _monomial_values(exponents: Sequence[int], powers: Sequence[int], lows: list[int],
-                     cols: list[int], half: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Values of q**(x * e - lows[j] - cols[k]) at q = +-2**(8*half), x_j and e_k given."""
-    unit = 8 * half
-    plus, minus = [], []
-    for x, low in zip(exponents, lows):
-        shifts = [x * e - low - c for e, c in zip(powers, cols)]
-        plus.append([1 << unit * k for k in shifts])
-        minus.append([-(1 << unit * k) if k & 1 else 1 << unit * k for k in shifts])
-    return plus, minus
 
 
 def _maximal_minors(exponents: Sequence[int], columns: Sequence[int], width: int,
@@ -576,10 +567,26 @@ def principal_product(lam: Sequence[int], m: int) -> LaurentPoly:
 
     q**n(lam) * prod over i < j <= m of (1 - q**(lam_i - lam_j - i + j)) / (1 - q**(j - i)),
     with lam padded to m parts.  Exact division of the two full products.
+    A pair with lam_i = lam_j is the factor 1 and is not built.  The
+    ratio has degree D = sum over i < j of lam_i - lam_j, and in q itself
+    (q_ratio's g = 1) unless lam is constant, when D = 0: then each pair
+    of adjacent distinct parts leaves a net factor (1 - q)**(-1).  So a
+    ratio of more than ``laurent._MAX_DENSE_COEFFS`` coefficients is
+    refused with q_ratio's own message before any pair is built.
     """
     lam = pad(check_partition(lam), m)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    ratio = q_ratio((lam[i] - lam[j] + j - i for i, j in pairs), (j - i for i, j in pairs))
+    deg = sum(part * (m - 1 - 2 * i) for i, part in enumerate(lam))
+    if deg + 1 > _MAX_DENSE_COEFFS:
+        raise ValueError(f"ratio of q-products has degree D = {deg} in q**1; its "
+                         f"D + 1 coefficients exceed the limit of {_MAX_DENSE_COEFFS}")
+    # lam decreases weakly, so lam_i > lam_j exactly when j is past the run
+    # of parts equal to lam_i, that is from past[i] on
+    past: list[int] = []
+    for _, run in groupby(lam):
+        size = len(list(run))
+        past += [len(past) + size] * size
+    ratio = q_ratio((lam[i] - lam[j] + j - i for i in range(m) for j in range(past[i], m)),
+                    (j - i for i in range(m) for j in range(past[i], m)))
     return ratio.shift(n_statistic(lam))
 
 

@@ -74,24 +74,35 @@ def _search(sh: Partition, counts: Sequence[int]) -> Iterator[Tableau]:
     left = [0, *counts]  # indexed by the letter
     rows = [[0] * width for width in sh]
     cells = _cells(sh, len(counts))
-
-    def fill(idx: int) -> Iterator[Tableau]:
-        if idx == len(cells):
-            yield tuple(map(tuple, rows))
-            return
+    # a depth-first search on an explicit stack: cells[:idx] are filled,
+    # and cell idx tries the letters from v on, v = 0 for its least one
+    idx, v = 0, 0
+    while idx >= 0:
         r, c, stop = cells[idx]
-        lo = rows[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, stop):
-            if left[v]:
-                left[v] -= 1
-                rows[r][c] = v
-                yield from fill(idx + 1)
+        row = rows[r]
+        if not v:
+            v = row[c - 1] if c > 0 else 1
+            if r > 0:
+                v = max(v, rows[r - 1][c] + 1)
+        while v < stop and not left[v]:
+            v += 1
+        if v >= stop:
+            # every letter of cell idx is tried: back to the cell before it
+            idx -= 1
+            if idx >= 0:
+                r, c, _ = cells[idx]
+                v = rows[r][c]
                 left[v] += 1
-        rows[r][c] = 0
-
-    return fill(0)
+                v += 1
+            continue
+        left[v] -= 1
+        row[c] = v
+        if idx + 1 < len(cells):
+            idx, v = idx + 1, 0
+        else:
+            yield tuple(map(tuple, rows))
+            left[v] += 1
+            v += 1
 
 
 def enumerate_ssyt(shape: Sequence[int], max_entry: int) -> Iterator[Tableau]:

@@ -9,11 +9,13 @@ import time
 
 import pytest
 
-from qmelon import cli, laurent, schur
+from qmelon import cli, laurent, qanalogs, schur
 from qmelon.cli import main
 from qmelon.laurent import LaurentPoly
 from qmelon.paths import closed_genfunc, count_deviation
 from qmelon.planepartitions import zq
+
+PP_JSON = json.dumps({"N": 2, "L": 2, "M": 2, "parts": [[2, 1], [1, 0]]})
 
 MELON_JSON = json.dumps({
     "N": 2, "M": 1, "k": 0, "lambda": [1, 0],
@@ -271,7 +273,7 @@ def test_alternant_past_its_exact_charge_is_a_usage_error(capsys, monkeypatch):
     # 140 letters pass the lower bound; the exact charge of the monomial
     # matrix, 9.3 * 10**19 steps, refuses it before any entry is built
     monkeypatch.setattr(laurent.PolyMatrix, "__init__", None)
-    monkeypatch.setattr(schur, "_monomial_values", lambda *args: pytest.fail("evaluated"))
+    monkeypatch.setattr(qanalogs, "_qbinomial_chain", lambda *args: pytest.fail("evaluated"))
     code, out, err = run_main(capsys, "schur", "--shape", "[1]", "--vars", "140",
                               "--alg", "bialternant")
     assert code == 2
@@ -412,6 +414,14 @@ def test_verify_bad_box(capsys):
     assert out.splitlines()[-1] == "# passed 2/2"
 
 
+def test_gv_grid_of_long_shapes_is_built():
+    # the 1001 shapes in the 1000 x 1 box once failed with a RecursionError
+    # in build_cases; the cases themselves are not run here
+    cases = cli.build_cases("gv", None, None, None, (1000, 1))
+    assert len(cases) == 1001
+    assert cases[-1] == ("gessel-viennot", {"lam": (1,) * 1000, "n": 1000})
+
+
 def test_render_watermelon_ascii(tmp_path, capsys):
     src = tmp_path / "melon.json"
     src.write_text(MELON_JSON)
@@ -498,6 +508,61 @@ def test_render_malformed(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_render_watermelon_of_many_cells(tmp_path, capsys):
+    # the empty interface of the 50 x 50 box: a B tableau of 2500 cells,
+    # found once by a search that took a frame per cell
+    src = tmp_path / "melon.json"
+    src.write_text(json.dumps({"N": 50, "M": 50, "k": 0, "lambda": [],
+                               "c_steps": [0] * 50, "b_steps": [50] * 50, "volume": 0}))
+    for style in ("ascii", "svg"):
+        code, out, err = run_main(capsys, "render", "--input", str(src), "--style", style)
+        assert code == 0 and err == ""
+        assert out.count("<polyline") == (50 if style == "svg" else 0)
+
+
+@pytest.mark.parametrize("figure, style, items, what", [
+    ({"N": 10**9, "L": 1, "M": 1, "parts": [[0]]}, "ascii", 10**9, "cells"),
+    ({"N": 10**9, "L": 1, "M": 1, "parts": [[0]]}, "svg", 10**9, "tiles and faces"),
+    ({"N": 1, "L": 1, "M": 10**9, "parts": [[10**9]]}, "svg", 3 * 10**9 + 1, "tiles and faces"),
+    ({"N": 1, "M": 10**9, "k": 0, "lambda": [0], "c_steps": [0], "b_steps": [10**9]},
+     "ascii", 2 * 10**9 + 1, "tableau cells and path vertices"),
+    ({"N": 1, "M": 10**9, "k": 0, "lambda": [0], "c_steps": [0], "b_steps": [10**9]},
+     "svg", 2 * 10**9 + 1, "tableau cells and path vertices"),
+])
+def test_oversized_figure_is_refused_before_it_exists(tmp_path, capsys, monkeypatch,
+                                                      figure, style, items, what):
+    # N * L cells, plus 3 faces per unit cube in svg, or the N * M tableau
+    # cells and N * (N + M) path vertices of a watermelon: sized before any
+    # padding or tableau
+    monkeypatch.setattr(cli, "pp_from_dict", None)
+    monkeypatch.setattr(cli, "watermelon_from_dict", None)
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(figure))
+    code, out, err = run_main(capsys, "render", "--input", str(src), "--style", style)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the figure would draw {items} {what}, over the limit of 1000000\n"
+
+
+@pytest.mark.parametrize("figure, items", [
+    # 2 x 2 cells, and the 4 floor tiles and 3 * 4 cube faces in svg
+    (json.loads(PP_JSON), {"ascii": 4, "svg": 16}),
+    # 2 * 1 tableau cells and 2 * 3 path vertices
+    (json.loads(MELON_JSON), {"ascii": 8, "svg": 8}),
+])
+def test_figure_limit_boundary(tmp_path, capsys, monkeypatch, figure, items):
+    src = tmp_path / "fig.json"
+    src.write_text(json.dumps(figure))
+    for style, count in items.items():
+        monkeypatch.setattr(cli, "_MAX_FIGURE_ITEMS", count)
+        code, out, _ = run_main(capsys, "render", "--input", str(src), "--style", style)
+        assert code == 0 and out
+        monkeypatch.setattr(cli, "_MAX_FIGURE_ITEMS", count - 1)
+        code, out, err = run_main(capsys, "render", "--input", str(src), "--style", style)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: the figure would draw {count} ")
+
+
 def test_render_volume_mismatch(tmp_path, capsys):
     src = tmp_path / "bad.json"
     data = json.loads(MELON_JSON)
@@ -527,8 +592,6 @@ def test_render_unrealizable_steps_fail_fast(tmp_path, capsys, melon):
     assert out == ""
     assert err.startswith("error:")
 
-
-PP_JSON = json.dumps({"N": 2, "L": 2, "M": 2, "parts": [[2, 1], [1, 0]]})
 
 
 @pytest.mark.parametrize("kind,fields", [

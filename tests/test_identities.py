@@ -172,6 +172,14 @@ def test_gessel_viennot():
     assert verify_gessel_viennot((2, 2), 2).lhs == LaurentPoly.const(1)
 
 
+def test_gessel_viennot_of_a_long_row():
+    # (3000) in 2 letters: its 3001 tableaux once failed the report with a
+    # RecursionError, a frame per cell
+    r = verify_gessel_viennot((3000,), 2)
+    assert r.equal and r.error is None
+    assert r.lhs == LaurentPoly.const(3001)
+
+
 def test_zq_equals_w():
     r = verify_zq_equals_w(1, 1, 1)
     assert r.equal and r.lhs == LaurentPoly({0: 1, 1: 1})

@@ -1194,14 +1194,16 @@ def test_nonnegative_det_tripwire_fires_on_a_signed_matrix(corner):
 
 
 @settings(max_examples=200, deadline=None)
-@given(big_terms_st, st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=3))
-@example({0: 1, 3: -(1 << 47)}, 2, 3)  # the least coefficient that 6 bytes hold
-@example({0: 1, 1: 1 << 15}, 0, 1)  # the least that 2 bytes do not
-def test_evaluate_halves_of_wide_coefficients_is_a_horner_evaluation(terms, pad, half):
-    # q**(-low) * terms = P(q) = E(q**2) + q * O(q**2), so P(Y) = E + Y * O
-    # and P(-Y) = E - Y * O at Y**2: one _pack per half, at 2 * half bytes,
-    # and a coefficient such as 10**120 that does not fit in them overflows
-    low = min(terms) - pad
+@given(big_terms_st, st.integers(min_value=1, max_value=3))
+@example({0: 1, 3: -(1 << 47)}, 3)  # the least coefficient that 6 bytes hold
+@example({0: 1, 1: 1 << 15}, 1)  # the least that 2 bytes do not
+@example({-3: 5, 2: -7}, 1)  # a negative valuation and an odd span
+def test_evaluate_halves_of_wide_coefficients_is_a_horner_evaluation(terms, half):
+    # q**(-v) * terms = P(q) = E(q**2) + q * O(q**2), v the valuation, so
+    # P(Y) = E + Y * O and P(-Y) = E - Y * O at Y**2: one _pack per half,
+    # at 2 * half bytes, and a coefficient such as 10**120 that does not fit
+    # in them overflows
+    low = min(terms)
     y = 1 << 8 * half
 
     def horner(point):
@@ -1212,11 +1214,11 @@ def test_evaluate_halves_of_wide_coefficients_is_a_horner_evaluation(terms, pad,
 
     if not all(-y * y // 2 <= c < y * y // 2 for c in terms.values()):
         with pytest.raises(OverflowError):
-            laurent._evaluate_halves(terms, low, half)
+            laurent._evaluate_halves(terms, half)
         return
     packs = mock.Mock(wraps=laurent._pack)
     with mock.patch.object(laurent, "_pack", packs):
-        even, odd = laurent._evaluate_halves(terms, low, half)
+        even, odd = laurent._evaluate_halves(terms, half)
     assert (even + y * odd, even - y * odd) == (horner(y), horner(-y))
     assert packs.call_count == 2
 

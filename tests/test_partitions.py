@@ -66,6 +66,12 @@ def test_enumerate_in_box_count_and_order(n, m):
         assert check_partition(lam) == lam and max(lam, default=0) <= m
 
 
+def test_enumerate_in_box_takes_no_frame_per_part():
+    # a frame per part passed the recursion limit at about 1,000 parts
+    out = list(enumerate_in_box(1000, 1))
+    assert out == [(1,) * t + (0,) * (1000 - t) for t in range(1001)]
+
+
 def test_parse_format():
     assert parse_partition("[5,5,3,2,2,0]") == (5, 5, 3, 2, 2, 0)
     assert parse_partition("[]") == ()

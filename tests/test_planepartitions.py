@@ -65,6 +65,12 @@ def test_enumerate_box_order_and_validity():
         assert in_box(pp, 2, 2, 2)
 
 
+def test_enumerate_box_takes_no_frame_per_cell():
+    # a frame per cell passed the recursion limit at about 1,000 cells
+    out = list(enumerate_box(2000, 1, 1))
+    assert out == [((1,) * t + (0,) * (2000 - t),) for t in range(2001)]
+
+
 def zq_oracle(n, l, m):
     """Sum of q**volume over every plane partition in the box, one at a time."""
     acc = {}

@@ -120,6 +120,9 @@ def test_qbinomial_det_equals_det_fraction_free_of_its_gaussian_binomials(lam, e
     min_size=n, max_size=n)))
 @example([[(0, 3, 1)] * 3] * 3)  # equal rows: D = 0
 @example([[(0, 3, 4)] * 3] * 3)  # no nonzero entry
+# alternants, q**(x * e) = q**(x * e) * [0 choose 0], at points with negative exponents
+@example([[(x * e, 0, 0) for e in (4, 2, 0)] for x in (-2, 0, 3)])
+@example([[(x * e, 0, 0) for e in (5, 3, 1, 0)] for x in (-3, -1, 2, 5)])
 def test_qbinomial_det_of_any_triples(entries):
     # signed in general: zero entries where b < 0 or b > A, negative and
     # repeated shifts, the Leibniz width; below 3 rows, the Gaussian
@@ -336,6 +339,47 @@ def test_principal_product_rejects_short_alphabet():
         principal_product((1, 1, 1), 2)
 
 
+def test_principal_product_builds_no_pair_of_equal_parts(monkeypatch):
+    # (1) in 3000 letters: 2999 of the C(3000, 2) pairs have distinct parts,
+    # and the others are the factor 1
+    sizes = []
+    real = schur.q_ratio
+
+    def counted(num, den):
+        num, den = list(num), list(den)
+        sizes.append((len(num), len(den)))
+        return real(num, den)
+
+    monkeypatch.setattr(schur, "q_ratio", counted)
+    assert principal_product((1,), 3000) == LaurentPoly(dict.fromkeys(range(3000), 1))
+    assert principal_product((3, 3, 1, 1), 6) == tableau_sum((3, 3, 1, 1), tuple(range(6)))
+    assert principal_product((2, 2), 2) == LaurentPoly.q_power(2)
+    assert sizes == [(2999, 2999), (2 * 4 + 2 * 2, 2 * 4 + 2 * 2), (0, 0)]
+
+
+def test_principal_product_refuses_its_degree_before_any_pair(monkeypatch):
+    # D = sum over i < j of lam_i - lam_j, in q itself unless lam is
+    # constant, so the refusal is q_ratio's own, raised before any pair
+    lam, m = (20, 1), 8
+    pairs = list(itertools.combinations(range(m), 2))
+    full = lam + (0,) * (m - len(lam))
+    deg = sum(full[i] - full[j] for i, j in pairs)
+    assert deg == 19 + 20 * 6 + 6
+    monkeypatch.setattr(schur, "_MAX_DENSE_COEFFS", deg)
+    monkeypatch.setattr(laurent, "_MAX_DENSE_COEFFS", deg)
+    message = (f"ratio of q-products has degree D = {deg} in q**1; its D + 1 coefficients "
+               f"exceed the limit of {deg}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        laurent.q_ratio([full[i] - full[j] + j - i for i, j in pairs], [j - i for i, j in pairs])
+    monkeypatch.setattr(schur, "q_ratio", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        principal_product(lam, m)
+    monkeypatch.setattr(schur, "_MAX_DENSE_COEFFS", deg + 1)
+    monkeypatch.setattr(schur, "q_ratio", laurent.q_ratio)
+    monkeypatch.setattr(laurent, "_MAX_DENSE_COEFFS", deg + 1)
+    assert principal_product(lam, m) == tableau_sum(lam, tuple(range(m)))
+
+
 def alternant(exps, lam):
     """schur._alternant unpacked, at the width that holds n!."""
     width = math.factorial(len(exps)).bit_length() // 8 + 1
@@ -372,13 +416,13 @@ def test_alternant_matches_permutation_expansion(case):
 def test_bialternant_on_both_sides_of_the_minors_cutoff(monkeypatch, extra):
     n = schur._MINORS_MAX_ROWS + extra
     sizes = []
-    original = schur._det_core
+    original = qanalogs._det_core
 
-    def counted(facts, values):
+    def counted(facts, values, nonnegative=False):
         sizes.append(len(facts))
-        return original(facts, values)
+        return original(facts, values, nonnegative)
 
-    monkeypatch.setattr(schur, "_det_core", counted)
+    monkeypatch.setattr(qanalogs, "_det_core", counted)
     # centred on 0, the point has half the span of (0, ..., n-1); S_lam is
     # homogeneous of degree |lam|, so shifting the point shifts the value
     point = tuple(range(-(n // 2), n - n // 2))
@@ -528,7 +572,7 @@ def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
                 monkeypatch.setattr(laurent, "_MAX_BIGINT_WORK", work)
                 assert alternant(point, lam) == perm_det(rows)
                 monkeypatch.setattr(laurent, "_MAX_BIGINT_WORK", work - 1)
-                monkeypatch.setattr(schur, "_monomial_values",
+                monkeypatch.setattr(qanalogs, "_qbinomial_chain",
                                     lambda *args: pytest.fail("an entry was evaluated"))
                 with pytest.raises(ValueError, match=f"^a determinant of {n} rows and {size} bytes "
                                                      f"would take {work} elimination steps, over "
@@ -537,7 +581,7 @@ def test_alternant_refuses_work_past_the_limit(monkeypatch, cutoff):
                 assert len(charges) == 2 and all(charges)
                 work = lower
                 monkeypatch.setattr(schur, "_MAX_BIGINT_WORK", work - 1)
-                monkeypatch.setattr(schur, "_det_core", None)
+                monkeypatch.setattr(qanalogs, "_det_core", None)
             with pytest.raises(ValueError, match=f"^shape {re.escape(str(strip(lam)))} in {n} "
                                                  f"letters would take {work} alternant steps, "
                                                  f"over the limit of {work - 1}$"):

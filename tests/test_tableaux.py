@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import sys
 import time
@@ -135,24 +136,31 @@ def test_first_ssyt_refuses_exactly_the_unrealizable_counts():
 
 
 def search_nodes(call):
-    """call()'s result and the number of frames of the inner search ``fill`` it made.
+    """call()'s result and the number of partial fillings ``_search`` made, the empty one included.
 
-    A generator frame reports a fresh "call" event at every resumption, so
-    the frames are collected in a set and each counts once.
+    The search makes a filling each time it places a letter, on its line
+    ``left[v] -= 1``; the line events of a trace on its frames count them.
+    A generator frame reports a fresh "call" event at every resumption, and
+    each is traced again.
     """
-    frames = set()
+    lines, first = inspect.getsourcelines(tableaux._search)
+    [place] = [first + k for k, line in enumerate(lines) if line.strip() == "left[v] -= 1"]
+    placed = 0
 
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_name == "fill" and code.co_filename == tableaux.__file__:
-            frames.add(frame)
+    def trace(frame, event, arg):
+        nonlocal placed
+        if frame.f_code is not tableaux._search.__code__:
+            return None
+        if event == "line" and frame.f_lineno == place:
+            placed += 1
+        return trace
 
-    sys.setprofile(profile)
+    sys.settrace(trace)
     try:
         result = call()
     finally:
-        sys.setprofile(None)
-    return result, len(frames)
+        sys.settrace(None)
+    return result, 1 + placed
 
 
 @pytest.mark.parametrize("shape,max_entry", [
@@ -176,3 +184,13 @@ def test_first_ssyt_search_of_a_forced_filling_never_backtracks():
     found, nodes = search_nodes(lambda: first_ssyt_with_counts(shape, (8,) * 6))
     assert found == tuple((v,) * 8 for v in range(1, 7))
     assert nodes == 1 + sum(shape)
+
+
+def test_search_takes_no_frame_per_cell():
+    # a frame per cell passed the recursion limit at about 1,000 cells; one
+    # row of 3000 cells in 2 letters charges 9 * 10**6 of the 2 * 10**7
+    # tableau-cells
+    assert count_ssyt((1000,), 1) == 1
+    assert count_ssyt((3000,), 2) == 3001
+    assert first_ssyt_with_counts((1000,), (400, 600)) == ((1,) * 400 + (2,) * 600,)
+    assert first_ssyt_with_counts((50,) * 50, (50,) * 50) == tuple((v,) * 50 for v in range(1, 51))
